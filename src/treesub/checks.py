@@ -4,27 +4,35 @@ Each checker tests inequalities of the shape
 
     f(x) + f(y) >= f(op1(x, y)) + f(op2(x, y))
 
-over pairs of labelings, for a pair of componentwise operations:
+over pairs of labelings, for a family of componentwise operation pairs.
+A family is a list of (d, op1 tables, op2 tables) members; a pair
+violates the property when it violates any member:
 
-* ``check_strong``       -- midpoint meet/join;
-* ``check_weak``         -- wedge/vee (highest common ancestor pair);
-* ``check_translation``  -- the directed d-step family, every d from 0 up
-                            to the pairwise distance (all coordinates
-                            saturate beyond it, so larger d is vacuous);
-* ``check_multimorphism``-- arbitrary per-tree operation tables.
+* ``check_strong``       -- one member, midpoint meet/join;
+* ``check_weak``         -- one member, wedge/vee (highest common
+                            ancestor pair);
+* ``check_translation``  -- the directed d-step family, one member per d
+                            from 0 up to the largest pairwise distance
+                            (all coordinates saturate beyond it, so
+                            larger d is vacuous);
+* ``check_multimorphism``-- one member of arbitrary per-tree tables.
 
-Exhaustive mode enumerates pairs in (rank(x), rank(y)) lexicographic
-order and reports the first violation, so witnesses are stable across
-runs and implementations.  Sampled mode draws pairs i.i.d. uniform by
-rank from a seeded stream; it proves nothing and its report says so.
+All four run through one pair checker.  Exhaustive mode enumerates pairs
+in (rank(x), rank(y)) lexicographic order and reports the first
+violation, with the members tried in list order, so witnesses are stable
+across runs and implementations.  Sampled mode draws pairs i.i.d.
+uniform by rank from a seeded stream; it proves nothing and its report
+says so.
 
 Costs are integers, so verdicts are exact.  Dense domains are checked
-through vectorized rank tables; a pure-Python scan handles cost
-magnitudes beyond the int64 comfort zone.
+through vectorized rank tables that only flag the first violating pair;
+its witness, and the whole scan for cost magnitudes beyond the int64
+comfort zone, come from exact pure-Python arithmetic.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +84,8 @@ class CheckReport:
 
 
 OpTable = list[list[int]]
+# Members (d, op1 tables, op2 tables); d is None outside the d-step family.
+OpFamily = list[tuple[int | None, list[OpTable], list[OpTable]]]
 
 
 def _build_tables(domain: ProductDomain, op) -> tuple[list[OpTable], list[OpTable]]:
@@ -180,80 +190,81 @@ def _op_rank_matrix(domain: ProductDomain, tables: list[OpTable], digs: np.ndarr
     return out
 
 
-def _values_vector(f: CostFunction, budget: int | None) -> np.ndarray | None:
-    table = materialize(f, budget=_pair_budget(budget))
-    if max((abs(v) for v in table.values), default=0) >= _INT64_SAFE:
-        return None  # fall back to exact Python arithmetic
-    return np.asarray(table.values, dtype=np.int64)
-
-
 def _apply_tables(tables: list[OpTable], x: Labeling, y: Labeling) -> Labeling:
     return tuple(tables[i][x[i]][y[i]] for i in range(len(x)))
 
 
-def _exhaustive_pair_check(
-    f: CostFunction,
-    domain: ProductDomain,
-    op1: list[OpTable],
-    op2: list[OpTable],
-    name: str,
-    budget: int | None,
-) -> CheckReport:
+def _first_violation(
+    f: CostFunction, family: OpFamily, x: Labeling, y: Labeling, name: str
+) -> ViolationWitness | None:
+    """Exact scan of one pair through the family's members, in list order."""
+    lhs = f.evaluate(x) + f.evaluate(y)
+    for d, op1, op2 in family:
+        rhs = f.evaluate(_apply_tables(op1, x, y)) + f.evaluate(_apply_tables(op2, x, y))
+        if lhs < rhs:
+            return ViolationWitness(name, x, y, d, lhs, rhs)
+    return None
+
+
+def _candidate_pairs(table: DenseTable, domain: ProductDomain, family: OpFamily):
+    """Rank pairs (xr, yr) to replay exactly, in (rank(x), rank(y)) order.
+
+    With int64-safe values a vectorized pass ORs every member's violation
+    matrix together and yields only the first flagged pair; otherwise
+    every pair is a candidate and the exact replay is the whole scan.
+    """
     size = domain.size()
-    _require_exhaustible(size, budget)
-    values = _values_vector(f, budget)
-    if values is not None:
-        digs = _digits(domain, size)
+    if max((abs(v) for v in table.values), default=0) >= _INT64_SAFE:
+        return itertools.product(range(size), repeat=2)
+    values = np.asarray(table.values, dtype=np.int64)
+    digs = _digits(domain, size)
+    lhs = values[:, None] + values[None, :]
+    viol = None
+    for _, op1, op2 in family:
         r1 = _op_rank_matrix(domain, op1, digs)
         r2 = _op_rank_matrix(domain, op2, digs)
-        lhs = values[:, None] + values[None, :]
-        rhs = values[r1] + values[r2]
-        viol = lhs < rhs
-        if not viol.any():
-            return CheckReport(name, "exhaustive", True, None, size * size)
-        flat = int(np.argmax(viol))
-        xr, yr = divmod(flat, size)
-        witness = ViolationWitness(
-            name, domain.unrank(xr), domain.unrank(yr), None,
-            int(lhs[xr, yr]), int(rhs[xr, yr]),
-        )
-        return CheckReport(name, "exhaustive", False, witness, size * size)
-
-    # Exact big-integer fallback, same enumeration order.
-    table = materialize(f, budget=_pair_budget(budget))
-    vals = table.values
-    for xr in range(size):
-        x = domain.unrank(xr)
-        for yr in range(size):
-            y = domain.unrank(yr)
-            lhs = vals[xr] + vals[yr]
-            rhs = table.evaluate(_apply_tables(op1, x, y)) + table.evaluate(
-                _apply_tables(op2, x, y)
-            )
-            if lhs < rhs:
-                witness = ViolationWitness(name, x, y, None, lhs, rhs)
-                return CheckReport(name, "exhaustive", False, witness, size * size)
-    return CheckReport(name, "exhaustive", True, None, size * size)
+        member = lhs < values[r1] + values[r2]
+        viol = member if viol is None else np.logical_or(viol, member, out=viol)
+    if not viol.any():
+        return ()
+    return (divmod(int(np.argmax(viol)), size),)
 
 
-def _sampled_pair_check(
+def _pair_check(
     f: CostFunction,
     domain: ProductDomain,
-    op1: list[OpTable],
-    op2: list[OpTable],
+    family: OpFamily,
     name: str,
+    mode: str,
     samples: int,
     seed: int,
+    budget: int | None,
+    note: str = "",
 ) -> CheckReport:
-    rng = SplitMix64(seed)
+    """Check f(x)+f(y) >= f(op1)+f(op2) for every member of ``family``.
+
+    ``note`` is attached to exhaustive reports; sampled reports carry
+    their own note saying how far the search went.
+    """
     size = domain.size()
+    if mode == "exhaustive":
+        limit = _require_exhaustible(size, budget)
+        table = materialize(f, budget=limit)
+        for xr, yr in _candidate_pairs(table, domain, family):
+            witness = _first_violation(table, family, domain.unrank(xr), domain.unrank(yr), name)
+            if witness is not None:
+                return CheckReport(name, "exhaustive", False, witness, size * size, note)
+        return CheckReport(name, "exhaustive", True, None, size * size, note)
+    if mode != "sampled":
+        raise DomainError(f"unknown mode {mode!r}; use 'exhaustive' or 'sampled'")
+    if samples < 1:
+        raise DomainError(f"sampled mode needs at least 1 sample, got {samples}")
+    rng = SplitMix64(seed)
     for s in range(samples):
         x = domain.unrank(rng.below(size))
         y = domain.unrank(rng.below(size))
-        lhs = f.evaluate(x) + f.evaluate(y)
-        rhs = f.evaluate(_apply_tables(op1, x, y)) + f.evaluate(_apply_tables(op2, x, y))
-        if lhs < rhs:
-            witness = ViolationWitness(name, x, y, None, lhs, rhs)
+        witness = _first_violation(f, family, x, y, name)
+        if witness is not None:
             return CheckReport(
                 name, "sampled", False, witness, s + 1,
                 note=f"violation found at sample {s + 1} of {samples}",
@@ -262,25 +273,6 @@ def _sampled_pair_check(
         name, "sampled", True, None, samples,
         note=f"no violation found in {samples} samples; not a proof",
     )
-
-
-def _pair_check(
-    f: CostFunction,
-    domain: ProductDomain | None,
-    op_builder,
-    name: str,
-    mode: str,
-    samples: int,
-    seed: int,
-    budget: int | None,
-) -> CheckReport:
-    domain = domain if domain is not None else f.domain
-    op1, op2 = op_builder(domain)
-    if mode == "exhaustive":
-        return _exhaustive_pair_check(f, domain, op1, op2, name, budget)
-    if mode == "sampled":
-        return _sampled_pair_check(f, domain, op1, op2, name, samples, seed)
-    raise DomainError(f"unknown mode {mode!r}; use 'exhaustive' or 'sampled'")
 
 
 def check_strong(
@@ -293,7 +285,9 @@ def check_strong(
     budget: int | None = None,
 ) -> CheckReport:
     """Verify f(x)+f(y) >= f(meet)+f(join) for componentwise midpoints."""
-    return _pair_check(f, domain, meet_join_tables, "strong", mode, samples, seed, budget)
+    domain = domain if domain is not None else f.domain
+    family = [(None, *meet_join_tables(domain))]
+    return _pair_check(f, domain, family, "strong", mode, samples, seed, budget)
 
 
 def check_weak(
@@ -306,7 +300,9 @@ def check_weak(
     budget: int | None = None,
 ) -> CheckReport:
     """Verify f(x)+f(y) >= f(wedge)+f(vee)."""
-    return _pair_check(f, domain, wedge_vee_tables, "weak", mode, samples, seed, budget)
+    domain = domain if domain is not None else f.domain
+    family = [(None, *wedge_vee_tables(domain))]
+    return _pair_check(f, domain, family, "weak", mode, samples, seed, budget)
 
 
 def check_multimorphism(
@@ -327,11 +323,7 @@ def check_multimorphism(
     op1, op2 = op_pair
     _validate_tables(domain, op1, "op1")
     _validate_tables(domain, op2, "op2")
-    if mode == "exhaustive":
-        return _exhaustive_pair_check(f, domain, op1, op2, name, budget)
-    if mode == "sampled":
-        return _sampled_pair_check(f, domain, op1, op2, name, samples, seed)
-    raise DomainError(f"unknown mode {mode!r}; use 'exhaustive' or 'sampled'")
+    return _pair_check(f, domain, [(None, op1, op2)], name, mode, samples, seed, budget)
 
 
 def _max_pair_distance(domain: ProductDomain) -> int:
@@ -354,87 +346,17 @@ def check_translation(
 ) -> CheckReport:
     """Verify the d-step inequality for every pair and every relevant d.
 
-    Per pair, d only needs to range over 0..rho_inf(x, y): beyond that
-    every coordinate saturates and the inequality is an equality.  The
-    witness therefore always carries d <= rho_inf(x, y), and d ordering
-    is ascending within the first violating pair.
+    The family holds one up/down member per d = 0..dmax, the largest
+    pairwise distance in the domain, tried in ascending d for each pair.
+    No per-pair cap on d is needed: once d >= rho_inf(x, y) every
+    coordinate saturates to (y, x) and the inequality is an equality, so
+    the first violating d of a pair is at most rho_inf(x, y) and the
+    witness is the one a per-pair capped scan would report.
     """
     domain = domain if domain is not None else f.domain
-    name = "translation"
+    family = [(d, *up_down_tables(domain, d)) for d in range(_max_pair_distance(domain) + 1)]
     note = "d capped at rho_inf(x, y) per pair; all coordinates saturate beyond"
-    if mode == "sampled":
-        rng = SplitMix64(seed)
-        size = domain.size()
-        for s in range(samples):
-            x = domain.unrank(rng.below(size))
-            y = domain.unrank(rng.below(size))
-            fx, fy = f.evaluate(x), f.evaluate(y)
-            dmax = max(rho(t, xi, yi) for t, xi, yi in zip(domain.trees, x, y))
-            for d in range(dmax + 1):
-                moved = [up_down(t, xi, yi, d) for t, xi, yi in zip(domain.trees, x, y)]
-                up = tuple(m[0] for m in moved)
-                down = tuple(m[1] for m in moved)
-                lhs = fx + fy
-                rhs = f.evaluate(up) + f.evaluate(down)
-                if lhs < rhs:
-                    witness = ViolationWitness(name, x, y, d, lhs, rhs)
-                    return CheckReport(
-                        name, "sampled", False, witness, s + 1,
-                        note=f"violation found at sample {s + 1} of {samples}",
-                    )
-        return CheckReport(
-            name, "sampled", True, None, samples,
-            note=f"no violation found in {samples} samples; not a proof",
-        )
-    if mode != "exhaustive":
-        raise DomainError(f"unknown mode {mode!r}; use 'exhaustive' or 'sampled'")
-
-    size = domain.size()
-    _require_exhaustible(size, budget)
-    dmax = _max_pair_distance(domain)
-    values = _values_vector(f, budget)
-    if values is not None:
-        digs = _digits(domain, size)
-        lhs = values[:, None] + values[None, :]
-        viol_by_d = []
-        for d in range(dmax + 1):
-            op1, op2 = up_down_tables(domain, d)
-            r1 = _op_rank_matrix(domain, op1, digs)
-            r2 = _op_rank_matrix(domain, op2, digs)
-            viol_by_d.append(lhs < values[r1] + values[r2])
-        any_viol = np.logical_or.reduce(viol_by_d)
-        if not any_viol.any():
-            return CheckReport(name, "exhaustive", True, None, size * size, note=note)
-        flat = int(np.argmax(any_viol))
-        xr, yr = divmod(flat, size)
-        d_star = next(d for d in range(dmax + 1) if viol_by_d[d][xr, yr])
-        x, y = domain.unrank(xr), domain.unrank(yr)
-        op1, op2 = up_down_tables(domain, d_star)
-        table = materialize(f, budget=_pair_budget(budget))
-        lhs_v = table.values[xr] + table.values[yr]
-        rhs_v = table.evaluate(_apply_tables(op1, x, y)) + table.evaluate(
-            _apply_tables(op2, x, y)
-        )
-        witness = ViolationWitness(name, x, y, d_star, lhs_v, rhs_v)
-        return CheckReport(name, "exhaustive", False, witness, size * size, note=note)
-
-    table = materialize(f, budget=_pair_budget(budget))
-    vals = table.values
-    for xr in range(size):
-        x = domain.unrank(xr)
-        for yr in range(size):
-            y = domain.unrank(yr)
-            pair_d = max(rho(t, xi, yi) for t, xi, yi in zip(domain.trees, x, y))
-            for d in range(pair_d + 1):
-                moved = [up_down(t, xi, yi, d) for t, xi, yi in zip(domain.trees, x, y)]
-                up = tuple(m[0] for m in moved)
-                down = tuple(m[1] for m in moved)
-                lhs = vals[xr] + vals[yr]
-                rhs = table.evaluate(up) + table.evaluate(down)
-                if lhs < rhs:
-                    witness = ViolationWitness(name, x, y, d, lhs, rhs)
-                    return CheckReport(name, "exhaustive", False, witness, size * size, note=note)
-    return CheckReport(name, "exhaustive", True, None, size * size, note=note)
+    return _pair_check(f, domain, family, "translation", mode, samples, seed, budget, note)
 
 
 # ---------------------------------------------------------------------------

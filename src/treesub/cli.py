@@ -32,7 +32,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -538,11 +537,7 @@ def _bench_row(path: Path, diagnostics: bool, timing: bool) -> dict:
 def _cmd_bench(args) -> int:
     suite = Path(args.suite) if args.suite else _corpus_dir()
     paths = sorted(suite.glob("*.json"))
-    if args.jobs and args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda p: _bench_row(p, args.diagnostics, args.timing), paths))
-    else:
-        rows = [_bench_row(p, args.diagnostics, args.timing) for p in paths]
+    rows = [_bench_row(p, args.diagnostics, args.timing) for p in paths]
     ok = all(row["steps_within_bound"] for row in rows)
     record = {"command": "bench", "suite": str(suite), "rows": rows, "ok": ok}
     _emit(record, args.out)
@@ -627,7 +622,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run a suite and assert step bounds")
     p_bench.add_argument("--suite", help="directory of instance files (default: shipped corpus)")
-    p_bench.add_argument("--jobs", type=int, default=1)
+    p_bench.add_argument("--jobs", type=int, default=1,
+                         help="accepted for compatibility; rows always run one at a "
+                              "time in sorted path order")
     p_bench.add_argument("--timing", action="store_true", help="include wall-clock columns")
     p_bench.add_argument("--diagnostics", action="store_true")
     p_bench.add_argument("--out")

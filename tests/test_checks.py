@@ -143,6 +143,34 @@ def test_big_value_fallback_agrees():
         assert (got.witness.x, got.witness.y) == (expect.x, expect.y)
 
 
+def _witness_key(w):
+    return None if w is None else (w.x, w.y, w.d, w.lhs, w.rhs)
+
+
+def test_big_value_fallback_weak_and_translation():
+    """Costs beyond 2^40 take the exact scan; witnesses match the oracles."""
+    dom = ts.ProductDomain([ts.chain_tree(3), ts.star3_tree()])
+    rng = ts.SplitMix64(53)
+    verdicts = set()
+    for i in range(12):
+        if i % 3:
+            values = [rng.below(10) + (1 << 41) * (rng.below(3) - 1)
+                      for _ in range(dom.size())]
+        else:  # a verified strong function shifted past 2^41 satisfies both
+            fx = ts.generate("random-verified-strong", dom, seed=rng.below(1000))
+            values = [v + (1 << 41) for v in ts.materialize(fx.function).values]
+        f = ts.DenseTable(dom, values)
+        for got, expect in (
+            (ts.check_weak(f), naive_check(f, ts.wedge_vee)),
+            (ts.check_translation(f), naive_check_translation(f)),
+        ):
+            assert got.ok == (expect is None)
+            assert _witness_key(got.witness) == _witness_key(expect)
+            assert got.pairs_checked == dom.size() ** 2
+            verdicts.add(got.ok)
+    assert verdicts == {True, False}
+
+
 def test_sampled_mode_deterministic(concave_chain):
     a = ts.check_strong(concave_chain, mode="sampled", samples=200, seed=5)
     b = ts.check_strong(concave_chain, mode="sampled", samples=200, seed=5)
@@ -163,6 +191,51 @@ def test_sampled_translation(concave_chain):
     report = ts.check_translation(concave_chain, mode="sampled", samples=300, seed=2)
     assert not report.ok
     assert report.witness.d is not None
+
+
+def _replay_sampled_translation(f, samples, seed):
+    """Witness and pair count of a sampled d-step scan, d capped per pair."""
+    domain = f.domain
+    rng = ts.SplitMix64(seed)
+    for s in range(samples):
+        x = domain.unrank(rng.below(domain.size()))
+        y = domain.unrank(rng.below(domain.size()))
+        for d in range(ts.rho_inf(domain, x, y) + 1):
+            moved = [ts.up_down(t, xi, yi, d) for t, xi, yi in zip(domain.trees, x, y)]
+            up = tuple(m[0] for m in moved)
+            down = tuple(m[1] for m in moved)
+            lhs = f.evaluate(x) + f.evaluate(y)
+            rhs = f.evaluate(up) + f.evaluate(down)
+            if lhs < rhs:
+                return (x, y, d, lhs, rhs), s + 1
+    return None, samples
+
+
+def test_sampled_translation_matches_replay():
+    dom = ts.ProductDomain([ts.chain_tree(4), ts.star3_tree()])
+    rng = ts.SplitMix64(71)
+    verdicts = set()
+    for i in range(20):
+        f = random_table_function(rng, dom, max_value=4 + 6 * (i % 2))
+        seed = rng.below(1000)
+        report = ts.check_translation(f, mode="sampled", samples=15, seed=seed)
+        witness, pairs = _replay_sampled_translation(f, 15, seed)
+        assert _witness_key(report.witness) == witness
+        assert report.pairs_checked == pairs
+        assert report.ok == (witness is None)
+        verdicts.add(report.ok)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sampled_rejects_non_positive_samples(concave_chain, samples):
+    dom = concave_chain.domain
+    for check in (ts.check_strong, ts.check_weak, ts.check_translation):
+        with pytest.raises(DomainError, match="sample"):
+            check(concave_chain, mode="sampled", samples=samples)
+    with pytest.raises(DomainError, match="sample"):
+        ts.check_multimorphism(concave_chain, dom, ts.projection_tables(dom),
+                               mode="sampled", samples=samples)
 
 
 def test_unknown_mode(concave_chain):

@@ -374,6 +374,16 @@ def test_sampled_check_cli(tmp_path, capsys):
     assert record["mode"] == "sampled"
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_sampled_check_rejects_non_positive_samples(tmp_path, capsys, samples):
+    path = write_fixture(tmp_path, "sep.json", "chain5-separable")
+    code = main(["check", str(path), "--mode", "sampled", "--samples", samples])
+    assert code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sample" in captured.err
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "treesub", "bench"],
