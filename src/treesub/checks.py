@@ -5,16 +5,15 @@ Each checker tests inequalities of the shape
     f(x) + f(y) >= f(op1(x, y)) + f(op2(x, y))
 
 over pairs of labelings, for a family of componentwise operation pairs.
-A family is a list of (d, op1 tables, op2 tables) members; a pair
-violates the property when it violates any member:
+A family is a list of (d, op) members, op giving both labels per
+coordinate; a pair violates the property when it violates any member:
 
 * ``check_strong``       -- one member, midpoint meet/join;
 * ``check_weak``         -- one member, wedge/vee (highest common
                             ancestor pair);
-* ``check_translation``  -- the directed d-step family, one member per d
-                            from 0 up to the largest pairwise distance
-                            (all coordinates saturate beyond it, so
-                            larger d is vacuous);
+* ``check_translation``  -- the directed d-step family, one member per
+                            d >= 0 (a pair's scan ends once every
+                            coordinate saturates, by d = rho_inf(x, y));
 * ``check_multimorphism``-- one member of arbitrary per-tree tables.
 
 All four run through one pair checker.  Exhaustive mode enumerates pairs
@@ -34,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -49,7 +49,8 @@ from .functions import (
 )
 from .rng import SplitMix64
 from .solvers import BinaryCubeFunction, SignBoxFunction
-from .trees import RootedTree, meet_join, rho, up_down, wedge_vee
+# rho stays importable here: perfbench/tracer.py instruments it alongside the ops.
+from .trees import RootedTree, meet_join, rho, up_down, wedge_vee  # noqa: F401
 
 _INT64_SAFE = 1 << 40  # |cost| bound for the vectorized path
 
@@ -84,34 +85,43 @@ class CheckReport:
 
 
 OpTable = list[list[int]]
-# Members (d, op1 tables, op2 tables); d is None outside the d-step family.
-OpFamily = list[tuple[int | None, list[OpTable], list[OpTable]]]
+# A coordinate op maps (i, a, b) to the (op1, op2) labels on tree i.
+CoordOp = Callable[[int, int, int], tuple[int, int]]
+# Members (d, op); d is None outside the d-step family.  Members are
+# ordered so that once one maps a pair (x, y) to (y, x), every later
+# member does too: the rest of the family holds with equality there.
+OpFamily = list[tuple[int | None, CoordOp]]
 
 
-def _build_tables(domain: ProductDomain, op) -> tuple[list[OpTable], list[OpTable]]:
+def _tree_op(domain: ProductDomain, op, *args) -> CoordOp:
+    trees = domain.trees
+    return lambda i, a, b: op(trees[i], a, b, *args)
+
+
+def _table_op(first: list[OpTable], second: list[OpTable]) -> CoordOp:
+    return lambda i, a, b: (first[i][a][b], second[i][a][b])
+
+
+def _build_tables(domain: ProductDomain, op: CoordOp) -> tuple[list[OpTable], list[OpTable]]:
     first, second = [], []
-    for t in domain.trees:
-        n = t.node_count
-        t1 = [[0] * n for _ in range(n)]
-        t2 = [[0] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                t1[a][b], t2[a][b] = op(t, a, b)
-        first.append(t1)
-        second.append(t2)
+    for i, t in enumerate(domain.trees):
+        labels = range(t.node_count)
+        pairs = [[op(i, a, b) for b in labels] for a in labels]
+        first.append([[u for u, _ in row] for row in pairs])
+        second.append([[v for _, v in row] for row in pairs])
     return first, second
 
 
 def meet_join_tables(domain: ProductDomain) -> tuple[list[OpTable], list[OpTable]]:
-    return _build_tables(domain, meet_join)
+    return _build_tables(domain, _tree_op(domain, meet_join))
 
 
 def wedge_vee_tables(domain: ProductDomain) -> tuple[list[OpTable], list[OpTable]]:
-    return _build_tables(domain, wedge_vee)
+    return _build_tables(domain, _tree_op(domain, wedge_vee))
 
 
 def up_down_tables(domain: ProductDomain, d: int) -> tuple[list[OpTable], list[OpTable]]:
-    return _build_tables(domain, lambda t, a, b: up_down(t, a, b, d))
+    return _build_tables(domain, _tree_op(domain, up_down, d))
 
 
 def projection_tables(domain: ProductDomain) -> tuple[list[OpTable], list[OpTable]]:
@@ -190,17 +200,22 @@ def _op_rank_matrix(domain: ProductDomain, tables: list[OpTable], digs: np.ndarr
     return out
 
 
-def _apply_tables(tables: list[OpTable], x: Labeling, y: Labeling) -> Labeling:
-    return tuple(tables[i][x[i]][y[i]] for i in range(len(x)))
-
-
 def _first_violation(
     f: CostFunction, family: OpFamily, x: Labeling, y: Labeling, name: str
 ) -> ViolationWitness | None:
-    """Exact scan of one pair through the family's members, in list order."""
+    """Exact scan of one pair through the family's members, in list order.
+
+    The scan stops at the first member that maps the pair to (y, x): that
+    member and every later one hold with equality.
+    """
     lhs = f.evaluate(x) + f.evaluate(y)
-    for d, op1, op2 in family:
-        rhs = f.evaluate(_apply_tables(op1, x, y)) + f.evaluate(_apply_tables(op2, x, y))
+    for d, op in family:
+        moved = [op(i, a, b) for i, (a, b) in enumerate(zip(x, y))]
+        first = tuple(m[0] for m in moved)
+        second = tuple(m[1] for m in moved)
+        if first == y and second == x:
+            break
+        rhs = f.evaluate(first) + f.evaluate(second)
         if lhs < rhs:
             return ViolationWitness(name, x, y, d, lhs, rhs)
     return None
@@ -210,8 +225,9 @@ def _candidate_pairs(table: DenseTable, domain: ProductDomain, family: OpFamily)
     """Rank pairs (xr, yr) to replay exactly, in (rank(x), rank(y)) order.
 
     With int64-safe values a vectorized pass ORs every member's violation
-    matrix together and yields only the first flagged pair; otherwise
-    every pair is a candidate and the exact replay is the whole scan.
+    matrix together, up to the first member that swaps every pair, and
+    yields only the first flagged pair; otherwise every pair is a
+    candidate and the exact replay is the whole scan.
     """
     size = domain.size()
     if max((abs(v) for v in table.values), default=0) >= _INT64_SAFE:
@@ -219,13 +235,17 @@ def _candidate_pairs(table: DenseTable, domain: ProductDomain, family: OpFamily)
     values = np.asarray(table.values, dtype=np.int64)
     digs = _digits(domain, size)
     lhs = values[:, None] + values[None, :]
+    swap = projection_tables(domain)[::-1]
     viol = None
-    for _, op1, op2 in family:
+    for _, op in family:
+        op1, op2 = _build_tables(domain, op)
+        if (op1, op2) == swap:
+            break
         r1 = _op_rank_matrix(domain, op1, digs)
         r2 = _op_rank_matrix(domain, op2, digs)
         member = lhs < values[r1] + values[r2]
         viol = member if viol is None else np.logical_or(viol, member, out=viol)
-    if not viol.any():
+    if viol is None or not viol.any():
         return ()
     return (divmod(int(np.argmax(viol)), size),)
 
@@ -233,7 +253,7 @@ def _candidate_pairs(table: DenseTable, domain: ProductDomain, family: OpFamily)
 def _pair_check(
     f: CostFunction,
     domain: ProductDomain,
-    family: OpFamily,
+    build_family: Callable[[], OpFamily],
     name: str,
     mode: str,
     samples: int,
@@ -241,15 +261,17 @@ def _pair_check(
     budget: int | None,
     note: str = "",
 ) -> CheckReport:
-    """Check f(x)+f(y) >= f(op1)+f(op2) for every member of ``family``.
+    """Check f(x)+f(y) >= f(op1)+f(op2) for every member of the family.
 
-    ``note`` is attached to exhaustive reports; sampled reports carry
-    their own note saying how far the search went.
+    ``build_family`` runs only once the mode, sample count and pair
+    budget are accepted.  ``note`` is attached to exhaustive reports;
+    sampled reports carry their own note saying how far the search went.
     """
     size = domain.size()
     if mode == "exhaustive":
         limit = _require_exhaustible(size, budget)
         table = materialize(f, budget=limit)
+        family = build_family()
         for xr, yr in _candidate_pairs(table, domain, family):
             witness = _first_violation(table, family, domain.unrank(xr), domain.unrank(yr), name)
             if witness is not None:
@@ -259,6 +281,7 @@ def _pair_check(
         raise DomainError(f"unknown mode {mode!r}; use 'exhaustive' or 'sampled'")
     if samples < 1:
         raise DomainError(f"sampled mode needs at least 1 sample, got {samples}")
+    family = build_family()
     rng = SplitMix64(seed)
     for s in range(samples):
         x = domain.unrank(rng.below(size))
@@ -286,8 +309,8 @@ def check_strong(
 ) -> CheckReport:
     """Verify f(x)+f(y) >= f(meet)+f(join) for componentwise midpoints."""
     domain = domain if domain is not None else f.domain
-    family = [(None, *meet_join_tables(domain))]
-    return _pair_check(f, domain, family, "strong", mode, samples, seed, budget)
+    return _pair_check(f, domain, lambda: [(None, _table_op(*meet_join_tables(domain)))],
+                       "strong", mode, samples, seed, budget)
 
 
 def check_weak(
@@ -301,8 +324,8 @@ def check_weak(
 ) -> CheckReport:
     """Verify f(x)+f(y) >= f(wedge)+f(vee)."""
     domain = domain if domain is not None else f.domain
-    family = [(None, *wedge_vee_tables(domain))]
-    return _pair_check(f, domain, family, "weak", mode, samples, seed, budget)
+    return _pair_check(f, domain, lambda: [(None, _table_op(*wedge_vee_tables(domain)))],
+                       "weak", mode, samples, seed, budget)
 
 
 def check_multimorphism(
@@ -323,16 +346,8 @@ def check_multimorphism(
     op1, op2 = op_pair
     _validate_tables(domain, op1, "op1")
     _validate_tables(domain, op2, "op2")
-    return _pair_check(f, domain, [(None, op1, op2)], name, mode, samples, seed, budget)
-
-
-def _max_pair_distance(domain: ProductDomain) -> int:
-    worst = 0
-    for t in domain.trees:
-        for a in range(t.node_count):
-            for b in range(t.node_count):
-                worst = max(worst, rho(t, a, b))
-    return worst
+    return _pair_check(f, domain, lambda: [(None, _table_op(op1, op2))],
+                       name, mode, samples, seed, budget)
 
 
 def check_translation(
@@ -346,17 +361,18 @@ def check_translation(
 ) -> CheckReport:
     """Verify the d-step inequality for every pair and every relevant d.
 
-    The family holds one up/down member per d = 0..dmax, the largest
-    pairwise distance in the domain, tried in ascending d for each pair.
-    No per-pair cap on d is needed: once d >= rho_inf(x, y) every
-    coordinate saturates to (y, x) and the inequality is an equality, so
-    the first violating d of a pair is at most rho_inf(x, y) and the
-    witness is the one a per-pair capped scan would report.
+    The family holds one up/down member per d, ascending, up to the
+    largest node count less one, which bounds every path length.  No
+    per-pair cap on d is needed: once up_down maps a pair to (y, x) it
+    does so for every larger d, and it does by d = rho_inf(x, y), so the
+    shared scan of the pair ends there.  The witness carries the smallest
+    violating d, which is below rho_inf(x, y), as a capped scan reports.
     """
     domain = domain if domain is not None else f.domain
-    family = [(d, *up_down_tables(domain, d)) for d in range(_max_pair_distance(domain) + 1)]
+    steps = range(max(t.node_count for t in domain.trees))
     note = "d capped at rho_inf(x, y) per pair; all coordinates saturate beyond"
-    return _pair_check(f, domain, family, "translation", mode, samples, seed, budget, note)
+    return _pair_check(f, domain, lambda: [(d, _tree_op(domain, up_down, d)) for d in steps],
+                       "translation", mode, samples, seed, budget, note)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import treesub as ts
+from treesub import checks
 from treesub.errors import BudgetExceededError, DomainError
 from treesub.solvers import BinaryCubeFunction, SignBoxFunction
 
@@ -257,6 +258,47 @@ def test_budget_env_override(monkeypatch, concave_chain):
         ts.check_strong(concave_chain)
     monkeypatch.setenv("TREESUB_BUDGET", "1000000")
     assert not ts.check_strong(concave_chain).ok
+
+
+def test_refusals_come_before_any_path_walk(monkeypatch):
+    """Mode, sample-count and budget refusals build no op tables."""
+    f = ts.SumOfTerms(ts.ProductDomain([ts.chain_tree(2000)]), [])
+
+    def walked(*args):
+        raise AssertionError("a tree op ran before the check was accepted")
+
+    for name in ("meet_join", "wedge_vee", "up_down", "rho"):
+        monkeypatch.setattr(checks, name, walked)
+    for check in (ts.check_strong, ts.check_weak, ts.check_translation):
+        with pytest.raises(BudgetExceededError, match="4000000 pairs"):
+            check(f)
+        with pytest.raises(DomainError, match="mode"):
+            check(f, mode="fast")
+        with pytest.raises(DomainError, match="sample"):
+            check(f, mode="sampled", samples=0)
+
+
+def test_sampled_translation_stops_by_rho_inf(monkeypatch):
+    """Per pair, d runs to rho_inf(x, y) at most, so long chains stay cheap."""
+    f = ts.SumOfTerms(ts.ProductDomain([ts.chain_tree(300)]), [])
+    dom = f.domain
+    calls = {"up_down": 0, "evaluate": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(checks, "up_down", counted("up_down", checks.up_down))
+    monkeypatch.setattr(ts.SumOfTerms, "evaluate", counted("evaluate", ts.SumOfTerms.evaluate))
+    report = ts.check_translation(f, mode="sampled", samples=40, seed=9)
+    assert report.ok and report.pairs_checked == 40
+    rng = ts.SplitMix64(9)
+    steps = [ts.rho_inf(dom, dom.unrank(rng.below(300)), dom.unrank(rng.below(300))) + 1
+             for _ in range(40)]
+    assert calls["up_down"] <= sum(steps)
+    assert calls["evaluate"] <= sum(2 + 2 * k for k in steps)
 
 
 # ---------------------------------------------------------------------------
