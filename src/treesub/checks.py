@@ -388,26 +388,13 @@ def check_cube_submodular(g: BinaryCubeFunction, budget: int | None = None) -> C
     sorted tuples of the free coordinate ids in each subset.
     """
     free = g.free
-    if not free:
-        return CheckReport("submodular-cube", "exhaustive", True, None, 1,
-                           note="no free coordinates")
-    domain = ProductDomain([RootedTree([-1, 0]) for _ in free])
-    values = [
-        g.evaluate(frozenset(free[j] for j in range(len(free)) if bits[j]))
-        for bits in domain.labelings()
-    ]
-    report = check_strong(DenseTable(domain, values), budget=budget)
-    witness = report.witness
-    if witness is not None:
-        def to_subset(bits):
-            return tuple(sorted(free[j] for j in range(len(free)) if bits[j]))
 
-        witness = ViolationWitness(
-            "submodular-cube", to_subset(witness.x), to_subset(witness.y),
-            None, witness.lhs, witness.rhs,
-        )
-    return CheckReport("submodular-cube", report.mode, report.ok, witness,
-                       report.pairs_checked, report.note)
+    def to_subset(bits):
+        return frozenset(i for i, b in zip(free, bits) if b)
+
+    return _restriction_check("submodular-cube", [RootedTree([-1, 0]) for _ in free],
+                              g.evaluate, to_subset, lambda bits: tuple(sorted(to_subset(bits))),
+                              budget)
 
 
 _SIGN_TREES = {
@@ -433,22 +420,27 @@ def check_sign_box_bisubmodular(h: SignBoxFunction, budget: int | None = None) -
     meet = |ab| * sign(a+b), so the generic strong check applies.
     Witnesses are reported as sign vectors.
     """
-    trees = [_SIGN_TREES[allowed] for allowed in h.allowed]
     sign_maps = [_SIGN_OF_NODE[allowed] for allowed in h.allowed]
-    domain = ProductDomain(trees)
-    values = [
-        h.evaluate(tuple(sign_maps[i][v] for i, v in enumerate(labels)))
-        for labels in domain.labelings()
-    ]
-    report = check_strong(DenseTable(domain, values), budget=budget)
-    witness = report.witness
-    if witness is not None:
-        def to_signs(labels):
-            return tuple(sign_maps[i][v] for i, v in enumerate(labels))
 
-        witness = ViolationWitness(
-            "bisubmodular-box", to_signs(witness.x), to_signs(witness.y),
-            None, witness.lhs, witness.rhs,
-        )
-    return CheckReport("bisubmodular-box", report.mode, report.ok, witness,
-                       report.pairs_checked, report.note)
+    def to_signs(labels):
+        return tuple(sign_maps[i][v] for i, v in enumerate(labels))
+
+    return _restriction_check("bisubmodular-box", [_SIGN_TREES[a] for a in h.allowed],
+                              h.evaluate, to_signs, to_signs, budget)
+
+
+def _restriction_check(name, trees, evaluate, to_arg, to_witness, budget) -> CheckReport:
+    """Strong check of a restriction embedded into a product of small trees.
+
+    ``to_arg`` maps a labeling of the trees to the restriction's argument
+    and ``to_witness`` to the form its witnesses are reported in.
+    """
+    if not trees:
+        return CheckReport(name, "exhaustive", True, None, 1, note="no free coordinates")
+    domain = ProductDomain(trees)
+    values = [evaluate(to_arg(labels)) for labels in domain.labelings()]
+    report = check_strong(DenseTable(domain, values), budget=budget)
+    w = report.witness
+    if w is not None:
+        w = ViolationWitness(name, to_witness(w.x), to_witness(w.y), None, w.lhs, w.rhs)
+    return CheckReport(name, report.mode, report.ok, w, report.pairs_checked, report.note)

@@ -10,11 +10,15 @@ on a binary cube and the outward restriction is bisubmodular on a sign
 box, so each stage is an exact inner minimization.
 
 For strongly tree-submodular costs each stage accepts at most
-K = max_i |D_i| moves and the final labeling is a global minimizer; the
-certificate in the trace records that both neighborhoods were re-solved
-at termination without finding a better point.  A safety cap of K + 1
-accepted moves per stage turns a violated bound (non-submodular input or
-a solver bug) into a loud error instead of a long walk.
+K = max_i |D_i| moves and the final labeling is a global minimizer.  A
+stage ends with a neighborhood solve that finds no better point, and
+that solve is the certificate in the trace.  The outward stage's last
+solve certifies the outward neighborhood.  The inward stage's last solve
+certifies the inward one unless outward moves followed it; only then is
+the inward neighborhood solved once more at the final labeling.  A
+safety cap of K + 1 accepted moves per stage turns a violated bound
+(non-submodular input or a solver bug) into a loud error instead of a
+long walk.
 
 Optional diagnostics track the distance from the current labeling to the
 nearest minimizer over its ancestor ideal and descendant filter; they
@@ -54,7 +58,12 @@ OUTWARD_ENGINES = ("brute", "minnorm")
 
 @dataclass(frozen=True)
 class Certificate:
-    """Both neighborhoods re-solved at termination without improvement."""
+    """Each neighborhood's last solve at the final labeling found nothing better.
+
+    ``outward_opt`` is the outward stage's last solve; ``inward_opt`` is
+    the inward stage's last solve, re-solved at the end only when outward
+    moves followed it.
+    """
 
     inward_opt: bool
     outward_opt: bool
@@ -106,18 +115,16 @@ def inward_restrict(f: CostFunction, domain: ProductDomain | None, x: Labeling) 
     def evaluate(subset: frozenset[int]) -> int:
         if not subset <= free_set:
             raise DomainError(f"subset {sorted(subset)} leaves the free set {sorted(free_set)}")
-        y = list(x)
-        for i in subset:
-            y[i] = domain.trees[i].parent[x[i]]
-        return f.evaluate(tuple(y))
+        return f.evaluate(apply_inward(domain, x, subset))
 
     return BinaryCubeFunction(m=domain.n, free=free, evaluate=evaluate)
 
 
 def apply_inward(domain: ProductDomain, x: Labeling, subset: frozenset[int]) -> Labeling:
-    return tuple(
-        domain.trees[i].parent[x[i]] if i in subset else x[i] for i in range(domain.n)
-    )
+    y = list(x)
+    for i in subset:
+        y[i] = domain.trees[i].parent[x[i]]
+    return tuple(y)
 
 
 def outward_restrict(f: CostFunction, domain: ProductDomain | None, x: Labeling) -> SignBoxFunction:
@@ -144,15 +151,10 @@ def outward_restrict(f: CostFunction, domain: ProductDomain | None, x: Labeling)
     def evaluate(signs) -> int:
         if len(signs) != domain.n:
             raise DomainError(f"sign vector length {len(signs)} does not match arity {domain.n}")
-        y = list(x)
         for i, s in enumerate(signs):
-            if s == 0:
-                continue
             if s not in allowed[i]:
                 raise DomainError(f"sign {s} not allowed at coordinate {i}")
-            kids = domain.trees[i].children[x[i]]
-            y[i] = kids[0] if s == -1 else kids[1]
-        return f.evaluate(tuple(y))
+        return f.evaluate(apply_outward(domain, x, signs))
 
     return SignBoxFunction(m=domain.n, allowed=allowed, evaluate=evaluate)
 
@@ -177,20 +179,12 @@ def _require_binary(domain: ProductDomain) -> None:
 
 def _solve_inward(f, domain, x, engine: str, eps: float):
     cube = inward_restrict(f, domain, x)
-    if engine == "brute":
-        return sfm_brute(cube)
-    if engine == "wolfe":
-        return sfm_wolfe(cube, eps)
-    raise DomainError(f"unknown inward engine {engine!r}; known: {INWARD_ENGINES}")
+    return sfm_brute(cube) if engine == "brute" else sfm_wolfe(cube, eps)
 
 
 def _solve_outward(f, domain, x, engine: str, eps: float):
     box = outward_restrict(f, domain, x)
-    if engine == "brute":
-        return bisub_brute(box)
-    if engine == "minnorm":
-        return bisub_minnorm(box, eps)
-    raise DomainError(f"unknown outward engine {engine!r}; known: {OUTWARD_ENGINES}")
+    return bisub_brute(box) if engine == "brute" else bisub_minnorm(box, eps)
 
 
 def rho_minus(
@@ -276,6 +270,10 @@ def minimize(
     strictly decreases and the run terminates.  The default start is the
     all-roots labeling, which makes the first stage vacuous.
     """
+    if inward_engine not in INWARD_ENGINES:
+        raise DomainError(f"unknown inward engine {inward_engine!r}; known: {INWARD_ENGINES}")
+    if outward_engine not in OUTWARD_ENGINES:
+        raise DomainError(f"unknown outward engine {outward_engine!r}; known: {OUTWARD_ENGINES}")
     domain = domain if domain is not None else f.domain
     _require_binary(domain)
     x = domain.validate(x0) if x0 is not None else domain.all_roots()
@@ -284,9 +282,12 @@ def minimize(
     values = [fx]
     diag: list[StepDiagnostics] | None = [] if diagnostics else None
 
-    def record(stage: str, inward_ok: bool | None = None) -> None:
+    def record(stage: str) -> None:
         if diag is None:
             return
+        inward_ok = None
+        if stage == "s2":
+            inward_ok = _solve_inward(f, domain, x, "brute", eps)[1] == fx
         diag.append(
             StepDiagnostics(
                 stage=stage,
@@ -297,53 +298,38 @@ def minimize(
             )
         )
 
+    def stage(name: str, label: str, solve, engine: str, apply) -> tuple[int, bool]:
+        """Accept strictly improving moves; report the step count and
+        whether the final, non-improving solve matched the current value."""
+        nonlocal x, fx
+        steps = 0
+        while True:
+            move, val = solve(f, domain, x, engine, eps)
+            if not val < fx:
+                return steps, val == fx
+            x = apply(domain, x, move)
+            fx = val
+            steps += 1
+            if steps > K + 1:
+                raise IterationBoundError(
+                    f"{name} stage accepted {steps} moves, above the K+1 cap ({K + 1}); "
+                    "the cost is likely not strongly tree-submodular"
+                )
+            values.append(fx)
+            record(label)
+
     record("start")
-
-    s1 = 0
-    while True:
-        subset, val = _solve_inward(f, domain, x, inward_engine, eps)
-        if val < fx:
-            x = apply_inward(domain, x, subset)
-            fx = val
-            s1 += 1
-            if s1 > K + 1:
-                raise IterationBoundError(
-                    f"inward stage accepted {s1} moves, above the K+1 cap ({K + 1}); "
-                    "the cost is likely not strongly tree-submodular"
-                )
-            values.append(fx)
-            record("s1")
-        else:
-            break
-
-    s2 = 0
-    while True:
-        signs, val = _solve_outward(f, domain, x, outward_engine, eps)
-        if val < fx:
-            x = apply_outward(domain, x, signs)
-            fx = val
-            s2 += 1
-            if s2 > K + 1:
-                raise IterationBoundError(
-                    f"outward stage accepted {s2} moves, above the K+1 cap ({K + 1}); "
-                    "the cost is likely not strongly tree-submodular"
-                )
-            values.append(fx)
-            if diag is not None:
-                _, inward_val = _solve_inward(f, domain, x, "brute", eps)
-                record("s2", inward_ok=inward_val == fx)
-        else:
-            break
-
-    _, final_in = _solve_inward(f, domain, x, inward_engine, eps)
-    _, final_out = _solve_outward(f, domain, x, outward_engine, eps)
-    certificate = Certificate(inward_opt=final_in == fx, outward_opt=final_out == fx)
+    s1, inward_opt = stage("inward", "s1", _solve_inward, inward_engine, apply_inward)
+    s2, outward_opt = stage("outward", "s2", _solve_outward, outward_engine, apply_outward)
+    if s2:
+        # outward moves left the inward stage's final point behind
+        inward_opt = _solve_inward(f, domain, x, inward_engine, eps)[1] == fx
     trace = DescentTrace(
         s1_steps=s1,
         s2_steps=s2,
         values=values,
         K=K,
-        certificate=certificate,
+        certificate=Certificate(inward_opt=inward_opt, outward_opt=outward_opt),
         diagnostics=diag,
     )
     return x, fx, trace

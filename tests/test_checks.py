@@ -376,6 +376,8 @@ def test_cube_check_flags_supermodular():
 def test_cube_check_empty_free():
     g = BinaryCubeFunction(m=2, free=(), evaluate=lambda A: 5)
     assert ts.check_cube_submodular(g).ok
+    report = ts.check_cube_submodular(BinaryCubeFunction(m=0, free=(), evaluate=lambda A: 5))
+    assert report.ok and report.witness is None and report.pairs_checked == 1
 
 
 def test_sign_box_check():
@@ -386,3 +388,8 @@ def test_sign_box_check():
     report = ts.check_sign_box_bisubmodular(bad)
     assert not report.ok
     assert set(report.witness.x + report.witness.y) == {-1, 1}
+    # the empty box has no coordinates, like a cube with no free ones
+    empty = SignBoxFunction(m=0, allowed=(), evaluate=lambda s: 5)
+    assert ts.bisub_brute(empty) == ((), 5)
+    report = ts.check_sign_box_bisubmodular(empty)
+    assert report.ok and report.witness is None and report.pairs_checked == 1

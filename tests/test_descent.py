@@ -182,11 +182,60 @@ def test_minnorm_engines_agree(c5sq):
         assert v1 == v2
 
 
-def test_unknown_engines(c5sq):
-    with pytest.raises(DomainError):
-        ts.minimize(c5sq, inward_engine="magic")
-    with pytest.raises(DomainError):
-        ts.minimize(c5sq, outward_engine="magic")
+def test_unknown_engines(c5sq, monkeypatch):
+    calls = []
+    monkeypatch.setattr(c5sq, "evaluate", calls.append)
+    # refused before the first oracle call, diagnostics or not
+    for engines in ({"inward_engine": "magic"}, {"outward_engine": "magic"}):
+        for diagnostics in (False, True):
+            with pytest.raises(DomainError, match="unknown"):
+                ts.minimize(c5sq, x0=(4, 4), diagnostics=diagnostics, **engines)
+    assert calls == []
+
+
+def _false_certificate_instance():
+    dom = ts.ProductDomain([ts.chain_tree(3), ts.chain_tree(3)])
+    return ts.DenseTable(dom, [4, 4, 0, 3, 3, 2, 2, 4, 4])
+
+
+def test_false_inward_certificate_after_outward_moves():
+    # not tree-submodular: the outward stage walks away from the global
+    # minimum and ends where an inward move would improve again
+    f = _false_certificate_instance()
+    x, value, trace = ts.minimize(f)
+    assert (x, value) == ((1, 2), 2)
+    assert trace.s1_steps == 0 and trace.s2_steps == 2
+    assert trace.certificate == ts.Certificate(inward_opt=False, outward_opt=True)
+    assert not trace.certificate.holds()
+    assert ts.minimize_exhaustive(f) == ((0, 2), 0)
+
+
+def test_one_solve_per_stage_end_and_one_inward_resolve_after_outward_moves(c5sq, monkeypatch):
+    from treesub import descent
+
+    solves = {"inward": 0, "outward": 0}
+
+    def counted(kind, solver):
+        def wrapper(*args, **kwargs):
+            solves[kind] += 1
+            return solver(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(descent, "sfm_brute", counted("inward", descent.sfm_brute))
+    monkeypatch.setattr(descent, "bisub_brute", counted("outward", descent.bisub_brute))
+    constant = ts.DenseTable(c5sq.domain, [4] * c5sq.domain.size())
+    runs = [(c5sq, None), (c5sq, (4, 4)), (c5sq, (2, 2)), (constant, (3, 1)),
+            (_false_certificate_instance(), None)]
+    runs += [(_strong_fixture(seed).function, None) for seed in range(5)]
+    seen = set()
+    for f, x0 in runs:
+        solves.update(inward=0, outward=0)
+        _, _, trace = ts.minimize(f, x0=x0)
+        s1, s2 = trace.s1_steps, trace.s2_steps
+        assert solves["outward"] == s2 + 1
+        assert solves["inward"] == s1 + 1 + (s2 > 0)
+        seen.add((s1 > 0, s2 > 0))
+    assert {(False, False), (False, True), (True, False)} <= seen
 
 
 def test_minimize_rejects_ternary_tree():
