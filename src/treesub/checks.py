@@ -438,6 +438,7 @@ def _restriction_check(name, trees, evaluate, to_arg, to_witness, budget) -> Che
     if not trees:
         return CheckReport(name, "exhaustive", True, None, 1, note="no free coordinates")
     domain = ProductDomain(trees)
+    _require_exhaustible(domain.size(), budget)  # refuse before any evaluation
     values = [evaluate(to_arg(labels)) for labels in domain.labelings()]
     report = check_strong(DenseTable(domain, values), budget=budget)
     w = report.witness

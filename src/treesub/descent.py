@@ -27,8 +27,9 @@ cost an exponential enumeration and are meant for tests and benchmarks.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     BudgetExceededError,
@@ -117,7 +118,14 @@ def inward_restrict(f: CostFunction, domain: ProductDomain | None, x: Labeling) 
             raise DomainError(f"subset {sorted(subset)} leaves the free set {sorted(free_set)}")
         return f.evaluate(apply_inward(domain, x, subset))
 
-    return BinaryCubeFunction(m=domain.n, free=free, evaluate=evaluate)
+    def grid():
+        up = apply_inward(domain, x, free_set)
+        axes = [(v, up[i]) if i in free_set else (v,) for i, v in enumerate(x)]
+        k = len(free)
+        # free[0] is the most significant axis here but bit 0 of the rank
+        return f.grid(axes).reshape((2,) * k).transpose(tuple(reversed(range(k)))).ravel()
+
+    return BinaryCubeFunction(m=domain.n, free=free, evaluate=evaluate, grid=grid)
 
 
 def apply_inward(domain: ProductDomain, x: Labeling, subset: frozenset[int]) -> Labeling:
@@ -156,7 +164,12 @@ def outward_restrict(f: CostFunction, domain: ProductDomain | None, x: Labeling)
                 raise DomainError(f"sign {s} not allowed at coordinate {i}")
         return f.evaluate(apply_outward(domain, x, signs))
 
-    return SignBoxFunction(m=domain.n, allowed=allowed, evaluate=evaluate)
+    def grid():
+        moved = {s: apply_outward(domain, x, [s if s in a else 0 for a in allowed])
+                 for s in (-1, 0, 1)}
+        return f.grid([tuple(moved[s][i] for s in a) for i, a in enumerate(allowed)]).ravel()
+
+    return SignBoxFunction(m=domain.n, allowed=allowed, evaluate=evaluate, grid=grid)
 
 
 def apply_outward(domain: ProductDomain, x: Labeling, signs) -> Labeling:
@@ -237,19 +250,14 @@ def _nearest_optimum_distance(f, domain, x, regions, budget) -> int:
         region_size *= len(r)
     if region_size > limit:
         raise BudgetExceededError(f"region of {region_size} labelings exceeds budget {limit}")
-    best_value: int | None = None
-    best_dist = 0
-    for y in itertools.product(*regions):
-        value = f.evaluate(y)
-        # ancestor/descendant moves stay on root paths, so the per-tree
-        # distance is a depth difference
-        dist = max(
-            abs(domain.trees[i].depth[y[i]] - domain.trees[i].depth[x[i]])
-            for i in range(domain.n)
-        )
-        if best_value is None or value < best_value or (value == best_value and dist < best_dist):
-            best_value, best_dist = value, dist
-    return best_dist
+    values = f.grid(regions)
+    # ancestor/descendant moves stay on root paths, so the per-tree
+    # distance is a depth difference
+    dist = np.zeros(values.shape, dtype=np.int64)
+    for i, (t, region) in enumerate(zip(domain.trees, regions)):
+        gap = np.abs(np.array([t.depth[v] for v in region]) - t.depth[x[i]])
+        np.maximum(dist, gap.reshape([-1 if j == i else 1 for j in range(domain.n)]), out=dist)
+    return int(dist[values == values.min()].min())
 
 
 def minimize(

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import BudgetExceededError, DomainError, GenerationError, InternalError
 from .rng import SplitMix64
 from .trees import RootedTree, meet_join, rho, wedge_vee
@@ -26,6 +28,7 @@ from .trees import RootedTree, meet_join, rho, wedge_vee
 Labeling = tuple[int, ...]
 
 _MAX_DOMAIN_SIZE = 1 << 62  # keeps rank arithmetic inside int64
+_INT64_SUM_BOUND = 1 << 62  # sums of terms below this cannot overflow int64
 
 DEFAULT_PAIR_BUDGET = 10**6
 DEFAULT_CELL_BUDGET = 10**6
@@ -150,6 +153,18 @@ class CostFunction:
     def value(self, x: Sequence[int]) -> Fraction:
         return Fraction(self.evaluate(x), self.denominator)
 
+    def grid(self, axes: Sequence[Sequence[int]]) -> np.ndarray:
+        """f on every labeling of ``itertools.product(*axes)``, as an array.
+
+        ``axes[i]`` lists labels of variable i; the result has shape
+        ``(len(axes[0]), ..., len(axes[n-1]))`` in C order, so axis 0 is
+        the most significant.  This version calls ``evaluate`` once per
+        cell and keeps its exact integers in an object array.
+        """
+        axes = [tuple(a) for a in axes]
+        values = [self.evaluate(y) for y in itertools.product(*axes)]
+        return np.array(values, dtype=object).reshape(tuple(len(a) for a in axes))
+
 
 def _check_denominator(denominator: int) -> int:
     if not isinstance(denominator, int) or denominator < 1:
@@ -227,6 +242,42 @@ class SumOfTerms(CostFunction):
                 idx = idx * self.domain.trees[i].node_count + x[i]
             total += t.values[idx]
         return total
+
+    def grid(self, axes: Sequence[Sequence[int]]) -> np.ndarray:
+        """Broadcast int64 sum of the terms' sub-tables over the axes.
+
+        Each axis label is validated once.  Sums that could leave int64
+        (sum over terms of the largest |value| on the grid at or above
+        2**62) take the exact per-cell loop of the base class instead.
+        """
+        domain = self.domain
+        axes = [tuple(a) for a in axes]
+        if len(axes) != domain.n:
+            raise DomainError(f"got {len(axes)} axes for arity {domain.n}")
+        for t, axis in zip(domain.trees, axes):
+            for v in axis:
+                t.check_node(v)
+        shape = tuple(len(a) for a in axes)
+        subs = []
+        bound = 0
+        for t in self.terms:
+            # table index of every cell of the term's sub-grid, in scope order
+            idx = [0]
+            for i in t.scope:
+                size = domain.trees[i].node_count
+                idx = [r * size + v for r in idx for v in axes[i]]
+            cells = [t.values[r] for r in idx]
+            bound += max(map(abs, cells), default=0)
+            subs.append((t.scope, cells))
+        if bound >= _INT64_SUM_BOUND:
+            return super().grid(axes)
+        out = np.zeros(shape, dtype=np.int64)
+        for scope, cells in subs:
+            sub = np.array(cells, dtype=np.int64).reshape([shape[i] for i in scope])
+            # move the scope's axes into variable order, then broadcast
+            sub = sub.transpose(sorted(range(len(scope)), key=scope.__getitem__))
+            out += sub.reshape([shape[i] if i in scope else 1 for i in range(domain.n)])
+        return out
 
 
 def materialize(f: CostFunction, budget: int | None = None) -> DenseTable:

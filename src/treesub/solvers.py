@@ -5,6 +5,10 @@ set function over a binary cube (the inward neighborhood) and
 minimization of a bisubmodular function over a box of sign vectors (the
 outward neighborhood).  Brute-force enumeration is the default engine
 for both, so correctness at desk scale never hinges on floating point.
+When a restriction carries a ``grid`` (the descent's restrictions do),
+the brute engines read the whole cube or box as one array of exact
+values and take its first minimum, which is the same lowest-rank
+tie-break as the per-cell loop they fall back to otherwise.
 
 Min-norm-point alternatives are provided as well:
 
@@ -46,12 +50,15 @@ class BinaryCubeFunction:
     """Set function over subsets of the free coordinates of a cube.
 
     Coordinates outside ``free`` are fixed at 0.  ``evaluate`` must be
-    total on all subsets of ``free`` and return exact integers.
+    total on all subsets of ``free`` and return exact integers.  The
+    optional ``grid`` returns the same values for every subset at once,
+    as a flat array indexed by subset rank (bit j is ``free[j]``).
     """
 
     m: int
     free: tuple[int, ...]
     evaluate: Callable[[frozenset[int]], int]
+    grid: Callable[[], np.ndarray] | None = None
 
     def __post_init__(self):
         if len(set(self.free)) != len(self.free):
@@ -67,12 +74,15 @@ class SignBoxFunction:
 
     ``allowed[i]`` lists the admissible signs of coordinate i in
     ascending order and always contains 0, so the box is closed under
-    the bisubmodular meet and join.
+    the bisubmodular meet and join.  The optional ``grid`` returns the
+    values of the whole box at once, as a flat array in the order of
+    ``itertools.product(*allowed)``.
     """
 
     m: int
     allowed: tuple[tuple[int, ...], ...]
     evaluate: Callable[[SignVector], int]
+    grid: Callable[[], np.ndarray] | None = None
 
     def __post_init__(self):
         if len(self.allowed) != self.m:
@@ -104,6 +114,10 @@ def sfm_brute(g: BinaryCubeFunction, budget: int | None = None) -> tuple[frozens
     limit = budget if budget is not None else enumeration_budget(1 << 20)
     if 1 << k > limit:
         raise BudgetExceededError(f"2**{k} subsets exceed budget {limit}")
+    if g.grid is not None:
+        values = g.grid()
+        mask = int(np.argmin(values))  # first minimum: the lowest rank
+        return frozenset(g.free[j] for j in range(k) if mask >> j & 1), int(values[mask])
     best_set = frozenset()
     best = g.evaluate(best_set)
     for mask in range(1, 1 << k):
@@ -130,6 +144,11 @@ def bisub_brute(
     limit = budget if budget is not None else enumeration_budget(DEFAULT_BOX_BUDGET)
     if h.box_size() > limit:
         raise BudgetExceededError(f"box size {h.box_size()} exceeds budget {limit}")
+    if feasible is None and h.grid is not None:
+        values = h.grid()
+        rank = int(np.argmin(values))  # first minimum: the lowest rank
+        digits = np.unravel_index(rank, [len(signs) for signs in h.allowed])
+        return tuple(signs[d] for signs, d in zip(h.allowed, digits)), int(values[rank])
     best_vec: SignVector | None = None
     best = 0
     for vec in itertools.product(*h.allowed):

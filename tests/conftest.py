@@ -121,6 +121,25 @@ def brute_minimum(f: ts.CostFunction) -> tuple[tuple[int, ...], int]:
     return best_x, best
 
 
+def term_sum_minimum(domain: ts.ProductDomain, terms, labelings) -> tuple[int, int]:
+    """First minimum of a sum of term tables over labelings, in their order.
+
+    Returns (position in ``labelings``, value).  Each term's cell is
+    located by a plain mixed-radix loop over its scope.
+    """
+    best_k, best = None, None
+    for k, y in enumerate(labelings):
+        total = 0
+        for t in terms:
+            idx = 0
+            for i in t.scope:
+                idx = idx * domain.trees[i].node_count + y[i]
+            total += t.values[idx]
+        if best is None or total < best:
+            best_k, best = k, total
+    return best_k, best
+
+
 def random_table_function(
     rng: ts.SplitMix64, domain: ts.ProductDomain, max_value: int = 20
 ) -> ts.DenseTable:

@@ -380,6 +380,27 @@ def test_cube_check_empty_free():
     assert report.ok and report.witness is None and report.pairs_checked == 1
 
 
+def test_restriction_checks_refuse_before_any_evaluation():
+    calls = []
+
+    def counted(arg):
+        calls.append(arg)
+        return 0
+
+    cube = BinaryCubeFunction(m=16, free=tuple(range(16)), evaluate=counted)
+    with pytest.raises(BudgetExceededError) as cube_err:
+        ts.check_cube_submodular(cube, budget=10)
+    box = SignBoxFunction(m=8, allowed=((-1, 0, 1),) * 8, evaluate=counted)
+    with pytest.raises(BudgetExceededError) as box_err:
+        ts.check_sign_box_bisubmodular(box, budget=10)
+    assert calls == []
+    assert str(cube_err.value) == (
+        "domain size 65536: 4294967296 pairs exceed budget 10; "
+        "raise TREESUB_BUDGET or use sampled mode"
+    )
+    assert "domain size 6561: 43046721 pairs exceed budget 10" in str(box_err.value)
+
+
 def test_sign_box_check():
     ok_fn = SignBoxFunction(m=2, allowed=((-1, 0, 1), (-1, 0)), evaluate=lambda s: sum(s))
     assert ts.check_sign_box_bisubmodular(ok_fn).ok

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+
 import pytest
 
 import treesub as ts
 from treesub.errors import BudgetExceededError, DomainError, SolverFailureError
 from treesub.solvers import BinaryCubeFunction, SignBoxFunction
 
-from conftest import random_cut_plus_modular, random_sign_box
+from conftest import random_cut_plus_modular, random_sign_box, term_sum_minimum
 
 
 def cube(weights=None, fn=None, m=None):
@@ -202,3 +205,133 @@ def test_min_norm_state_invariant():
     assert not drifted.consistent()
     unbalanced = ts.MinNormState(vertices.T @ lam, vertices, np.array([0.9, 0.5]), eps=1e-10)
     assert not unbalanced.consistent()
+
+
+# ---------------------------------------------------------------------------
+# Brute engines on descent restrictions (whole-neighborhood grids)
+
+
+def _random_terms(rng, dom, low, high, count):
+    """Unary terms plus ``count`` terms of arity 1-3 with unsorted scopes."""
+    terms = [ts.Term((i,), tuple(rng.below(high - low + 1) + low for _ in range(t.node_count)))
+             for i, t in enumerate(dom.trees)]
+    for _ in range(count):
+        scope = list(range(dom.n))
+        for j in range(dom.n - 1, 0, -1):
+            r = rng.below(j + 1)
+            scope[j], scope[r] = scope[r], scope[j]
+        scope = tuple(scope[:1 + rng.below(3)])
+        size = 1
+        for i in scope:
+            size *= dom.trees[i].node_count
+        terms.append(ts.Term(scope, tuple(rng.below(high - low + 1) + low for _ in range(size))))
+    return terms
+
+
+def _inward_cells(dom, x, free):
+    for mask in range(1 << len(free)):
+        y = list(x)
+        for j, i in enumerate(free):
+            if mask >> j & 1:
+                y[i] = dom.trees[i].parent[x[i]]
+        yield tuple(y)
+
+
+def _outward_cells(dom, x, allowed):
+    for signs in itertools.product(*allowed):
+        y = list(x)
+        for i, s in enumerate(signs):
+            if s:
+                y[i] = dom.trees[i].children[x[i]][0 if s == -1 else 1]
+        yield tuple(y)
+
+
+def _assert_brute_matches_term_oracle(f, x):
+    dom = f.domain
+    cube = ts.inward_restrict(f, dom, x)
+    k, expected = term_sum_minimum(dom, f.terms, _inward_cells(dom, x, cube.free))
+    subset, value = ts.sfm_brute(cube)
+    assert subset == frozenset(i for j, i in enumerate(cube.free) if k >> j & 1)
+    assert value == expected and type(value) is int
+    box = ts.outward_restrict(f, dom, x)
+    k, expected = term_sum_minimum(dom, f.terms, _outward_cells(dom, x, box.allowed))
+    vec, value = ts.bisub_brute(box)
+    assert vec == list(itertools.product(*box.allowed))[k]
+    assert all(type(s) is int for s in vec)
+    assert value == expected and type(value) is int
+
+
+def test_brute_restrictions_match_term_oracle_on_tie_heavy_sums():
+    rng = ts.SplitMix64(4141)
+    shapes = (ts.complete_binary_tree(3), ts.chain_tree(4), ts.star3_tree())
+    for trial in range(40):
+        dom = ts.ProductDomain([shapes[rng.below(3)] for _ in range(2 + rng.below(4))])
+        # values 0..2 tie everywhere; random tables are mostly not submodular
+        f = ts.SumOfTerms(dom, _random_terms(rng, dom, 0, 2, 1 + rng.below(6)))
+        for _ in range(3):
+            _assert_brute_matches_term_oracle(f, tuple(rng.below(t.node_count) for t in dom.trees))
+
+
+def test_brute_restrictions_on_mixed_domain():
+    dom = ts.ProductDomain([ts.complete_binary_tree(3), ts.chain_tree(4), ts.star3_tree(),
+                            ts.chain_tree(4), ts.complete_binary_tree(3)])
+    rng = ts.SplitMix64(77)
+    f = ts.SumOfTerms(dom, _random_terms(rng, dom, -5, 5, 8))
+    assert any(len(t.scope) == 3 and list(t.scope) != sorted(t.scope) for t in f.terms)
+    for x in ((1, 2, 0, 3, 6), (0, 0, 0, 0, 0), (2, 3, 1, 1, 1), (6, 1, 2, 0, 2)):
+        _assert_brute_matches_term_oracle(f, x)
+
+
+def test_brute_restrictions_exact_beyond_int64():
+    rng = ts.SplitMix64(9)
+    dom = ts.ProductDomain([ts.complete_binary_tree(3), ts.chain_tree(4), ts.star3_tree()])
+    big = (1 << 61) - 2
+    f = ts.SumOfTerms(dom, _random_terms(rng, dom, big, big + 3, 3))
+    # the largest cell sums far past int64, so the exact loop must answer
+    assert sum(max(t.values) for t in f.terms) >= 1 << 63
+    for x in ((1, 2, 0), (4, 3, 1), (0, 1, 2)):
+        _assert_brute_matches_term_oracle(f, x)
+
+
+def test_restriction_grid_survives_evaluate_wrapper():
+    dom = ts.ProductDomain([ts.complete_binary_tree(3)] * 3)
+    rng = ts.SplitMix64(5)
+    f = ts.SumOfTerms(dom, _random_terms(rng, dom, 0, 9, 3))
+    calls = []
+
+    def wrap(evaluate):
+        def wrapper(arg):
+            calls.append(arg)
+            return evaluate(arg)
+        return wrapper
+
+    x = (3, 1, 5)
+    for restrict, solve in ((ts.inward_restrict, ts.sfm_brute), (ts.outward_restrict, ts.bisub_brute)):
+        g = restrict(f, dom, x)
+        wrapped = dataclasses.replace(g, evaluate=wrap(g.evaluate))
+        assert wrapped.grid is g.grid
+        assert solve(wrapped) == solve(dataclasses.replace(g, grid=None))
+    assert calls == []
+
+
+def test_min_norm_descent_never_builds_a_grid(monkeypatch):
+    tree = ts.complete_binary_tree(3)
+    dom = ts.ProductDomain([tree] * 22)
+    rng = ts.SplitMix64(22)
+    terms = []
+    for i in range(22):
+        target = rng.below(7)
+        terms.append(ts.Term((i,), tuple(2 * ts.rho(tree, v, target) + tree.depth[v] for v in range(7))))
+    for i in range(21):
+        terms.append(ts.Term((i, i + 1), tuple(ts.rho(tree, a, b) for a in range(7) for b in range(7))))
+    f = ts.SumOfTerms(dom, terms)
+
+    def refuse(self, axes):
+        raise AssertionError("min-norm engines must not build a grid")
+
+    monkeypatch.setattr(ts.SumOfTerms, "grid", refuse)
+    assert ts.outward_restrict(f, dom, dom.all_roots()).box_size() == 3**22
+    x0 = tuple(3 + rng.below(4) for _ in range(22))
+    x, value, trace = ts.minimize(f, dom, x0, inward_engine="wolfe", outward_engine="minnorm")
+    assert trace.s1_steps > 0 and trace.certificate.holds()
+    assert value == f.evaluate(x)
