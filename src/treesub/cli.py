@@ -536,6 +536,8 @@ def _bench_row(path: Path, diagnostics: bool, timing: bool) -> dict:
 
 def _cmd_bench(args) -> int:
     suite = Path(args.suite) if args.suite else _corpus_dir()
+    if not suite.is_dir():
+        raise FormatError(f"{suite}: bench suite is not a directory")
     paths = sorted(suite.glob("*.json"))
     rows = [_bench_row(p, args.diagnostics, args.timing) for p in paths]
     ok = all(row["steps_within_bound"] for row in rows)

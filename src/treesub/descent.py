@@ -43,6 +43,7 @@ from .functions import (
     Labeling,
     ProductDomain,
     enumeration_budget,
+    grid_minimum,
 )
 from .solvers import (
     BinaryCubeFunction,
@@ -354,15 +355,4 @@ def minimize_exhaustive(
     rejects, and doubles as the oracle the descent is tested against.
     """
     domain = domain if domain is not None else f.domain
-    limit = budget if budget is not None else enumeration_budget(DEFAULT_CELL_BUDGET)
-    size = domain.size()
-    if size > limit:
-        raise BudgetExceededError(f"domain size {size} exceeds budget {limit}")
-    best_x: Labeling | None = None
-    best = 0
-    for x in domain.labelings():
-        value = f.evaluate(x)
-        if best_x is None or value < best:
-            best_x, best = x, value
-    assert best_x is not None
-    return best_x, best
+    return grid_minimum(f, [range(t.node_count) for t in domain.trees], budget)

