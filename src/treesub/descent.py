@@ -50,6 +50,7 @@ from .solvers import (
     SignBoxFunction,
     bisub_brute,
     bisub_minnorm,
+    check_tolerance,
     sfm_brute,
     sfm_wolfe,
 )
@@ -126,7 +127,16 @@ def inward_restrict(f: CostFunction, domain: ProductDomain | None, x: Labeling) 
         # free[0] is the most significant axis here but bit 0 of the rank
         return f.grid(axes).reshape((2,) * k).transpose(tuple(reversed(range(k)))).ravel()
 
-    return BinaryCubeFunction(m=domain.n, free=free, evaluate=evaluate, grid=grid)
+    def walk(coords):
+        up = apply_inward(domain, x, free_set)
+        steps = []
+        for i in coords:
+            if i not in free_set:
+                raise DomainError(f"coordinate {i} leaves the free set {sorted(free_set)}")
+            steps.append((i, up[i]))
+        return f.walk(x, steps)
+
+    return BinaryCubeFunction(m=domain.n, free=free, evaluate=evaluate, grid=grid, walk=walk)
 
 
 def apply_inward(domain: ProductDomain, x: Labeling, subset: frozenset[int]) -> Labeling:
@@ -157,20 +167,37 @@ def outward_restrict(f: CostFunction, domain: ProductDomain | None, x: Labeling)
             allowed.append((-1, 0, 1))
     allowed = tuple(allowed)
 
+    def check_sign(i, s) -> None:
+        if s not in allowed[i]:
+            raise DomainError(f"sign {s} not allowed at coordinate {i}")
+
     def evaluate(signs) -> int:
         if len(signs) != domain.n:
             raise DomainError(f"sign vector length {len(signs)} does not match arity {domain.n}")
         for i, s in enumerate(signs):
-            if s not in allowed[i]:
-                raise DomainError(f"sign {s} not allowed at coordinate {i}")
+            check_sign(i, s)
         return f.evaluate(apply_outward(domain, x, signs))
 
-    def grid():
-        moved = {s: apply_outward(domain, x, [s if s in a else 0 for a in allowed])
-                 for s in (-1, 0, 1)}
-        return f.grid([tuple(moved[s][i] for s in a) for i, a in enumerate(allowed)]).ravel()
+    def moved():
+        """The labeling each sign moves to, per sign: x wherever it is not allowed."""
+        return {s: apply_outward(domain, x, [s if s in a else 0 for a in allowed])
+                for s in (-1, 0, 1)}
 
-    return SignBoxFunction(m=domain.n, allowed=allowed, evaluate=evaluate, grid=grid)
+    def grid():
+        to = moved()
+        return f.grid([tuple(to[s][i] for s in a) for i, a in enumerate(allowed)]).ravel()
+
+    def walk(steps):
+        to = moved()
+        labels = []
+        for i, s in steps:
+            if not 0 <= i < domain.n:
+                raise DomainError(f"coordinate {i} is not in 0..{domain.n - 1}")
+            check_sign(i, s)
+            labels.append((i, to[s][i]))
+        return f.walk(x, labels)
+
+    return SignBoxFunction(m=domain.n, allowed=allowed, evaluate=evaluate, grid=grid, walk=walk)
 
 
 def apply_outward(domain: ProductDomain, x: Labeling, signs) -> Labeling:
@@ -277,12 +304,15 @@ def minimize(
 
     Moves are accepted only on strict improvement, so the value sequence
     strictly decreases and the run terminates.  The default start is the
-    all-roots labeling, which makes the first stage vacuous.
+    all-roots labeling, which makes the first stage vacuous.  Unknown
+    engine names and an ``eps`` (the min-norm tolerance) that is not a
+    finite number above 0 are refused before any oracle call.
     """
     if inward_engine not in INWARD_ENGINES:
         raise DomainError(f"unknown inward engine {inward_engine!r}; known: {INWARD_ENGINES}")
     if outward_engine not in OUTWARD_ENGINES:
         raise DomainError(f"unknown outward engine {outward_engine!r}; known: {OUTWARD_ENGINES}")
+    check_tolerance(eps)
     domain = domain if domain is not None else f.domain
     _require_binary(domain)
     x = domain.validate(x0) if x0 is not None else domain.all_roots()

@@ -18,7 +18,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -166,6 +166,27 @@ class CostFunction:
         values = [self.evaluate(y) for y in itertools.product(*axes)]
         return np.array(values, dtype=object).reshape(tuple(len(a) for a in axes))
 
+    def walk(self, x: Sequence[int], steps: Iterable[tuple[int, int]]) -> list[int]:
+        """f at x and then after each step, one exact integer per point.
+
+        A step ``(i, v)`` sets variable i to label v; later steps start
+        from the point the earlier ones reached, and a variable may be
+        stepped more than once.  This version calls ``evaluate`` once
+        per point.
+        """
+        y = list(x)
+        values = [self.evaluate(tuple(y))]
+        for i, v in steps:
+            _check_variable(i, len(y))
+            y[i] = v
+            values.append(self.evaluate(tuple(y)))
+        return values
+
+
+def _check_variable(i: int, n: int) -> None:
+    if not 0 <= i < n:
+        raise DomainError(f"variable {i} is not in 0..{n - 1}")
+
 
 def _check_denominator(denominator: int) -> int:
     if not isinstance(denominator, int) or denominator < 1:
@@ -243,6 +264,41 @@ class SumOfTerms(CostFunction):
                 idx = idx * self.domain.trees[i].node_count + x[i]
             total += t.values[idx]
         return total
+
+    def walk(self, x: Sequence[int], steps: Iterable[tuple[int, int]]) -> list[int]:
+        """f at x and then after each step, as ``CostFunction.walk``.
+
+        x is validated once and each new label with ``check_node``.  A
+        step then adds the exact change of the terms whose scope holds
+        its variable, so it costs O(degree), not O(n + #terms).  The
+        incidence lists are built per walk; nothing is kept on the
+        instance.
+        """
+        trees = self.domain.trees
+        y = list(self.domain.validate(x))
+        index = []  # current table index of each term
+        incident: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in y]
+        total = 0
+        for k, t in enumerate(self.terms):
+            idx, stride = 0, 1
+            for i in reversed(t.scope):
+                incident[i].append((t.values, k, stride))
+                idx += stride * y[i]
+                stride *= trees[i].node_count
+            index.append(idx)
+            total += t.values[idx]
+        values = [total]
+        for i, v in steps:
+            _check_variable(i, len(y))
+            trees[i].check_node(v)
+            shift = v - y[i]
+            for table, k, stride in incident[i]:
+                old = index[k]
+                index[k] = new = old + stride * shift
+                total += table[new] - table[old]
+            y[i] = v
+            values.append(total)
+        return values
 
     def grid(self, axes: Sequence[Sequence[int]]) -> np.ndarray:
         """Broadcast int64 sum of the terms' sub-tables over the axes.

@@ -22,6 +22,15 @@ Min-norm-point alternatives are provided as well:
                        opt-in and always cross-checked against
                        ``bisub_brute`` in the test suite.
 
+Each greedy call moves one coordinate at a time along a chain from the
+empty set or the zero vector, so both engines read one ``walk`` of the
+restriction per call: its values at every prefix of the chain.  The
+descent's restrictions carry a walk that, for a ``SumOfTerms`` cost,
+re-sums only the terms of the moved coordinate per step; without one,
+the engines call ``evaluate`` once per prefix.  Every greedy vertex
+entry is the float of an exact integer difference.  Both engines refuse
+an ``eps`` that is not a finite number above 0 before any evaluation.
+
 Fixed coordinates are expressed by shrinking the free set or the allowed
 sign sets, never by penalty terms, which would not preserve
 (bi)submodularity.  All solvers are deterministic: identical inputs and
@@ -31,8 +40,10 @@ tolerances produce identical outputs.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -52,13 +63,17 @@ class BinaryCubeFunction:
     Coordinates outside ``free`` are fixed at 0.  ``evaluate`` must be
     total on all subsets of ``free`` and return exact integers.  The
     optional ``grid`` returns the same values for every subset at once,
-    as a flat array indexed by subset rank (bit j is ``free[j]``).
+    as a flat array indexed by subset rank (bit j is ``free[j]``).  The
+    optional ``walk`` takes a sequence of free coordinates and returns
+    the values along the chain they build, one per prefix: the empty
+    set, then each coordinate added to the ones before it.
     """
 
     m: int
     free: tuple[int, ...]
     evaluate: Callable[[frozenset[int]], int]
     grid: Callable[[], np.ndarray] | None = None
+    walk: Callable[[Sequence[int]], list[int]] | None = None
 
     def __post_init__(self):
         if len(set(self.free)) != len(self.free):
@@ -76,13 +91,17 @@ class SignBoxFunction:
     ascending order and always contains 0, so the box is closed under
     the bisubmodular meet and join.  The optional ``grid`` returns the
     values of the whole box at once, as a flat array in the order of
-    ``itertools.product(*allowed)``.
+    ``itertools.product(*allowed)``.  The optional ``walk`` takes steps
+    ``(i, s)``, each setting coordinate i to sign s, and returns the
+    values at the zero vector and after each step; a sign outside
+    ``allowed`` raises the same ``DomainError`` as ``evaluate``.
     """
 
     m: int
     allowed: tuple[tuple[int, ...], ...]
     evaluate: Callable[[SignVector], int]
     grid: Callable[[], np.ndarray] | None = None
+    walk: Callable[[Sequence[tuple[int, Sign]]], list[int]] | None = None
 
     def __post_init__(self):
         if len(self.allowed) != self.m:
@@ -247,45 +266,63 @@ def _min_norm_point(
     raise SolverFailureError(f"min-norm point loop exceeded {max_iter} major cycles")
 
 
+def _walk(g, start, steps, put) -> list[int]:
+    """g at ``start`` and after each step, exact integers.
+
+    Uses the restriction's ``walk`` when it carries one, else one
+    ``evaluate`` per prefix, where ``put(point, step)`` is the next point.
+    """
+    if g.walk is not None:
+        return g.walk(steps)
+    point = start
+    values = [g.evaluate(point)]
+    for step in steps:
+        point = put(point, step)
+        values.append(g.evaluate(point))
+    return values
+
+
+def check_tolerance(eps: float) -> None:
+    """Refuse a min-norm tolerance that is not a finite number above 0."""
+    if not (isinstance(eps, numbers.Real) and 0 < eps < math.inf):
+        raise DomainError(f"eps {eps!r} must be a finite number > 0")
+
+
 def sfm_wolfe(
     g: BinaryCubeFunction, eps: float = 1e-10, max_iter: int = 10_000
 ) -> tuple[frozenset[int], int]:
     """Submodular minimization via the min-norm point of the base polytope.
 
     The greedy oracle linearly optimizes over the base polytope of the
-    normalized function; the minimizer is read off the min-norm point by
-    collecting coordinates below -sqrt(eps).  On integer-valued
-    submodular inputs of moderate magnitude this reproduces the
-    brute-force value exactly; non-submodular inputs void the guarantee.
+    normalized function, reading one walk of ``g`` per call; the
+    minimizer is read off the min-norm point by collecting coordinates
+    below -sqrt(eps).  On integer-valued submodular inputs of moderate
+    magnitude this reproduces the brute-force value exactly;
+    non-submodular inputs void the guarantee.
     """
+    check_tolerance(eps)
     free = g.free
     k = len(free)
     if k == 0:
         return frozenset(), g.evaluate(frozenset())
-    cache: dict[frozenset[int], int] = {}
-
-    def ev(subset: frozenset[int]) -> int:
-        cached = cache.get(subset)
-        if cached is None:
-            cached = cache.setdefault(subset, g.evaluate(subset))
-        return cached
 
     def greedy(x: np.ndarray) -> np.ndarray:
-        order = np.argsort(x, kind="stable")
+        order = [int(j) for j in np.argsort(x, kind="stable")]
+        values = _walk(g, frozenset(), [free[j] for j in order], lambda A, i: A | {i})
         v = np.empty(k)
-        members: set[int] = set()
-        prev = ev(frozenset())
-        for idx in order:
-            members.add(free[int(idx)])
-            cur = ev(frozenset(members))
-            v[int(idx)] = cur - prev
-            prev = cur
+        for j, prev, cur in zip(order, values, values[1:]):
+            v[j] = float(cur - prev)
         return v
 
     point = _min_norm_point(k, greedy, eps, max_iter)
     threshold = -(eps ** 0.5)
     subset = frozenset(free[j] for j in range(k) if point[j] < threshold)
     return subset, g.evaluate(subset)
+
+
+def _put_sign(vec: SignVector, step: tuple[int, Sign]) -> SignVector:
+    i, s = step
+    return vec[:i] + (s,) + vec[i + 1:]
 
 
 def bisub_minnorm(
@@ -297,106 +334,74 @@ def bisub_minnorm(
     """Experimental bisubmodular minimization via a min-norm point.
 
     The linear oracle is the signed greedy over the bisubmodular
-    polyhedron; the minimizer is extracted as -sign of the min-norm
-    point, thresholded at sqrt(eps).
+    polyhedron, reading one walk of ``h`` per call; the minimizer is
+    extracted as -sign of the min-norm point, thresholded at sqrt(eps).
 
     Coordinates with a missing sign make that polyhedron unbounded, so
     restricted boxes are first extended to the full box as
-    h(clip(s)) + M * #forbidden(s): meet and join never introduce a sign
+    h(clip(s)) + M * #forbidden(s): a greedy step to a forbidden sign
+    makes no move and adds M.  Meet and join never introduce a sign
     absent from both arguments, which makes the penalty count itself
     bisubmodular, and the clipping deficit only arises on coordinates
     where the penalty contributes M of slack, so a penalty above twice
     the value spread yields a bisubmodular extension whose minimizers
-    avoid forbidden signs.  M adapts to the spread actually observed;
-    the extraction rule is validated empirically, which is why this
-    engine is opt-in, and ``verify_against_brute`` raises on any
-    disagreement with the enumeration oracle.
+    avoid forbidden signs.  M adapts to the spread of the h values the
+    walks have seen; the extraction rule is validated empirically, which
+    is why this engine is opt-in, and ``verify_against_brute`` raises on
+    any disagreement with the enumeration oracle.
     """
+    check_tolerance(eps)
     live = [i for i in range(h.m) if h.allowed[i] != (0,)]
     k = len(live)
-    result: SignVector
-    if k == 0:
-        result = h.zeros()
-        value = h.evaluate(result)
-    else:
-        cache: dict[SignVector, int] = {}
-        seen_lo: int | None = None
-        seen_hi: int | None = None
+    result = h.zeros()
+    if k:
+        seen: list[int] = []  # the lowest and highest h value of every walk
 
-        def ev_box(vec: SignVector) -> int:
-            nonlocal seen_lo, seen_hi
-            cached = cache.get(vec)
-            if cached is None:
-                cached = cache.setdefault(vec, h.evaluate(vec))
-            seen_lo = cached if seen_lo is None else min(seen_lo, cached)
-            seen_hi = cached if seen_hi is None else max(seen_hi, cached)
-            return cached
-
-        def embed(signs_live) -> SignVector:
-            out = [0] * h.m
-            for j, coord in enumerate(live):
-                out[coord] = signs_live[j]
-            return tuple(out)
-
-        def solve(penalty: int) -> SignVector:
-            def surrogate(signs_live) -> int:
-                clipped = []
-                forbidden = 0
-                for j, coord in enumerate(live):
-                    s = signs_live[j]
-                    if s in h.allowed[coord]:
-                        clipped.append(s)
-                    else:
-                        clipped.append(0)
-                        forbidden += 1
-                return ev_box(embed(clipped)) + penalty * forbidden
-
+        def solve(penalty: int) -> list[Sign]:
             def signed_greedy(x: np.ndarray) -> np.ndarray:
-                w = -x
-                order = np.argsort(-np.abs(w), kind="stable")
+                order = [int(j) for j in np.argsort(-np.abs(x), kind="stable")]
+                signs = [-1 if x[j] > 0 else 1 for j in order]
+                steps = [(live[j], s) for j, s in zip(order, signs) if s in h.allowed[live[j]]]
+                values = _walk(h, h.zeros(), steps, _put_sign)
+                seen.extend((min(values), max(values)))
                 v = np.empty(k)
-                current = [0] * k
-                prev = surrogate(tuple(current))
-                for idx in order:
-                    sign = 1 if w[int(idx)] > 0 else (-1 if w[int(idx)] < 0 else 1)
-                    current[int(idx)] = sign
-                    cur = surrogate(tuple(current))
-                    v[int(idx)] = sign * (cur - prev)
-                    prev = cur
+                moves = iter(values)
+                prev = next(moves)
+                for j, s in zip(order, signs):
+                    if s in h.allowed[live[j]]:
+                        cur = next(moves)
+                        v[j] = float(s * (cur - prev))
+                        prev = cur
+                    else:
+                        v[j] = float(s * penalty)
                 return v
 
             point = _min_norm_point(k, signed_greedy, eps, max_iter)
             threshold = eps ** 0.5
-            signs = [0] * k
-            for j in range(k):
+            signs = [0] * h.m
+            for j, coord in enumerate(live):
                 if point[j] > threshold:
-                    signs[j] = -1
+                    signs[coord] = -1
                 elif point[j] < -threshold:
-                    signs[j] = 1
-            return tuple(signs)
+                    signs[coord] = 1
+            return signs
 
         restricted = any(h.allowed[i] != (-1, 0, 1) for i in live)
         if not restricted:
-            result = embed(solve(0))
-            value = ev_box(result)
+            result = tuple(solve(0))
         else:
             penalty = 1
             for _ in range(20):
-                signs_live = solve(penalty)
-                in_box = all(
-                    signs_live[j] in h.allowed[coord] for j, coord in enumerate(live)
-                )
-                spread = (seen_hi - seen_lo) if seen_lo is not None else 0
-                needed = 2 * spread + 1
+                signs = solve(penalty)
+                in_box = all(s in a for s, a in zip(signs, h.allowed))
+                needed = 2 * (max(seen) - min(seen)) + 1
                 if in_box and penalty >= needed:
                     break
                 penalty = max(needed, 2 * penalty)
             else:
                 raise SolverFailureError("penalty extension failed to stabilize")
-            result = embed(
-                tuple(s if s in h.allowed[coord] else 0 for s, coord in zip(signs_live, live))
-            )
-            value = ev_box(result)
+            result = tuple(s if s in a else 0 for s, a in zip(signs, h.allowed))
+    value = h.evaluate(result)
     if verify_against_brute:
         _, oracle_value = bisub_brute(h)
         if oracle_value != value:

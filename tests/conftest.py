@@ -122,23 +122,44 @@ def brute_minimum(f: ts.CostFunction) -> tuple[tuple[int, ...], int]:
     return best_x, best
 
 
+def term_sum(domain: ts.ProductDomain, terms, y) -> int:
+    """Sum of term tables at y; each cell is located by a plain
+    mixed-radix loop over the term's scope."""
+    total = 0
+    for t in terms:
+        idx = 0
+        for i in t.scope:
+            idx = idx * domain.trees[i].node_count + y[i]
+        total += t.values[idx]
+    return total
+
+
 def term_sum_minimum(domain: ts.ProductDomain, terms, labelings) -> tuple[int, int]:
     """First minimum of a sum of term tables over labelings, in their order.
 
-    Returns (position in ``labelings``, value).  Each term's cell is
-    located by a plain mixed-radix loop over its scope.
+    Returns (position in ``labelings``, value).
     """
     best_k, best = None, None
     for k, y in enumerate(labelings):
-        total = 0
-        for t in terms:
-            idx = 0
-            for i in t.scope:
-                idx = idx * domain.trees[i].node_count + y[i]
-            total += t.values[idx]
+        total = term_sum(domain, terms, y)
         if best is None or total < best:
             best_k, best = k, total
     return best_k, best
+
+
+def term_walk(domain: ts.ProductDomain, terms, x, steps) -> list[int]:
+    """Sum of term tables at x and after each step ``(i, v)`` (set x_i = v).
+
+    Every point is summed afresh over every term.  A dense table is the
+    single term ``(range(n), values)``; ``terms`` only needs ``scope`` and
+    ``values`` attributes.
+    """
+    y = list(x)
+    out = [term_sum(domain, terms, y)]
+    for i, v in steps:
+        y[i] = v
+        out.append(term_sum(domain, terms, y))
+    return out
 
 
 def fork_encodings(kind: str, k: int) -> dict[int, tuple[int, ...]]:
@@ -174,6 +195,23 @@ def encoded_first_minimum(f: ts.CostFunction, encodings) -> tuple[tuple[int, ...
         if best is None or v < best:
             best_x, best = x, v
     return best_x, best
+
+
+def random_terms(rng: ts.SplitMix64, dom: ts.ProductDomain, low: int, high: int, count: int):
+    """Unary terms plus ``count`` terms of arity 1-3 with unsorted scopes."""
+    terms = [ts.Term((i,), tuple(rng.below(high - low + 1) + low for _ in range(t.node_count)))
+             for i, t in enumerate(dom.trees)]
+    for _ in range(count):
+        scope = list(range(dom.n))
+        for j in range(dom.n - 1, 0, -1):
+            r = rng.below(j + 1)
+            scope[j], scope[r] = scope[r], scope[j]
+        scope = tuple(scope[:1 + rng.below(3)])
+        size = 1
+        for i in scope:
+            size *= dom.trees[i].node_count
+        terms.append(ts.Term(scope, tuple(rng.below(high - low + 1) + low for _ in range(size))))
+    return terms
 
 
 def random_table_function(

@@ -13,7 +13,7 @@ from treesub.errors import (
     UnsupportedStructureError,
 )
 
-from conftest import brute_minimum
+from conftest import brute_minimum, random_terms
 
 
 @pytest.fixture
@@ -125,6 +125,54 @@ def test_apply_outward():
     assert apply_outward(dom, (0, 1), (0, 0)) == (0, 1)
 
 
+def _restriction_instances():
+    dom = ts.ProductDomain([ts.complete_binary_tree(3), ts.chain_tree(4), ts.star3_tree(),
+                            ts.complete_binary_tree(3)])
+    rng = ts.SplitMix64(31)
+    sums = ts.SumOfTerms(dom, random_terms(rng, dom, -6, 6, 5))
+    table = ts.DenseTable(dom, [rng.below(30) for _ in range(dom.size())])
+    return dom, rng, (sums, table)
+
+
+def test_restriction_walks_match_evaluate_along_the_prefixes():
+    dom, rng, costs = _restriction_instances()
+    for f in costs:
+        for _ in range(15):
+            x = tuple(rng.below(t.node_count) for t in dom.trees)
+            cube = ts.inward_restrict(f, dom, x)
+            coords = [cube.free[rng.below(len(cube.free))] for _ in range(5)] if cube.free else []
+            prefixes = [frozenset(coords[:j]) for j in range(len(coords) + 1)]
+            assert cube.walk(coords) == [cube.evaluate(A) for A in prefixes]
+            box = ts.outward_restrict(f, dom, x)
+            steps = []
+            for _ in range(5):
+                i = rng.below(dom.n)
+                steps.append((i, box.allowed[i][rng.below(len(box.allowed[i]))]))
+            vec, points = [0] * dom.n, [box.zeros()]
+            for i, s in steps:
+                vec[i] = s
+                points.append(tuple(vec))
+            assert box.walk(steps) == [box.evaluate(v) for v in points]
+
+
+def test_restriction_walks_refuse_moves_outside_the_neighborhood():
+    dom, _, (f, _) = _restriction_instances()
+    x = (1, 3, 0, 0)  # chain coordinate at its leaf, star3 at its root
+    box = ts.outward_restrict(f, dom, x)
+    assert box.allowed == ((-1, 0, 1), (0,), (-1, 0, 1), (-1, 0, 1))
+    with pytest.raises(DomainError) as expected:
+        box.evaluate((0, 1, 0, 0))
+    with pytest.raises(DomainError) as got:
+        box.walk([(0, 1), (1, 1), (2, -1)])
+    assert str(got.value) == str(expected.value)
+    with pytest.raises(DomainError):
+        box.walk([(4, 1)])
+    cube = ts.inward_restrict(f, dom, x)
+    assert cube.free == (0, 1)
+    with pytest.raises(DomainError, match="free set"):
+        cube.walk([0, 2])
+
+
 # ---------------------------------------------------------------------------
 # minimize
 
@@ -190,6 +238,32 @@ def test_unknown_engines(c5sq, monkeypatch):
         for diagnostics in (False, True):
             with pytest.raises(DomainError, match="unknown"):
                 ts.minimize(c5sq, x0=(4, 4), diagnostics=diagnostics, **engines)
+    assert calls == []
+
+
+def test_bad_eps_is_refused_before_any_oracle_call(monkeypatch):
+    tree = ts.complete_binary_tree(3)
+    dom = ts.ProductDomain([tree] * 3)
+    unary = tuple(2 * ts.rho(tree, v, 3) + tree.depth[v] for v in range(7))
+    f = ts.SumOfTerms(dom, [ts.Term((i,), unary) for i in range(3)])
+    x0 = (4, 5, 6)
+    engines = {"inward_engine": "wolfe", "outward_engine": "minnorm"}
+    assert ts.minimize(f, dom, x0, **engines)[:2] == ((3, 3, 3), 6)
+    cube, box = ts.inward_restrict(f, dom, x0), ts.outward_restrict(f, dom, (0, 0, 0))
+    calls = []
+    for attr in ("evaluate", "walk", "grid"):
+        monkeypatch.setattr(ts.SumOfTerms, attr, lambda self, *args, attr=attr: calls.append(attr),
+                            raising=False)
+    # nan and inf used to end at the start with a holding certificate;
+    # a negative eps made the extraction threshold complex
+    for eps in (float("nan"), float("inf"), -float("inf"), -1.0, 0.0, 0, "1e-10", None):
+        for kwargs in (engines, {}):
+            with pytest.raises(DomainError, match="eps"):
+                ts.minimize(f, dom, x0, eps=eps, **kwargs)
+        with pytest.raises(DomainError, match="eps"):
+            ts.sfm_wolfe(cube, eps)
+        with pytest.raises(DomainError, match="eps"):
+            ts.bisub_minnorm(box, eps)
     assert calls == []
 
 

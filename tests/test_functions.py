@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, strategies as st
 
 import treesub as ts
 from treesub.errors import DomainError, GenerationError
 
-from conftest import brute_minimum
+from conftest import brute_minimum, random_terms, term_walk
 
 
 @pytest.fixture
@@ -118,6 +120,90 @@ def test_denominator_validation(c3x3):
 def test_evaluate_is_referentially_transparent(c3x3):
     f = ts.DenseTable(c3x3, list(range(9)))
     assert f.evaluate((2, 1)) == f.evaluate((2, 1)) == 7
+
+
+# ---------------------------------------------------------------------------
+# Walks
+
+
+_WALK_SHAPES = (ts.complete_binary_tree(3), ts.chain_tree(4), ts.star3_tree())
+
+
+def _random_walk(rng, dom, length):
+    """A start and ``length`` steps; variables repeat, labels may not move."""
+    x = tuple(rng.below(t.node_count) for t in dom.trees)
+    steps = []
+    for _ in range(length):
+        i = rng.below(dom.n)
+        steps.append((i, rng.below(dom.trees[i].node_count)))
+    return x, steps
+
+
+def test_sum_walk_matches_plain_loop_oracle():
+    rng = ts.SplitMix64(606)
+    stepped_twice = 0
+    for trial in range(60):
+        dom = ts.ProductDomain([_WALK_SHAPES[rng.below(3)] for _ in range(1 + rng.below(6))])
+        f = ts.SumOfTerms(dom, random_terms(rng, dom, -9, 9, rng.below(8)))
+        x, steps = _random_walk(rng, dom, rng.below(12))
+        values = f.walk(x, steps)
+        assert values == term_walk(dom, f.terms, x, steps), trial
+        assert all(type(v) is int for v in values)
+        stepped_twice += len({i for i, _ in steps}) < len(steps)
+    assert stepped_twice > 10
+
+
+def test_sum_walk_steps_one_coordinate_twice():
+    dom = ts.ProductDomain([ts.chain_tree(4), ts.complete_binary_tree(3)])
+    terms = [ts.Term((1, 0), tuple(range(28))), ts.Term((0,), (5, 1, 7, 2))]
+    f = ts.SumOfTerms(dom, terms)
+    steps = [(0, 3), (1, 6), (0, 1), (0, 1), (1, 0), (0, 0)]
+    assert f.walk((2, 4), steps) == term_walk(dom, terms, (2, 4), steps)
+    assert f.walk((2, 4), []) == [f.evaluate((2, 4))]
+
+
+def test_sum_walk_is_exact_beyond_int64():
+    rng = ts.SplitMix64(61)
+    dom = ts.ProductDomain([ts.complete_binary_tree(3), ts.chain_tree(4), ts.star3_tree()])
+    big = (1 << 61) - 2
+    f = ts.SumOfTerms(dom, random_terms(rng, dom, big, big + 3, 4))
+    x, steps = _random_walk(rng, dom, 20)
+    values = f.walk(x, steps)
+    assert min(values) >= 1 << 63
+    assert values == term_walk(dom, f.terms, x, steps)
+
+
+def test_dense_table_walks_through_the_base_class():
+    rng = ts.SplitMix64(8)
+    assert ts.DenseTable.walk is ts.CostFunction.walk
+    for _ in range(20):
+        dom = ts.ProductDomain([_WALK_SHAPES[rng.below(3)] for _ in range(1 + rng.below(3))])
+        f = ts.DenseTable(dom, [rng.below(50) - 25 for _ in range(dom.size())])
+        table = SimpleNamespace(scope=tuple(range(dom.n)), values=f.values)
+        x, steps = _random_walk(rng, dom, rng.below(8))
+        assert f.walk(x, steps) == term_walk(dom, [table], x, steps)
+
+
+def test_walk_refuses_a_bad_label_with_the_evaluate_message():
+    dom = ts.ProductDomain([ts.chain_tree(4), ts.complete_binary_tree(3)])
+    rng = ts.SplitMix64(3)
+    sums = ts.SumOfTerms(dom, random_terms(rng, dom, 0, 9, 2))
+    table = ts.DenseTable(dom, range(28))
+    for f in (sums, table):
+        for bad in (7, -1, 1.0):
+            with pytest.raises(DomainError) as expected:
+                f.evaluate((3, bad))
+            with pytest.raises(DomainError) as got:
+                f.walk((1, 2), [(0, 3), (1, bad), (1, 0)])
+            assert str(got.value) == str(expected.value)
+        with pytest.raises(DomainError) as expected:
+            f.evaluate((4, 2))
+        with pytest.raises(DomainError) as got:
+            f.walk((4, 2), [])
+        assert str(got.value) == str(expected.value)
+        for i in (2, -1):
+            with pytest.raises(DomainError, match="variable"):
+                f.walk((1, 2), [(0, 0), (i, 0)])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import treesub as ts
 from treesub.errors import BudgetExceededError, DomainError, SolverFailureError
 from treesub.solvers import BinaryCubeFunction, SignBoxFunction
 
-from conftest import random_cut_plus_modular, random_sign_box, term_sum_minimum
+from conftest import random_cut_plus_modular, random_sign_box, random_terms, term_sum_minimum
 
 
 def cube(weights=None, fn=None, m=None):
@@ -199,23 +199,6 @@ def test_min_norm_state_invariant():
 # Brute engines on descent restrictions (whole-neighborhood grids)
 
 
-def _random_terms(rng, dom, low, high, count):
-    """Unary terms plus ``count`` terms of arity 1-3 with unsorted scopes."""
-    terms = [ts.Term((i,), tuple(rng.below(high - low + 1) + low for _ in range(t.node_count)))
-             for i, t in enumerate(dom.trees)]
-    for _ in range(count):
-        scope = list(range(dom.n))
-        for j in range(dom.n - 1, 0, -1):
-            r = rng.below(j + 1)
-            scope[j], scope[r] = scope[r], scope[j]
-        scope = tuple(scope[:1 + rng.below(3)])
-        size = 1
-        for i in scope:
-            size *= dom.trees[i].node_count
-        terms.append(ts.Term(scope, tuple(rng.below(high - low + 1) + low for _ in range(size))))
-    return terms
-
-
 def _inward_cells(dom, x, free):
     for mask in range(1 << len(free)):
         y = list(x)
@@ -255,7 +238,7 @@ def test_brute_restrictions_match_term_oracle_on_tie_heavy_sums():
     for trial in range(40):
         dom = ts.ProductDomain([shapes[rng.below(3)] for _ in range(2 + rng.below(4))])
         # values 0..2 tie everywhere; random tables are mostly not submodular
-        f = ts.SumOfTerms(dom, _random_terms(rng, dom, 0, 2, 1 + rng.below(6)))
+        f = ts.SumOfTerms(dom, random_terms(rng, dom, 0, 2, 1 + rng.below(6)))
         for _ in range(3):
             _assert_brute_matches_term_oracle(f, tuple(rng.below(t.node_count) for t in dom.trees))
 
@@ -264,7 +247,7 @@ def test_brute_restrictions_on_mixed_domain():
     dom = ts.ProductDomain([ts.complete_binary_tree(3), ts.chain_tree(4), ts.star3_tree(),
                             ts.chain_tree(4), ts.complete_binary_tree(3)])
     rng = ts.SplitMix64(77)
-    f = ts.SumOfTerms(dom, _random_terms(rng, dom, -5, 5, 8))
+    f = ts.SumOfTerms(dom, random_terms(rng, dom, -5, 5, 8))
     assert any(len(t.scope) == 3 and list(t.scope) != sorted(t.scope) for t in f.terms)
     for x in ((1, 2, 0, 3, 6), (0, 0, 0, 0, 0), (2, 3, 1, 1, 1), (6, 1, 2, 0, 2)):
         _assert_brute_matches_term_oracle(f, x)
@@ -274,35 +257,72 @@ def test_brute_restrictions_exact_beyond_int64():
     rng = ts.SplitMix64(9)
     dom = ts.ProductDomain([ts.complete_binary_tree(3), ts.chain_tree(4), ts.star3_tree()])
     big = (1 << 61) - 2
-    f = ts.SumOfTerms(dom, _random_terms(rng, dom, big, big + 3, 3))
+    f = ts.SumOfTerms(dom, random_terms(rng, dom, big, big + 3, 3))
     # the largest cell sums far past int64, so the exact loop must answer
     assert sum(max(t.values) for t in f.terms) >= 1 << 63
     for x in ((1, 2, 0), (4, 3, 1), (0, 1, 2)):
         _assert_brute_matches_term_oracle(f, x)
 
 
+def _wrap_counting(evaluate, calls):
+    def wrapper(arg):
+        calls.append(arg)
+        return evaluate(arg)
+    return wrapper
+
+
 def test_restriction_grid_survives_evaluate_wrapper():
     dom = ts.ProductDomain([ts.complete_binary_tree(3)] * 3)
     rng = ts.SplitMix64(5)
-    f = ts.SumOfTerms(dom, _random_terms(rng, dom, 0, 9, 3))
+    f = ts.SumOfTerms(dom, random_terms(rng, dom, 0, 9, 3))
     calls = []
-
-    def wrap(evaluate):
-        def wrapper(arg):
-            calls.append(arg)
-            return evaluate(arg)
-        return wrapper
-
     x = (3, 1, 5)
     for restrict, solve in ((ts.inward_restrict, ts.sfm_brute), (ts.outward_restrict, ts.bisub_brute)):
         g = restrict(f, dom, x)
-        wrapped = dataclasses.replace(g, evaluate=wrap(g.evaluate))
-        assert wrapped.grid is g.grid
+        wrapped = dataclasses.replace(g, evaluate=_wrap_counting(g.evaluate, calls))
+        assert wrapped.grid is g.grid and wrapped.walk is g.walk
         assert solve(wrapped) == solve(dataclasses.replace(g, grid=None))
     assert calls == []
 
 
-def test_min_norm_descent_never_builds_a_grid(monkeypatch):
+def test_restriction_walk_survives_evaluate_wrapper(monkeypatch):
+    from treesub import solvers
+
+    dom = ts.ProductDomain([ts.complete_binary_tree(3), ts.chain_tree(4), ts.complete_binary_tree(3),
+                            ts.chain_tree(3)])
+    rng = ts.SplitMix64(12)
+    rounds = [0]
+    min_norm_point = solvers._min_norm_point
+
+    def counted(*args):
+        rounds[0] += 1
+        return min_norm_point(*args)
+
+    monkeypatch.setattr(solvers, "_min_norm_point", counted)
+    costs = [ts.SumOfTerms(dom, random_terms(rng, dom, -4, 9, 4)) for _ in range(6)]
+    costs.append(ts.DenseTable(dom, [rng.below(9) for _ in range(dom.size())]))
+    box_rounds = []
+    for f in costs:
+        for _ in range(4):
+            x = tuple(rng.below(t.node_count) for t in dom.trees)
+            for restrict, solve in ((ts.inward_restrict, ts.sfm_wolfe),
+                                    (ts.outward_restrict, ts.bisub_minnorm)):
+                g = restrict(f, dom, x)
+                calls = []
+                wrapped = dataclasses.replace(g, evaluate=_wrap_counting(g.evaluate, calls))
+                assert wrapped.walk is g.walk
+                rounds[0] = 0
+                result = solve(wrapped)
+                if solve is ts.bisub_minnorm:
+                    box_rounds.append(rounds[0])
+                # the greedy steps read walks; only the returned value is evaluated
+                assert len(calls) == 1
+                assert solve(dataclasses.replace(g, walk=None)) == result
+    # the penalty loop of restricted boxes ran more than one round
+    assert max(box_rounds) >= 2
+
+
+def _descent_family_at_arity_22():
     tree = ts.complete_binary_tree(3)
     dom = ts.ProductDomain([tree] * 22)
     rng = ts.SplitMix64(22)
@@ -312,14 +332,46 @@ def test_min_norm_descent_never_builds_a_grid(monkeypatch):
         terms.append(ts.Term((i,), tuple(2 * ts.rho(tree, v, target) + tree.depth[v] for v in range(7))))
     for i in range(21):
         terms.append(ts.Term((i, i + 1), tuple(ts.rho(tree, a, b) for a in range(7) for b in range(7))))
-    f = ts.SumOfTerms(dom, terms)
+    x0 = tuple(3 + rng.below(4) for _ in range(22))
+    return ts.SumOfTerms(dom, terms), dom, x0
+
+
+def test_min_norm_descent_never_builds_a_grid(monkeypatch):
+    f, dom, x0 = _descent_family_at_arity_22()
 
     def refuse(self, axes):
         raise AssertionError("min-norm engines must not build a grid")
 
     monkeypatch.setattr(ts.SumOfTerms, "grid", refuse)
     assert ts.outward_restrict(f, dom, dom.all_roots()).box_size() == 3**22
-    x0 = tuple(3 + rng.below(4) for _ in range(22))
     x, value, trace = ts.minimize(f, dom, x0, inward_engine="wolfe", outward_engine="minnorm")
     assert trace.s1_steps > 0 and trace.certificate.holds()
     assert value == f.evaluate(x)
+
+
+def test_min_norm_descent_evaluates_once_per_greedy_call_at_most(monkeypatch):
+    from treesub import descent, solvers
+
+    f, dom, x0 = _descent_family_at_arity_22()
+    count = {"evaluate": 0, "greedy": 0, "solve": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            count[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    min_norm_point = solvers._min_norm_point
+
+    def greedy_counted(dim, linear_minimizer, *args):
+        return min_norm_point(dim, counted("greedy", linear_minimizer), *args)
+
+    monkeypatch.setattr(ts.SumOfTerms, "evaluate", counted("evaluate", ts.SumOfTerms.evaluate))
+    monkeypatch.setattr(solvers, "_min_norm_point", greedy_counted)
+    for name in ("sfm_wolfe", "bisub_minnorm"):
+        monkeypatch.setattr(descent, name, counted("solve", getattr(descent, name)))
+    _, _, trace = ts.minimize(f, dom, x0, inward_engine="wolfe", outward_engine="minnorm")
+    assert trace.s1_steps > 0 and trace.s2_steps > 0
+    assert count["greedy"] > count["solve"] > 0
+    # one more for the start value
+    assert count["evaluate"] <= count["greedy"] + count["solve"] + 1, count
