@@ -120,10 +120,6 @@ def wedge_vee_tables(domain: ProductDomain) -> tuple[list[OpTable], list[OpTable
     return _build_tables(domain, _tree_op(domain, wedge_vee))
 
 
-def up_down_tables(domain: ProductDomain, d: int) -> tuple[list[OpTable], list[OpTable]]:
-    return _build_tables(domain, _tree_op(domain, up_down, d))
-
-
 def projection_tables(domain: ProductDomain) -> tuple[list[OpTable], list[OpTable]]:
     """op1 returns the first argument, op2 the second; always a multimorphism."""
     first, second = [], []

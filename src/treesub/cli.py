@@ -32,7 +32,6 @@ import json
 import math
 import sys
 import time
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -85,39 +84,45 @@ def _fail(path: str, message: str) -> FormatError:
     return FormatError(f"{path}: {message}")
 
 
-def _parse_value(raw, where: str, denominator: int) -> Fraction:
-    if isinstance(raw, bool):
-        raise _fail(where, "expected an integer or {num, den} object")
-    if isinstance(raw, int):
-        return Fraction(raw, denominator)
+def _parse_value(raw, denominator: int, where: str, index: int) -> tuple[int, int]:
+    """Cost value where[index] as an unreduced (numerator, denominator) pair."""
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw, denominator
+    at = f"{where}[{index}]"
     if isinstance(raw, dict):
         extra = set(raw) - {"num", "den"}
         if extra:
-            raise _fail(where, f"unexpected keys {sorted(extra)}")
+            raise _fail(at, f"unexpected keys {sorted(extra)}")
         num, den = raw.get("num"), raw.get("den")
         if not isinstance(num, int) or isinstance(num, bool):
-            raise _fail(where + ".num", "expected an integer")
+            raise _fail(at + ".num", "expected an integer")
         if not isinstance(den, int) or isinstance(den, bool) or den < 1:
-            raise _fail(where + ".den", "expected a positive integer")
-        return Fraction(num, den)
-    raise _fail(where, "expected an integer or {num, den} object")
+            raise _fail(at + ".den", "expected a positive integer")
+        return num, den
+    raise _fail(at, "expected an integer or {num, den} object")
 
 
-def _normalize(fractions: list[Fraction]) -> tuple[list[int], int]:
-    """Common reduced denominator and the matching integer numerators."""
-    den = 1
-    for f in fractions:
-        den = den * f.denominator // math.gcd(den, f.denominator)
-    nums = [int(f * den) for f in fractions]
-    shrink = den
-    for v in nums:
-        shrink = math.gcd(shrink, v)
-        if shrink == 1:
-            break
-    if shrink > 1:
-        nums = [v // shrink for v in nums]
-        den //= shrink
-    return nums, den
+def _parse_values(raw_values: list, where: str, denominator: int, nums: list, dens: list) -> None:
+    """Append each value's unreduced numerator to nums and denominator to dens."""
+    for i, raw in enumerate(raw_values):
+        num, den = _parse_value(raw, denominator, where, i)
+        nums.append(num)
+        dens.append(den)
+
+
+def _normalize(nums: list[int], dens: list[int]) -> tuple[list[int], int]:
+    """The values nums[i]/dens[i] as integers over their least common denominator.
+
+    Scaled to the lcm of the unreduced denominators, every value carries
+    the same surplus factor, which is the gcd of that lcm and the scaled
+    numerators; one division takes it out.
+    """
+    den = math.lcm(*set(dens))
+    scaled = [n * (den // d) for n, d in zip(nums, dens)]
+    g = math.gcd(den, *scaled)
+    if g > 1:
+        scaled = [v // g for v in scaled]
+    return scaled, den // g
 
 
 def parse_document(doc: dict, origin: str = "instance") -> tuple[ProductDomain, CostFunction, dict]:
@@ -156,6 +161,8 @@ def parse_document(doc: dict, origin: str = "instance") -> tuple[ProductDomain, 
     declared_den = fn.get("denominator", 1)
     if not isinstance(declared_den, int) or isinstance(declared_den, bool) or declared_den < 1:
         raise _fail("function.denominator", "expected a positive integer")
+    nums: list[int] = []
+    dens: list[int] = []
 
     if ftype == "table":
         unknown = set(fn) - {"type", "denominator", "values"}
@@ -169,11 +176,8 @@ def parse_document(doc: dict, origin: str = "instance") -> tuple[ProductDomain, 
                 "function.values",
                 f"expected {domain.size()} entries for this domain, got {len(raw_values)}",
             )
-        fractions = [
-            _parse_value(v, f"function.values[{i}]", declared_den)
-            for i, v in enumerate(raw_values)
-        ]
-        nums, den = _normalize(fractions)
+        _parse_values(raw_values, "function.values", declared_den, nums, dens)
+        nums, den = _normalize(nums, dens)
         function: CostFunction = DenseTable(domain, nums, den)
     elif ftype == "sum":
         unknown = set(fn) - {"type", "denominator", "terms"}
@@ -182,7 +186,6 @@ def parse_document(doc: dict, origin: str = "instance") -> tuple[ProductDomain, 
         raw_terms = fn.get("terms")
         if not isinstance(raw_terms, list):
             raise _fail("function.terms", "expected an array")
-        fractions = []
         shapes = []
         for ti, entry in enumerate(raw_terms):
             where = f"function.terms[{ti}]"
@@ -198,13 +201,9 @@ def parse_document(doc: dict, origin: str = "instance") -> tuple[ProductDomain, 
             values = entry["values"]
             if not isinstance(values, list):
                 raise _fail(where + ".values", "expected an array")
-            fracs = [
-                _parse_value(v, f"{where}.values[{vi}]", declared_den)
-                for vi, v in enumerate(values)
-            ]
-            shapes.append((tuple(scope), len(fracs)))
-            fractions.extend(fracs)
-        nums, den = _normalize(fractions)
+            _parse_values(values, where + ".values", declared_den, nums, dens)
+            shapes.append((tuple(scope), len(values)))
+        nums, den = _normalize(nums, dens)
         terms = []
         cursor = 0
         for ti, (scope, count) in enumerate(shapes):
@@ -288,8 +287,8 @@ def fixture_document(fixture: InstanceFixture, seed: int | None, kind: str) -> d
 
 
 def _fraction_record(numerator: int, denominator: int) -> dict:
-    f = Fraction(numerator, denominator)
-    return {"num": f.numerator, "den": f.denominator}
+    g = math.gcd(numerator, denominator)
+    return {"num": numerator // g, "den": denominator // g}
 
 
 def _witness_record(witness: checks.ViolationWitness | None, denominator: int):

@@ -114,6 +114,7 @@ def inward_restrict(f: CostFunction, domain: ProductDomain | None, x: Labeling) 
     x = domain.validate(x)
     free = tuple(i for i, t in enumerate(domain.trees) if x[i] != t.root)
     free_set = frozenset(free)
+    up = apply_inward(domain, x, free_set)
 
     def evaluate(subset: frozenset[int]) -> int:
         if not subset <= free_set:
@@ -121,14 +122,12 @@ def inward_restrict(f: CostFunction, domain: ProductDomain | None, x: Labeling) 
         return f.evaluate(apply_inward(domain, x, subset))
 
     def grid():
-        up = apply_inward(domain, x, free_set)
         axes = [(v, up[i]) if i in free_set else (v,) for i, v in enumerate(x)]
         k = len(free)
         # free[0] is the most significant axis here but bit 0 of the rank
         return f.grid(axes).reshape((2,) * k).transpose(tuple(reversed(range(k)))).ravel()
 
     def walk(coords):
-        up = apply_inward(domain, x, free_set)
         steps = []
         for i in coords:
             if i not in free_set:
@@ -166,6 +165,8 @@ def outward_restrict(f: CostFunction, domain: ProductDomain | None, x: Labeling)
         else:
             allowed.append((-1, 0, 1))
     allowed = tuple(allowed)
+    # the labeling each sign moves to: x wherever that sign is not allowed
+    to = {s: apply_outward(domain, x, [s if s in a else 0 for a in allowed]) for s in (-1, 0, 1)}
 
     def check_sign(i, s) -> None:
         if s not in allowed[i]:
@@ -178,17 +179,10 @@ def outward_restrict(f: CostFunction, domain: ProductDomain | None, x: Labeling)
             check_sign(i, s)
         return f.evaluate(apply_outward(domain, x, signs))
 
-    def moved():
-        """The labeling each sign moves to, per sign: x wherever it is not allowed."""
-        return {s: apply_outward(domain, x, [s if s in a else 0 for a in allowed])
-                for s in (-1, 0, 1)}
-
     def grid():
-        to = moved()
         return f.grid([tuple(to[s][i] for s in a) for i, a in enumerate(allowed)]).ravel()
 
     def walk(steps):
-        to = moved()
         labels = []
         for i, s in steps:
             if not 0 <= i < domain.n:

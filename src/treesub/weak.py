@@ -172,7 +172,6 @@ def recognize_domain(domain: ProductDomain) -> list[ForkTree]:
 def minimize_weak(
     f: CostFunction,
     domain: ProductDomain | None = None,
-    engine: str = "brute",
     budget: int | None = None,
 ) -> tuple[Labeling, int]:
     """Minimize a (weakly tree-submodular) cost over a product of forks.
@@ -187,8 +186,6 @@ def minimize_weak(
     what this routine relies on.
     """
     domain = domain if domain is not None else f.domain
-    if engine != "brute":
-        raise DomainError(f"unknown engine {engine!r}; the desk-scale engine is 'brute'")
     forks = recognize_domain(domain)
     axes = [sorted(range(fork.tree.node_count), key=partial(psi, fork)) for fork in forks]
     return grid_minimum(f, axes, budget)

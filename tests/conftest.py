@@ -9,7 +9,9 @@ double loops over labelings.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
+from fractions import Fraction
 
 import pytest
 from hypothesis import settings
@@ -275,3 +277,59 @@ def random_cut_plus_modular(rng: ts.SplitMix64, m: int) -> ts.BinaryCubeFunction
         return cut + sum(shifts[i] for i in subset)
 
     return ts.BinaryCubeFunction(m=m, free=tuple(range(m)), evaluate=evaluate)
+
+
+# ---------------------------------------------------------------------------
+# Canonical instance documents, from the format spec in Fraction arithmetic
+
+
+class BadCell(Exception):
+    """The first malformed cost value, worded as the parser must report it."""
+
+
+def _spec_value(raw, unit: Fraction, where: str) -> Fraction:
+    if type(raw) is int:
+        return raw * unit
+    if type(raw) is not dict:
+        raise BadCell(f"{where}: expected an integer or {{num, den}} object")
+    extra = sorted(set(raw) - {"num", "den"})
+    if extra:
+        raise BadCell(f"{where}: unexpected keys {extra}")
+    if type(raw.get("num")) is not int:
+        raise BadCell(f"{where}.num: expected an integer")
+    if type(raw.get("den")) is not int or raw["den"] < 1:
+        raise BadCell(f"{where}.den: expected a positive integer")
+    return Fraction(raw["num"], raw["den"])
+
+
+def canonical_document_oracle(doc: dict) -> dict:
+    """Canonical form of a document whose trees and term shapes are valid.
+
+    Written from the format spec: a plain integer counts in units of the
+    declared denominator (default 1) and ``{"num": p, "den": q}`` is p/q
+    for an integer p and an integer q >= 1, with no other keys.  The
+    canonical form carries the least denominator that makes every value
+    an integer, and each value as the integer over it.  A malformed value
+    raises ``BadCell`` for the first one in document order.
+    """
+    fn = doc["function"]
+    unit = Fraction(1, fn.get("denominator", 1))
+    if fn["type"] == "table":
+        groups = [("function.values", fn["values"])]
+    else:
+        groups = [(f"function.terms[{k}].values", t["values"]) for k, t in enumerate(fn["terms"])]
+    exact = [
+        [_spec_value(raw, unit, f"{where}[{i}]") for i, raw in enumerate(values)]
+        for where, values in groups
+    ]
+    den = math.lcm(*(v.denominator for values in exact for v in values))
+    ints = [[int(v * den) for v in values] for values in exact]
+    out_fn: dict = {"type": fn["type"], "denominator": den}
+    if fn["type"] == "table":
+        out_fn["values"] = ints[0]
+    else:
+        out_fn["terms"] = [{"scope": t["scope"], "values": v} for t, v in zip(fn["terms"], ints)]
+    out = {"format_version": doc["format_version"], "trees": doc["trees"], "function": out_fn}
+    if doc.get("metadata"):
+        out["metadata"] = doc["metadata"]
+    return out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,8 @@ from treesub.cli import (
     parse_instance,
 )
 from treesub.errors import FormatError
+
+from conftest import BadCell, canonical_document_oracle
 
 
 def write_fixture(tmp_path: Path, name: str, fixture_name: str) -> Path:
@@ -123,6 +126,88 @@ def test_positioned_parse_errors(mutate, path_hint):
     with pytest.raises(FormatError) as err:
         parse_document(doc)
     assert path_hint in str(err.value)
+
+
+_BAD_VALUES = (True, False, 2.5, "7", None, [1], {"num": 1}, {"num": 1, "den": 0},
+               {"num": 1, "den": -4}, {"num": True, "den": 1}, {"num": 1, "den": 2.0},
+               {"num": 1, "den": 2, "sign": -1}, {"value": 3})
+_DENOMINATORS = (1, 4, 9, 10**20)
+
+
+def _random_value(rng: ts.SplitMix64):
+    kind = rng.below(6)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.below(41) - 20
+    if kind == 2:
+        return (2**63 + rng.below(1000)) * (1 - 2 * rng.below(2))
+    return {"num": rng.below(41) - 20 if kind < 5 else 3 * 2**70 + rng.below(9),
+            "den": _DENOMINATORS[rng.below(len(_DENOMINATORS))]}
+
+
+def _random_document(rng: ts.SplitMix64) -> dict:
+    sizes = [1 + rng.below(4) for _ in range(1 + rng.below(3))]
+    trees = [{"parent": [-1] + [rng.below(v) for v in range(1, k)]} for k in sizes]
+    all_zero = rng.below(8) == 0
+
+    def values(count: int) -> list:
+        return [0 if all_zero else _random_value(rng) for _ in range(count)]
+
+    if rng.below(2):
+        fn: dict = {"type": "table", "values": values(math.prod(sizes))}
+        cells = [fn["values"]]
+    else:
+        terms = []
+        for _ in range(rng.below(4)):
+            scope = [v for v in range(len(sizes)) if rng.below(2)] or [rng.below(len(sizes))]
+            terms.append({"scope": scope, "values": values(math.prod(sizes[v] for v in scope))})
+        fn = {"type": "sum", "terms": terms}
+        cells = [t["values"] for t in terms]
+    if rng.below(4):
+        fn["denominator"] = _DENOMINATORS[rng.below(len(_DENOMINATORS))]
+    for _ in range(rng.below(3) if cells else 0):
+        group = cells[rng.below(len(cells))]
+        group[rng.below(len(group))] = _BAD_VALUES[rng.below(len(_BAD_VALUES))]
+    doc = {"format_version": "1", "trees": trees, "function": fn}
+    if rng.below(2):
+        doc["metadata"] = {"seed": rng.below(100)}
+    return doc
+
+
+def test_parse_matches_the_canonical_form_oracle():
+    rng = ts.SplitMix64(77)
+    outcomes = {"ok": 0, "bad": 0}
+    for case in range(600):
+        doc = _random_document(rng)
+        try:
+            expected = canonical_document_oracle(doc)
+        except BadCell as bad:
+            outcomes["bad"] += 1
+            with pytest.raises(FormatError) as err:
+                parse_document(doc)
+            assert str(err.value) == str(bad), case
+            continue
+        outcomes["ok"] += 1
+        got = build_document(*parse_document(doc))
+        assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True), case
+    assert min(outcomes.values()) > 100, outcomes
+
+
+@pytest.mark.parametrize(
+    "values, value",
+    [([4, -3, 0], {"num": -1, "den": 2}), ([0, 3, 9], {"num": 0, "den": 1})],
+)
+def test_report_values_are_reduced_fractions(tmp_path, capsys, values, value):
+    doc = {
+        "format_version": "1",
+        "trees": [{"parent": [-1, 0, 0]}],
+        "function": {"type": "table", "denominator": 6, "values": values},
+    }
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert main(["minimize", str(path), "--solver", "brute"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["value"] == value
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import treesub as ts
+from treesub import descent
 from treesub.descent import apply_inward, apply_outward
 from treesub.errors import (
     BudgetExceededError,
@@ -171,6 +172,26 @@ def test_restriction_walks_refuse_moves_outside_the_neighborhood():
     assert cube.free == (0, 1)
     with pytest.raises(DomainError, match="free set"):
         cube.walk([0, 2])
+
+
+def test_restriction_moves_are_built_once_per_restriction(monkeypatch):
+    dom, _, (f, _) = _restriction_instances()
+    calls = []
+    for name in ("apply_inward", "apply_outward"):
+        inner = getattr(descent, name)
+        monkeypatch.setattr(
+            descent, name, lambda *args, _inner=inner, _name=name: calls.append(_name) or _inner(*args)
+        )
+    x = (1, 1, 0, 2)  # the star3 coordinate sits at its root, so it is not free inward
+    cube = ts.inward_restrict(f, dom, x)
+    box = ts.outward_restrict(f, dom, x)
+    built = len(calls)
+    for _ in range(10):
+        cube.walk([0, 1, 3])
+        box.walk([(0, 1), (1, -1), (2, 1)])
+    cube.grid()
+    box.grid()
+    assert len(calls) == built
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import itertools
 import pytest
 
 import treesub as ts
-from treesub.errors import BudgetExceededError, DomainError, NotInImageError, UnsupportedStructureError
+from treesub.errors import BudgetExceededError, NotInImageError, UnsupportedStructureError
 from treesub.weak import NotFork, encoded_wedge_vee, recognize_domain, star_wedge_vee
 
 from conftest import brute_minimum, encoded_first_minimum, fork_encodings
@@ -174,13 +174,6 @@ def test_weak_rejects_non_fork_domain():
     assert "tree 0" in str(err.value)
     with pytest.raises(UnsupportedStructureError):
         recognize_domain(dom)
-
-
-def test_weak_unknown_engine():
-    dom = ts.ProductDomain([ts.chain_tree(2)])
-    f = ts.DenseTable(dom, [0, 1])
-    with pytest.raises(DomainError):
-        ts.minimize_weak(f, dom, engine="fast")
 
 
 def test_weak_on_mixed_chain_and_fork():
