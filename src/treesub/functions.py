@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -194,13 +195,34 @@ def _check_denominator(denominator: int) -> int:
     return denominator
 
 
+def _int_values(values: Sequence[int], what: str) -> tuple[int, ...]:
+    """The values as a tuple of ints; anything without ``__index__``
+    (a float, a string, a Fraction) is refused at its first cell.
+
+    A tuple of plain ints is kept, not copied: generators and callers
+    that hold their own term tuples would otherwise store every value
+    twice.
+    """
+    if type(values) is tuple and {int}.issuperset(map(type, values)):
+        return values
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        for k, v in enumerate(values):
+            try:
+                operator.index(v)
+            except TypeError:
+                raise DomainError(f"{what} cell {k} holds {v!r}, not an integer") from None
+        raise
+
+
 class DenseTable(CostFunction):
     """Costs as a flat integer table indexed by labeling rank."""
 
     __slots__ = ("domain", "denominator", "values")
 
     def __init__(self, domain: ProductDomain, values: Sequence[int], denominator: int = 1):
-        values = tuple(int(v) for v in values)
+        values = _int_values(values, "cost table")
         if len(values) != domain.size():
             raise DomainError(
                 f"table has {len(values)} entries, domain has {domain.size()}"
@@ -232,6 +254,7 @@ class Term:
             raise DomainError(f"term arity {len(self.scope)} is not in 1..3")
         if len(set(self.scope)) != len(self.scope):
             raise DomainError(f"term scope {self.scope} repeats a variable")
+        object.__setattr__(self, "values", _int_values(self.values, f"term over scope {self.scope}"))
 
 
 class SumOfTerms(CostFunction):

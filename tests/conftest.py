@@ -80,35 +80,52 @@ def is_ancestor_oracle(tree: ts.RootedTree, a: int, b: int) -> bool:
     return a in root_walk(tree, b)
 
 
+def _pair_tables(domain: ts.ProductDomain, op, *args) -> list[dict]:
+    """Per tree, op(tree, a, b, *args) for every label pair (a, b)."""
+    return [{(a, b): op(t, a, b, *args) for a in range(t.node_count) for b in range(t.node_count)}
+            for t in domain.trees]
+
+
 def naive_check(f: ts.CostFunction, op) -> ts.ViolationWitness | None:
-    """First violation of f(x)+f(y) >= f(op1)+f(op2) in rank-lex order."""
+    """First violation of f(x)+f(y) >= f(op1)+f(op2) in rank-lex order.
+
+    Values and per-tree op results are looked up in tables filled once,
+    so domains of a few hundred labelings stay quick to scan.
+    """
     domain = f.domain
-    for x in domain.labelings():
-        for y in domain.labelings():
-            moved = [op(t, xi, yi) for t, xi, yi in zip(domain.trees, x, y)]
+    labelings = list(domain.labelings())
+    value = {x: f.evaluate(x) for x in labelings}
+    moves = _pair_tables(domain, op)
+    for x in labelings:
+        for y in labelings:
+            moved = [m[a, b] for m, a, b in zip(moves, x, y)]
             first = tuple(m[0] for m in moved)
             second = tuple(m[1] for m in moved)
-            lhs = f.evaluate(x) + f.evaluate(y)
-            rhs = f.evaluate(first) + f.evaluate(second)
+            lhs = value[x] + value[y]
+            rhs = value[first] + value[second]
             if lhs < rhs:
                 return ts.ViolationWitness("naive", x, y, None, lhs, rhs)
     return None
 
 
 def naive_check_translation(f: ts.CostFunction) -> ts.ViolationWitness | None:
+    """First violation of the d-step inequality, d = 0..rho_inf(x, y) per pair."""
     domain = f.domain
-    for x in domain.labelings():
-        for y in domain.labelings():
-            dmax = ts.rho_inf(domain, x, y)
+    labelings = list(domain.labelings())
+    value = {x: f.evaluate(x) for x in labelings}
+    dist = _pair_tables(domain, ts.rho)
+    steps: dict[int, list[dict]] = {}
+    for x in labelings:
+        for y in labelings:
+            dmax = max(r[a, b] for r, a, b in zip(dist, x, y))
             for d in range(dmax + 1):
-                moved = [
-                    ts.up_down(t, xi, yi, d)
-                    for t, xi, yi in zip(domain.trees, x, y)
-                ]
+                if d not in steps:
+                    steps[d] = _pair_tables(domain, ts.up_down, d)
+                moved = [m[a, b] for m, a, b in zip(steps[d], x, y)]
                 up = tuple(m[0] for m in moved)
                 down = tuple(m[1] for m in moved)
-                lhs = f.evaluate(x) + f.evaluate(y)
-                rhs = f.evaluate(up) + f.evaluate(down)
+                lhs = value[x] + value[y]
+                rhs = value[up] + value[down]
                 if lhs < rhs:
                     return ts.ViolationWitness("naive-translation", x, y, d, lhs, rhs)
     return None

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 import treesub as ts
@@ -170,6 +172,99 @@ def test_big_value_fallback_weak_and_translation():
             assert got.pairs_checked == dom.size() ** 2
             verdicts.add(got.ok)
     assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# Row blocks of the vectorized pass
+
+_CHECKS_AND_ORACLES = (
+    (ts.check_strong, lambda f: naive_check(f, ts.meet_join)),
+    (ts.check_weak, lambda f: naive_check(f, ts.wedge_vee)),
+    (ts.check_translation, naive_check_translation),
+)
+
+
+def _bumped_chain_table(bumped_x0):
+    """A chain-product table violated only through bumps on the slices
+    {x0 = c, x1 >= 1}, c in bumped_x0.
+
+    The base 8B * sum(x_i^2), with B = 32 >= |bump|, gives slack of at
+    least 16B wherever an operation moves a coordinate strictly inside
+    its pair, more than the bumps can take back (2B).  Every other
+    operation (d = 0 translation, strong moves on pairs at distance <= 1)
+    maps the pair to its componentwise min and max.  Each bump is <= 0,
+    antitone and strictly supermodular, so pairs inside a slice violate.
+    The top slice c = 2 is an up-set, so a min/max pair with a side off
+    it holds: with bumped_x0 = {2}, every violation has x0 = y0 = 2.
+    """
+    dom = ts.ProductDomain([ts.chain_tree(k) for k in (3, 4, 5, 5)])
+    bump = 32
+    values = [
+        8 * bump * sum(v * v for v in x)
+        + ((3 - x[1]) * (4 - x[2]) * (4 - x[3]) - bump if x[0] in bumped_x0 and x[1] >= 1 else 0)
+        for x in dom.labelings()
+    ]
+    return ts.DenseTable(dom, values)
+
+
+def _row_blocks(size):
+    rows = checks._BLOCK_CELLS // size
+    assert 1 <= rows < size  # the pass takes more than one block
+    return rows
+
+
+def test_row_blocks_keep_the_first_witness():
+    """Violations only in the last block are found there; with violations
+    in an earlier block too, the earlier block wins."""
+    late, both = _bumped_chain_table({2}), _bumped_chain_table({1, 2})
+    dom = late.domain
+    rows = _row_blocks(dom.size())
+    last = (dom.size() - 1) // rows * rows
+    # the tables agree on x0 = 2, where every operation keeps x0 = 2
+    top = [k for k, x in enumerate(dom.labelings()) if x[0] == 2]
+    assert [late.values[k] for k in top] == [both.values[k] for k in top]
+    for check, oracle in _CHECKS_AND_ORACLES:
+        expect = oracle(late)
+        assert expect.x[0] == expect.y[0] == 2 and dom.rank(expect.x) >= last
+        assert _witness_key(check(late).witness) == _witness_key(expect)
+        expect = oracle(both)
+        assert dom.rank(expect.x) < last
+        assert _witness_key(check(both).witness) == _witness_key(expect)
+
+
+@pytest.mark.parametrize("block_cells", [1, 100])
+def test_row_blocks_of_few_rows_match_naive(monkeypatch, block_cells):
+    """One row per block, as when |D| exceeds the block, and a few rows."""
+    monkeypatch.setattr(checks, "_BLOCK_CELLS", block_cells)
+    dom = ts.ProductDomain([ts.chain_tree(3), ts.star3_tree(), ts.chain_tree(4)])
+    rng = ts.SplitMix64(89)
+    late = 0
+    for i in range(12):
+        fx = ts.generate("random-verified-strong", dom, seed=rng.below(1000))
+        values = list(ts.materialize(fx.function).values)
+        for _ in range(i % 3):
+            values[dom.size() - 1 - rng.below(12)] -= 1 + rng.below(4)
+        f = ts.DenseTable(dom, values)
+        for check, oracle in _CHECKS_AND_ORACLES:
+            expect = oracle(f)
+            assert _witness_key(check(f).witness) == _witness_key(expect)
+            late += expect is not None and dom.rank(expect.x) >= max(1, block_cells // dom.size())
+    assert late > 0
+
+
+def test_exhaustive_checks_stay_within_a_block_of_memory():
+    """Peak traced memory stays near one row block, not |D|^2 (8 MB at |D| = 1000)."""
+    dom = ts.ProductDomain([ts.chain_tree(10)] * 3)
+    f = ts.DenseTable(dom, [sum((v - 4) ** 2 for v in x) for x in dom.labelings()])
+    for check in (ts.check_strong, ts.check_translation):
+        tracemalloc.start()
+        try:
+            report = check(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok and report.pairs_checked == 10**6
+        assert peak < 8 * 2**20
 
 
 def test_sampled_mode_deterministic(concave_chain):

@@ -238,6 +238,19 @@ def test_check_malformed_instance_exit_two(tmp_path, capsys):
     assert "trees[0]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("function", [
+    {"type": "table", "values": [0.9, 0.5, 2]},
+    {"type": "sum", "terms": [{"scope": [0], "values": [0, 0.5, 1]}]},
+])
+def test_non_integer_cost_cells_exit_two(tmp_path, capsys, function):
+    path = tmp_path / "floats.json"
+    path.write_text(json.dumps({"format_version": "1", "trees": [{"parent": [-1, 0, 1]}],
+                                "function": function}))
+    for command in ("check", "minimize"):
+        assert main([command, str(path)]) == EXIT_INPUT
+        assert "expected an integer" in capsys.readouterr().err
+
+
 def test_check_missing_file_exit_two(tmp_path):
     assert main(["check", str(tmp_path / "nope.json")]) == EXIT_INPUT
 

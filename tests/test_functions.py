@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -73,6 +75,31 @@ def test_dense_table_example(c3x3):
 def test_dense_table_wrong_length(c3x3):
     with pytest.raises(DomainError):
         ts.DenseTable(c3x3, [0] * 8)
+
+
+@pytest.mark.parametrize("values, cell", [
+    ([0.5, 2.9, "7"], 0),
+    ([0.9, 0.5, 2], 0),
+    ([0, 2, "7"], 2),
+    ([1, Fraction(1, 2), 0], 1),
+    ([0, np.float64(2.0), 1], 1),
+])
+def test_cost_values_must_be_integers(values, cell):
+    """Values are never truncated: the first non-integer cell is named."""
+    dom = ts.ProductDomain([ts.chain_tree(3)])
+    with pytest.raises(DomainError, match=f"cost table cell {cell} holds"):
+        ts.DenseTable(dom, values)
+    with pytest.raises(DomainError, match=rf"term over scope \(0,\) cell {cell} holds"):
+        ts.Term((0,), tuple(values))
+
+
+def test_integer_like_cost_values_become_ints():
+    dom = ts.ProductDomain([ts.chain_tree(3)])
+    f = ts.DenseTable(dom, np.array([4, 1, 2]))
+    term = ts.Term((0,), [np.int64(4), True, 2])
+    assert f.values == term.values == (4, 1, 2)
+    assert all(type(v) is int for v in f.values + term.values)
+    assert ts.minimize_exhaustive(f) == ((1,), 1)
 
 
 def test_sum_of_terms_unary_square():
