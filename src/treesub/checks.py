@@ -50,6 +50,7 @@ from .functions import (
     DenseTable,
     enumeration_budget,
     materialize,
+    own_domain,
 )
 from .rng import SplitMix64
 from .solvers import BinaryCubeFunction, SignBoxFunction
@@ -330,7 +331,7 @@ def check_strong(
     budget: int | None = None,
 ) -> CheckReport:
     """Verify f(x)+f(y) >= f(meet)+f(join) for componentwise midpoints."""
-    domain = domain if domain is not None else f.domain
+    domain = own_domain(f, domain)
     return _pair_check(f, domain, lambda: [(None, _table_op(*meet_join_tables(domain)))],
                        "strong", mode, samples, seed, budget)
 
@@ -345,7 +346,7 @@ def check_weak(
     budget: int | None = None,
 ) -> CheckReport:
     """Verify f(x)+f(y) >= f(wedge)+f(vee)."""
-    domain = domain if domain is not None else f.domain
+    domain = own_domain(f, domain)
     return _pair_check(f, domain, lambda: [(None, _table_op(*wedge_vee_tables(domain)))],
                        "weak", mode, samples, seed, budget)
 
@@ -362,7 +363,7 @@ def check_multimorphism(
     name: str = "multimorphism",
 ) -> CheckReport:
     """Verify the binary multimorphism inequality for arbitrary op tables."""
-    domain = domain if domain is not None else f.domain
+    domain = own_domain(f, domain)
     if op_pair is None:
         raise DomainError("check_multimorphism needs an op_pair of per-tree tables")
     op1, op2 = op_pair
@@ -390,7 +391,7 @@ def check_translation(
     shared scan of the pair ends there.  The witness carries the smallest
     violating d, which is below rho_inf(x, y), as a capped scan reports.
     """
-    domain = domain if domain is not None else f.domain
+    domain = own_domain(f, domain)
     steps = range(max(t.node_count for t in domain.trees))
     note = "d capped at rho_inf(x, y) per pair; all coordinates saturate beyond"
     return _pair_check(f, domain, lambda: [(d, _tree_op(domain, up_down, d)) for d in steps],

@@ -44,6 +44,7 @@ from .functions import (
     ProductDomain,
     enumeration_budget,
     grid_minimum,
+    own_domain,
 )
 from .solvers import (
     BinaryCubeFunction,
@@ -110,7 +111,7 @@ def inward_restrict(f: CostFunction, domain: ProductDomain | None, x: Labeling) 
     coordinates maps to the labeling that replaces those coordinates with
     their parents.  The empty set maps to x itself.
     """
-    domain = domain if domain is not None else f.domain
+    domain = own_domain(f, domain)
     x = domain.validate(x)
     free = tuple(i for i, t in enumerate(domain.trees) if x[i] != t.root)
     free_set = frozenset(free)
@@ -152,7 +153,7 @@ def outward_restrict(f: CostFunction, domain: ProductDomain | None, x: Labeling)
     second child; signs without a child are excluded from the allowed
     set.  The all-zeros vector maps to x itself.  Requires binary trees.
     """
-    domain = domain if domain is not None else f.domain
+    domain = own_domain(f, domain)
     x = domain.validate(x)
     _require_binary(domain)
     allowed = []
@@ -233,7 +234,7 @@ def rho_minus(
     Exact, by enumerating the ancestor ideal of x.  Zero iff x minimizes
     f over its inward neighborhood.
     """
-    domain = domain if domain is not None else f.domain
+    domain = own_domain(f, domain)
     x = domain.validate(x)
     chains = []
     for i, t in enumerate(domain.trees):
@@ -251,7 +252,7 @@ def rho_plus(
     budget: int | None = None,
 ) -> int:
     """Distance from x to the nearest minimizer of f over {y succeeding x}."""
-    domain = domain if domain is not None else f.domain
+    domain = own_domain(f, domain)
     x = domain.validate(x)
     regions = []
     for i, t in enumerate(domain.trees):
@@ -307,7 +308,7 @@ def minimize(
     if outward_engine not in OUTWARD_ENGINES:
         raise DomainError(f"unknown outward engine {outward_engine!r}; known: {OUTWARD_ENGINES}")
     check_tolerance(eps)
-    domain = domain if domain is not None else f.domain
+    domain = own_domain(f, domain)
     _require_binary(domain)
     x = domain.validate(x0) if x0 is not None else domain.all_roots()
     K = max(t.node_count for t in domain.trees)
@@ -378,5 +379,5 @@ def minimize_exhaustive(
     Works for any tree shapes, including non-binary ones that the descent
     rejects, and doubles as the oracle the descent is tested against.
     """
-    domain = domain if domain is not None else f.domain
+    domain = own_domain(f, domain)
     return grid_minimum(f, [range(t.node_count) for t in domain.trees], budget)

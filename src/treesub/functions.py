@@ -258,9 +258,15 @@ class Term:
 
 
 class SumOfTerms(CostFunction):
-    """Costs as a sum of low-arity terms sharing one denominator."""
+    """Costs as a sum of low-arity terms sharing one denominator.
 
-    __slots__ = ("domain", "denominator", "terms")
+    The int64 tables behind ``grid`` are built on its first call and
+    kept; they are built fully and then stored in one assignment, so the
+    instance stays immutable to its callers and safe to evaluate
+    concurrently.
+    """
+
+    __slots__ = ("domain", "denominator", "terms", "_tables")
 
     def __init__(self, domain: ProductDomain, terms: Sequence[Term], denominator: int = 1):
         terms = tuple(terms)
@@ -277,6 +283,7 @@ class SumOfTerms(CostFunction):
         self.domain = domain
         self.denominator = _check_denominator(denominator)
         self.terms = terms
+        self._tables = None  # built by the first grid call
 
     def evaluate(self, x: Sequence[int]) -> int:
         x = self.domain.validate(x)
@@ -324,11 +331,15 @@ class SumOfTerms(CostFunction):
         return values
 
     def grid(self, axes: Sequence[Sequence[int]]) -> np.ndarray:
-        """Broadcast int64 sum of the terms' sub-tables over the axes.
+        """f over the axes as one int64 array: one gather-add per table.
 
-        Each axis label is validated once.  Sums that could leave int64
-        (sum over terms of the largest |value| on the grid at or above
-        2**62) take the exact per-cell loop of the base class instead.
+        Each axis label is validated once.  The first call folds the
+        terms into int64 tables (``_fold_terms``) and keeps them on the
+        instance; every call then adds ``table[index of each scope
+        variable]`` into the result, with one broadcast-shaped index
+        array per variable.  A sum whose terms' largest |values| add up
+        to 2**62 or more could leave int64 anywhere, so it takes the
+        exact per-cell loop of the base class on every call instead.
         """
         domain = self.domain
         axes = [tuple(a) for a in axes]
@@ -337,27 +348,47 @@ class SumOfTerms(CostFunction):
         for t, axis in zip(domain.trees, axes):
             for v in axis:
                 t.check_node(v)
-        shape = tuple(len(a) for a in axes)
-        subs = []
-        bound = 0
-        for t in self.terms:
-            # table index of every cell of the term's sub-grid, in scope order
-            idx = [0]
-            for i in t.scope:
-                size = domain.trees[i].node_count
-                idx = [r * size + v for r in idx for v in axes[i]]
-            cells = [t.values[r] for r in idx]
-            bound += max(map(abs, cells), default=0)
-            subs.append((t.scope, cells))
-        if bound >= _INT64_SUM_BOUND:
+        tables = self._tables
+        if tables is None:
+            tables = self._tables = _fold_terms(domain, self.terms)
+        if tables is False:
             return super().grid(axes)
-        out = np.zeros(shape, dtype=np.int64)
-        for scope, cells in subs:
-            sub = np.array(cells, dtype=np.int64).reshape([shape[i] for i in scope])
-            # move the scope's axes into variable order, then broadcast
-            sub = sub.transpose(sorted(range(len(scope)), key=scope.__getitem__))
-            out += sub.reshape([shape[i] if i in scope else 1 for i in range(domain.n)])
+        n = domain.n
+        index = [
+            np.array(axis, dtype=np.intp).reshape([-1 if j == i else 1 for j in range(n)])
+            for i, axis in enumerate(axes)
+        ]
+        out = np.zeros([len(a) for a in axes], dtype=np.int64)
+        for scope, table in tables:
+            out += table[tuple(index[i] for i in scope)]
         return out
+
+
+def _fold_terms(
+    domain: ProductDomain, terms: Sequence[Term]
+) -> tuple[tuple[tuple[int, ...], np.ndarray], ...] | bool:
+    """The terms as int64 tables, or False if their sums may leave int64.
+
+    There is one table per distinct scope that lies in no larger one,
+    with its axes in ascending variable order; each term is added into
+    the first such table whose scope holds its own.  Every table cell
+    and every sum of cells is bounded by the sum over terms of the
+    largest |value|, which must stay below 2**62.
+    """
+    if sum(max(map(abs, t.values)) for t in terms) >= _INT64_SUM_BOUND:
+        return False
+    scopes = sorted({tuple(sorted(t.scope)) for t in terms}, key=lambda s: (-len(s), s))
+    hosts = [s for k, s in enumerate(scopes) if not any(set(s) < set(r) for r in scopes[:k])]
+    tables = {s: np.zeros([domain.trees[i].node_count for i in s], dtype=np.int64) for s in hosts}
+    for t in terms:
+        host = next(s for s in hosts if set(t.scope) <= set(s))
+        sub = np.array(t.values, dtype=np.int64).reshape(
+            [domain.trees[i].node_count for i in t.scope]
+        )
+        # move the term's axes into variable order, then broadcast into the host
+        sub = sub.transpose(sorted(range(len(t.scope)), key=t.scope.__getitem__))
+        tables[host] += sub.reshape([domain.trees[i].node_count if i in t.scope else 1 for i in host])
+    return tuple(tables.items())
 
 
 def materialize(f: CostFunction, budget: int | None = None) -> DenseTable:
@@ -389,6 +420,20 @@ def grid_minimum(
     values = f.grid(axes)
     cell = np.unravel_index(int(np.argmin(values)), values.shape)  # first minimum
     return tuple(a[i] for a, i in zip(axes, cell)), int(values[cell])
+
+
+def own_domain(f: CostFunction, domain: ProductDomain | None) -> ProductDomain:
+    """f's domain, after checking a ``domain`` passed beside f against it.
+
+    A domain that differs from ``f.domain`` raises DomainError before any
+    evaluation.  None or ``f.domain`` itself costs one identity test.
+    """
+    if domain is None or domain is f.domain:
+        return f.domain
+    if domain != f.domain:
+        given, own = ([list(t.parent) for t in d.trees] for d in (domain, f.domain))
+        raise DomainError(f"domain with tree parents {given} is not the function's, {own}")
+    return f.domain
 
 
 @dataclass(frozen=True)

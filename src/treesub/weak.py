@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import DomainError, NotInImageError, UnsupportedStructureError
-from .functions import CostFunction, Labeling, ProductDomain, grid_minimum
+from .functions import CostFunction, Labeling, ProductDomain, grid_minimum, own_domain
 from .solvers import bisub_brute  # noqa: F401  the benchmark's tracer patches weak.bisub_brute
 from .trees import RootedTree
 
@@ -185,7 +185,7 @@ def minimize_weak(
     is what makes the encoded family a signed ring family rather than
     what this routine relies on.
     """
-    domain = domain if domain is not None else f.domain
+    domain = own_domain(f, domain)
     forks = recognize_domain(domain)
     axes = [sorted(range(fork.tree.node_count), key=partial(psi, fork)) for fork in forks]
     return grid_minimum(f, axes, budget)

@@ -153,6 +153,11 @@ def term_sum(domain: ts.ProductDomain, terms, y) -> int:
     return total
 
 
+def term_grid(domain: ts.ProductDomain, terms, axes) -> list[int]:
+    """``term_sum`` at every labeling of ``itertools.product(*axes)``, in order."""
+    return [term_sum(domain, terms, y) for y in itertools.product(*axes)]
+
+
 def term_sum_minimum(domain: ts.ProductDomain, terms, labelings) -> tuple[int, int]:
     """First minimum of a sum of term tables over labelings, in their order.
 

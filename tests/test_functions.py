@@ -12,7 +12,8 @@ from hypothesis import given, strategies as st
 import treesub as ts
 from treesub.errors import DomainError, GenerationError
 
-from conftest import brute_minimum, random_terms, term_walk
+import treesub.functions as functions
+from conftest import brute_minimum, random_terms, term_grid, term_walk
 
 
 @pytest.fixture
@@ -111,6 +112,8 @@ def test_sum_of_terms_unary_square():
 def test_empty_sum_is_zero(c3x3):
     f = ts.SumOfTerms(c3x3, [])
     assert all(f.evaluate(x) == 0 for x in c3x3.labelings())
+    assert f.grid([(0, 2), (1,)]).tolist() == [[0], [0]]
+    assert f.grid([(), (0, 1, 2)]).shape == (0, 3)
 
 
 def test_sum_matches_materialized(c3x3):
@@ -231,6 +234,175 @@ def test_walk_refuses_a_bad_label_with_the_evaluate_message():
         for i in (2, -1):
             with pytest.raises(DomainError, match="variable"):
                 f.walk((1, 2), [(0, 0), (i, 0)])
+
+
+# ---------------------------------------------------------------------------
+# Grids of sums
+
+
+def _random_axes(rng, dom):
+    """Per variable 0 to node_count + 1 labels, drawn with repetition;
+    an empty axis is rare, so most grids hold cells."""
+    axes = []
+    for t in dom.trees:
+        length = 0 if rng.below(12) == 0 else 1 + rng.below(t.node_count + 1)
+        axes.append(tuple(rng.below(t.node_count) for _ in range(length)))
+    return axes
+
+
+def _nested_terms(rng, dom):
+    """Terms whose scopes repeat (also permuted) and nest in larger ones."""
+    terms = random_terms(rng, dom, -9, 9, 1 + rng.below(4))
+    for t in list(terms):
+        if len(t.scope) >= 2:
+            scope = tuple(reversed(t.scope)) if rng.below(2) else t.scope
+            inner = scope[:1 + rng.below(len(scope) - 1)]  # a proper sub-scope
+            for s in (scope, inner):
+                size = 1
+                for i in s:
+                    size *= dom.trees[i].node_count
+                terms.append(ts.Term(s, tuple(rng.below(19) - 9 for _ in range(size))))
+    return terms
+
+
+def test_sum_grid_matches_the_term_sum_oracle():
+    rng = ts.SplitMix64(909)
+    seen = {"ternary": 0, "nested": 0, "empty axis": 0, "unit axis": 0, "repeated label": 0}
+    for trial in range(150):
+        dom = ts.ProductDomain([_WALK_SHAPES[rng.below(3)] for _ in range(1 + rng.below(5))])
+        terms = _nested_terms(rng, dom)
+        f = ts.SumOfTerms(dom, terms)
+        for _ in range(3):
+            axes = _random_axes(rng, dom)
+            got = f.grid(axes)
+            assert got.shape == tuple(len(a) for a in axes), trial
+            assert got.dtype == np.int64
+            assert got.ravel().tolist() == term_grid(dom, terms, axes), trial
+            seen["empty axis"] += any(len(a) == 0 for a in axes)
+            seen["unit axis"] += any(len(a) == 1 for a in axes)
+            seen["repeated label"] += any(len(set(a)) < len(a) for a in axes)
+        scopes = [frozenset(t.scope) for t in terms]
+        seen["ternary"] += any(len(t.scope) == 3 for t in terms)
+        seen["nested"] += any(a < b for a in scopes for b in scopes)
+    assert min(seen.values()) > 10, seen
+
+
+def test_sum_grid_over_hand_built_scopes():
+    dom = ts.ProductDomain([ts.complete_binary_tree(3), ts.chain_tree(4), ts.star3_tree()])
+    rng = ts.SplitMix64(12)
+
+    def term(scope):
+        size = 1
+        for i in scope:
+            size *= dom.trees[i].node_count
+        return ts.Term(scope, tuple(rng.below(41) - 20 for _ in range(size)))
+
+    # one ternary host, repeated and permuted pairs, and unary terms inside both
+    terms = [term(s) for s in [(2, 0, 1), (0, 2), (2, 0), (1, 0), (1,), (2,), (1, 0), (0,)]]
+    f = ts.SumOfTerms(dom, terms)
+    full = [range(t.node_count) for t in dom.trees]
+    for axes in (full, [(6, 6, 0), (3,), (2, 1, 2)], [(4,), (0,), (1,)], [(), (1, 2), (0,)]):
+        assert f.grid(axes).ravel().tolist() == term_grid(dom, terms, axes)
+    assert ts.materialize(f).values == tuple(term_grid(dom, terms, full))
+
+
+def test_sum_grid_is_exact_once_the_tables_reach_2_62():
+    dom = ts.ProductDomain([ts.chain_tree(3), ts.chain_tree(4)])
+    big = 1 << 62
+    pair = ts.Term((1, 0), tuple(range(-6, 6)))  # largest |value| 6
+    for top, exact in ((big, True), (big - 7, False), (-big, True), (7 - big, False)):
+        terms = [ts.Term((0,), (0, 1, top)), pair]
+        f = ts.SumOfTerms(dom, terms)
+        # the cells of this grid stay small; only the tables reach the bound
+        small = [(0, 1, 1), (3, 0, 2)]
+        got = f.grid(small)
+        assert got.dtype == (object if exact else np.int64), top
+        assert got.ravel().tolist() == term_grid(dom, terms, small)
+        whole = f.grid([range(3), range(4)])
+        assert whole.ravel().tolist() == term_grid(dom, terms, [range(3), range(4)])
+        assert all(type(v) is int for v in whole.ravel().tolist())
+
+
+def test_second_grid_builds_no_table(monkeypatch):
+    builds = []
+    fold = functions._fold_terms
+    monkeypatch.setattr(functions, "_fold_terms", lambda *args: builds.append(args) or fold(*args))
+    rng = ts.SplitMix64(77)
+    dom = ts.ProductDomain([ts.complete_binary_tree(3), ts.chain_tree(4), ts.star3_tree()])
+    terms = tuple(_nested_terms(rng, dom))
+    f = ts.SumOfTerms(dom, terms)
+    labelings = list(dom.labelings())
+    x, steps = _random_walk(rng, dom, 15)
+    values, walked = [f.evaluate(y) for y in labelings], f.walk(x, steps)
+    axes = [(0, 3, 5), (1, 1), (2,)]
+    first = f.grid(axes)
+    f.grid([(6,), (0, 3), (0, 1, 2)])
+    again = f.grid(axes)
+    assert len(builds) == 1
+    assert np.array_equal(first, again)
+    assert f.terms is terms
+    assert [f.evaluate(y) for y in labelings] == values
+    assert f.walk(x, steps) == walked
+    exact = ts.SumOfTerms(dom, [ts.Term((1,), (0, 1 << 62, 0, 0))])
+    exact.grid(axes)
+    exact.grid(axes)
+    assert len(builds) == 2
+
+
+# ---------------------------------------------------------------------------
+# A domain passed beside the function
+
+
+def _c3x3_sum():
+    c3 = ts.chain_tree(3)
+    dom = ts.ProductDomain([c3, c3])
+    return ts.SumOfTerms(dom, random_terms(ts.SplitMix64(31), dom, 0, 5, 2))
+
+
+_ENTRY_POINTS = {
+    "minimize": lambda f, d: ts.minimize(f, d, (2, 1)),
+    "minimize_exhaustive": lambda f, d: ts.minimize_exhaustive(f, d),
+    "inward_restrict": lambda f, d: ts.sfm_brute(ts.inward_restrict(f, d, (2, 1))),
+    "outward_restrict": lambda f, d: ts.bisub_brute(ts.outward_restrict(f, d, (1, 0))),
+    "rho_minus": lambda f, d: ts.rho_minus(f, d, (2, 1)),
+    "rho_plus": lambda f, d: ts.rho_plus(f, d, (0, 1)),
+    "minimize_weak": lambda f, d: ts.minimize_weak(f, d),
+    "check_strong": lambda f, d: ts.check_strong(f, d),
+    "check_weak": lambda f, d: ts.check_weak(f, d),
+    "check_multimorphism": lambda f, d: ts.check_multimorphism(f, d, ts.min_max_tables(f.domain)),
+    "check_translation": lambda f, d: ts.check_translation(f, d),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("trees", [
+    [ts.chain_tree(4), ts.chain_tree(3)],  # another size
+    [ts.star3_tree(), ts.star3_tree()],  # the same sizes, other trees
+    [ts.chain_tree(3)],  # another arity
+])
+def test_a_foreign_domain_is_refused_before_any_evaluation(name, trees, monkeypatch):
+    f = _c3x3_sum()
+    calls = []
+    for attr in ("evaluate", "grid", "walk"):
+        monkeypatch.setattr(f, attr, lambda *args, _attr=attr: calls.append(_attr))
+    with pytest.raises(DomainError, match="is not the function's"):
+        _ENTRY_POINTS[name](f, ts.ProductDomain(trees))
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+def test_an_equal_domain_is_accepted_and_compared_once(name, monkeypatch):
+    f = _c3x3_sum()
+    expected = repr(_ENTRY_POINTS[name](f, None))
+    assert repr(_ENTRY_POINTS[name](f, f.domain)) == expected
+    compared = []
+    eq = ts.ProductDomain.__eq__
+    monkeypatch.setattr(ts.ProductDomain, "__eq__", lambda a, b: compared.append(b) or eq(a, b))
+    assert repr(_ENTRY_POINTS[name](f, f.domain)) == expected
+    assert compared == []
+    c3 = ts.chain_tree(3)
+    assert repr(_ENTRY_POINTS[name](f, ts.ProductDomain([c3, c3]))) == expected
+    assert len(compared) == 1
 
 
 # ---------------------------------------------------------------------------
