@@ -23,19 +23,21 @@ across runs and implementations.  Sampled mode draws pairs i.i.d.
 uniform by rank from a seeded stream; it proves nothing and its report
 says so.
 
-Costs are integers, so verdicts are exact.  An exhaustive check of a
-table whose costs stay below 2^40 first takes a vectorized pass that
-walks rank(x) in row blocks of at most 2^16 pairs, building the ranks of
-op(x, y) by broadcasting per-coordinate op table rows, and stops at the
-first block holding a violation.  Its arrays hold O(2^16 + |D|)
-elements whatever |D|, about 2 MB of traced memory at |D| = 1000.  The
-pass only flags the first violating pair; its witness, and the whole
-scan for larger cost magnitudes, come from exact pure-Python arithmetic.
+Costs are integers, so verdicts are exact.  An exhaustive check takes a
+vectorized pass that walks rank(x) in row blocks of at most 2^16 pairs,
+building the ranks of op(x, y) by broadcasting per-coordinate op table
+rows, and stops at the first block holding a violation.  The values'
+size picks the arrays' dtype: int64 when every sum of two costs fits,
+else object, whose cells are exact Python ints; the pass is the same
+code on either.  Its arrays hold O(2^16 + |D|) elements whatever |D|,
+about 2 MB of traced memory at |D| = 1000.  The pass only flags the
+first violating pair; its witness comes from replaying that pair
+through the family in exact pure-Python arithmetic.  The op tables of
+a tree operation are built once per distinct tree of the domain.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,13 +53,13 @@ from .functions import (
     enumeration_budget,
     materialize,
     own_domain,
+    sum_dtype,
 )
 from .rng import SplitMix64
 from .solvers import BinaryCubeFunction, SignBoxFunction
 # rho stays importable here: perfbench/tracer.py instruments it alongside the ops.
 from .trees import RootedTree, meet_join, rho, up_down, wedge_vee  # noqa: F401
 
-_INT64_SAFE = 1 << 40  # |cost| bound for the vectorized path
 _BLOCK_CELLS = 1 << 16  # pairs per row block of the vectorized path
 
 
@@ -91,8 +93,10 @@ class CheckReport:
 
 
 OpTable = list[list[int]]
-# A coordinate op maps (i, a, b) to the (op1, op2) labels on tree i.
-CoordOp = Callable[[int, int, int], tuple[int, int]]
+# A coordinate op holds, per coordinate i, a map (a, b) -> (op1, op2)
+# labels on tree i.  Coordinates holding the same map object share its
+# op tables.
+CoordOp = list[Callable[[int, int], tuple[int, int]]]
 # Members (d, op); d is None outside the d-step family.  Members are
 # ordered so that once one maps a pair (x, y) to (y, x), every later
 # member does too: the rest of the family holds with equality there.
@@ -100,22 +104,24 @@ OpFamily = list[tuple[int | None, CoordOp]]
 
 
 def _tree_op(domain: ProductDomain, op, *args) -> CoordOp:
-    trees = domain.trees
-    return lambda i, a, b: op(trees[i], a, b, *args)
+    """op on each coordinate's tree; coordinates with equal trees share one map."""
+    maps = {t: (lambda a, b, t=t: op(t, a, b, *args)) for t in domain.trees}
+    return [maps[t] for t in domain.trees]
 
 
 def _table_op(first: list[OpTable], second: list[OpTable]) -> CoordOp:
-    return lambda i, a, b: (first[i][a][b], second[i][a][b])
+    return [lambda a, b, f=f, s=s: (f[a][b], s[a][b]) for f, s in zip(first, second)]
 
 
 def _build_tables(domain: ProductDomain, op: CoordOp) -> tuple[list[OpTable], list[OpTable]]:
-    first, second = [], []
-    for i, t in enumerate(domain.trees):
-        labels = range(t.node_count)
-        pairs = [[op(i, a, b) for b in labels] for a in labels]
-        first.append([[u for u, _ in row] for row in pairs])
-        second.append([[v for _, v in row] for row in pairs])
-    return first, second
+    """Both op tables per coordinate, built once per distinct map."""
+    built = {}
+    for t, m in zip(domain.trees, op):
+        if m not in built:
+            labels = range(t.node_count)
+            pairs = [[m(a, b) for b in labels] for a in labels]
+            built[m] = ([[u for u, _ in row] for row in pairs], [[v for _, v in row] for row in pairs])
+    return [built[m][0] for m in op], [built[m][1] for m in op]
 
 
 def meet_join_tables(domain: ProductDomain) -> tuple[list[OpTable], list[OpTable]]:
@@ -202,7 +208,7 @@ def _first_violation(
     """
     lhs = f.evaluate(x) + f.evaluate(y)
     for d, op in family:
-        moved = [op(i, a, b) for i, (a, b) in enumerate(zip(x, y))]
+        moved = [m(a, b) for m, a, b in zip(op, x, y)]
         first = tuple(m[0] for m in moved)
         second = tuple(m[1] for m in moved)
         if first == y and second == x:
@@ -237,17 +243,15 @@ def _block_ranks(scaled: list[np.ndarray], xdigs: np.ndarray) -> np.ndarray:
 def _candidate_pairs(table: DenseTable, domain: ProductDomain, family: OpFamily):
     """Rank pairs (xr, yr) to replay exactly, in (rank(x), rank(y)) order.
 
-    With int64-safe values a vectorized pass walks rank(x) in row blocks
-    of at most ``_BLOCK_CELLS`` pairs (one row when |D| exceeds it).  A
-    block ORs every member's violations, up to the first member that
-    swaps every pair, and the pass yields only the first flagged pair of
-    the first block holding one: blocks run in rank(x) order and argmax
-    scans a block in C order.  Otherwise every pair is a candidate and
-    the exact replay is the whole scan.
+    A vectorized pass walks rank(x) in row blocks of at most
+    ``_BLOCK_CELLS`` pairs (one row when |D| exceeds it).  A block ORs
+    every member's violations, up to the first member that swaps every
+    pair, and the pass yields only the first flagged pair of the first
+    block holding one: blocks run in rank(x) order and argmax scans a
+    block in C order.  Both sides of a comparison are sums of two
+    values, so twice the largest |value| picks the dtype (``sum_dtype``).
     """
     size = domain.size()
-    if max((abs(v) for v in table.values), default=0) >= _INT64_SAFE:
-        return itertools.product(range(size), repeat=2)
     swap = projection_tables(domain)[::-1]
     members = []
     for _, op in family:
@@ -257,7 +261,7 @@ def _candidate_pairs(table: DenseTable, domain: ProductDomain, family: OpFamily)
         members.append([_scaled_tables(domain, t) for t in tables])
     if not members:
         return ()
-    values = np.asarray(table.values, dtype=np.int64)
+    values = np.asarray(table.values, dtype=sum_dtype(2 * max(map(abs, table.values))))
     grid = values.reshape(domain.cardinalities())
     digs = _digits(domain, size)
     rows = max(1, _BLOCK_CELLS // size)

@@ -30,11 +30,20 @@ from .trees import RootedTree, meet_join, rho, wedge_vee
 Labeling = tuple[int, ...]
 
 _MAX_DOMAIN_SIZE = 1 << 62  # keeps rank arithmetic inside int64
-_INT64_SUM_BOUND = 1 << 62  # sums of terms below this cannot overflow int64
+_INT64_SUM_BOUND = 1 << 62  # sums whose |value| stays below this fit int64
 
 DEFAULT_PAIR_BUDGET = 10**6
 DEFAULT_CELL_BUDGET = 10**6
 DEFAULT_BOX_BUDGET = 3**12
+
+
+def sum_dtype(largest: int) -> type:
+    """The array dtype for exact sums whose |value| is at most ``largest``.
+
+    ``np.int64`` below 2**62, else ``object``, whose cells are Python ints;
+    the arithmetic on either is the same numpy code and exact.
+    """
+    return np.int64 if largest < _INT64_SUM_BOUND else object
 
 
 def enumeration_budget(default: int) -> int:
@@ -127,7 +136,7 @@ class ProductDomain:
         return hash(self.trees)
 
     def __repr__(self) -> str:
-        return f"ProductDomain({self.cardinalities()})"
+        return f"ProductDomain({list(self.trees)!r})"
 
 
 def rank(domain: ProductDomain, x: Sequence[int]) -> int:
@@ -260,7 +269,7 @@ class Term:
 class SumOfTerms(CostFunction):
     """Costs as a sum of low-arity terms sharing one denominator.
 
-    The int64 tables behind ``grid`` are built on its first call and
+    The tables behind ``grid`` are built on its first call and
     kept; they are built fully and then stored in one assignment, so the
     instance stays immutable to its callers and safe to evaluate
     concurrently.
@@ -331,15 +340,15 @@ class SumOfTerms(CostFunction):
         return values
 
     def grid(self, axes: Sequence[Sequence[int]]) -> np.ndarray:
-        """f over the axes as one int64 array: one gather-add per table.
+        """f over the axes as one array: one gather-add per table.
 
         Each axis label is validated once.  The first call folds the
-        terms into int64 tables (``_fold_terms``) and keeps them on the
+        terms into tables (``_fold_terms``) and keeps them on the
         instance; every call then adds ``table[index of each scope
         variable]`` into the result, with one broadcast-shaped index
-        array per variable.  A sum whose terms' largest |values| add up
-        to 2**62 or more could leave int64 anywhere, so it takes the
-        exact per-cell loop of the base class on every call instead.
+        array per variable.  The result has the tables' dtype: int64, or
+        object (exact Python ints) when the terms' values are too large
+        for int64.
         """
         domain = self.domain
         axes = [tuple(a) for a in axes]
@@ -351,14 +360,12 @@ class SumOfTerms(CostFunction):
         tables = self._tables
         if tables is None:
             tables = self._tables = _fold_terms(domain, self.terms)
-        if tables is False:
-            return super().grid(axes)
         n = domain.n
         index = [
             np.array(axis, dtype=np.intp).reshape([-1 if j == i else 1 for j in range(n)])
             for i, axis in enumerate(axes)
         ]
-        out = np.zeros([len(a) for a in axes], dtype=np.int64)
+        out = np.zeros([len(a) for a in axes], dtype=tables[0][1].dtype if tables else np.int64)
         for scope, table in tables:
             out += table[tuple(index[i] for i in scope)]
         return out
@@ -366,23 +373,22 @@ class SumOfTerms(CostFunction):
 
 def _fold_terms(
     domain: ProductDomain, terms: Sequence[Term]
-) -> tuple[tuple[tuple[int, ...], np.ndarray], ...] | bool:
-    """The terms as int64 tables, or False if their sums may leave int64.
+) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
+    """The terms as tables of one dtype, int64 or object.
 
     There is one table per distinct scope that lies in no larger one,
     with its axes in ascending variable order; each term is added into
     the first such table whose scope holds its own.  Every table cell
     and every sum of cells is bounded by the sum over terms of the
-    largest |value|, which must stay below 2**62.
+    largest |value|, and that bound picks the dtype (``sum_dtype``).
     """
-    if sum(max(map(abs, t.values)) for t in terms) >= _INT64_SUM_BOUND:
-        return False
+    dtype = sum_dtype(sum(max(map(abs, t.values)) for t in terms))
     scopes = sorted({tuple(sorted(t.scope)) for t in terms}, key=lambda s: (-len(s), s))
     hosts = [s for k, s in enumerate(scopes) if not any(set(s) < set(r) for r in scopes[:k])]
-    tables = {s: np.zeros([domain.trees[i].node_count for i in s], dtype=np.int64) for s in hosts}
+    tables = {s: np.zeros([domain.trees[i].node_count for i in s], dtype=dtype) for s in hosts}
     for t in terms:
         host = next(s for s in hosts if set(t.scope) <= set(s))
-        sub = np.array(t.values, dtype=np.int64).reshape(
+        sub = np.array(t.values, dtype=dtype).reshape(
             [domain.trees[i].node_count for i in t.scope]
         )
         # move the term's axes into variable order, then broadcast into the host

@@ -11,7 +11,7 @@ from treesub import checks
 from treesub.errors import BudgetExceededError, DomainError
 from treesub.solvers import BinaryCubeFunction, SignBoxFunction
 
-from conftest import naive_check, naive_check_translation, random_table_function
+from conftest import naive_check, naive_check_translation, random_table_function, term_grid
 
 
 @pytest.fixture
@@ -133,17 +133,57 @@ def test_checkers_match_naive_oracle():
             )
 
 
+_BIG = (1 << 41, 1 << 50, 1 << 61, 1 << 62, 1 << 70)  # the first two keep the int64 pass
+
+
 def test_big_value_fallback_agrees():
     dom = ts.ProductDomain([ts.chain_tree(3), ts.chain_tree(3)])
     rng = ts.SplitMix64(47)
-    small = [rng.below(10) for _ in range(9)]
-    huge = [v + (1 << 50) * w for v, w in zip(small, [1, -1, 2, 0, 1, -2, 1, 0, 1])]
-    f = ts.DenseTable(dom, huge)
-    got = ts.check_strong(f)
-    expect = naive_check(f, ts.meet_join)
-    assert got.ok == (expect is None)
-    if expect is not None:
-        assert (got.witness.x, got.witness.y) == (expect.x, expect.y)
+    verdicts = set()
+    for big in _BIG:
+        fx = ts.generate("random-verified-strong", dom, seed=rng.below(1000))
+        shifted = [v + big for v in ts.materialize(fx.function).values]
+        for huge in [shifted] + [
+            [rng.below(10) + big * w for w in (1, -1, 2, 0, 1, -2, 1, 0, 1)] for _ in range(3)
+        ]:
+            f = ts.DenseTable(dom, huge)
+            got = ts.check_strong(f)
+            expect = naive_check(f, ts.meet_join)
+            assert got.ok == (expect is None)
+            assert _witness_key(got.witness) == _witness_key(expect)
+            verdicts.add(got.ok)
+    assert verdicts == {True, False}
+
+
+def test_big_values_replay_only_the_flagged_pair(monkeypatch):
+    """Past 2^62 the exhaustive pass runs on exact ints: an ok table replays
+    no pair, a violated one only its witness, and a sum's grid evaluates
+    no cell."""
+    dom = ts.ProductDomain([ts.chain_tree(4), ts.star3_tree(), ts.chain_tree(3)])
+    fx = ts.generate("random-verified-strong", dom, seed=5)
+    values = [v + (1 << 62) for v in ts.materialize(fx.function).values]
+    replays = []
+    replay = checks._first_violation
+    monkeypatch.setattr(checks, "_first_violation", lambda *a: replays.append(a) or replay(*a))
+    for check in (ts.check_strong, ts.check_weak, ts.check_translation):
+        assert check(ts.DenseTable(dom, values)).ok
+    assert replays == []
+    values[-1] -= 1 << 70
+    f = ts.DenseTable(dom, values)
+    for check, oracle in _CHECKS_AND_ORACLES:
+        assert _witness_key(check(f).witness) == _witness_key(oracle(f))
+    assert len(replays) == len(_CHECKS_AND_ORACLES)
+
+    def no_evaluate(self, x):
+        raise AssertionError("grid evaluated a cell")
+
+    rng = ts.SplitMix64(59)
+    terms = [ts.Term((1,), (0, 1 << 62, -(1 << 70))),
+             ts.Term((0, 2), tuple(rng.below(9) for _ in range(12)))]
+    g = ts.SumOfTerms(dom, terms)
+    monkeypatch.setattr(ts.SumOfTerms, "evaluate", no_evaluate)
+    axes = [range(t.node_count) for t in dom.trees]
+    assert g.grid(axes).ravel().tolist() == term_grid(dom, terms, axes)
 
 
 def _witness_key(w):
@@ -151,17 +191,18 @@ def _witness_key(w):
 
 
 def test_big_value_fallback_weak_and_translation():
-    """Costs beyond 2^40 take the exact scan; witnesses match the oracles."""
+    """Costs of every size take the same pass, in int64 below 2^61 and as
+    exact Python ints above; witnesses match the oracles."""
     dom = ts.ProductDomain([ts.chain_tree(3), ts.star3_tree()])
     rng = ts.SplitMix64(53)
     verdicts = set()
-    for i in range(12):
+    for i in range(6 * len(_BIG)):
+        big = _BIG[i % len(_BIG)]
         if i % 3:
-            values = [rng.below(10) + (1 << 41) * (rng.below(3) - 1)
-                      for _ in range(dom.size())]
-        else:  # a verified strong function shifted past 2^41 satisfies both
+            values = [rng.below(10) + big * (rng.below(3) - 1) for _ in range(dom.size())]
+        else:  # a verified strong function shifted by a constant satisfies both
             fx = ts.generate("random-verified-strong", dom, seed=rng.below(1000))
-            values = [v + (1 << 41) for v in ts.materialize(fx.function).values]
+            values = [v + big for v in ts.materialize(fx.function).values]
         f = ts.DenseTable(dom, values)
         for got, expect in (
             (ts.check_weak(f), naive_check(f, ts.wedge_vee)),
@@ -396,8 +437,60 @@ def test_sampled_translation_stops_by_rho_inf(monkeypatch):
     assert calls["evaluate"] <= sum(2 + 2 * k for k in steps)
 
 
+def test_exhaustive_translation_builds_op_tables_per_distinct_tree(monkeypatch):
+    """chain10^3 has one distinct tree: 10 members x 100 label pairs."""
+    calls = []
+    step = checks.up_down
+    monkeypatch.setattr(checks, "up_down", lambda *a: calls.append(a[0]) or step(*a))
+    dom = ts.ProductDomain([ts.chain_tree(10)] * 3)
+    f = ts.DenseTable(dom, [sum((v - 4) ** 2 for v in x) for x in dom.labelings()])
+    assert ts.check_translation(f).ok
+    assert len(calls) == 10 * 100
+    # repeated trees beside a different one of the same size share tables too
+    dom = ts.ProductDomain([ts.chain_tree(3), ts.star3_tree(), ts.chain_tree(3)])
+    rng = ts.SplitMix64(61)
+    for _ in range(10):
+        calls.clear()
+        f = random_table_function(rng, dom, max_value=8)
+        got = ts.check_translation(f)
+        assert _witness_key(got.witness) == _witness_key(naive_check_translation(f))
+        # members d = 0, 1, 2 build one table per distinct tree, then the
+        # witness, if any, replays up to 3 members on 3 coordinates
+        assert set(calls[:3 * 2 * 9]) == {dom.trees[0], dom.trees[1]}
+        assert 3 * 2 * 9 <= len(calls) <= 3 * 2 * 9 + 3 * 3
+
+
 # ---------------------------------------------------------------------------
 # Generic multimorphism check
+
+
+def test_multimorphism_tables_stay_per_coordinate():
+    """Equal trees may carry different tables; each coordinate uses its own.
+
+    With projections on x0 and meet/join on x1, g(x0) + h(x1) is a
+    multimorphism exactly when h is midpoint convex.
+    """
+    dom = ts.ProductDomain([ts.chain_tree(3), ts.chain_tree(3)])
+    mj, pr = ts.meet_join_tables(dom), ts.projection_tables(dom)
+    op1, op2 = [pr[0][0], mj[0][1]], [pr[1][0], mj[1][1]]
+    rng = ts.SplitMix64(67)
+    verdicts = set()
+    for _ in range(20):
+        g = [rng.below(9) for _ in range(3)]
+        h = [rng.below(9) for _ in range(3)]
+        f = ts.DenseTable(dom, [g[a] + h[b] for a, b in dom.labelings()])
+        expect = None
+        for x in dom.labelings():
+            for y in dom.labelings():
+                first = tuple(op1[i][a][b] for i, (a, b) in enumerate(zip(x, y)))
+                second = tuple(op2[i][a][b] for i, (a, b) in enumerate(zip(x, y)))
+                lhs, rhs = f.evaluate(x) + f.evaluate(y), f.evaluate(first) + f.evaluate(second)
+                if expect is None and lhs < rhs:
+                    expect = (x, y, None, lhs, rhs)
+        got = ts.check_multimorphism(f, dom, (op1, op2))
+        assert _witness_key(got.witness) == expect
+        verdicts.add(got.ok)
+    assert verdicts == {True, False}
 
 
 def test_multimorphism_meet_join_matches_strong():

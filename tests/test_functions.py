@@ -57,6 +57,14 @@ def test_rank_validation(c3x3):
         c3x3.unrank(9)
 
 
+def test_domain_repr_names_each_tree():
+    star, chain = ts.star3_tree(), ts.chain_tree(3)
+    assert repr(ts.ProductDomain([star, chain])) == (
+        "ProductDomain([RootedTree(parent=[-1, 0, 0]), RootedTree(parent=[-1, 0, 1])])"
+    )
+    assert repr(ts.ProductDomain([star, star])) != repr(ts.ProductDomain([chain, chain]))
+
+
 @given(st.integers(0, 8))
 def test_unrank_rank_roundtrip(k):
     dom = ts.ProductDomain([ts.chain_tree(3), ts.star3_tree()])
@@ -310,7 +318,8 @@ def test_sum_grid_is_exact_once_the_tables_reach_2_62():
     dom = ts.ProductDomain([ts.chain_tree(3), ts.chain_tree(4)])
     big = 1 << 62
     pair = ts.Term((1, 0), tuple(range(-6, 6)))  # largest |value| 6
-    for top, exact in ((big, True), (big - 7, False), (-big, True), (7 - big, False)):
+    for top, exact in ((big, True), (big - 7, False), (-big, True), (7 - big, False),
+                       (big >> 1, False), (-(big >> 1), False), (big << 8, True), (-(big << 8), True)):
         terms = [ts.Term((0,), (0, 1, top)), pair]
         f = ts.SumOfTerms(dom, terms)
         # the cells of this grid stay small; only the tables reach the bound
