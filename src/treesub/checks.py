@@ -24,20 +24,28 @@ uniform by rank from a seeded stream; it proves nothing and its report
 says so.
 
 Costs are integers, so verdicts are exact.  An exhaustive check takes a
-vectorized pass that walks rank(x) in row blocks of at most 2^16 pairs,
+vectorized pass that walks rank(x) in row blocks of at most 2^14 pairs,
 building the ranks of op(x, y) by broadcasting per-coordinate op table
 rows, and stops at the first block holding a violation.  The values'
 size picks the arrays' dtype: int64 when every sum of two costs fits,
 else object, whose cells are exact Python ints; the pass is the same
-code on either.  Its arrays hold O(2^16 + |D|) elements whatever |D|,
-about 2 MB of traced memory at |D| = 1000.  The pass only flags the
-first violating pair; its witness comes from replaying that pair
-through the family in exact pure-Python arithmetic.  The op tables of
-a tree operation are built once per distinct tree of the domain.
+code on either.  Its arrays hold O(2^14 + |D|) elements whatever |D|,
+about 0.6 MB of traced memory at |D| = 1000.  A block array of 2^14
+8-byte cells is 128 KiB, glibc's default mmap threshold, so the
+allocator reuses heap memory for it; larger arrays were mapped or
+trimmed and faulted in afresh on every allocation.  A row longer than
+2^14 cells (|D| > 16,384, within reach only under a raised
+TREESUB_BUDGET) is still larger than the threshold.  The pass only flags the first violating pair; its
+witness comes from replaying that pair through the family in exact
+pure-Python arithmetic.  The op tables of a tree operation are built
+once per distinct tree of the domain.  Sampled mode builds no tables:
+it calls the tree operation per drawn pair, remembering each result for
+the rest of the check.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -60,7 +68,11 @@ from .solvers import BinaryCubeFunction, SignBoxFunction
 # rho stays importable here: perfbench/tracer.py instruments it alongside the ops.
 from .trees import RootedTree, meet_join, rho, up_down, wedge_vee  # noqa: F401
 
-_BLOCK_CELLS = 1 << 16  # pairs per row block of the vectorized path
+# Pairs per row block of the vectorized path.  2^14 8-byte cells are
+# 128 KiB, glibc's default mmap threshold.  Larger block temporaries
+# are mapped or trimmed and faulted in afresh on every allocation, and
+# those page faults cost more than the numpy work of the block.
+_BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -244,7 +256,9 @@ def _candidate_pairs(table: DenseTable, domain: ProductDomain, family: OpFamily)
     """Rank pairs (xr, yr) to replay exactly, in (rank(x), rank(y)) order.
 
     A vectorized pass walks rank(x) in row blocks of at most
-    ``_BLOCK_CELLS`` pairs (one row when |D| exceeds it).  A block ORs
+    ``_BLOCK_CELLS`` = 2^14 pairs (one row when |D| exceeds it), so
+    every block-sized array stays within glibc's 128 KiB mmap threshold
+    unless one row alone outgrows it.  A block ORs
     every member's violations, up to the first member that swaps every
     pair, and the pass yields only the first flagged pair of the first
     block holding one: blocks run in rank(x) order and argmax scans a
@@ -308,7 +322,12 @@ def _pair_check(
         raise DomainError(f"unknown mode {mode!r}; use 'exhaustive' or 'sampled'")
     if samples < 1:
         raise DomainError(f"sampled mode needs at least 1 sample, got {samples}")
+    # Each distinct map remembers its results for this check, so a label
+    # pair drawn again walks no tree.  Exhaustive mode needs no memo: it
+    # calls each map once per label pair to build its tables.
     family = build_family()
+    cached = {m: functools.cache(m) for _, op in family for m in op}
+    family = [(d, [cached[m] for m in op]) for d, op in family]
     rng = SplitMix64(seed)
     for s in range(samples):
         x = domain.unrank(rng.below(size))
@@ -336,7 +355,7 @@ def check_strong(
 ) -> CheckReport:
     """Verify f(x)+f(y) >= f(meet)+f(join) for componentwise midpoints."""
     domain = own_domain(f, domain)
-    return _pair_check(f, domain, lambda: [(None, _table_op(*meet_join_tables(domain)))],
+    return _pair_check(f, domain, lambda: [(None, _tree_op(domain, meet_join))],
                        "strong", mode, samples, seed, budget)
 
 
@@ -351,7 +370,7 @@ def check_weak(
 ) -> CheckReport:
     """Verify f(x)+f(y) >= f(wedge)+f(vee)."""
     domain = own_domain(f, domain)
-    return _pair_check(f, domain, lambda: [(None, _table_op(*wedge_vee_tables(domain)))],
+    return _pair_check(f, domain, lambda: [(None, _tree_op(domain, wedge_vee))],
                        "weak", mode, samples, seed, budget)
 
 

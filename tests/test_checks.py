@@ -254,9 +254,14 @@ def _row_blocks(size):
     return rows
 
 
-def test_row_blocks_keep_the_first_witness():
+def test_row_blocks_keep_the_first_witness(monkeypatch):
     """Violations only in the last block are found there; with violations
-    in an earlier block too, the earlier block wins."""
+    in an earlier block too, the earlier block wins.
+
+    The tables are built for blocks of 2^16 cells (218 rows of |D| = 300),
+    so the late witnesses fall in the last of two blocks.
+    """
+    monkeypatch.setattr(checks, "_BLOCK_CELLS", 1 << 16)
     late, both = _bumped_chain_table({2}), _bumped_chain_table({1, 2})
     dom = late.domain
     rows = _row_blocks(dom.size())
@@ -294,10 +299,12 @@ def test_row_blocks_of_few_rows_match_naive(monkeypatch, block_cells):
 
 
 def test_exhaustive_checks_stay_within_a_block_of_memory():
-    """Peak traced memory stays near one row block, not |D|^2 (8 MB at |D| = 1000)."""
+    """Peak traced memory stays near a few row-block arrays (128 KiB each)
+    and the O(|D|) values and digits, under 1 MB at |D| = 1000; one
+    |D|^2 int64 array alone would take 8 MB."""
     dom = ts.ProductDomain([ts.chain_tree(10)] * 3)
     f = ts.DenseTable(dom, [sum((v - 4) ** 2 for v in x) for x in dom.labelings()])
-    for check in (ts.check_strong, ts.check_translation):
+    for check in (ts.check_strong, ts.check_weak, ts.check_translation):
         tracemalloc.start()
         try:
             report = check(f)
@@ -305,7 +312,7 @@ def test_exhaustive_checks_stay_within_a_block_of_memory():
         finally:
             tracemalloc.stop()
         assert report.ok and report.pairs_checked == 10**6
-        assert peak < 8 * 2**20
+        assert peak < 2**20
 
 
 def test_sampled_mode_deterministic(concave_chain):
@@ -435,6 +442,33 @@ def test_sampled_translation_stops_by_rho_inf(monkeypatch):
              for _ in range(40)]
     assert calls["up_down"] <= sum(steps)
     assert calls["evaluate"] <= sum(2 + 2 * k for k in steps)
+
+
+def test_sampled_strong_walks_the_tree_once_per_sample(monkeypatch):
+    """Sampled strong checks call meet_join per drawn label pair, never per
+    label pair of the tree, and report as the full tables would."""
+    dom = ts.ProductDomain([ts.chain_tree(300)])
+    tables = ts.meet_join_tables(dom)
+    calls = []
+    meet_join = checks.meet_join
+    monkeypatch.setattr(checks, "meet_join", lambda *a: calls.append(a) or meet_join(*a))
+    verdicts = set()
+    for top in (lambda v: (v - 150) ** 2, lambda v: 2500 + 100 * (v - 200) - (v - 200) ** 2):
+        # convex below 200; the concave top, if used, is violated
+        f = ts.DenseTable(dom, [(v - 150) ** 2 if v < 200 else top(v) for v in range(300)])
+        calls.clear()
+        report = ts.check_strong(f, mode="sampled", samples=40, seed=9)
+        assert 1 <= len(calls) <= report.pairs_checked
+        verdicts.add(report.ok)
+        assert report == ts.check_multimorphism(f, op_pair=tables, mode="sampled", samples=40,
+                                                seed=9, name="strong")
+    assert verdicts == {True, False}
+    # coordinates of one tree share a memo: 200 draws over chain3^4 walk
+    # each of its 9 label pairs at most once
+    f = ts.SumOfTerms(ts.ProductDomain([ts.chain_tree(3)] * 4), [])
+    calls.clear()
+    assert ts.check_strong(f, mode="sampled", samples=200, seed=9).ok
+    assert len(calls) <= 9
 
 
 def test_exhaustive_translation_builds_op_tables_per_distinct_tree(monkeypatch):
