@@ -35,12 +35,12 @@ about 0.6 MB of traced memory at |D| = 1000.  A block array of 2^14
 allocator reuses heap memory for it; larger arrays were mapped or
 trimmed and faulted in afresh on every allocation.  A row longer than
 2^14 cells (|D| > 16,384, within reach only under a raised
-TREESUB_BUDGET) is still larger than the threshold.  The pass only flags the first violating pair; its
-witness comes from replaying that pair through the family in exact
-pure-Python arithmetic.  The op tables of a tree operation are built
-once per distinct tree of the domain.  Sampled mode builds no tables:
-it calls the tree operation per drawn pair, remembering each result for
-the rest of the check.
+TREESUB_BUDGET) is still larger than the threshold.  The pass only
+flags the first violating pair; its witness comes from replaying that
+pair through the family in exact pure-Python arithmetic.  The op tables
+of a tree operation are built once per distinct tree of the domain.
+Sampled mode builds no tables: it calls the tree operation per drawn
+pair, remembering each result for the rest of the check.
 """
 
 from __future__ import annotations
