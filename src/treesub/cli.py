@@ -28,8 +28,11 @@ package-wide.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
+import operator
 import sys
 import time
 from importlib import resources
@@ -102,23 +105,41 @@ def _parse_value(raw, denominator: int, where: str, index: int) -> tuple[int, in
     raise _fail(at, "expected an integer or {num, den} object")
 
 
-def _parse_values(raw_values: list, where: str, denominator: int, nums: list, dens: list) -> None:
-    """Append each value's unreduced numerator to nums and denominator to dens."""
-    for i, raw in enumerate(raw_values):
-        num, den = _parse_value(raw, denominator, where, i)
-        nums.append(num)
-        dens.append(den)
+def _parse_values(
+    raw_values: list, where: str, denominator: int, nums: list, dens: dict[int, int]
+) -> None:
+    """Append each value's unreduced numerator to nums.
 
-
-def _normalize(nums: list[int], dens: list[int]) -> tuple[list[int], int]:
-    """The values nums[i]/dens[i] as integers over their least common denominator.
-
-    Scaled to the lcm of the unreduced denominators, every value carries
-    the same surplus factor, which is the gcd of that lcm and the scaled
-    numerators; one division takes it out.
+    Plain integer cells, all of a canonical file, are found in one pass
+    over their types and taken as they are; every other cell goes through
+    ``_parse_value`` in document order, so the first bad one is reported.
+    A denominator other than the declared one is recorded in dens under
+    the value's position in nums.
     """
-    den = math.lcm(*set(dens))
-    scaled = [n * (den // d) for n, d in zip(nums, dens)]
+    base = len(nums)
+    nums.extend(raw_values)
+    not_int = map(operator.is_not, map(type, raw_values), itertools.repeat(int))
+    for i in itertools.compress(itertools.count(), not_int):
+        num, den = _parse_value(raw_values[i], denominator, where, i)
+        nums[base + i] = num
+        if den != denominator:
+            dens[base + i] = den
+
+
+def _normalize(nums: list[int], denominator: int, dens: dict[int, int]) -> tuple[list[int], int]:
+    """The values as integers over their least common denominator.
+
+    Value i is nums[i]/dens[i] where dens records it, else
+    nums[i]/denominator.  Scaled to the lcm of the declared and recorded
+    denominators, every value carries the same surplus factor, which is
+    the gcd of that lcm and the scaled numerators; one division takes it
+    out, whatever common multiple the scaling started from.
+    """
+    den = math.lcm(denominator, *set(dens.values()))
+    factor = den // denominator
+    scaled = nums if factor == 1 else [n * factor for n in nums]
+    for i, d in dens.items():
+        scaled[i] = nums[i] * (den // d)
     g = math.gcd(den, *scaled)
     if g > 1:
         scaled = [v // g for v in scaled]
@@ -162,7 +183,7 @@ def parse_document(doc: dict, origin: str = "instance") -> tuple[ProductDomain, 
     if not isinstance(declared_den, int) or isinstance(declared_den, bool) or declared_den < 1:
         raise _fail("function.denominator", "expected a positive integer")
     nums: list[int] = []
-    dens: list[int] = []
+    dens: dict[int, int] = {}
 
     if ftype == "table":
         unknown = set(fn) - {"type", "denominator", "values"}
@@ -177,7 +198,7 @@ def parse_document(doc: dict, origin: str = "instance") -> tuple[ProductDomain, 
                 f"expected {domain.size()} entries for this domain, got {len(raw_values)}",
             )
         _parse_values(raw_values, "function.values", declared_den, nums, dens)
-        nums, den = _normalize(nums, dens)
+        nums, den = _normalize(nums, declared_den, dens)
         function: CostFunction = DenseTable(domain, nums, den)
     elif ftype == "sum":
         unknown = set(fn) - {"type", "denominator", "terms"}
@@ -203,7 +224,7 @@ def parse_document(doc: dict, origin: str = "instance") -> tuple[ProductDomain, 
                 raise _fail(where + ".values", "expected an array")
             _parse_values(values, where + ".values", declared_den, nums, dens)
             shapes.append((tuple(scope), len(values)))
-        nums, den = _normalize(nums, dens)
+        nums, den = _normalize(nums, declared_den, dens)
         terms = []
         cursor = 0
         for ti, (scope, count) in enumerate(shapes):
@@ -304,10 +325,17 @@ def _witness_record(witness: checks.ViolationWitness | None, denominator: int):
     }
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
 def _emit(report: dict, out: str | None) -> None:
     text = canonical_dumps(report)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write_text(out, text)
     else:
         sys.stdout.write(text)
 
@@ -479,8 +507,7 @@ def _cmd_generate(args) -> int:
         )
         seed = args.seed
     doc = fixture_document(fixture, seed, args.kind)
-    text = canonical_dumps(doc)
-    Path(args.out).write_text(text, encoding="utf-8")
+    _write_text(args.out, canonical_dumps(doc))
     record = {
         "command": "generate",
         "kind": args.kind,
@@ -499,6 +526,8 @@ def _corpus_dir() -> Path:
 def _bench_row(path: Path, diagnostics: bool, timing: bool) -> dict:
     domain, function, metadata = parse_instance(path)
     properties = metadata.get("properties", [])
+    if not isinstance(properties, list) or not all(isinstance(p, str) for p in properties):
+        raise FormatError("metadata.properties: expected an array of strings")
     start = _parse_start(None, metadata, domain)
     row: dict = {"instance": path.name, "K": max(t.node_count for t in domain.trees)}
     began = time.perf_counter()
@@ -571,7 +600,9 @@ def _cmd_encode_weak(args) -> int:
 # Argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="treesub",
         description="Check and minimize tree-submodular cost functions.",
