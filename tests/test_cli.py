@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import treesub as ts
+from treesub import cli
 from treesub.cli import (
     EXIT_FAILURE,
     EXIT_INPUT,
@@ -194,6 +195,107 @@ def test_parse_matches_the_canonical_form_oracle():
     assert min(outcomes.values()) > 100, outcomes
 
 
+def _parse_against_oracle(doc: dict) -> str | None:
+    """Check parse_document against the oracle; the shared error text, or None."""
+    try:
+        expected = canonical_document_oracle(doc)
+    except BadCell as bad:
+        with pytest.raises(FormatError) as err:
+            parse_document(doc)
+        assert str(err.value) == str(bad)
+        return str(bad)
+    got = build_document(*parse_document(doc))
+    assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
+    return None
+
+
+_BINTREE7 = [-1, 0, 0, 1, 1, 2, 2]
+_LAST = 7**6 - 1
+
+
+@pytest.fixture(scope="module")
+def big_table() -> dict:
+    """A 117,649-cell bintree7^6 table of even values over denominator 6."""
+    rng = ts.SplitMix64(12)
+    return {
+        "format_version": "1",
+        "trees": [{"parent": list(_BINTREE7)} for _ in range(6)],
+        "function": {"type": "table", "denominator": 6,
+                     "values": [2 * rng.below(2001) - 2000 for _ in range(_LAST + 1)]},
+    }
+
+
+def _with_cells(doc: dict, cells: dict) -> dict:
+    values = list(doc["function"]["values"])
+    for index, raw in cells.items():
+        values[index] = raw
+    return {**doc, "function": {**doc["function"], "values": values}}
+
+
+def test_large_plain_table_matches_the_oracle(big_table):
+    assert _parse_against_oracle(big_table) is None
+    assert parse_document(big_table)[1].denominator == 3
+
+
+@pytest.mark.parametrize("bad, suffix", [
+    (True, ": expected an integer or {num, den} object"),
+    (2.5, ": expected an integer or {num, den} object"),
+    ({"num": 1}, ".den: expected a positive integer"),
+])
+def test_large_table_reports_a_bad_last_cell(big_table, bad, suffix):
+    doc = _with_cells(big_table, {_LAST: bad})
+    assert _parse_against_oracle(doc) == f"function.values[{_LAST}]{suffix}"
+
+
+def test_large_table_reports_the_first_of_two_bad_cells(big_table):
+    doc = _with_cells(big_table, {40_000: {"num": 1, "den": 0}, _LAST: True})
+    assert _parse_against_oracle(doc) == "function.values[40000].den: expected a positive integer"
+
+
+def test_declared_denominator_no_cell_uses_leaves_no_factor():
+    rng = ts.SplitMix64(5)
+    values = [{"num": rng.below(41) - 20, "den": (2, 4, 6, 12)[rng.below(4)]} for _ in range(7**4)]
+    doc = {
+        "format_version": "1",
+        "trees": [{"parent": list(_BINTREE7)} for _ in range(4)],
+        "function": {"type": "table", "denominator": 35, "values": values},
+    }
+    assert _parse_against_oracle(doc) is None
+    assert parse_document(doc)[1].denominator == 12
+
+
+def test_sum_mixing_plain_and_fraction_cells_matches_the_oracle():
+    rng = ts.SplitMix64(9)
+
+    def cells(count: int, kinds: str) -> list:
+        """Cells drawn from kinds: "i" a plain integer, "f" a {num, den} object."""
+        out = []
+        for _ in range(count):
+            if kinds[rng.below(len(kinds))] == "i":
+                out.append((rng.below(41) - 20) * (1 if rng.below(4) else 2**64))
+            else:
+                out.append({"num": rng.below(41) - 20, "den": (1, 3, 4, 10)[rng.below(4)]})
+        return out
+
+    doc = {
+        "format_version": "1",
+        "trees": [{"parent": list(_BINTREE7)}, {"parent": [-1, 0, 1, 2, 3]}, {"parent": [-1, 0, 0]}],
+        "function": {"type": "sum", "denominator": 4, "terms": [
+            {"scope": [0], "values": cells(7, "i")},
+            {"scope": [0, 1], "values": cells(35, "if")},
+            {"scope": [1, 2], "values": cells(15, "f")},
+            {"scope": [2, 0, 1], "values": cells(105, "if")},
+        ]},
+    }
+    assert _parse_against_oracle(doc) is None
+    terms = doc["function"]["terms"]
+    terms[1]["values"][20] = 2.5
+    terms[3]["values"][3] = {"num": 1}
+    assert _parse_against_oracle(doc) == (
+        "function.terms[1].values[20]: expected an integer or {num, den} object"
+    )
+
+
 @pytest.mark.parametrize(
     "values, value",
     [([4, -3, 0], {"num": -1, "den": 2}), ([0, 3, 9], {"num": 0, "den": 1})],
@@ -279,6 +381,23 @@ def test_generate_failure_exit_three(tmp_path, capsys):
     ])
     assert code == EXIT_FAILURE
     assert "acceptance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["minimize", "check", "bench", "generate"])
+def test_unwritable_out_exits_two(command, target, tmp_path, capsys):
+    instance = write_fixture(tmp_path, "sep.json", "chain5-separable")
+    out = tmp_path / "missing" / "r.json" if target == "missing-directory" else tmp_path
+    argv = {
+        "minimize": ["minimize", str(instance)],
+        "check": ["check", str(instance)],
+        "bench": ["bench"],
+        "generate": ["generate", "--kind", "fixture-catalog", "--name", "chain5-separable"],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {out}: ")
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +539,18 @@ def test_bench_suite_must_be_a_directory(kind, tmp_path, capsys):
     assert str(suite) in captured.err
 
 
+@pytest.mark.parametrize("properties", [3, "strong", ["strong", 1]])
+def test_bench_rejects_properties_that_are_not_strings(properties, tmp_path, capsys):
+    fx = ts.generate("fixture-catalog", name="chain5-quadratic")
+    doc = fixture_document(fx, None, "fixture-catalog")
+    doc["metadata"]["properties"] = properties
+    (tmp_path / "row.json").write_text(canonical_dumps(doc))
+    assert main(["bench", "--suite", str(tmp_path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: metadata.properties: expected an array of strings\n"
+
+
 def test_bench_deterministic_and_jobs(capsys):
     assert main(["bench", "--diagnostics"]) == EXIT_OK
     first = capsys.readouterr().out
@@ -519,3 +650,39 @@ def test_report_out_flag(tmp_path):
     out = tmp_path / "report.json"
     assert main(["check", str(path), "--out", str(out)]) == EXIT_OK
     assert json.loads(out.read_text())["ok"] is True
+
+
+def test_argument_parser_is_built_once_per_process(tmp_path, capsys):
+    instance = write_fixture(tmp_path, "quad.json", "chain5-quadratic")
+    outputs = (tmp_path / "gen.json", tmp_path / "bench.json")
+    calls = [
+        ["check", str(instance)],
+        ["minimize", str(instance), "--solver", "brute"],
+        ["generate", "--kind", "fixture-catalog", "--name", "fork2-weak", "--out", str(outputs[0])],
+        ["bench", "--out", str(outputs[1])],
+        ["minimize", str(instance), "--no-such-flag"],
+    ]
+
+    def run(fresh_parser: bool) -> list:
+        seen = []
+        for argv in calls:
+            if fresh_parser:
+                cli._build_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            files = {p.name: p.read_bytes() for p in outputs if p.exists()}
+            for p in outputs:
+                p.unlink(missing_ok=True)
+            seen.append((code, captured.out, captured.err, files))
+        return seen
+
+    cli._build_parser.cache_clear()
+    shared = run(fresh_parser=False)
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(calls) - 1)
+    assert [code for code, *_ in shared] == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_INPUT]
+    assert shared[4][2].startswith("usage: treesub")
+    assert shared == run(fresh_parser=True)
