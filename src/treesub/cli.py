@@ -385,7 +385,8 @@ def _cmd_check(args) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-def _parse_start(raw: str | None, metadata: dict, domain: ProductDomain):
+def _parse_start(raw: str | None, metadata: dict, domain: ProductDomain, path: str | Path):
+    """The ``--start`` labels, else the file's ``metadata.start``, else None."""
     if raw is not None:
         try:
             labels = tuple(int(part) for part in raw.split(","))
@@ -393,18 +394,22 @@ def _parse_start(raw: str | None, metadata: dict, domain: ProductDomain):
             raise DomainError(f"--start {raw!r} is not a comma-separated label list") from exc
         return domain.validate(labels)
     start = metadata.get("start")
-    if start is not None:
-        if not isinstance(start, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in start
-        ):
-            raise FormatError("metadata.start: expected an array of integers")
+    if start is None:
+        return None
+    where = f"{path}: metadata.start"
+    if not isinstance(start, list) or not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in start
+    ):
+        raise _fail(where, "expected an array of integers")
+    try:
         return domain.validate(tuple(start))
-    return None
+    except DomainError as exc:
+        raise _fail(where, str(exc)) from exc
 
 
 def _cmd_minimize(args) -> int:
     domain, function, metadata = parse_instance(args.instance)
-    start = _parse_start(args.start, metadata, domain)
+    start = _parse_start(args.start, metadata, domain, args.instance)
     record: dict = {
         "command": "minimize",
         "instance": args.instance,
@@ -527,8 +532,8 @@ def _bench_row(path: Path, diagnostics: bool, timing: bool) -> dict:
     domain, function, metadata = parse_instance(path)
     properties = metadata.get("properties", [])
     if not isinstance(properties, list) or not all(isinstance(p, str) for p in properties):
-        raise FormatError("metadata.properties: expected an array of strings")
-    start = _parse_start(None, metadata, domain)
+        raise _fail(f"{path}: metadata.properties", "expected an array of strings")
+    start = _parse_start(None, metadata, domain, path)
     row: dict = {"instance": path.name, "K": max(t.node_count for t in domain.trees)}
     began = time.perf_counter()
     if "strong" in properties or not properties:

@@ -51,7 +51,6 @@ from .solvers import (
     SignBoxFunction,
     bisub_brute,
     bisub_minnorm,
-    check_tolerance,
     sfm_brute,
     sfm_wolfe,
 )
@@ -213,14 +212,14 @@ def _require_binary(domain: ProductDomain) -> None:
                 )
 
 
-def _solve_inward(f, domain, x, engine: str, eps: float):
+def _solve_inward(f, domain, x, engine: str):
     cube = inward_restrict(f, domain, x)
-    return sfm_brute(cube) if engine == "brute" else sfm_wolfe(cube, eps)
+    return sfm_brute(cube) if engine == "brute" else sfm_wolfe(cube)
 
 
-def _solve_outward(f, domain, x, engine: str, eps: float):
+def _solve_outward(f, domain, x, engine: str):
     box = outward_restrict(f, domain, x)
-    return bisub_brute(box) if engine == "brute" else bisub_minnorm(box, eps)
+    return bisub_brute(box) if engine == "brute" else bisub_minnorm(box)
 
 
 def rho_minus(
@@ -290,9 +289,7 @@ def minimize(
     *,
     inward_engine: str = "brute",
     outward_engine: str = "brute",
-    eps: float = 1e-10,
     diagnostics: bool = False,
-    diagnostics_budget: int | None = None,
 ) -> tuple[Labeling, int, DescentTrace]:
     """Run the two-stage descent to a certified local (hence, for strongly
     tree-submodular costs, global) minimum.
@@ -300,14 +297,12 @@ def minimize(
     Moves are accepted only on strict improvement, so the value sequence
     strictly decreases and the run terminates.  The default start is the
     all-roots labeling, which makes the first stage vacuous.  Unknown
-    engine names and an ``eps`` (the min-norm tolerance) that is not a
-    finite number above 0 are refused before any oracle call.
+    engine names are refused before any oracle call.
     """
     if inward_engine not in INWARD_ENGINES:
         raise DomainError(f"unknown inward engine {inward_engine!r}; known: {INWARD_ENGINES}")
     if outward_engine not in OUTWARD_ENGINES:
         raise DomainError(f"unknown outward engine {outward_engine!r}; known: {OUTWARD_ENGINES}")
-    check_tolerance(eps)
     domain = own_domain(f, domain)
     _require_binary(domain)
     x = domain.validate(x0) if x0 is not None else domain.all_roots()
@@ -321,13 +316,13 @@ def minimize(
             return
         inward_ok = None
         if stage == "s2":
-            inward_ok = _solve_inward(f, domain, x, "brute", eps)[1] == fx
+            inward_ok = _solve_inward(f, domain, x, "brute")[1] == fx
         diag.append(
             StepDiagnostics(
                 stage=stage,
                 value=fx,
-                rho_minus=rho_minus(f, domain, x, budget=diagnostics_budget),
-                rho_plus=rho_plus(f, domain, x, budget=diagnostics_budget),
+                rho_minus=rho_minus(f, domain, x),
+                rho_plus=rho_plus(f, domain, x),
                 inward_still_optimal=inward_ok,
             )
         )
@@ -338,7 +333,7 @@ def minimize(
         nonlocal x, fx
         steps = 0
         while True:
-            move, val = solve(f, domain, x, engine, eps)
+            move, val = solve(f, domain, x, engine)
             if not val < fx:
                 return steps, val == fx
             x = apply(domain, x, move)
@@ -357,7 +352,7 @@ def minimize(
     s2, outward_opt = stage("outward", "s2", _solve_outward, outward_engine, apply_outward)
     if s2:
         # outward moves left the inward stage's final point behind
-        inward_opt = _solve_inward(f, domain, x, inward_engine, eps)[1] == fx
+        inward_opt = _solve_inward(f, domain, x, inward_engine)[1] == fx
     trace = DescentTrace(
         s1_steps=s1,
         s2_steps=s2,

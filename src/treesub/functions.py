@@ -502,9 +502,6 @@ def random_tree(rng: SplitMix64, node_count: int, max_children: int = 2) -> Root
 # ---------------------------------------------------------------------------
 # Generators
 
-_PROPERTY_NAMES = ("strong", "weak", "translation")
-
-
 def _unary_pairs(tree: RootedTree, op) -> list[tuple[int, int, int, int]]:
     out = []
     for a in range(tree.node_count):
@@ -587,24 +584,22 @@ def _depth_coupling_term(
     return Term(scope=(i, j), values=tuple(values))
 
 
-def _run_check(kind: str, f: CostFunction, budget: int | None):
+def _run_check(kind: str, f: CostFunction):
     from . import checks  # deferred: checks imports this module
 
     if kind == "strong":
-        return checks.check_strong(f, budget=budget)
+        return checks.check_strong(f)
     if kind == "weak":
-        return checks.check_weak(f, budget=budget)
+        return checks.check_weak(f)
     if kind == "translation":
-        return checks.check_translation(f, budget=budget)
+        return checks.check_translation(f)
     raise DomainError(f"unknown property {kind!r}")
 
 
-def _verify_properties(
-    f: CostFunction, wanted: Sequence[str], budget: int | None
-) -> frozenset[str]:
+def _verify_properties(f: CostFunction, wanted: Sequence[str]) -> frozenset[str]:
     verified = set()
     for name in wanted:
-        report = _run_check(name, f, budget)
+        report = _run_check(name, f)
         if not report.ok:
             raise GenerationError(f"construction failed the {name} check")
         verified.add(name)
@@ -617,7 +612,6 @@ def _random_verified(
     seed: int,
     max_value: int,
     attempt_budget: int,
-    pair_budget: int | None,
 ) -> InstanceFixture:
     """Rejection loop shared by the random-verified-strong/weak kinds.
 
@@ -631,7 +625,7 @@ def _random_verified(
     op = meet_join if prop == "strong" else wedge_vee
     rng = SplitMix64(seed)
     size = domain.size()
-    limit = pair_budget if pair_budget is not None else enumeration_budget(DEFAULT_PAIR_BUDGET)
+    limit = enumeration_budget(DEFAULT_PAIR_BUDGET)
     if size * size > limit:
         raise BudgetExceededError(
             f"domain size {size} needs {size * size} verification pairs, budget {limit}"
@@ -658,7 +652,7 @@ def _random_verified(
             values = [v + rng.below(noise + 1) for v in table]
             candidate = DenseTable(domain, values)
         table_fn = materialize(candidate)
-        report = _run_check(prop, table_fn, pair_budget)
+        report = _run_check(prop, table_fn)
         if report.ok:
             return InstanceFixture(
                 domain=domain,
@@ -673,12 +667,7 @@ def _random_verified(
     )
 
 
-def _chain_separable(
-    domain: ProductDomain,
-    seed: int,
-    max_value: int,
-    pair_budget: int | None,
-) -> InstanceFixture:
+def _chain_separable(domain: ProductDomain, seed: int, max_value: int) -> InstanceFixture:
     """Separable convex costs plus |x_i - x_j| couplings on chain domains."""
     for i, t in enumerate(domain.trees):
         if not t.is_chain():
@@ -696,7 +685,7 @@ def _chain_separable(
             if weight:
                 terms.append(_depth_coupling_term(domain, i, j, weight))
     f = SumOfTerms(domain, terms)
-    verified = _verify_properties(f, ["strong"], pair_budget)
+    verified = _verify_properties(f, ["strong"])
     return InstanceFixture(
         domain=domain,
         function=f,
@@ -714,7 +703,7 @@ def _catalog_builders() -> dict[str, Callable[[], InstanceFixture]]:
             _depth_coupling_term(domain, 0, 1, 2),
         ]
         f = SumOfTerms(domain, terms)
-        verified = _verify_properties(f, ["strong", "translation", "weak"], None)
+        verified = _verify_properties(f, ["strong", "translation", "weak"])
         return InstanceFixture(domain, f, verified, "catalog chain5-separable")
 
     def chain5_concave() -> InstanceFixture:
@@ -731,8 +720,7 @@ def _catalog_builders() -> dict[str, Callable[[], InstanceFixture]]:
         tree = RootedTree([-1, 0, 0, 1, 1])
         domain = ProductDomain([tree, tree])
         inner = _random_verified(
-            "random-verified-strong", domain, seed=42, max_value=20,
-            attempt_budget=1000, pair_budget=None,
+            "random-verified-strong", domain, seed=42, max_value=20, attempt_budget=1000
         )
         return InstanceFixture(
             inner.domain, inner.function, inner.verified_properties,
@@ -742,8 +730,7 @@ def _catalog_builders() -> dict[str, Callable[[], InstanceFixture]]:
     def fork2_weak() -> InstanceFixture:
         domain = ProductDomain([fork_tree(2), fork_tree(2)])
         inner = _random_verified(
-            "random-verified-weak", domain, seed=7, max_value=20,
-            attempt_budget=1000, pair_budget=None,
+            "random-verified-weak", domain, seed=7, max_value=20, attempt_budget=1000
         )
         return InstanceFixture(
             inner.domain, inner.function, inner.verified_properties,
@@ -753,7 +740,7 @@ def _catalog_builders() -> dict[str, Callable[[], InstanceFixture]]:
     def chain5_quadratic() -> InstanceFixture:
         domain = ProductDomain([chain_tree(5)])
         f = DenseTable(domain, [v**2 for v in range(5)])
-        verified = _verify_properties(f, ["strong", "translation", "weak"], None)
+        verified = _verify_properties(f, ["strong", "translation", "weak"])
         return InstanceFixture(
             domain, f, verified, "catalog chain5-quadratic (start at 4)", start=(4,)
         )
@@ -761,7 +748,7 @@ def _catalog_builders() -> dict[str, Callable[[], InstanceFixture]]:
     def const_mixed() -> InstanceFixture:
         domain = ProductDomain([chain_tree(3), star3_tree()])
         f = DenseTable(domain, [5] * domain.size())
-        verified = _verify_properties(f, ["strong", "translation", "weak"], None)
+        verified = _verify_properties(f, ["strong", "translation", "weak"])
         return InstanceFixture(domain, f, verified, "catalog const-mixed")
 
     return {
@@ -795,7 +782,6 @@ def generate(
     name: str | None = None,
     max_value: int = 20,
     attempt_budget: int = 1000,
-    pair_budget: int | None = None,
 ) -> InstanceFixture:
     """Produce an InstanceFixture whose declared properties were checked.
 
@@ -813,7 +799,7 @@ def generate(
     if domain is None:
         raise DomainError(f"kind {kind!r} needs a domain")
     if kind == "chain-separable":
-        return _chain_separable(domain, seed, max_value, pair_budget)
+        return _chain_separable(domain, seed, max_value)
     if kind in ("random-verified-strong", "random-verified-weak"):
-        return _random_verified(kind, domain, seed, max_value, attempt_budget, pair_budget)
+        return _random_verified(kind, domain, seed, max_value, attempt_budget)
     raise DomainError(f"unknown generator kind {kind!r}; known: {', '.join(GENERATE_KINDS)}")

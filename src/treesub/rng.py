@@ -5,8 +5,13 @@ splitmix64: the state advances by the odd constant 0x9E3779B97F4A7C15 and
 each output is finalized with two xorshift-multiply rounds.  The algorithm
 is a handful of integer operations, so streams reproduce bit-for-bit on
 any platform or implementation.  Bounded draws use plain modulo reduction
-``next_u64() % n``; the modulo bias is irrelevant for the tiny ranges used
-here (n far below 2**32).
+``next_u64() % n``.  Each value in [0, n) then has weight floor(2**64 / n)
+or one more, so its probability is off from 1/n by less than n / 2**64
+relative: under 2**-32 for n < 2**32.  Sampled checks draw ranks of
+domains up to the 2**62 size guard, where the bias is large: over 7**22
+ranks some are drawn with weight 5 and the rest with weight 4.  The draw
+stays as it is, because sampled witnesses and the goldens depend on the
+stream.
 """
 
 _MASK64 = (1 << 64) - 1
@@ -33,7 +38,3 @@ class SplitMix64:
         if n <= 0:
             raise ValueError("below() needs a positive bound")
         return self.next_u64() % n
-
-    def spawn(self) -> "SplitMix64":
-        """Derive an independent child stream (one draw from this one)."""
-        return SplitMix64(self.next_u64())

@@ -28,20 +28,19 @@ restriction per call: its values at every prefix of the chain.  The
 descent's restrictions carry a walk that, for a ``SumOfTerms`` cost,
 re-sums only the terms of the moved coordinate per step; without one,
 the engines call ``evaluate`` once per prefix.  Every greedy vertex
-entry is the float of an exact integer difference.  Both engines refuse
-an ``eps`` that is not a finite number above 0 before any evaluation.
+entry is the float of an exact integer difference.  Both engines share
+one convergence tolerance and one cap on major cycles, private constants
+of this module.
 
 Fixed coordinates are expressed by shrinking the free set or the allowed
 sign sets, never by penalty terms, which would not preserve
-(bi)submodularity.  All solvers are deterministic: identical inputs and
-tolerances produce identical outputs.
+(bi)submodularity.  All solvers are deterministic: identical inputs
+produce identical outputs.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -169,6 +168,8 @@ def bisub_brute(h: SignBoxFunction, budget: int | None = None) -> tuple[SignVect
 # Wolfe's minimum-norm-point engine
 
 _DEGENERACY_EPS = 1e-12
+_EPS = 1e-10  # relative squared-norm gap that ends the loop; its root thresholds the point
+_MAX_MAJOR_CYCLES = 10_000
 
 
 @dataclass
@@ -217,28 +218,23 @@ def _affine_minimizer(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return coeffs, S.T @ coeffs
 
 
-def _min_norm_point(
-    dim: int,
-    linear_minimizer: Callable[[np.ndarray], np.ndarray],
-    eps: float,
-    max_iter: int,
-) -> np.ndarray:
+def _min_norm_point(dim: int, linear_minimizer: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Wolfe's algorithm for the nearest point to the origin in a polytope.
 
     ``linear_minimizer(x)`` must return a vertex minimizing <x, v>.
-    Terminates when the squared-norm gap <x, x> - <x, q> falls below eps
-    times a scale correction; raises on iteration caps instead of
-    returning a silently unconverged point.
+    Terminates when the squared-norm gap <x, x> - <x, q> falls below
+    ``_EPS`` times a scale correction; raises on the cycle cap or an
+    inconsistent corral instead of returning a silently wrong point.
     """
     first = linear_minimizer(np.zeros(dim))
     state = MinNormState(
-        point=first, vertices=first.reshape(1, dim), coefficients=np.array([1.0]), eps=eps
+        point=first, vertices=first.reshape(1, dim), coefficients=np.array([1.0]), eps=_EPS
     )
-    for _ in range(max_iter):
+    for _ in range(_MAX_MAJOR_CYCLES):
         x, S, lam = state.point, state.vertices, state.coefficients
         q = linear_minimizer(x)
         scale = max(1.0, float((S * S).sum(axis=1).max()), float(q @ q))
-        if float(x @ q) >= float(x @ x) - eps * scale:
+        if float(x @ q) >= float(x @ x) - _EPS * scale:
             return x
         if np.any(np.all(np.abs(S - q) <= _DEGENERACY_EPS * scale, axis=1)):
             return x  # oracle repeats a known vertex: numerically converged
@@ -249,7 +245,7 @@ def _min_norm_point(
             if np.all(coeffs > -_DEGENERACY_EPS):
                 lam = np.clip(coeffs, 0.0, None)
                 lam /= lam.sum()
-                state = MinNormState(S.T @ lam, S, lam, eps)
+                state = MinNormState(S.T @ lam, S, lam, _EPS)
                 break
             shrink = lam - coeffs > _DEGENERACY_EPS
             theta = float(np.min(lam[shrink] / (lam - coeffs)[shrink]))
@@ -262,8 +258,9 @@ def _min_norm_point(
             lam /= lam.sum()
         else:
             raise SolverFailureError("minor cycle failed to restore a corral")
-        assert state.consistent()
-    raise SolverFailureError(f"min-norm point loop exceeded {max_iter} major cycles")
+        if not state.consistent():
+            raise SolverFailureError("min-norm corral drifted from its point")
+    raise SolverFailureError(f"min-norm point loop exceeded {_MAX_MAJOR_CYCLES} major cycles")
 
 
 def _walk(g, start, steps, put) -> list[int]:
@@ -282,25 +279,16 @@ def _walk(g, start, steps, put) -> list[int]:
     return values
 
 
-def check_tolerance(eps: float) -> None:
-    """Refuse a min-norm tolerance that is not a finite number above 0."""
-    if not (isinstance(eps, numbers.Real) and 0 < eps < math.inf):
-        raise DomainError(f"eps {eps!r} must be a finite number > 0")
-
-
-def sfm_wolfe(
-    g: BinaryCubeFunction, eps: float = 1e-10, max_iter: int = 10_000
-) -> tuple[frozenset[int], int]:
+def sfm_wolfe(g: BinaryCubeFunction) -> tuple[frozenset[int], int]:
     """Submodular minimization via the min-norm point of the base polytope.
 
     The greedy oracle linearly optimizes over the base polytope of the
     normalized function, reading one walk of ``g`` per call; the
     minimizer is read off the min-norm point by collecting coordinates
-    below -sqrt(eps).  On integer-valued submodular inputs of moderate
+    below -sqrt(_EPS).  On integer-valued submodular inputs of moderate
     magnitude this reproduces the brute-force value exactly;
     non-submodular inputs void the guarantee.
     """
-    check_tolerance(eps)
     free = g.free
     k = len(free)
     if k == 0:
@@ -314,8 +302,8 @@ def sfm_wolfe(
             v[j] = float(cur - prev)
         return v
 
-    point = _min_norm_point(k, greedy, eps, max_iter)
-    threshold = -(eps ** 0.5)
+    point = _min_norm_point(k, greedy)
+    threshold = -(_EPS ** 0.5)
     subset = frozenset(free[j] for j in range(k) if point[j] < threshold)
     return subset, g.evaluate(subset)
 
@@ -325,16 +313,12 @@ def _put_sign(vec: SignVector, step: tuple[int, Sign]) -> SignVector:
     return vec[:i] + (s,) + vec[i + 1:]
 
 
-def bisub_minnorm(
-    h: SignBoxFunction,
-    eps: float = 1e-10,
-    max_iter: int = 10_000,
-) -> tuple[SignVector, int]:
+def bisub_minnorm(h: SignBoxFunction) -> tuple[SignVector, int]:
     """Experimental bisubmodular minimization via a min-norm point.
 
     The linear oracle is the signed greedy over the bisubmodular
     polyhedron, reading one walk of ``h`` per call; the minimizer is
-    extracted as -sign of the min-norm point, thresholded at sqrt(eps).
+    extracted as -sign of the min-norm point, thresholded at sqrt(_EPS).
 
     Coordinates with a missing sign make that polyhedron unbounded, so
     restricted boxes are first extended to the full box as
@@ -349,7 +333,6 @@ def bisub_minnorm(
     is why this engine is opt-in and the test suite compares it with
     ``bisub_brute``.
     """
-    check_tolerance(eps)
     live = [i for i in range(h.m) if h.allowed[i] != (0,)]
     k = len(live)
     result = h.zeros()
@@ -375,8 +358,8 @@ def bisub_minnorm(
                         v[j] = float(s * penalty)
                 return v
 
-            point = _min_norm_point(k, signed_greedy, eps, max_iter)
-            threshold = eps ** 0.5
+            point = _min_norm_point(k, signed_greedy)
+            threshold = _EPS ** 0.5
             signs = [0] * h.m
             for j, coord in enumerate(live):
                 if point[j] > threshold:

@@ -252,13 +252,13 @@ def test_criterion_7_min_norm_oracle_equivalence():
         m = 2 + rng.below(7)  # up to 8
         g = random_cut_plus_modular(rng, m)
         _, expected = ts.sfm_brute(g)
-        _, value = ts.sfm_wolfe(g, eps=1e-10)
+        _, value = ts.sfm_wolfe(g)
         assert value == expected, ("sfm", trial, m)
     for trial in range(50):
         m = 2 + rng.below(5)  # up to 6
         h = random_sign_box(rng, m, full_box=trial % 2 == 0)
         _, expected = ts.bisub_brute(h)
-        vec, value = ts.bisub_minnorm(h, eps=1e-10)
+        vec, value = ts.bisub_minnorm(h)
         assert value == expected, ("bisub", trial, m)
         assert all(s in h.allowed[i] for i, s in enumerate(vec))
     _report(7, True, "wolfe == brute on 50 cubes; min-norm == brute on 50 sign boxes", began)

