@@ -51,16 +51,16 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BudgetExceededError, DomainError
+from .errors import DomainError
 from .functions import (
     DEFAULT_PAIR_BUDGET,
     CostFunction,
     Labeling,
     ProductDomain,
     DenseTable,
-    enumeration_budget,
     materialize,
     own_domain,
+    require_budget,
     sum_dtype,
 )
 from .rng import SplitMix64
@@ -180,18 +180,10 @@ def _validate_tables(domain: ProductDomain, tables: list[OpTable], which: str) -
                     raise DomainError(f"{which}: table {i} holds invalid label {v!r}")
 
 
-def _pair_budget(budget: int | None) -> int:
-    return budget if budget is not None else enumeration_budget(DEFAULT_PAIR_BUDGET)
-
-
-def _require_exhaustible(size: int, budget: int | None) -> int:
-    limit = _pair_budget(budget)
-    if size * size > limit:
-        raise BudgetExceededError(
-            f"domain size {size}: {size * size} pairs exceed budget {limit}; "
-            "raise TREESUB_BUDGET or use sampled mode"
-        )
-    return limit
+def _require_exhaustible(size: int) -> None:
+    require_budget(size * size, DEFAULT_PAIR_BUDGET,
+                   f"domain size {size}: {size * size} pairs exceed budget {{limit}}; "
+                   "raise TREESUB_BUDGET or use sampled mode")
 
 
 def _digits(domain: ProductDomain, size: int) -> np.ndarray:
@@ -299,7 +291,6 @@ def _pair_check(
     mode: str,
     samples: int,
     seed: int,
-    budget: int | None,
     note: str = "",
 ) -> CheckReport:
     """Check f(x)+f(y) >= f(op1)+f(op2) for every member of the family.
@@ -310,8 +301,8 @@ def _pair_check(
     """
     size = domain.size()
     if mode == "exhaustive":
-        limit = _require_exhaustible(size, budget)
-        table = materialize(f, budget=limit)
+        _require_exhaustible(size)
+        table = materialize(f)
         family = build_family()
         for xr, yr in _candidate_pairs(table, domain, family):
             witness = _first_violation(table, family, domain.unrank(xr), domain.unrank(yr), name)
@@ -351,12 +342,11 @@ def check_strong(
     *,
     samples: int = 1000,
     seed: int = 0,
-    budget: int | None = None,
 ) -> CheckReport:
     """Verify f(x)+f(y) >= f(meet)+f(join) for componentwise midpoints."""
     domain = own_domain(f, domain)
     return _pair_check(f, domain, lambda: [(None, _tree_op(domain, meet_join))],
-                       "strong", mode, samples, seed, budget)
+                       "strong", mode, samples, seed)
 
 
 def check_weak(
@@ -366,12 +356,11 @@ def check_weak(
     *,
     samples: int = 1000,
     seed: int = 0,
-    budget: int | None = None,
 ) -> CheckReport:
     """Verify f(x)+f(y) >= f(wedge)+f(vee)."""
     domain = own_domain(f, domain)
     return _pair_check(f, domain, lambda: [(None, _tree_op(domain, wedge_vee))],
-                       "weak", mode, samples, seed, budget)
+                       "weak", mode, samples, seed)
 
 
 def check_multimorphism(
@@ -382,7 +371,6 @@ def check_multimorphism(
     *,
     samples: int = 1000,
     seed: int = 0,
-    budget: int | None = None,
     name: str = "multimorphism",
 ) -> CheckReport:
     """Verify the binary multimorphism inequality for arbitrary op tables."""
@@ -393,7 +381,7 @@ def check_multimorphism(
     _validate_tables(domain, op1, "op1")
     _validate_tables(domain, op2, "op2")
     return _pair_check(f, domain, lambda: [(None, _table_op(op1, op2))],
-                       name, mode, samples, seed, budget)
+                       name, mode, samples, seed)
 
 
 def check_translation(
@@ -403,7 +391,6 @@ def check_translation(
     *,
     samples: int = 1000,
     seed: int = 0,
-    budget: int | None = None,
 ) -> CheckReport:
     """Verify the d-step inequality for every pair and every relevant d.
 
@@ -418,14 +405,14 @@ def check_translation(
     steps = range(max(t.node_count for t in domain.trees))
     note = "d capped at rho_inf(x, y) per pair; all coordinates saturate beyond"
     return _pair_check(f, domain, lambda: [(d, _tree_op(domain, up_down, d)) for d in steps],
-                       "translation", mode, samples, seed, budget, note)
+                       "translation", mode, samples, seed, note)
 
 
 # ---------------------------------------------------------------------------
 # Restriction checks used by the descent neighborhoods
 
 
-def check_cube_submodular(g: BinaryCubeFunction, budget: int | None = None) -> CheckReport:
+def check_cube_submodular(g: BinaryCubeFunction) -> CheckReport:
     """Exhaustive submodularity check of a binary-cube restriction.
 
     The cube over the free coordinates is a product of 2-node chains, on
@@ -439,8 +426,7 @@ def check_cube_submodular(g: BinaryCubeFunction, budget: int | None = None) -> C
         return frozenset(i for i, b in zip(free, bits) if b)
 
     return _restriction_check("submodular-cube", [RootedTree([-1, 0]) for _ in free],
-                              g.evaluate, to_subset, lambda bits: tuple(sorted(to_subset(bits))),
-                              budget)
+                              g.evaluate, to_subset, lambda bits: tuple(sorted(to_subset(bits))))
 
 
 _SIGN_TREES = {
@@ -458,7 +444,7 @@ _SIGN_OF_NODE = {
 }
 
 
-def check_sign_box_bisubmodular(h: SignBoxFunction, budget: int | None = None) -> CheckReport:
+def check_sign_box_bisubmodular(h: SignBoxFunction) -> CheckReport:
     """Exhaustive bisubmodularity check of a sign-box restriction.
 
     Each coordinate's allowed signs embed into a 1-3 node rooted tree on
@@ -472,10 +458,10 @@ def check_sign_box_bisubmodular(h: SignBoxFunction, budget: int | None = None) -
         return tuple(sign_maps[i][v] for i, v in enumerate(labels))
 
     return _restriction_check("bisubmodular-box", [_SIGN_TREES[a] for a in h.allowed],
-                              h.evaluate, to_signs, to_signs, budget)
+                              h.evaluate, to_signs, to_signs)
 
 
-def _restriction_check(name, trees, evaluate, to_arg, to_witness, budget) -> CheckReport:
+def _restriction_check(name, trees, evaluate, to_arg, to_witness) -> CheckReport:
     """Strong check of a restriction embedded into a product of small trees.
 
     ``to_arg`` maps a labeling of the trees to the restriction's argument
@@ -484,9 +470,9 @@ def _restriction_check(name, trees, evaluate, to_arg, to_witness, budget) -> Che
     if not trees:
         return CheckReport(name, "exhaustive", True, None, 1, note="no free coordinates")
     domain = ProductDomain(trees)
-    _require_exhaustible(domain.size(), budget)  # refuse before any evaluation
+    _require_exhaustible(domain.size())  # refuse before any evaluation
     values = [evaluate(to_arg(labels)) for labels in domain.labelings()]
-    report = check_strong(DenseTable(domain, values), budget=budget)
+    report = check_strong(DenseTable(domain, values))
     w = report.witness
     if w is not None:
         w = ViolationWitness(name, to_witness(w.x), to_witness(w.y), None, w.lhs, w.rhs)

@@ -28,6 +28,7 @@ package-wide.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -85,6 +86,17 @@ _FAILURE_ERRORS = (BudgetExceededError, GenerationError, SolverFailureError, Ite
 
 def _fail(path: str, message: str) -> FormatError:
     return FormatError(f"{path}: {message}")
+
+
+@contextlib.contextmanager
+def _naming(path: str | Path):
+    """Prefix an error raised inside with ``path: `` unless it already names the file."""
+    try:
+        yield
+    except TreesubError as exc:
+        if str(exc).startswith(f"{path}: "):
+            raise
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _parse_value(raw, denominator: int, where: str, index: int) -> tuple[int, int]:
@@ -256,7 +268,8 @@ def parse_instance(path: str | Path) -> tuple[ProductDomain, CostFunction, dict]
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-    return parse_document(doc, origin=str(path))
+    with _naming(path):
+        return parse_document(doc, origin=str(path))
 
 
 def build_document(domain: ProductDomain, function: CostFunction, metadata: dict | None = None) -> dict:
@@ -532,7 +545,7 @@ def _bench_row(path: Path, diagnostics: bool, timing: bool) -> dict:
     domain, function, metadata = parse_instance(path)
     properties = metadata.get("properties", [])
     if not isinstance(properties, list) or not all(isinstance(p, str) for p in properties):
-        raise _fail(f"{path}: metadata.properties", "expected an array of strings")
+        raise _fail("metadata.properties", "expected an array of strings")
     start = _parse_start(None, metadata, domain, path)
     row: dict = {"instance": path.name, "K": max(t.node_count for t in domain.trees)}
     began = time.perf_counter()
@@ -572,7 +585,10 @@ def _cmd_bench(args) -> int:
     if not suite.is_dir():
         raise FormatError(f"{suite}: bench suite is not a directory")
     paths = sorted(suite.glob("*.json"))
-    rows = [_bench_row(p, args.diagnostics, args.timing) for p in paths]
+    rows = []
+    for p in paths:
+        with _naming(p):
+            rows.append(_bench_row(p, args.diagnostics, args.timing))
     ok = all(row["steps_within_bound"] for row in rows)
     record = {"command": "bench", "suite": str(suite), "rows": rows, "ok": ok}
     _emit(record, args.out)

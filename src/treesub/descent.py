@@ -27,12 +27,12 @@ cost an exponential enumeration and are meant for tests and benchmarks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    BudgetExceededError,
     DomainError,
     IterationBoundError,
     UnsupportedStructureError,
@@ -42,9 +42,9 @@ from .functions import (
     CostFunction,
     Labeling,
     ProductDomain,
-    enumeration_budget,
     grid_minimum,
     own_domain,
+    require_budget,
 )
 from .solvers import (
     BinaryCubeFunction,
@@ -222,12 +222,7 @@ def _solve_outward(f, domain, x, engine: str):
     return bisub_brute(box) if engine == "brute" else bisub_minnorm(box)
 
 
-def rho_minus(
-    f: CostFunction,
-    domain: ProductDomain | None,
-    x: Labeling,
-    budget: int | None = None,
-) -> int:
+def rho_minus(f: CostFunction, domain: ProductDomain | None, x: Labeling) -> int:
     """Distance from x to the nearest minimizer of f over {y preceding x}.
 
     Exact, by enumerating the ancestor ideal of x.  Zero iff x minimizes
@@ -241,15 +236,10 @@ def rho_minus(
         while chain[-1] != t.root:
             chain.append(t.parent[chain[-1]])
         chains.append(chain)
-    return _nearest_optimum_distance(f, domain, x, chains, budget)
+    return _nearest_optimum_distance(f, domain, x, chains)
 
 
-def rho_plus(
-    f: CostFunction,
-    domain: ProductDomain | None,
-    x: Labeling,
-    budget: int | None = None,
-) -> int:
+def rho_plus(f: CostFunction, domain: ProductDomain | None, x: Labeling) -> int:
     """Distance from x to the nearest minimizer of f over {y succeeding x}."""
     domain = own_domain(f, domain)
     x = domain.validate(x)
@@ -262,16 +252,13 @@ def rho_plus(
             below.append(v)
             stack.extend(t.children[v])
         regions.append(below)
-    return _nearest_optimum_distance(f, domain, x, regions, budget)
+    return _nearest_optimum_distance(f, domain, x, regions)
 
 
-def _nearest_optimum_distance(f, domain, x, regions, budget) -> int:
-    limit = budget if budget is not None else enumeration_budget(DEFAULT_CELL_BUDGET)
-    region_size = 1
-    for r in regions:
-        region_size *= len(r)
-    if region_size > limit:
-        raise BudgetExceededError(f"region of {region_size} labelings exceeds budget {limit}")
+def _nearest_optimum_distance(f, domain, x, regions) -> int:
+    size = math.prod(len(r) for r in regions)
+    require_budget(size, DEFAULT_CELL_BUDGET,
+                   f"region of {size} labelings exceeds budget {{limit}}")
     values = f.grid(regions)
     # ancestor/descendant moves stay on root paths, so the per-tree
     # distance is a depth difference
@@ -365,9 +352,7 @@ def minimize(
 
 
 def minimize_exhaustive(
-    f: CostFunction,
-    domain: ProductDomain | None = None,
-    budget: int | None = None,
+    f: CostFunction, domain: ProductDomain | None = None
 ) -> tuple[Labeling, int]:
     """Global minimum by scanning the whole domain; ties pick the lowest rank.
 
@@ -375,4 +360,4 @@ def minimize_exhaustive(
     rejects, and doubles as the oracle the descent is tested against.
     """
     domain = own_domain(f, domain)
-    return grid_minimum(f, [range(t.node_count) for t in domain.trees], budget)
+    return grid_minimum(f, [range(t.node_count) for t in domain.trees])

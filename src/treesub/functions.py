@@ -35,6 +35,7 @@ _INT64_SUM_BOUND = 1 << 62  # sums whose |value| stays below this fit int64
 DEFAULT_PAIR_BUDGET = 10**6
 DEFAULT_CELL_BUDGET = 10**6
 DEFAULT_BOX_BUDGET = 3**12
+DEFAULT_CUBE_BUDGET = 1 << 20
 
 
 def sum_dtype(largest: int) -> type:
@@ -46,18 +47,25 @@ def sum_dtype(largest: int) -> type:
     return np.int64 if largest < _INT64_SUM_BOUND else object
 
 
-def enumeration_budget(default: int) -> int:
-    """Default budget, overridable through the TREESUB_BUDGET variable."""
+def require_budget(size: int, default: int, refusal: str) -> None:
+    """Refuse an enumeration of ``size`` items above its budget.
+
+    The budget is ``default`` unless the TREESUB_BUDGET variable sets
+    one for every guard.  A refusal, made before any evaluation, raises
+    BudgetExceededError with ``refusal``, in which ``{limit}`` stands
+    for the budget.
+    """
+    limit = default
     raw = os.environ.get("TREESUB_BUDGET")
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"TREESUB_BUDGET={raw!r} is not an integer") from exc
-    if value <= 0:
-        raise DomainError(f"TREESUB_BUDGET={value} must be positive")
-    return value
+    if raw is not None:
+        try:
+            limit = int(raw)
+        except ValueError as exc:
+            raise DomainError(f"TREESUB_BUDGET={raw!r} is not an integer") from exc
+        if limit <= 0:
+            raise DomainError(f"TREESUB_BUDGET={limit} must be positive")
+    if size > limit:
+        raise BudgetExceededError(refusal.format(limit=limit))
 
 
 class ProductDomain:
@@ -397,32 +405,26 @@ def _fold_terms(
     return tuple(tables.items())
 
 
-def materialize(f: CostFunction, budget: int | None = None) -> DenseTable:
+def materialize(f: CostFunction) -> DenseTable:
     """Evaluate f on every labeling and return the dense table."""
     if isinstance(f, DenseTable):
         return f
     size = f.domain.size()
-    limit = budget if budget is not None else enumeration_budget(DEFAULT_CELL_BUDGET)
-    if size > limit:
-        raise BudgetExceededError(f"materializing {size} cells exceeds budget {limit}")
+    require_budget(size, DEFAULT_CELL_BUDGET,
+                   f"materializing {size} cells exceeds budget {{limit}}")
     grid = f.grid([range(t.node_count) for t in f.domain.trees])
     return DenseTable(f.domain, grid.ravel().tolist(), f.denominator)
 
 
-def grid_minimum(
-    f: CostFunction, axes: Sequence[Sequence[int]], budget: int | None = None
-) -> tuple[Labeling, int]:
+def grid_minimum(f: CostFunction, axes: Sequence[Sequence[int]]) -> tuple[Labeling, int]:
     """First minimum of f over ``itertools.product(*axes)``.
 
     Ties pick the labeling that comes first in that order.  A product of
-    more than ``budget`` labelings (default: the cell budget) is refused
-    before any evaluation.
+    more labelings than the cell budget is refused before any evaluation.
     """
     axes = [tuple(a) for a in axes]
     size = math.prod(len(a) for a in axes)
-    limit = budget if budget is not None else enumeration_budget(DEFAULT_CELL_BUDGET)
-    if size > limit:
-        raise BudgetExceededError(f"domain size {size} exceeds budget {limit}")
+    require_budget(size, DEFAULT_CELL_BUDGET, f"domain size {size} exceeds budget {{limit}}")
     values = f.grid(axes)
     cell = np.unravel_index(int(np.argmin(values)), values.shape)  # first minimum
     return tuple(a[i] for a, i in zip(axes, cell)), int(values[cell])
@@ -484,14 +486,14 @@ def fork_tree(k: int) -> RootedTree:
     return RootedTree([-1] + list(range(k)) + [k, k])
 
 
-def random_tree(rng: SplitMix64, node_count: int, max_children: int = 2) -> RootedTree:
-    """Uniform-ish random tree: each new node picks a non-full parent."""
+def random_tree(rng: SplitMix64, node_count: int) -> RootedTree:
+    """Uniform-ish random binary tree: each new node picks a parent with < 2 children."""
     if node_count < 1:
         raise DomainError("tree needs at least one node")
     parent = [-1]
     load = [0]
     for v in range(1, node_count):
-        open_slots = [u for u in range(v) if load[u] < max_children]
+        open_slots = [u for u in range(v) if load[u] < 2]
         p = open_slots[rng.below(len(open_slots))]
         parent.append(p)
         load[p] += 1
@@ -538,13 +540,10 @@ def _distance_to_target(rng: SplitMix64, tree: RootedTree, max_value: int) -> li
     return [scale * rho(tree, v, target) for v in range(tree.node_count)]
 
 
-def _random_unary(
-    rng: SplitMix64,
-    tree: RootedTree,
-    op,
-    max_value: int,
-    tries: int = 10_000,
-) -> list[int]:
+_UNARY_TRIES = 10_000
+
+
+def _random_unary(rng: SplitMix64, tree: RootedTree, op, max_value: int) -> list[int]:
     """Unary table passing g(a)+g(b) >= g(op1)+g(op2) for every pair.
 
     Proposals rotate between uniform tables, convex-of-depth tables with
@@ -555,8 +554,8 @@ def _random_unary(
     pairs = _unary_pairs(tree, op)
     n = tree.node_count
     noise = min(2, max_value)
-    for attempt in range(tries):
-        if attempt == tries - 1:
+    for attempt in range(_UNARY_TRIES):
+        if attempt == _UNARY_TRIES - 1:
             g = _convex_of_depth(rng, tree, max_value)
         elif attempt % 3 == 0:
             g = [rng.below(max_value + 1) for _ in range(n)]
@@ -568,7 +567,7 @@ def _random_unary(
             g = [base[v] + rng.below(noise + 1) for v in range(n)]
         if all(g[a] + g[b] >= g[u] + g[v] for a, b, u, v in pairs):
             return g
-    raise GenerationError("unary rejection sampling failed", attempts=tries)
+    raise GenerationError("unary rejection sampling failed", attempts=_UNARY_TRIES)
 
 
 def _depth_coupling_term(
@@ -625,14 +624,11 @@ def _random_verified(
     op = meet_join if prop == "strong" else wedge_vee
     rng = SplitMix64(seed)
     size = domain.size()
-    limit = enumeration_budget(DEFAULT_PAIR_BUDGET)
-    if size * size > limit:
-        raise BudgetExceededError(
-            f"domain size {size} needs {size * size} verification pairs, budget {limit}"
-        )
+    require_budget(size * size, DEFAULT_PAIR_BUDGET,
+                   f"domain size {size} needs {size * size} verification pairs, budget {{limit}}")
     if attempt_budget < 1:
         raise GenerationError(
-            "attempt budget 0: acceptance rate 0/0", attempts=0, accepted=0
+            f"attempt budget {attempt_budget}: acceptance rate 0/0", attempts=0, accepted=0
         )
     for attempt in range(attempt_budget):
         style = attempt % 3  # 0: +noise, 1: +couplings, 2: separable only
@@ -798,6 +794,8 @@ def generate(
         return builders[name]()
     if domain is None:
         raise DomainError(f"kind {kind!r} needs a domain")
+    if max_value < 0:
+        raise DomainError(f"max_value must be non-negative, got {max_value}")
     if kind == "chain-separable":
         return _chain_separable(domain, seed, max_value)
     if kind in ("random-verified-strong", "random-verified-weak"):

@@ -46,8 +46,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, DomainError, SolverFailureError
-from .functions import DEFAULT_BOX_BUDGET, enumeration_budget
+from .errors import DomainError, SolverFailureError
+from .functions import DEFAULT_BOX_BUDGET, DEFAULT_CUBE_BUDGET, require_budget
 
 Sign = int
 SignVector = tuple[int, ...]
@@ -122,16 +122,14 @@ class SignBoxFunction:
         return size
 
 
-def sfm_brute(g: BinaryCubeFunction, budget: int | None = None) -> tuple[frozenset[int], int]:
+def sfm_brute(g: BinaryCubeFunction) -> tuple[frozenset[int], int]:
     """Exact minimizer by enumerating the cube; ties pick the lowest rank.
 
     Subset rank treats bit j as membership of ``free[j]``, so the empty
     set wins any tie with later subsets.
     """
     k = len(g.free)
-    limit = budget if budget is not None else enumeration_budget(1 << 20)
-    if 1 << k > limit:
-        raise BudgetExceededError(f"2**{k} subsets exceed budget {limit}")
+    require_budget(1 << k, DEFAULT_CUBE_BUDGET, f"2**{k} subsets exceed budget {{limit}}")
 
     def subset(mask: int) -> frozenset[int]:
         return frozenset(g.free[j] for j in range(k) if mask >> j & 1)
@@ -144,7 +142,7 @@ def sfm_brute(g: BinaryCubeFunction, budget: int | None = None) -> tuple[frozens
     return subset(mask), int(values[mask])
 
 
-def bisub_brute(h: SignBoxFunction, budget: int | None = None) -> tuple[SignVector, int]:
+def bisub_brute(h: SignBoxFunction) -> tuple[SignVector, int]:
     """Exact minimizer by enumerating the box; ties pick the lowest rank.
 
     Vectors are enumerated in mixed radix with coordinate 0 most
@@ -152,9 +150,8 @@ def bisub_brute(h: SignBoxFunction, budget: int | None = None) -> tuple[SignVect
     (-1, 0, +1) order, so for a constant function the first enumerated
     vector (all -1 where allowed) is returned.
     """
-    limit = budget if budget is not None else enumeration_budget(DEFAULT_BOX_BUDGET)
-    if h.box_size() > limit:
-        raise BudgetExceededError(f"box size {h.box_size()} exceeds budget {limit}")
+    size = h.box_size()
+    require_budget(size, DEFAULT_BOX_BUDGET, f"box size {size} exceeds budget {{limit}}")
     if h.grid is not None:
         values = h.grid()
     else:

@@ -170,9 +170,7 @@ def recognize_domain(domain: ProductDomain) -> list[ForkTree]:
 
 
 def minimize_weak(
-    f: CostFunction,
-    domain: ProductDomain | None = None,
-    budget: int | None = None,
+    f: CostFunction, domain: ProductDomain | None = None
 ) -> tuple[Labeling, int]:
     """Minimize a (weakly tree-submodular) cost over a product of forks.
 
@@ -180,12 +178,11 @@ def minimize_weak(
     flattened sign box is scanning the domain: each variable's labels
     are listed in the order of their encodings and the first minimum over
     the product is taken, which is the encoded box's first minimum in its
-    mixed-radix order.  ``budget`` (default: the cell budget) counts
-    labelings.  Exact for any cost; the weak tree-submodularity premise
-    is what makes the encoded family a signed ring family rather than
-    what this routine relies on.
+    mixed-radix order.  The cell budget counts labelings.  Exact for any
+    cost; the weak tree-submodularity premise is what makes the encoded
+    family a signed ring family rather than what this routine relies on.
     """
     domain = own_domain(f, domain)
     forks = recognize_domain(domain)
     axes = [sorted(range(fork.tree.node_count), key=partial(psi, fork)) for fork in forks]
-    return grid_minimum(f, axes, budget)
+    return grid_minimum(f, axes)

@@ -602,7 +602,8 @@ def test_cube_check_empty_free():
     assert report.ok and report.witness is None and report.pairs_checked == 1
 
 
-def test_restriction_checks_refuse_before_any_evaluation():
+def test_restriction_checks_refuse_before_any_evaluation(monkeypatch):
+    monkeypatch.setenv("TREESUB_BUDGET", "10")
     calls = []
 
     def counted(arg):
@@ -611,10 +612,10 @@ def test_restriction_checks_refuse_before_any_evaluation():
 
     cube = BinaryCubeFunction(m=16, free=tuple(range(16)), evaluate=counted)
     with pytest.raises(BudgetExceededError) as cube_err:
-        ts.check_cube_submodular(cube, budget=10)
+        ts.check_cube_submodular(cube)
     box = SignBoxFunction(m=8, allowed=((-1, 0, 1),) * 8, evaluate=counted)
     with pytest.raises(BudgetExceededError) as box_err:
-        ts.check_sign_box_bisubmodular(box, budget=10)
+        ts.check_sign_box_bisubmodular(box)
     assert calls == []
     assert str(cube_err.value) == (
         "domain size 65536: 4294967296 pairs exceed budget 10; "

@@ -364,6 +364,21 @@ def test_check_budget_exit_three(tmp_path, monkeypatch, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw, message", [
+    ("abc", "TREESUB_BUDGET='abc' is not an integer"),
+    ("0", "TREESUB_BUDGET=0 must be positive"),
+    ("-3", "TREESUB_BUDGET=-3 must be positive"),
+    ("1e6", "TREESUB_BUDGET='1e6' is not an integer"),
+])
+def test_bad_budget_variable_exits_two(raw, message, monkeypatch, capsys):
+    monkeypatch.setenv("TREESUB_BUDGET", raw)
+    path = next(p for p in corpus_paths() if p.name == "chain5_quadratic.json")
+    assert main(["check", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_minimize_descent_rejects_ternary_exit_two(tmp_path):
     dom = ts.ProductDomain([ts.RootedTree([-1, 0, 0, 0])])
     f = ts.DenseTable(dom, [3, 2, 1, 0])
@@ -375,12 +390,26 @@ def test_minimize_descent_rejects_ternary_exit_two(tmp_path):
 
 def test_generate_failure_exit_three(tmp_path, capsys):
     out = tmp_path / "x.json"
+    for attempts in ("0", "-5"):
+        code = main([
+            "generate", "--kind", "random-verified-strong", "--tree-spec", "chain3",
+            "--attempts", attempts, "--out", str(out),
+        ])
+        assert code == EXIT_FAILURE
+        assert capsys.readouterr().err == f"error: attempt budget {attempts}: acceptance rate 0/0\n"
+
+
+def test_generate_negative_max_value_exits_two(tmp_path, capsys):
+    out = tmp_path / "x.json"
     code = main([
-        "generate", "--kind", "random-verified-strong", "--tree-spec", "chain3",
-        "--attempts", "0", "--out", str(out),
+        "generate", "--kind", "random-verified-strong", "--tree-spec", "chain3", "--n", "2",
+        "--max-value", "-1", "--out", str(out),
     ])
-    assert code == EXIT_FAILURE
-    assert "acceptance" in capsys.readouterr().err
+    assert code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: max_value must be non-negative, got -1\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])
@@ -561,6 +590,41 @@ def test_bench_rejects_properties_that_are_not_strings(properties, tmp_path, cap
     assert captured.err == (
         f"error: {tmp_path / 'row.json'}: metadata.properties: expected an array of strings\n"
     )
+
+
+_STAR4 = {"parent": [-1, 0, 0, 0]}
+
+
+@pytest.mark.parametrize("tree, values, metadata, message", [
+    ({"parent": [-1, 0, 1]}, [1, 0], {},
+     "function.values: expected 3 entries for this domain, got 2"),
+    (_STAR4, [1, 0, 2, 3], {}, "tree 0 is not binary: node 0 has 3 children"),
+    (_STAR4, [1, 0, 2, 3], {"properties": ["weak"]}, "tree 0: node 0 has 3 children"),
+])
+def test_bench_row_errors_name_the_file(tree, values, metadata, message, tmp_path, capsys):
+    path = tmp_path / "row.json"
+    path.write_text(json.dumps({"format_version": "1", "trees": [tree], "metadata": metadata,
+                                "function": {"type": "table", "values": values}}))
+    assert main(["bench", "--suite", str(tmp_path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"format_version": "1", "trees": [{"parent": [-1, 0, 1]}],
+      "function": {"type": "table", "values": [1, 0]}},
+     "function.values: expected 3 entries for this domain, got 2"),
+    ([1], "top level must be an object"),  # already names the file: no second prefix
+])
+@pytest.mark.parametrize("command", ["minimize", "check", "encode-weak"])
+def test_parse_errors_name_the_file(command, doc, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
 
 
 def _quadratic_with_start(tmp_path: Path, start) -> Path:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import treesub as ts
-from treesub.errors import DomainError, GenerationError
+from treesub.errors import BudgetExceededError, DomainError, GenerationError
 
 import treesub.functions as functions
 from conftest import brute_minimum, random_terms, term_grid, term_walk
@@ -482,9 +483,21 @@ def test_generate_deterministic():
 
 def test_generate_zero_budget_reports_acceptance():
     dom = ts.ProductDomain([ts.chain_tree(3)])
-    with pytest.raises(GenerationError) as err:
-        ts.generate("random-verified-strong", dom, seed=0, attempt_budget=0)
-    assert "acceptance rate" in str(err.value)
+    for attempts in (0, -5):
+        with pytest.raises(GenerationError) as err:
+            ts.generate("random-verified-strong", dom, seed=0, attempt_budget=attempts)
+        assert str(err.value) == f"attempt budget {attempts}: acceptance rate 0/0"
+
+
+@pytest.mark.parametrize("kind", ["random-verified-strong", "random-verified-weak",
+                                  "chain-separable"])
+def test_generate_refuses_negative_max_value_before_drawing(kind, monkeypatch):
+    draws = []
+    monkeypatch.setattr(ts.SplitMix64, "below", _recorder(draws, "below"))
+    dom = ts.ProductDomain([ts.chain_tree(3)] * 2)
+    with pytest.raises(DomainError, match="max_value must be non-negative, got -1"):
+        ts.generate(kind, dom, seed=0, max_value=-1)
+    assert draws == []
 
 
 def test_generate_unknown_kind():
@@ -496,6 +509,63 @@ def test_generate_size_guard():
     dom = ts.ProductDomain([ts.chain_tree(40), ts.chain_tree(40)])
     with pytest.raises(ts.errors.BudgetExceededError):
         ts.generate("random-verified-strong", dom, seed=0)
+
+
+def _recorder(calls: list, name: str):
+    return lambda *args: calls.append(name)
+
+
+def _recorded_oracles(calls: list) -> dict:
+    return {name: _recorder(calls, name) for name in ("evaluate", "grid", "walk")}
+
+
+def _recorded_sum(calls: list) -> ts.SumOfTerms:
+    """A sum over chain3 x chain2 (6 labelings) that records its oracle calls."""
+    dom = ts.ProductDomain([ts.chain_tree(3), ts.chain_tree(2)])
+    f = ts.SumOfTerms(dom, random_terms(ts.SplitMix64(3), dom, 0, 9, 2))
+    for name, oracle in _recorded_oracles(calls).items():
+        setattr(f, name, oracle)
+    return f
+
+
+# (guarded size, refusal at TREESUB_BUDGET = size - 1, call on a recorded sum)
+_GUARDS = {
+    "sfm_brute": (8, "2**3 subsets exceed budget 7", lambda f, calls: ts.sfm_brute(
+        ts.BinaryCubeFunction(m=3, free=(0, 1, 2), **_recorded_oracles(calls)))),
+    "bisub_brute": (9, "box size 9 exceeds budget 8", lambda f, calls: ts.bisub_brute(
+        ts.SignBoxFunction(m=2, allowed=((-1, 0, 1),) * 2, **_recorded_oracles(calls)))),
+    "materialize": (6, "materializing 6 cells exceeds budget 5",
+                    lambda f, calls: ts.materialize(f)),
+    "grid_minimum": (6, "domain size 6 exceeds budget 5",
+                     lambda f, calls: functions.grid_minimum(f, [range(3), range(2)])),
+    "distance": (6, "region of 6 labelings exceeds budget 5",
+                 lambda f, calls: ts.rho_minus(f, None, (2, 1))),
+    "pair_check": (36, "domain size 6: 36 pairs exceed budget 35; "
+                       "raise TREESUB_BUDGET or use sampled mode",
+                   lambda f, calls: ts.check_strong(f)),
+    "generator": (36, "domain size 6 needs 36 verification pairs, budget 35",
+                  lambda f, calls: ts.generate("random-verified-strong", f.domain, seed=0)),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(_GUARDS))
+def test_each_guard_refuses_just_above_the_budget_before_any_oracle_call(guard, monkeypatch):
+    size, refusal, call = _GUARDS[guard]
+    calls = []
+    f = _recorded_sum(calls)
+    monkeypatch.setattr(ts.SplitMix64, "below", _recorder(calls, "below"))
+    monkeypatch.setenv("TREESUB_BUDGET", str(size - 1))
+    with pytest.raises(BudgetExceededError) as err:
+        call(f, calls)
+    assert str(err.value) == refusal
+    assert calls == []
+
+
+def test_no_public_callable_takes_a_budget():
+    """Budgets are set by the defaults and TREESUB_BUDGET alone."""
+    names = [n for n in ts.__all__ if n not in ("Labeling", "errors")]  # an alias, a module
+    for c in [getattr(ts, n) for n in names] + [functions.grid_minimum]:
+        assert "budget" not in inspect.signature(c).parameters, c
 
 
 def test_constant_passes_all_three():

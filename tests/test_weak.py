@@ -259,10 +259,12 @@ def test_weak_solves_fork5_cube_beyond_the_old_box_budget():
 def test_budget_below_domain_size_refuses_before_any_oracle_call(solver, monkeypatch):
     dom = ts.ProductDomain([ts.fork_tree(1), ts.chain_tree(3)])
     f = ts.DenseTable(dom, list(range(dom.size())))
-    assert solver(f, dom, budget=12) == ((0, 0), 0)
+    monkeypatch.setenv("TREESUB_BUDGET", "12")
+    assert solver(f, dom) == ((0, 0), 0)
     calls = []
     monkeypatch.setattr(f, "evaluate", calls.append)
     monkeypatch.setattr(f, "grid", calls.append)
+    monkeypatch.setenv("TREESUB_BUDGET", "11")
     with pytest.raises(BudgetExceededError, match="domain size 12 exceeds budget 11"):
-        solver(f, dom, budget=11)
+        solver(f, dom)
     assert calls == []
