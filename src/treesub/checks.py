@@ -39,8 +39,16 @@ TREESUB_BUDGET) is still larger than the threshold.  The pass only
 flags the first violating pair; its witness comes from replaying that
 pair through the family in exact pure-Python arithmetic.  The op tables
 of a tree operation are built once per distinct tree of the domain.
-Sampled mode builds no tables: it calls the tree operation per drawn
-pair, remembering each result for the rest of the check.
+
+Sampled mode builds no tables.  It draws its pairs in blocks of at most
+2^10 and takes each block through the family as arrays: per member, each
+distinct map is called once per distinct (a, b) label pair the block
+holds, and each result is remembered for the rest of the check.  A pair
+leaves the pass at the first member that swaps it or that it violates,
+and both sides of every comparison come from one batched oracle call
+(``CostFunction.values_at``).  The pass stops at the first block holding
+a violation, so its arrays hold O(2^10 * n) labels whatever the sample
+count; the first violating sample is replayed exactly for its witness.
 """
 
 from __future__ import annotations
@@ -73,6 +81,10 @@ from .trees import RootedTree, meet_join, rho, up_down, wedge_vee  # noqa: F401
 # are mapped or trimmed and faulted in afresh on every allocation, and
 # those page faults cost more than the numpy work of the block.
 _BLOCK_CELLS = 1 << 14
+
+# Drawn pairs per block of a sampled check: 1,000 samples, the default,
+# take one block, and more take a fixed amount of memory per block.
+_SAMPLE_PAIRS = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -186,10 +198,10 @@ def _require_exhaustible(size: int) -> None:
                    "raise TREESUB_BUDGET or use sampled mode")
 
 
-def _digits(domain: ProductDomain, size: int) -> np.ndarray:
+def _digits(domain: ProductDomain, ranks: np.ndarray) -> np.ndarray:
+    """The labeling of each rank, one row per rank."""
     cards = domain.cardinalities()
-    digs = np.empty((size, domain.n), dtype=np.int64)
-    ranks = np.arange(size, dtype=np.int64)
+    digs = np.empty((len(ranks), domain.n), dtype=np.int64)
     for i in range(domain.n - 1, -1, -1):
         ranks, digs[:, i] = np.divmod(ranks, cards[i])
     return digs
@@ -269,7 +281,7 @@ def _candidate_pairs(table: DenseTable, domain: ProductDomain, family: OpFamily)
         return ()
     values = np.asarray(table.values, dtype=sum_dtype(2 * max(map(abs, table.values))))
     grid = values.reshape(domain.cardinalities())
-    digs = _digits(domain, size)
+    digs = _digits(domain, np.arange(size, dtype=np.int64))
     rows = max(1, _BLOCK_CELLS // size)
     for start in range(0, size, rows):
         xdigs = digs[start:start + rows]
@@ -280,6 +292,79 @@ def _candidate_pairs(table: DenseTable, domain: ProductDomain, family: OpFamily)
             viol = member if viol is None else np.logical_or(viol, member, out=viol)
         if viol.any():
             return (divmod(start * size + int(np.argmax(viol)), size),)
+    return ()
+
+
+def _coord_groups(op: CoordOp) -> list[tuple[Callable, list[int]]]:
+    """The distinct maps of a coordinate op, each with its coordinates."""
+    groups: dict[Callable, list[int]] = {}
+    for i, m in enumerate(op):
+        groups.setdefault(m, []).append(i)
+    return list(groups.items())
+
+
+def _apply(groups, span: int, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both labelings of op(x, y) for each row of x and y.
+
+    Each map is called once per distinct label pair (a, b) among its
+    coordinates of these rows, encoded as ``a * span + b`` with ``span``
+    above every label.
+    """
+    first, second = np.empty_like(x), np.empty_like(x)
+    for m, cols in groups:
+        codes, inverse = np.unique((x[:, cols] * span + y[:, cols]).ravel(), return_inverse=True)
+        moved = np.array([m(*divmod(k, span)) for k in codes.tolist()], dtype=np.int64)
+        first[:, cols] = moved[inverse, 0].reshape(len(x), len(cols))
+        second[:, cols] = moved[inverse, 1].reshape(len(x), len(cols))
+    return first, second
+
+
+def _flagged_sample(f: CostFunction, domain: ProductDomain, family: OpFamily,
+                    samples: int, seed: int):
+    """The first drawn pair that violates a member, as (s, x, y) for
+    sample index s, or nothing.
+
+    Pairs are drawn as rank(x) then rank(y) per sample from
+    ``SplitMix64(seed)``, in blocks of at most ``_SAMPLE_PAIRS``.  A
+    block walks the members in list order; a pair leaves at the first
+    member that maps it to (y, x), where ``_first_violation`` stops, or
+    that it violates.  Pairs after a flagged one leave too, since only
+    the first counts.  The first member reads f(x) and f(y) in the same
+    oracle call as its own two labelings.
+    """
+    size = domain.size()
+    span = max(domain.cardinalities())
+    members = [_coord_groups(op) for _, op in family]
+    rng = SplitMix64(seed)
+    for start in range(0, samples, _SAMPLE_PAIRS):
+        count = min(_SAMPLE_PAIRS, samples - start)
+        ranks = np.fromiter((rng.below(size) for _ in range(2 * count)), np.int64, 2 * count)
+        digs = _digits(domain, ranks)
+        x, y = digs[0::2], digs[1::2]
+        rows = np.arange(count)
+        lhs = None
+        flagged = count
+        for groups in members:
+            if not len(rows):
+                break
+            xs, ys = x[rows], y[rows]
+            first, second = _apply(groups, span, xs, ys)
+            unswapped = ~((first == ys).all(axis=1) & (second == xs).all(axis=1))
+            rows, first, second = rows[unswapped], first[unswapped], second[unswapped]
+            k = len(rows)
+            if lhs is None:
+                vals = f.values_at(np.concatenate((xs[unswapped], ys[unswapped], first, second)))
+                lhs, vals = vals[:k] + vals[k:2 * k], vals[2 * k:]
+            else:
+                lhs = lhs[unswapped]
+                vals = f.values_at(np.concatenate((first, second)))
+            viol = lhs < vals[:k] + vals[k:]
+            if viol.any():
+                flagged = int(rows[np.argmax(viol)])
+            keep = ~viol & (rows < flagged)
+            rows, lhs = rows[keep], lhs[keep]
+        if flagged < count:
+            return ((start + flagged, tuple(x[flagged].tolist()), tuple(y[flagged].tolist())),)
     return ()
 
 
@@ -298,6 +383,10 @@ def _pair_check(
     ``build_family`` runs only once the mode, sample count and pair
     budget are accepted.  ``note`` is attached to exhaustive reports;
     sampled reports carry their own note saying how far the search went.
+    Both modes find the first violating pair with an array pass and
+    replay it through ``_first_violation`` for its witness: exhaustive
+    mode over every pair in rank order (``_candidate_pairs``), sampled
+    mode over the drawn pairs in draw order (``_flagged_sample``).
     """
     size = domain.size()
     if mode == "exhaustive":
@@ -314,15 +403,13 @@ def _pair_check(
     if samples < 1:
         raise DomainError(f"sampled mode needs at least 1 sample, got {samples}")
     # Each distinct map remembers its results for this check, so a label
-    # pair drawn again walks no tree.  Exhaustive mode needs no memo: it
-    # calls each map once per label pair to build its tables.
+    # pair drawn again, in a later block or in the replay, walks no tree.
+    # Exhaustive mode needs no memo: it calls each map once per label
+    # pair to build its tables.
     family = build_family()
     cached = {m: functools.cache(m) for _, op in family for m in op}
     family = [(d, [cached[m] for m in op]) for d, op in family]
-    rng = SplitMix64(seed)
-    for s in range(samples):
-        x = domain.unrank(rng.below(size))
-        y = domain.unrank(rng.below(size))
+    for s, x, y in _flagged_sample(f, domain, family, samples, seed):
         witness = _first_violation(f, family, x, y, name)
         if witness is not None:
             return CheckReport(

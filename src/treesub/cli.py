@@ -668,7 +668,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=int, help="replicate a single-token --tree-spec n times")
     p_gen.add_argument("--tree-spec", help="comma-separated: chainN, forkK, star3, bintree7")
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--max-value", type=int, default=20)
+    p_gen.add_argument("--max-value", type=int, default=20,
+                       help="largest unary proposal value of the random-verified kinds; "
+                            "chain-separable ignores it (it must still be non-negative)")
     p_gen.add_argument("--attempts", type=int, default=1000)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=_cmd_generate)

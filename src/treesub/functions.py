@@ -184,6 +184,17 @@ class CostFunction:
         values = [self.evaluate(y) for y in itertools.product(*axes)]
         return np.array(values, dtype=object).reshape(tuple(len(a) for a in axes))
 
+    def values_at(self, labels: np.ndarray) -> np.ndarray:
+        """f at each row of a ``(k, n)`` integer array of labelings.
+
+        Returns the k exact values as one array: int64 only while the sum
+        of any two of them fits, else object (exact Python ints), so the
+        sum of two results is exact on either.  This version calls
+        ``evaluate`` once per row and keeps its exact integers in an
+        object array.
+        """
+        return np.array([self.evaluate(tuple(x)) for x in labels.tolist()], dtype=object)
+
     def walk(self, x: Sequence[int], steps: Iterable[tuple[int, int]]) -> list[int]:
         """f at x and then after each step, one exact integer per point.
 
@@ -204,6 +215,18 @@ class CostFunction:
 def _check_variable(i: int, n: int) -> None:
     if not 0 <= i < n:
         raise DomainError(f"variable {i} is not in 0..{n - 1}")
+
+
+def _label_rows(domain: ProductDomain, labels: np.ndarray) -> np.ndarray:
+    """``labels`` as a ``(k, n)`` int64 array, each label checked against its tree."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.ndim != 2 or labels.shape[1] != domain.n:
+        raise DomainError(f"labelings of shape {labels.shape} do not have arity {domain.n}")
+    bad = (labels < 0) | (labels >= domain.cardinalities())
+    if bad.any():
+        k, i = np.argwhere(bad)[0]
+        domain.trees[i].check_node(int(labels[k, i]))
+    return labels
 
 
 def _check_denominator(denominator: int) -> int:
@@ -254,6 +277,18 @@ class DenseTable(CostFunction):
             raise InternalError("cost table shorter than the domain")
         return self.values[k]
 
+    def values_at(self, labels: np.ndarray) -> np.ndarray:
+        """f at each row, as ``CostFunction.values_at``: the rows are
+        checked and ranked as arrays, and their values gathered from the
+        table, so the work grows with the rows and not with |D|."""
+        labels = _label_rows(self.domain, labels)
+        ranks = np.zeros(len(labels), dtype=np.int64)
+        for i, t in enumerate(self.domain.trees):
+            ranks = ranks * t.node_count + labels[:, i]
+        got = list(map(self.values.__getitem__, ranks.tolist()))
+        largest = max(max(got, default=0), -min(got, default=0))
+        return np.array(got, dtype=sum_dtype(2 * largest))
+
 
 @dataclass(frozen=True)
 class Term:
@@ -277,10 +312,10 @@ class Term:
 class SumOfTerms(CostFunction):
     """Costs as a sum of low-arity terms sharing one denominator.
 
-    The tables behind ``grid`` are built on its first call and
-    kept; they are built fully and then stored in one assignment, so the
-    instance stays immutable to its callers and safe to evaluate
-    concurrently.
+    The tables behind ``grid`` and ``values_at`` are built on the first
+    call of either and kept; they are built fully and then stored in one
+    assignment, so the instance stays immutable to its callers and safe
+    to evaluate concurrently.
     """
 
     __slots__ = ("domain", "denominator", "terms", "_tables")
@@ -365,18 +400,38 @@ class SumOfTerms(CostFunction):
         for t, axis in zip(domain.trees, axes):
             for v in axis:
                 t.check_node(v)
-        tables = self._tables
-        if tables is None:
-            tables = self._tables = _fold_terms(domain, self.terms)
         n = domain.n
         index = [
             np.array(axis, dtype=np.intp).reshape([-1 if j == i else 1 for j in range(n)])
             for i, axis in enumerate(axes)
         ]
-        out = np.zeros([len(a) for a in axes], dtype=tables[0][1].dtype if tables else np.int64)
-        for scope, table in tables:
-            out += table[tuple(index[i] for i in scope)]
-        return out
+        return _gather_add(self._folded(), index, [len(a) for a in axes])
+
+    def values_at(self, labels: np.ndarray) -> np.ndarray:
+        """f at each row, as ``CostFunction.values_at``: the rows are
+        checked as one array, then one gather-add per table of
+        ``_fold_terms``, with column i of the rows indexing variable i.
+        The dtype is the tables', as in ``grid``."""
+        labels = _label_rows(self.domain, labels)
+        return _gather_add(self._folded(), labels.T, len(labels))
+
+    def _folded(self):
+        tables = self._tables
+        if tables is None:
+            tables = self._tables = _fold_terms(self.domain, self.terms)
+        return tables
+
+
+def _gather_add(tables, index, shape) -> np.ndarray:
+    """The sum over ``tables`` of ``table[index of each scope variable]``.
+
+    ``index[i]`` indexes variable i and broadcasts to ``shape``, the
+    shape of the result.
+    """
+    out = np.zeros(shape, dtype=tables[0][1].dtype if tables else np.int64)
+    for scope, table in tables:
+        out += table[tuple(index[i] for i in scope)]
+    return out
 
 
 def _fold_terms(
@@ -664,7 +719,12 @@ def _random_verified(
 
 
 def _chain_separable(domain: ProductDomain, seed: int, max_value: int) -> InstanceFixture:
-    """Separable convex costs plus |x_i - x_j| couplings on chain domains."""
+    """Separable convex costs plus |x_i - x_j| couplings on chain domains.
+
+    ``max_value`` is not read: the scales are 1 + below(3) and the
+    coupling weights below(3) whatever its value, so every value of it
+    gives the same fixture.
+    """
     for i, t in enumerate(domain.trees):
         if not t.is_chain():
             raise DomainError(f"chain-separable needs chain trees; tree {i} is not")
@@ -783,7 +843,9 @@ def generate(
 
     Deterministic given (kind, domain, seed) and the keyword parameters;
     all randomness flows through one splitmix64 stream seeded with
-    ``seed``.
+    ``seed``.  ``max_value`` bounds the unary proposals of the
+    random-verified kinds; "chain-separable" ignores it, beyond refusing
+    a negative one, and the catalog fixtures fix their own values.
     """
     if kind == "fixture-catalog":
         builders = _catalog_builders()

@@ -131,6 +131,50 @@ def naive_check_translation(f: ts.CostFunction) -> ts.ViolationWitness | None:
     return None
 
 
+def _coordwise(domain: ts.ProductDomain, op, x, y, *args):
+    moved = [op(t, a, b, *args) for t, a, b in zip(domain.trees, x, y)]
+    return tuple(m[0] for m in moved), tuple(m[1] for m in moved)
+
+
+def sampled_steps(prop: str, domain: ts.ProductDomain):
+    """``steps(x, y)`` for ``replay_sampled``: the (d, op1, op2) of one pair.
+
+    "strong" and "weak" give the midpoint and wedge/vee pair; "min-max"
+    gives per-coordinate min and max, for chain domains, whose labels are
+    their depths; "translation" gives the up/down pair for d = 0 up to
+    rho_inf(x, y).
+    """
+    if prop == "translation":
+        return lambda x, y: [(d, *_coordwise(domain, ts.up_down, x, y, d))
+                             for d in range(ts.rho_inf(domain, x, y) + 1)]
+    if prop == "min-max":
+        return lambda x, y: [(None, tuple(map(min, x, y)), tuple(map(max, x, y)))]
+    op = {"strong": ts.meet_join, "weak": ts.wedge_vee}[prop]
+    return lambda x, y: [(None, *_coordwise(domain, op, x, y))]
+
+
+def replay_sampled(f: ts.CostFunction, steps, samples: int, seed: int):
+    """(witness key, pairs checked, note) of a sampled check, one sample
+    at a time.
+
+    Each sample draws rank(x) then rank(y) from ``SplitMix64(seed)`` and
+    scans ``steps(x, y)`` in order; the first sample with some
+    f(x)+f(y) < f(op1)+f(op2) ends the scan, and its first such step is
+    the witness (x, y, d, lhs, rhs).
+    """
+    domain = f.domain
+    rng = ts.SplitMix64(seed)
+    for s in range(samples):
+        x = domain.unrank(rng.below(domain.size()))
+        y = domain.unrank(rng.below(domain.size()))
+        lhs = f.evaluate(x) + f.evaluate(y)
+        for d, up, down in steps(x, y):
+            rhs = f.evaluate(up) + f.evaluate(down)
+            if lhs < rhs:
+                return (x, y, d, lhs, rhs), s + 1, f"violation found at sample {s + 1} of {samples}"
+    return None, samples, f"no violation found in {samples} samples; not a proof"
+
+
 def brute_minimum(f: ts.CostFunction) -> tuple[tuple[int, ...], int]:
     """Full scan, first minimum in rank order."""
     best_x, best = None, None

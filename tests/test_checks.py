@@ -11,7 +11,15 @@ from treesub import checks
 from treesub.errors import BudgetExceededError, DomainError
 from treesub.solvers import BinaryCubeFunction, SignBoxFunction
 
-from conftest import naive_check, naive_check_translation, random_table_function, term_grid
+from conftest import (
+    naive_check,
+    naive_check_translation,
+    random_table_function,
+    random_terms,
+    replay_sampled,
+    sampled_steps,
+    term_grid,
+)
 
 
 @pytest.fixture
@@ -337,38 +345,89 @@ def test_sampled_translation(concave_chain):
     assert report.witness.d is not None
 
 
-def _replay_sampled_translation(f, samples, seed):
-    """Witness and pair count of a sampled d-step scan, d capped per pair."""
-    domain = f.domain
-    rng = ts.SplitMix64(seed)
-    for s in range(samples):
-        x = domain.unrank(rng.below(domain.size()))
-        y = domain.unrank(rng.below(domain.size()))
-        for d in range(ts.rho_inf(domain, x, y) + 1):
-            moved = [ts.up_down(t, xi, yi, d) for t, xi, yi in zip(domain.trees, x, y)]
-            up = tuple(m[0] for m in moved)
-            down = tuple(m[1] for m in moved)
-            lhs = f.evaluate(x) + f.evaluate(y)
-            rhs = f.evaluate(up) + f.evaluate(down)
-            if lhs < rhs:
-                return (x, y, d, lhs, rhs), s + 1
-    return None, samples
+class _Lookup(ts.CostFunction):
+    """A cost function outside the package: ``evaluate`` reads a dict."""
+
+    def __init__(self, domain, values):
+        self.domain = domain
+        self.denominator = 1
+        self._values = dict(zip(domain.labelings(), values))
+
+    def evaluate(self, x):
+        return self._values[tuple(x)]
 
 
-def test_sampled_translation_matches_replay():
-    dom = ts.ProductDomain([ts.chain_tree(4), ts.star3_tree()])
+def _sampled_check(prop, f, samples, seed):
+    if prop == "min-max":
+        return ts.check_multimorphism(f, op_pair=ts.min_max_tables(f.domain), mode="sampled",
+                                      samples=samples, seed=seed, name="multimorphism:min-max")
+    check = {"strong": ts.check_strong, "weak": ts.check_weak,
+             "translation": ts.check_translation}[prop]
+    return check(f, mode="sampled", samples=samples, seed=seed)
+
+
+def _sampled_key(report):
+    return _witness_key(report.witness), report.pairs_checked, report.note
+
+
+@pytest.mark.parametrize("prop", ["strong", "weak", "min-max", "translation"])
+def test_sampled_reports_match_the_scalar_replay(prop):
+    """Witness, pair count and note equal the one-sample-at-a-time scan's,
+    for tables, sums of terms, tables past 2^62 (object dtype) and a
+    custom subclass."""
     rng = ts.SplitMix64(71)
+    doms = [ts.ProductDomain([ts.chain_tree(4), ts.chain_tree(3)])]
+    if prop != "min-max":
+        doms.append(ts.ProductDomain([ts.chain_tree(4), ts.star3_tree()]))
     verdicts = set()
-    for i in range(20):
-        f = random_table_function(rng, dom, max_value=4 + 6 * (i % 2))
-        seed = rng.below(1000)
-        report = ts.check_translation(f, mode="sampled", samples=15, seed=seed)
-        witness, pairs = _replay_sampled_translation(f, 15, seed)
-        assert _witness_key(report.witness) == witness
-        assert report.pairs_checked == pairs
-        assert report.ok == (witness is None)
-        verdicts.add(report.ok)
+    for i in range(12):
+        dom = doms[i % len(doms)]
+        high = 1 + 6 * (i % 2)
+        values = [rng.below(high + 1) for _ in range(dom.size())]
+        for f in (ts.DenseTable(dom, values),
+                  ts.SumOfTerms(dom, random_terms(rng, dom, 0, high, 2)),
+                  ts.DenseTable(dom, [v + (1 << 62) for v in values]),
+                  _Lookup(dom, values)):
+            seed = rng.below(1000)
+            report = _sampled_check(prop, f, 15, seed)
+            expect = replay_sampled(f, sampled_steps(prop, dom), 15, seed)
+            assert _sampled_key(report) == expect
+            assert report.ok == (expect[0] is None)
+            verdicts.add(report.ok)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("prop", ["strong", "weak", "min-max", "translation"])
+def test_sampled_reports_match_the_scalar_replay_past_one_block(prop):
+    """A flat table with one low cell: violations are rare, so the first
+    one may lie past the first block of draws, or in none."""
+    dom = ts.ProductDomain([ts.chain_tree(7)] * 4)
+    values = [0] * dom.size()
+    values[dom.rank((3, 2, 4, 3))] = -1
+    samples = 3 * checks._SAMPLE_PAIRS
+    pairs = set()
+    for f in (ts.DenseTable(dom, values), _Lookup(dom, values)):
+        for seed in range(3):
+            report = _sampled_check(prop, f, samples, seed)
+            assert _sampled_key(report) == replay_sampled(f, sampled_steps(prop, dom), samples, seed)
+            pairs.add(report.pairs_checked)
+    assert max(p for p in pairs if p < samples) > checks._SAMPLE_PAIRS
+
+
+def test_sampled_checks_stay_within_a_block_of_memory():
+    """200,000 samples keep the traced peak to a few block arrays (a block
+    of 4 x 2^10 labelings of arity 2 is 64 KiB as int64); the 400,000
+    draws alone, held at once as int64, would take 3.2 MB."""
+    dom = ts.ProductDomain([ts.chain_tree(3)] * 2)
+    f = ts.DenseTable(dom, [sum((v - 1) ** 2 for v in x) for x in dom.labelings()])
+    tracemalloc.start()
+    try:
+        report = ts.check_strong(f, mode="sampled", samples=200_000, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.pairs_checked == 200_000
+    assert peak < 2**19
 
 
 @pytest.mark.parametrize("samples", [0, -3])
@@ -445,8 +504,10 @@ def test_sampled_translation_stops_by_rho_inf(monkeypatch):
 
 
 def test_sampled_strong_walks_the_tree_once_per_sample(monkeypatch):
-    """Sampled strong checks call meet_join per drawn label pair, never per
-    label pair of the tree, and report as the full tables would."""
+    """Sampled strong checks call meet_join at most once per drawn label
+    pair, never per label pair of the tree, and report as the full tables
+    would.  A block of draws is mapped whole before it is compared, so
+    the bound is the 40 drawn pairs, not the pairs up to the witness."""
     dom = ts.ProductDomain([ts.chain_tree(300)])
     tables = ts.meet_join_tables(dom)
     calls = []
@@ -458,7 +519,7 @@ def test_sampled_strong_walks_the_tree_once_per_sample(monkeypatch):
         f = ts.DenseTable(dom, [(v - 150) ** 2 if v < 200 else top(v) for v in range(300)])
         calls.clear()
         report = ts.check_strong(f, mode="sampled", samples=40, seed=9)
-        assert 1 <= len(calls) <= report.pairs_checked
+        assert 1 <= len(calls) <= 40
         verdicts.add(report.ok)
         assert report == ts.check_multimorphism(f, op_pair=tables, mode="sampled", samples=40,
                                                 seed=9, name="strong")

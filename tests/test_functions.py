@@ -14,7 +14,7 @@ import treesub as ts
 from treesub.errors import BudgetExceededError, DomainError, GenerationError
 
 import treesub.functions as functions
-from conftest import brute_minimum, random_terms, term_grid, term_walk
+from conftest import brute_minimum, random_terms, term_grid, term_sum, term_walk
 
 
 @pytest.fixture
@@ -331,6 +331,46 @@ def test_sum_grid_is_exact_once_the_tables_reach_2_62():
         whole = f.grid([range(3), range(4)])
         assert whole.ravel().tolist() == term_grid(dom, terms, [range(3), range(4)])
         assert all(type(v) is int for v in whole.ravel().tolist())
+
+
+def test_values_at_matches_the_term_sum_oracle():
+    """Rows of labelings give their exact values, in a dtype that keeps
+    the sum of two exact, for sums, tables and the base class's loop."""
+    rng = ts.SplitMix64(31)
+    dom = ts.ProductDomain([ts.complete_binary_tree(3), ts.chain_tree(4), ts.star3_tree()])
+    axes = [range(t.node_count) for t in dom.trees]
+    for shift, dtype in ((0, np.int64), ((1 << 60) - 30, np.int64), (1 << 62, object),
+                         (-(1 << 70), object)):
+        terms = random_terms(rng, dom, -9, 9, 3)
+        terms[0] = ts.Term(terms[0].scope, tuple(v + shift for v in terms[0].values))
+        sums = ts.SumOfTerms(dom, terms)
+        table = ts.DenseTable(dom, term_grid(dom, terms, axes))
+        for k in (0, 1, 40):
+            rows = np.array([[rng.below(c) for c in dom.cardinalities()] for _ in range(k)],
+                            dtype=np.int64).reshape(k, dom.n)
+            expect = [term_sum(dom, terms, y) for y in rows.tolist()]
+            for got in (sums.values_at(rows), table.values_at(rows),
+                        ts.CostFunction.values_at(table, rows)):
+                assert got.shape == (k,)
+                assert got.tolist() == expect
+                assert (got + got[::-1]).tolist() == [a + b for a, b in zip(expect, expect[::-1])]
+            if k:
+                assert sums.values_at(rows).dtype == table.values_at(rows).dtype == dtype
+
+
+def test_values_at_refuses_a_bad_label_with_the_evaluate_message():
+    dom = ts.ProductDomain([ts.complete_binary_tree(3), ts.chain_tree(4), ts.star3_tree()])
+    sums = ts.SumOfTerms(dom, random_terms(ts.SplitMix64(5), dom, 0, 9, 2))
+    table = ts.DenseTable(dom, range(dom.size()))
+    for f in (sums, table):
+        for bad in (3, -1):
+            with pytest.raises(DomainError) as expected:
+                f.evaluate((6, 3, bad))
+            with pytest.raises(DomainError) as got:
+                f.values_at(np.array([[0, 1, 2], [6, 3, bad], [7, 0, 0]]))
+            assert str(got.value) == str(expected.value)
+        with pytest.raises(DomainError, match="arity 3"):
+            f.values_at(np.zeros((2, 2), dtype=np.int64))
 
 
 def test_second_grid_builds_no_table(monkeypatch):
