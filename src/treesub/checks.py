@@ -23,37 +23,39 @@ across runs and implementations.  Sampled mode draws pairs i.i.d.
 uniform by rank from a seeded stream; it proves nothing and its report
 says so.
 
+Ops map label arrays.  A coordinate op is a list of groups (map, columns),
+one per distinct tree (per coordinate for op tables), and ``_apply`` runs
+each group once over its columns of a block of label rows: drawn pairs
+in sampled mode, or one flagged pair for its exact replay.  Exhaustive
+op tables come from each group's map on its tree's index grid.
+
 Costs are integers, so verdicts are exact.  An exhaustive check takes a
 vectorized pass that walks rank(x) in row blocks of at most 2^14 pairs,
 building the ranks of op(x, y) by broadcasting per-coordinate op table
 rows, and stops at the first block holding a violation.  The values'
 size picks the arrays' dtype: int64 when every sum of two costs fits,
 else object, whose cells are exact Python ints; the pass is the same
-code on either.  Its arrays hold O(2^14 + |D|) elements whatever |D|,
-about 0.6 MB of traced memory at |D| = 1000.  A block array of 2^14
-8-byte cells is 128 KiB, glibc's default mmap threshold, so the
-allocator reuses heap memory for it; larger arrays were mapped or
-trimmed and faulted in afresh on every allocation.  A row longer than
-2^14 cells (|D| > 16,384, within reach only under a raised
-TREESUB_BUDGET) is still larger than the threshold.  The pass only
-flags the first violating pair; its witness comes from replaying that
-pair through the family in exact pure-Python arithmetic.  The op tables
-of a tree operation are built once per distinct tree of the domain.
+code on either.  Besides the op tables, its arrays hold O(2^14 + |D|)
+elements whatever |D|, about 0.6 MB of traced memory at |D| = 1000.  A
+block array of 2^14 8-byte cells is 128 KiB, glibc's default mmap
+threshold, so the allocator reuses heap memory for it; larger arrays
+were mapped or trimmed and faulted in afresh on every allocation.  A row
+longer than 2^14 cells (|D| > 16,384, within reach only under a raised
+TREESUB_BUDGET) is still larger than the threshold.  The pass only flags
+the first violating pair, and its witness comes from the exact replay.
 
 Sampled mode builds no tables.  It draws its pairs in blocks of at most
-2^10 and takes each block through the family as arrays: per member, each
-distinct map is called once per distinct (a, b) label pair the block
-holds, and each result is remembered for the rest of the check.  A pair
-leaves the pass at the first member that swaps it or that it violates,
-and both sides of every comparison come from one batched oracle call
-(``CostFunction.values_at``).  The pass stops at the first block holding
-a violation, so its arrays hold O(2^10 * n) labels whatever the sample
-count; the first violating sample is replayed exactly for its witness.
+2^10 and takes each block through the family as arrays, one call per
+group and member.  A pair leaves the pass at the first member that swaps
+it or that it violates, and both sides of every comparison come from one
+batched oracle call (``CostFunction.values_at``).  The pass stops at the
+first block holding a violation, so its arrays hold O(2^10 * n) labels
+whatever the sample count; the first violating sample is replayed
+exactly for its witness.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -73,8 +75,9 @@ from .functions import (
 )
 from .rng import SplitMix64
 from .solvers import BinaryCubeFunction, SignBoxFunction
-# rho stays importable here: perfbench/tracer.py instruments it alongside the ops.
-from .trees import RootedTree, meet_join, rho, up_down, wedge_vee  # noqa: F401
+from .trees import RootedTree, meet_join_array, up_down_array, wedge_vee_array
+# These four scalar names stay only for perfbench/tracer.py, which patches them here.
+from .trees import meet_join, rho, up_down, wedge_vee  # noqa: F401
 
 # Pairs per row block of the vectorized path.  2^14 8-byte cells are
 # 128 KiB, glibc's default mmap threshold.  Larger block temporaries
@@ -117,10 +120,9 @@ class CheckReport:
 
 
 OpTable = list[list[int]]
-# A coordinate op holds, per coordinate i, a map (a, b) -> (op1, op2)
-# labels on tree i.  Coordinates holding the same map object share its
-# op tables.
-CoordOp = list[Callable[[int, int], tuple[int, int]]]
+# A coordinate op is a list of groups (map, columns): the map takes label
+# arrays a, b of one tree to (op1(a, b), op2(a, b)) for those columns.
+CoordOp = list[tuple[Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]], list[int]]]
 # Members (d, op); d is None outside the d-step family.  Members are
 # ordered so that once one maps a pair (x, y) to (y, x), every later
 # member does too: the rest of the family holds with equality there.
@@ -128,42 +130,49 @@ OpFamily = list[tuple[int | None, CoordOp]]
 
 
 def _tree_op(domain: ProductDomain, op, *args) -> CoordOp:
-    """op on each coordinate's tree; coordinates with equal trees share one map."""
-    maps = {t: (lambda a, b, t=t: op(t, a, b, *args)) for t in domain.trees}
-    return [maps[t] for t in domain.trees]
+    """The array op on each distinct tree, for the coordinates holding it."""
+    return [(lambda a, b, t=t: op(t, a, b, *args), [i for i, u in enumerate(domain.trees) if u == t])
+            for t in dict.fromkeys(domain.trees)]
 
 
 def _table_op(first: list[OpTable], second: list[OpTable]) -> CoordOp:
-    return [lambda a, b, f=f, s=s: (f[a][b], s[a][b]) for f, s in zip(first, second)]
+    tables = [(np.asarray(f), np.asarray(s)) for f, s in zip(first, second)]
+    return [(lambda a, b, f=f, s=s: (f[a, b], s[a, b]), [i]) for i, (f, s) in enumerate(tables)]
 
 
-def _build_tables(domain: ProductDomain, op: CoordOp) -> tuple[list[OpTable], list[OpTable]]:
-    """Both op tables per coordinate, built once per distinct map."""
-    built = {}
-    for t, m in zip(domain.trees, op):
-        if m not in built:
-            labels = range(t.node_count)
-            pairs = [[m(a, b) for b in labels] for a in labels]
-            built[m] = ([[u for u, _ in row] for row in pairs], [[v for _, v in row] for row in pairs])
-    return [built[m][0] for m in op], [built[m][1] for m in op]
+def _apply(op: CoordOp, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both labelings of op(x, y) for each row of the label arrays x and y,
+    from one call per group."""
+    first, second = np.empty_like(x), np.empty_like(x)
+    for m, cols in op:
+        first[:, cols], second[:, cols] = m(x[:, cols], y[:, cols])
+    return first, second
+
+
+def _build_tables(domain: ProductDomain, op: CoordOp) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Both op tables per coordinate, from one call per group on its index grid."""
+    tables = {}
+    for m, cols in op:
+        n = domain.trees[cols[0]].node_count
+        tables.update(dict.fromkeys(cols, m(*np.indices((n, n)))))
+    return [tables[i][0] for i in range(domain.n)], [tables[i][1] for i in range(domain.n)]
+
+
+def _listed_tables(domain: ProductDomain, op) -> tuple[list[OpTable], list[OpTable]]:
+    return tuple([t.tolist() for t in tables] for tables in _build_tables(domain, _tree_op(domain, op)))
 
 
 def meet_join_tables(domain: ProductDomain) -> tuple[list[OpTable], list[OpTable]]:
-    return _build_tables(domain, _tree_op(domain, meet_join))
+    return _listed_tables(domain, meet_join_array)
 
 
 def wedge_vee_tables(domain: ProductDomain) -> tuple[list[OpTable], list[OpTable]]:
-    return _build_tables(domain, _tree_op(domain, wedge_vee))
+    return _listed_tables(domain, wedge_vee_array)
 
 
 def projection_tables(domain: ProductDomain) -> tuple[list[OpTable], list[OpTable]]:
     """op1 returns the first argument, op2 the second; always a multimorphism."""
-    first, second = [], []
-    for t in domain.trees:
-        n = t.node_count
-        first.append([[a] * n for a in range(n)])
-        second.append([list(range(n)) for _ in range(n)])
-    return first, second
+    return _listed_tables(domain, lambda t, a, b: (a, b))
 
 
 def min_max_tables(domain: ProductDomain) -> tuple[list[OpTable], list[OpTable]]:
@@ -171,12 +180,8 @@ def min_max_tables(domain: ProductDomain) -> tuple[list[OpTable], list[OpTable]]
     for i, t in enumerate(domain.trees):
         if not t.is_chain():
             raise DomainError(f"min/max tables need chain trees; tree {i} is not")
-    lo, hi = [], []
-    for t in domain.trees:
-        n = t.node_count
-        lo.append([[a if t.depth[a] <= t.depth[b] else b for b in range(n)] for a in range(n)])
-        hi.append([[b if t.depth[a] <= t.depth[b] else a for b in range(n)] for a in range(n)])
-    return lo, hi
+    # on a chain the wedge is the shallower label and the vee the deeper
+    return wedge_vee_tables(domain)
 
 
 def _validate_tables(domain: ProductDomain, tables: list[OpTable], which: str) -> None:
@@ -224,9 +229,7 @@ def _first_violation(
     """
     lhs = f.evaluate(x) + f.evaluate(y)
     for d, op in family:
-        moved = [m(a, b) for m, a, b in zip(op, x, y)]
-        first = tuple(m[0] for m in moved)
-        second = tuple(m[1] for m in moved)
+        first, second = (tuple(z[0].tolist()) for z in _apply(op, np.array([x]), np.array([y])))
         if first == y and second == x:
             break
         rhs = f.evaluate(first) + f.evaluate(second)
@@ -235,14 +238,14 @@ def _first_violation(
     return None
 
 
-def _scaled_tables(domain: ProductDomain, tables: list[OpTable]) -> list[np.ndarray]:
+def _scaled_tables(domain: ProductDomain, tables: list[np.ndarray]) -> list[np.ndarray]:
     """Per coordinate i, the op table times rank stride i, shaped so that
     ``t[x_i]`` broadcasts along the y axis of coordinate i."""
     cards = domain.cardinalities()
     out = []
     for i, (tbl, stride) in enumerate(zip(tables, _strides(domain))):
         axes = tuple(c if j == i else 1 for j, c in enumerate(cards))
-        out.append((np.asarray(tbl, dtype=np.int64) * stride).reshape((cards[i],) + axes))
+        out.append((tbl * stride).reshape((cards[i],) + axes))
     return out
 
 
@@ -270,13 +273,13 @@ def _candidate_pairs(table: DenseTable, domain: ProductDomain, family: OpFamily)
     values, so twice the largest |value| picks the dtype (``sum_dtype``).
     """
     size = domain.size()
-    swap = projection_tables(domain)[::-1]
     members = []
     for _, op in family:
-        tables = _build_tables(domain, op)
-        if tables == swap:
-            break
-        members.append([_scaled_tables(domain, t) for t in tables])
+        first, second = _build_tables(domain, op)
+        if all((f == np.arange(len(f))).all() and (s.T == np.arange(len(s))).all()
+               for f, s in zip(first, second)):
+            break  # the member maps every pair (x, y) to (y, x)
+        members.append((_scaled_tables(domain, first), _scaled_tables(domain, second)))
     if not members:
         return ()
     values = np.asarray(table.values, dtype=sum_dtype(2 * max(map(abs, table.values))))
@@ -295,30 +298,6 @@ def _candidate_pairs(table: DenseTable, domain: ProductDomain, family: OpFamily)
     return ()
 
 
-def _coord_groups(op: CoordOp) -> list[tuple[Callable, list[int]]]:
-    """The distinct maps of a coordinate op, each with its coordinates."""
-    groups: dict[Callable, list[int]] = {}
-    for i, m in enumerate(op):
-        groups.setdefault(m, []).append(i)
-    return list(groups.items())
-
-
-def _apply(groups, span: int, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both labelings of op(x, y) for each row of x and y.
-
-    Each map is called once per distinct label pair (a, b) among its
-    coordinates of these rows, encoded as ``a * span + b`` with ``span``
-    above every label.
-    """
-    first, second = np.empty_like(x), np.empty_like(x)
-    for m, cols in groups:
-        codes, inverse = np.unique((x[:, cols] * span + y[:, cols]).ravel(), return_inverse=True)
-        moved = np.array([m(*divmod(k, span)) for k in codes.tolist()], dtype=np.int64)
-        first[:, cols] = moved[inverse, 0].reshape(len(x), len(cols))
-        second[:, cols] = moved[inverse, 1].reshape(len(x), len(cols))
-    return first, second
-
-
 def _flagged_sample(f: CostFunction, domain: ProductDomain, family: OpFamily,
                     samples: int, seed: int):
     """The first drawn pair that violates a member, as (s, x, y) for
@@ -333,22 +312,19 @@ def _flagged_sample(f: CostFunction, domain: ProductDomain, family: OpFamily,
     oracle call as its own two labelings.
     """
     size = domain.size()
-    span = max(domain.cardinalities())
-    members = [_coord_groups(op) for _, op in family]
     rng = SplitMix64(seed)
     for start in range(0, samples, _SAMPLE_PAIRS):
         count = min(_SAMPLE_PAIRS, samples - start)
-        ranks = np.fromiter((rng.below(size) for _ in range(2 * count)), np.int64, 2 * count)
-        digs = _digits(domain, ranks)
+        digs = _digits(domain, rng.below_array(size, 2 * count))
         x, y = digs[0::2], digs[1::2]
         rows = np.arange(count)
         lhs = None
         flagged = count
-        for groups in members:
+        for _, op in family:
             if not len(rows):
                 break
             xs, ys = x[rows], y[rows]
-            first, second = _apply(groups, span, xs, ys)
+            first, second = _apply(op, xs, ys)
             unswapped = ~((first == ys).all(axis=1) & (second == xs).all(axis=1))
             rows, first, second = rows[unswapped], first[unswapped], second[unswapped]
             k = len(rows)
@@ -402,13 +378,7 @@ def _pair_check(
         raise DomainError(f"unknown mode {mode!r}; use 'exhaustive' or 'sampled'")
     if samples < 1:
         raise DomainError(f"sampled mode needs at least 1 sample, got {samples}")
-    # Each distinct map remembers its results for this check, so a label
-    # pair drawn again, in a later block or in the replay, walks no tree.
-    # Exhaustive mode needs no memo: it calls each map once per label
-    # pair to build its tables.
     family = build_family()
-    cached = {m: functools.cache(m) for _, op in family for m in op}
-    family = [(d, [cached[m] for m in op]) for d, op in family]
     for s, x, y in _flagged_sample(f, domain, family, samples, seed):
         witness = _first_violation(f, family, x, y, name)
         if witness is not None:
@@ -432,7 +402,7 @@ def check_strong(
 ) -> CheckReport:
     """Verify f(x)+f(y) >= f(meet)+f(join) for componentwise midpoints."""
     domain = own_domain(f, domain)
-    return _pair_check(f, domain, lambda: [(None, _tree_op(domain, meet_join))],
+    return _pair_check(f, domain, lambda: [(None, _tree_op(domain, meet_join_array))],
                        "strong", mode, samples, seed)
 
 
@@ -446,7 +416,7 @@ def check_weak(
 ) -> CheckReport:
     """Verify f(x)+f(y) >= f(wedge)+f(vee)."""
     domain = own_domain(f, domain)
-    return _pair_check(f, domain, lambda: [(None, _tree_op(domain, wedge_vee))],
+    return _pair_check(f, domain, lambda: [(None, _tree_op(domain, wedge_vee_array))],
                        "weak", mode, samples, seed)
 
 
@@ -491,7 +461,7 @@ def check_translation(
     domain = own_domain(f, domain)
     steps = range(max(t.node_count for t in domain.trees))
     note = "d capped at rho_inf(x, y) per pair; all coordinates saturate beyond"
-    return _pair_check(f, domain, lambda: [(d, _tree_op(domain, up_down, d)) for d in steps],
+    return _pair_check(f, domain, lambda: [(d, _tree_op(domain, up_down_array, d)) for d in steps],
                        "translation", mode, samples, seed, note)
 
 

@@ -25,7 +25,9 @@ import numpy as np
 
 from .errors import BudgetExceededError, DomainError, GenerationError, InternalError
 from .rng import SplitMix64
-from .trees import RootedTree, meet_join, rho, wedge_vee
+from .trees import RootedTree, meet_join_array, rho, wedge_vee_array
+# These two scalar names stay only for perfbench/tracer.py, which patches them here.
+from .trees import meet_join, wedge_vee  # noqa: F401
 
 Labeling = tuple[int, ...]
 
@@ -559,15 +561,6 @@ def random_tree(rng: SplitMix64, node_count: int) -> RootedTree:
 # ---------------------------------------------------------------------------
 # Generators
 
-def _unary_pairs(tree: RootedTree, op) -> list[tuple[int, int, int, int]]:
-    out = []
-    for a in range(tree.node_count):
-        for b in range(tree.node_count):
-            u, v = op(tree, a, b)
-            out.append((a, b, u, v))
-    return out
-
-
 def _convex_of_depth(rng: SplitMix64, tree: RootedTree, max_value: int) -> list[int]:
     """Unary table h(depth) with h convex and non-decreasing.
 
@@ -606,8 +599,9 @@ def _random_unary(rng: SplitMix64, tree: RootedTree, op, max_value: int) -> list
     noise-free convex-of-depth table is the last resort, so the loop
     always terminates.
     """
-    pairs = _unary_pairs(tree, op)
     n = tree.node_count
+    a, b = np.indices((n, n))
+    first, second = op(tree, a, b)
     noise = min(2, max_value)
     for attempt in range(_UNARY_TRIES):
         if attempt == _UNARY_TRIES - 1:
@@ -620,7 +614,8 @@ def _random_unary(rng: SplitMix64, tree: RootedTree, op, max_value: int) -> list
         else:
             base = _distance_to_target(rng, tree, max_value)
             g = [base[v] + rng.below(noise + 1) for v in range(n)]
-        if all(g[a] + g[b] >= g[u] + g[v] for a, b, u, v in pairs):
+        h = np.array(g, dtype=sum_dtype(2 * max(g)))
+        if (h[a] + h[b] >= h[first] + h[second]).all():
             return g
     raise GenerationError("unary rejection sampling failed", attempts=_UNARY_TRIES)
 
@@ -676,7 +671,7 @@ def _random_verified(
     trusted by construction.
     """
     prop = "strong" if kind == "random-verified-strong" else "weak"
-    op = meet_join if prop == "strong" else wedge_vee
+    op = meet_join_array if prop == "strong" else wedge_vee_array
     rng = SplitMix64(seed)
     size = domain.size()
     require_budget(size * size, DEFAULT_PAIR_BUDGET,

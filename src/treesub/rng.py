@@ -14,6 +14,8 @@ stays as it is, because sampled witnesses and the goldens depend on the
 stream.
 """
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -38,3 +40,12 @@ class SplitMix64:
         if n <= 0:
             raise ValueError("below() needs a positive bound")
         return self.next_u64() % n
+
+    def below_array(self, n: int, count: int) -> np.ndarray:
+        """The next ``count`` draws of ``below(n)``, n >= 1: draw k finalizes
+        state + k * gamma in one wrapping pass of np.uint64 constants only."""
+        z = np.uint64(self._state) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return ((z ^ (z >> np.uint64(31))) % np.uint64(n)).astype(np.int64)

@@ -23,14 +23,18 @@ On a chain rooted at an endpoint, meet/join are the floor/ceil midpoints
 of the label interval and wedge/vee are min/max.  On the 3-node star read
 as signs {-1, 0, +1}, join is sign(a+b) and meet is |ab|*sign(a+b).
 
-Trees and path views are immutable after construction; every function in
-this module is pure, so concurrent reads are safe.
+Each operation also has an array form (``meet_join_array`` and so on)
+that maps label arrays in O(log height) numpy gathers on an ancestor
+table built on first use.  Trees and path views are otherwise immutable;
+every function in this module is pure, so concurrent reads are safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -44,7 +48,7 @@ class RootedTree:
     ordered children, depth, and the ancestor predicate.
     """
 
-    __slots__ = ("node_count", "parent", "children", "depth", "root")
+    __slots__ = ("node_count", "parent", "children", "depth", "root", "_lift")
 
     def __init__(self, parent: Sequence[int]):
         parents = tuple(int(p) for p in parent)
@@ -88,6 +92,17 @@ class RootedTree:
         self.children = tuple(tuple(c) for c in children)
         self.depth = tuple(depth)
         self.root = root
+        self._lift = None
+
+    def _lifting(self) -> tuple[np.ndarray, np.ndarray]:
+        """(up, depth) arrays, ``up[j, v]`` being the 2^j-th ancestor of v
+        (the root past it): O(n log height) cells, built on first use."""
+        if self._lift is None:
+            up = [np.array([v if p < 0 else p for v, p in enumerate(self.parent)])]
+            while len(up) < max(self.depth).bit_length():
+                up.append(up[-1][up[-1]])
+            self._lift = np.array(up), np.array(self.depth)
+        return self._lift
 
     def check_node(self, v: int) -> int:
         if not isinstance(v, int) or not 0 <= v < self.node_count:
@@ -229,6 +244,55 @@ def up_down(tree: RootedTree, a: int, b: int, d: int) -> tuple[int, int]:
     up = max(0, min(ra + d, rb))
     down = ra + rb - up
     return p.nodes[p.position(up)], p.nodes[p.position(down)]
+
+
+def _paths(tree: RootedTree, a, b):
+    """The paths from a to b for label arrays a and b: the apex, its
+    index and the length of each, and the map from path positions p to
+    nodes.  The node at p is an ancestor of a up to the apex, else of b."""
+    up, depth = tree._lifting()
+
+    def lift(v, k):  # the ancestor k levels above v, for 0 <= k <= depth(v)
+        for j in range(int(np.max(k, initial=0)).bit_length()):
+            v = np.where(k >> j & 1, up[j, v], v)
+        return v
+    gap = depth[a] - depth[b]
+    u = lift(np.where(gap > 0, a, b), np.abs(gap))
+    w = np.where(gap > 0, b, a)
+    for j in range(len(up) - 1, -1, -1):
+        pu, pw = up[j, u], up[j, w]
+        differ = pu != pw
+        u, w = np.where(differ, pu, u), np.where(differ, pw, w)
+    apex = np.where(u == w, u, up[0, u])
+    index = depth[a] - depth[apex]
+    length = index + depth[b] - depth[apex]
+
+    def node_at(p):
+        left = p <= index
+        return lift(np.where(left, a, b), np.where(left, p, length - p))
+
+    return apex, index, length, node_at
+
+
+def meet_join_array(tree: RootedTree, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """``meet_join`` of every label pair (a, b) of the arrays a and b."""
+    _, index, length, node_at = _paths(tree, a, b)
+    low, high = length // 2, (length + 1) // 2
+    # the midpoint nearer the apex is the ancestor
+    return node_at(np.where(low >= index, low, high)), node_at(np.where(low >= index, high, low))
+
+
+def wedge_vee_array(tree: RootedTree, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """``wedge_vee`` of every label pair (a, b) of the arrays a and b."""
+    apex, index, length, node_at = _paths(tree, a, b)
+    return apex, node_at(length - index)
+
+
+def up_down_array(tree: RootedTree, a, b, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``up_down`` of every label pair (a, b) of the arrays a and b, for d >= 0."""
+    _, index, length, node_at = _paths(tree, a, b)
+    step = np.minimum(np.maximum(d - index, 0), length - index)
+    return node_at(index + step), node_at(length - index - step)
 
 
 def rho_inf(domain, x: Sequence[int], y: Sequence[int]) -> int:

@@ -13,6 +13,7 @@ import math
 from collections import deque
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -128,6 +129,29 @@ def naive_check_translation(f: ts.CostFunction) -> ts.ViolationWitness | None:
                 rhs = value[up] + value[down]
                 if lhs < rhs:
                     return ts.ViolationWitness("naive-translation", x, y, d, lhs, rhs)
+    return None
+
+
+def chain_check(values, prop: str):
+    """First violation, as (x, y, d, lhs, rhs), of the strong or weak
+    inequality for the table ``values`` over one chain, in rank order.
+
+    On a chain the labels are depths, meet/join are the floor/ceiling
+    midpoints of x and y, and wedge/vee are their min/max; each row x is
+    compared with every y at once.
+    """
+    f = np.asarray(values)
+    y = np.arange(len(f))
+    for x in range(len(f)):
+        if prop == "strong":
+            first, second = (x + y) // 2, (x + y + 1) // 2
+        else:
+            first, second = np.minimum(x, y), np.maximum(x, y)
+        rhs = f[first] + f[second]
+        violated = f[x] + f[y] < rhs
+        if violated.any():
+            k = int(np.argmax(violated))
+            return (x,), (k,), None, int(f[x] + f[k]), int(rhs[k])
     return None
 
 

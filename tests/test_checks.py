@@ -12,6 +12,7 @@ from treesub.errors import BudgetExceededError, DomainError
 from treesub.solvers import BinaryCubeFunction, SignBoxFunction
 
 from conftest import (
+    chain_check,
     naive_check,
     naive_check_translation,
     random_table_function,
@@ -196,6 +197,21 @@ def test_big_values_replay_only_the_flagged_pair(monkeypatch):
 
 def _witness_key(w):
     return None if w is None else (w.x, w.y, w.d, w.lhs, w.rhs)
+
+
+def test_chain1000_strong_and_weak_match_the_chain_oracle():
+    """Exhaustive checks over all 10^6 pairs of chain1000, whose first
+    strong violation lies late in rank order: a spike at label 995 breaks
+    midpoint convexity only for pairs around it, first at (992, 998)."""
+    dom = ts.ProductDomain([ts.chain_tree(1000)])
+    values = [(v - 500) ** 2 + 10 * (v == 995) for v in range(1000)]
+    f = ts.DenseTable(dom, values)
+    for check, prop in ((ts.check_strong, "strong"), (ts.check_weak, "weak")):
+        report = check(f)
+        assert _witness_key(report.witness) == chain_check(values, prop)
+        assert report.pairs_checked == 10**6
+    assert chain_check(values, "strong")[:2] == ((992,), (998,))
+    assert chain_check(values, "weak") is None
 
 
 def test_big_value_fallback_weak_and_translation():
@@ -469,7 +485,7 @@ def test_refusals_come_before_any_path_walk(monkeypatch):
     def walked(*args):
         raise AssertionError("a tree op ran before the check was accepted")
 
-    for name in ("meet_join", "wedge_vee", "up_down", "rho"):
+    for name in ("meet_join_array", "wedge_vee_array", "up_down_array"):
         monkeypatch.setattr(checks, name, walked)
     for check in (ts.check_strong, ts.check_weak, ts.check_translation):
         with pytest.raises(BudgetExceededError, match="4000000 pairs"):
@@ -481,19 +497,22 @@ def test_refusals_come_before_any_path_walk(monkeypatch):
 
 
 def test_sampled_translation_stops_by_rho_inf(monkeypatch):
-    """Per pair, d runs to rho_inf(x, y) at most, so long chains stay cheap."""
+    """Per pair, d runs to rho_inf(x, y) at most, so long chains stay cheap:
+    the array op maps each drawn pair for at most that many members."""
     f = ts.SumOfTerms(ts.ProductDomain([ts.chain_tree(300)]), [])
     dom = f.domain
     calls = {"up_down": 0, "evaluate": 0}
 
-    def counted(key, fn):
+    def counted(key, fn, pairs):
         def wrapper(*args):
-            calls[key] += 1
+            calls[key] += pairs(args)
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(checks, "up_down", counted("up_down", checks.up_down))
-    monkeypatch.setattr(ts.SumOfTerms, "evaluate", counted("evaluate", ts.SumOfTerms.evaluate))
+    monkeypatch.setattr(checks, "up_down_array",
+                        counted("up_down", checks.up_down_array, lambda args: args[1].size))
+    monkeypatch.setattr(ts.SumOfTerms, "evaluate",
+                        counted("evaluate", ts.SumOfTerms.evaluate, lambda args: 1))
     report = ts.check_translation(f, mode="sampled", samples=40, seed=9)
     assert report.ok and report.pairs_checked == 40
     rng = ts.SplitMix64(9)
@@ -503,56 +522,65 @@ def test_sampled_translation_stops_by_rho_inf(monkeypatch):
     assert calls["evaluate"] <= sum(2 + 2 * k for k in steps)
 
 
-def test_sampled_strong_walks_the_tree_once_per_sample(monkeypatch):
-    """Sampled strong checks call meet_join at most once per drawn label
-    pair, never per label pair of the tree, and report as the full tables
-    would.  A block of draws is mapped whole before it is compared, so
-    the bound is the 40 drawn pairs, not the pairs up to the witness."""
+def _count_calls(monkeypatch, name):
+    """Patch the array op ``checks.<name>`` to record the tree of each call."""
+    calls = []
+    op = getattr(checks, name)
+    monkeypatch.setattr(checks, name, lambda tree, *a: calls.append(tree) or op(tree, *a))
+    return calls
+
+
+def test_sampled_checks_call_the_array_op_once_per_tree_per_member_per_block(monkeypatch):
+    """A sampled check maps each block of drawn pairs with one array-op
+    call per distinct tree and member; a witness replays one more call per
+    tree and member.  Reports match the same check on meet/join tables."""
+    calls = _count_calls(monkeypatch, "meet_join_array")
     dom = ts.ProductDomain([ts.chain_tree(300)])
     tables = ts.meet_join_tables(dom)
-    calls = []
-    meet_join = checks.meet_join
-    monkeypatch.setattr(checks, "meet_join", lambda *a: calls.append(a) or meet_join(*a))
     verdicts = set()
     for top in (lambda v: (v - 150) ** 2, lambda v: 2500 + 100 * (v - 200) - (v - 200) ** 2):
         # convex below 200; the concave top, if used, is violated
         f = ts.DenseTable(dom, [(v - 150) ** 2 if v < 200 else top(v) for v in range(300)])
-        calls.clear()
-        report = ts.check_strong(f, mode="sampled", samples=40, seed=9)
-        assert 1 <= len(calls) <= 40
-        verdicts.add(report.ok)
-        assert report == ts.check_multimorphism(f, op_pair=tables, mode="sampled", samples=40,
-                                                seed=9, name="strong")
+        for samples in (40, 2500):
+            calls.clear()
+            report = ts.check_strong(f, mode="sampled", samples=samples, seed=9)
+            blocks = -(-report.pairs_checked // checks._SAMPLE_PAIRS)
+            assert len(calls) == blocks + (not report.ok)
+            verdicts.add(report.ok)
+            assert report == ts.check_multimorphism(f, op_pair=tables, mode="sampled",
+                                                    samples=samples, seed=9, name="strong")
     assert verdicts == {True, False}
-    # coordinates of one tree share a memo: 200 draws over chain3^4 walk
-    # each of its 9 label pairs at most once
-    f = ts.SumOfTerms(ts.ProductDomain([ts.chain_tree(3)] * 4), [])
-    calls.clear()
-    assert ts.check_strong(f, mode="sampled", samples=200, seed=9).ok
-    assert len(calls) <= 9
+    # coordinates of one tree share a call; another tree takes its own
+    for trees in ([ts.chain_tree(3)] * 4, [ts.chain_tree(3), ts.star3_tree(), ts.chain_tree(3)]):
+        f = ts.SumOfTerms(ts.ProductDomain(trees), [])
+        calls.clear()
+        assert ts.check_strong(f, mode="sampled", samples=3000, seed=9).ok
+        assert calls == list(dict.fromkeys(trees)) * 3
 
 
-def test_exhaustive_translation_builds_op_tables_per_distinct_tree(monkeypatch):
-    """chain10^3 has one distinct tree: 10 members x 100 label pairs."""
-    calls = []
-    step = checks.up_down
-    monkeypatch.setattr(checks, "up_down", lambda *a: calls.append(a[0]) or step(*a))
+def test_exhaustive_checks_call_the_array_op_once_per_tree_per_member(monkeypatch):
+    """Exhaustive op tables come from one array-op call per distinct tree
+    and member, over every label pair at once, up to the first member that
+    swaps every pair; reports match the same check on meet/join tables."""
+    calls = _count_calls(monkeypatch, "up_down_array")
     dom = ts.ProductDomain([ts.chain_tree(10)] * 3)
     f = ts.DenseTable(dom, [sum((v - 4) ** 2 for v in x) for x in dom.labelings()])
     assert ts.check_translation(f).ok
-    assert len(calls) == 10 * 100
-    # repeated trees beside a different one of the same size share tables too
+    # members d = 0..9; up_down(9) swaps every pair of chain10
+    assert calls == [dom.trees[0]] * 10
     dom = ts.ProductDomain([ts.chain_tree(3), ts.star3_tree(), ts.chain_tree(3)])
+    tables = ts.meet_join_tables(dom)
     rng = ts.SplitMix64(61)
     for _ in range(10):
         calls.clear()
         f = random_table_function(rng, dom, max_value=8)
         got = ts.check_translation(f)
         assert _witness_key(got.witness) == _witness_key(naive_check_translation(f))
-        # members d = 0, 1, 2 build one table per distinct tree, then the
-        # witness, if any, replays up to 3 members on 3 coordinates
-        assert set(calls[:3 * 2 * 9]) == {dom.trees[0], dom.trees[1]}
-        assert 3 * 2 * 9 <= len(calls) <= 3 * 2 * 9 + 3 * 3
+        # members d = 0, 1, 2 build tables per distinct tree, then the
+        # witness, if any, replays members 0..d
+        replayed = 0 if got.ok else got.witness.d + 1
+        assert calls == [dom.trees[0], dom.trees[1]] * (3 + replayed)
+        assert ts.check_strong(f) == ts.check_multimorphism(f, dom, tables, name="strong")
 
 
 # ---------------------------------------------------------------------------

@@ -481,6 +481,18 @@ def test_splitmix64_below_validates():
         ts.SplitMix64(0).below(0)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 12345])
+@pytest.mark.parametrize("n", [1, 7, 343, 117649, 7**22, 2**62])
+def test_splitmix64_below_array_matches_below(seed, n):
+    """Draw for draw, with the state carried across calls and into below()."""
+    scalar, batched = ts.SplitMix64(seed), ts.SplitMix64(seed)
+    for count in (5, 0, 1030):
+        got = batched.below_array(n, count)
+        assert got.dtype == np.int64
+        assert got.tolist() == [scalar.below(n) for _ in range(count)]
+    assert batched.below(n) == scalar.below(n)
+
+
 # ---------------------------------------------------------------------------
 # Generators
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import treesub as ts
 from treesub.errors import DomainError
+from treesub.trees import meet_join_array, up_down_array, wedge_vee_array
 
 from conftest import bfs_path, is_ancestor_oracle
 
@@ -236,3 +238,88 @@ def test_random_tree_respects_child_cap():
         tree = ts.random_tree(rng, 15)
         assert tree.is_binary()
         assert tree.node_count == 15
+
+
+# ---------------------------------------------------------------------------
+# Array forms of the operations
+
+
+# Heights 0-63 across the bit-length steps of the lifting table, plus
+# wide, forked, binary and random shapes.
+_ARRAY_TREES = {
+    **{f"chain{n}": ts.chain_tree(n) for n in (1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64)},
+    **{f"star{k}": ts.RootedTree([-1] + [0] * k) for k in (2, 5, 63)},
+    **{f"fork{k}": ts.fork_tree(k) for k in (0, 1, 4, 30, 61)},
+    **{f"bintree{k}": ts.complete_binary_tree(k) for k in (2, 4, 6)},
+    "mixed11": ts.RootedTree([-1, 0, 0, 1, 1, 1, 2, 6, 6, 6, 9]),
+    **{f"random{n}-{seed}": ts.random_tree(ts.SplitMix64(seed), n)
+       for seed, n in enumerate((5, 12, 29, 40, 64, 64))},
+}
+
+
+def _bfs_ops(tree: ts.RootedTree, a: np.ndarray, b: np.ndarray):
+    """The ops of the label pairs (a, b) read off their BFS paths by
+    position: meet/join, wedge/vee and a function of d giving up_down(d)."""
+    paths = np.zeros(a.shape + (tree.node_count,), np.int64)
+    apex, length = np.zeros(a.shape, np.int64), np.zeros(a.shape, np.int64)
+    for k in np.ndindex(a.shape):
+        p = bfs_path(tree, int(a[k]), int(b[k]))
+        paths[k][:len(p)] = p
+        length[k] = len(p) - 1
+        apex[k] = min(range(len(p)), key=lambda i: tree.depth[p[i]])
+
+    def at(position):
+        return np.take_along_axis(paths, position[..., None], axis=-1)[..., 0]
+
+    low, high = at(length // 2), at((length + 1) // 2)
+    shallow = np.array(tree.depth)[low] <= np.array(tree.depth)[high]
+    meet_join = np.where(shallow, low, high), np.where(shallow, high, low)
+    wedge_vee = at(apex), at(length - apex)
+
+    def up_down(d):
+        step = np.clip(d - apex, 0, length - apex)
+        return at(apex + step), at(length - apex - step)
+
+    return meet_join, wedge_vee, up_down
+
+
+@pytest.mark.parametrize("tree", _ARRAY_TREES.values(), ids=_ARRAY_TREES.keys())
+def test_array_ops_match_scalar_ops_and_bfs_paths(tree):
+    """Every label pair, and for up_down every d below n.  Trees up to
+    16 nodes compare every d with the scalar op too, larger ones d = 0,
+    1, n/2 and n-1."""
+    n = tree.node_count
+    a, b = np.indices((n, n))
+    meet_join, wedge_vee, up_down = _bfs_ops(tree, a, b)
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+    scalar_steps = range(n) if n <= 16 else sorted({0, 1, n // 2, n - 1})
+    for array_op, scalar_op, want in ((meet_join_array, ts.meet_join, meet_join),
+                                      (wedge_vee_array, ts.wedge_vee, wedge_vee)):
+        got = array_op(tree, a, b)
+        assert all((g == w).all() for g, w in zip(got, want))
+        assert [(got[0][p], got[1][p]) for p in pairs] == [scalar_op(tree, *p) for p in pairs]
+    for d in range(n):
+        got = up_down_array(tree, a, b, d)
+        assert all((g == w).all() for g, w in zip(got, up_down(d)))
+        if d in scalar_steps:
+            assert [(got[0][p], got[1][p]) for p in pairs] == [ts.up_down(tree, *p, d) for p in pairs]
+
+
+@pytest.mark.parametrize("tree", [ts.chain_tree(1000), ts.complete_binary_tree(10)],
+                         ids=["chain1000", "bintree10"])
+def test_array_ops_match_scalar_ops_on_random_pairs(tree):
+    """2,000 random pairs of a deep and a wide tree; the first 100 also
+    against their BFS paths."""
+    rng = ts.SplitMix64(tree.node_count)
+    a, b = rng.below_array(tree.node_count, 2000), rng.below_array(tree.node_count, 2000)
+    pairs = list(zip(a.tolist(), b.tolist()))
+    meet_join, wedge_vee, up_down = _bfs_ops(tree, a[:100], b[:100])
+    for array_op, scalar_op, want in ((meet_join_array, ts.meet_join, meet_join),
+                                      (wedge_vee_array, ts.wedge_vee, wedge_vee)):
+        got = array_op(tree, a, b)
+        assert list(zip(*(g.tolist() for g in got))) == [scalar_op(tree, *p) for p in pairs]
+        assert all((g[:100] == w).all() for g, w in zip(got, want))
+    for d in (0, 1, 5, 17, 500, 999, 5000):
+        got = up_down_array(tree, a, b, d)
+        assert list(zip(*(g.tolist() for g in got))) == [ts.up_down(tree, *p, d) for p in pairs]
+        assert all((g[:100] == w).all() for g, w in zip(got, up_down(d)))
