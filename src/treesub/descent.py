@@ -127,13 +127,18 @@ def inward_restrict(f: CostFunction, domain: ProductDomain | None, x: Labeling) 
         # free[0] is the most significant axis here but bit 0 of the rank
         return f.grid(axes).reshape((2,) * k).transpose(tuple(reversed(range(k)))).ravel()
 
+    walker = None  # f.walker(x), built on the first walk
+
     def walk(coords):
+        nonlocal walker
         steps = []
         for i in coords:
             if i not in free_set:
                 raise DomainError(f"coordinate {i} leaves the free set {sorted(free_set)}")
             steps.append((i, up[i]))
-        return f.walk(x, steps)
+        if walker is None:
+            walker = f.walker(x)
+        return walker(steps)
 
     return BinaryCubeFunction(m=domain.n, free=free, evaluate=evaluate, grid=grid, walk=walk)
 
@@ -182,14 +187,22 @@ def outward_restrict(f: CostFunction, domain: ProductDomain | None, x: Labeling)
     def grid():
         return f.grid([tuple(to[s][i] for s in a) for i, a in enumerate(allowed)]).ravel()
 
+    walker = move = None  # f.walker(x) and (i, s) -> label, built on the first walk
+
     def walk(steps):
+        nonlocal walker, move
+        if walker is None:
+            move = {(i, s): to[s][i] for i, a in enumerate(allowed) for s in a}
+            walker = f.walker(x)
         labels = []
         for i, s in steps:
-            if not 0 <= i < domain.n:
-                raise DomainError(f"coordinate {i} is not in 0..{domain.n - 1}")
-            check_sign(i, s)
-            labels.append((i, to[s][i]))
-        return f.walk(x, labels)
+            label = move.get((i, s))
+            if label is None:
+                if not 0 <= i < domain.n:
+                    raise DomainError(f"coordinate {i} is not in 0..{domain.n - 1}")
+                check_sign(i, s)
+            labels.append((i, label))
+        return walker(labels)
 
     return SignBoxFunction(m=domain.n, allowed=allowed, evaluate=evaluate, grid=grid, walk=walk)
 

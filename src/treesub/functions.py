@@ -202,16 +202,28 @@ class CostFunction:
 
         A step ``(i, v)`` sets variable i to label v; later steps start
         from the point the earlier ones reached, and a variable may be
-        stepped more than once.  This version calls ``evaluate`` once
-        per point.
+        stepped more than once.  The same as ``self.walker(x)(steps)``.
         """
-        y = list(x)
-        values = [self.evaluate(tuple(y))]
-        for i, v in steps:
-            _check_variable(i, len(y))
-            y[i] = v
-            values.append(self.evaluate(tuple(y)))
-        return values
+        return self.walker(x)(steps)
+
+    def walker(self, x: Sequence[int]) -> Callable[[Iterable[tuple[int, int]]], list[int]]:
+        """The walks from x: a callable ``steps -> values`` as ``walk``.
+
+        Callers that walk from one point many times build this once.
+        This version calls ``evaluate`` once per point.
+        """
+        x = tuple(x)
+
+        def walk(steps: Iterable[tuple[int, int]]) -> list[int]:
+            y = list(x)
+            values = [self.evaluate(x)]
+            for i, v in steps:
+                _check_variable(i, len(y))
+                y[i] = v
+                values.append(self.evaluate(tuple(y)))
+            return values
+
+        return walk
 
 
 def _check_variable(i: int, n: int) -> None:
@@ -349,40 +361,49 @@ class SumOfTerms(CostFunction):
             total += t.values[idx]
         return total
 
-    def walk(self, x: Sequence[int], steps: Iterable[tuple[int, int]]) -> list[int]:
-        """f at x and then after each step, as ``CostFunction.walk``.
+    def walker(self, x: Sequence[int]) -> Callable[[Iterable[tuple[int, int]]], list[int]]:
+        """The walks from x, as ``CostFunction.walker``.
 
-        x is validated once and each new label with ``check_node``.  A
-        step then adds the exact change of the terms whose scope holds
-        its variable, so it costs O(degree), not O(n + #terms).  The
-        incidence lists are built per walk; nothing is kept on the
-        instance.
+        x is validated, and the incidence lists, the table index of
+        each term and the total at x are built, once per walker.  Each
+        walk copies that start state and checks each new label with
+        ``check_node``; a step then adds the exact change of the terms
+        whose scope holds its variable, so it costs O(degree), not
+        O(n + #terms).  Nothing is kept on the instance.
         """
         trees = self.domain.trees
-        y = list(self.domain.validate(x))
-        index = []  # current table index of each term
-        incident: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in y]
-        total = 0
+        start = self.domain.validate(x)
+        n = len(start)
+        start_index = []  # table index of each term at x
+        incident: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in start]
+        start_total = 0
         for k, t in enumerate(self.terms):
             idx, stride = 0, 1
             for i in reversed(t.scope):
                 incident[i].append((t.values, k, stride))
-                idx += stride * y[i]
+                idx += stride * start[i]
                 stride *= trees[i].node_count
-            index.append(idx)
-            total += t.values[idx]
-        values = [total]
-        for i, v in steps:
-            _check_variable(i, len(y))
-            trees[i].check_node(v)
-            shift = v - y[i]
-            for table, k, stride in incident[i]:
-                old = index[k]
-                index[k] = new = old + stride * shift
-                total += table[new] - table[old]
-            y[i] = v
-            values.append(total)
-        return values
+            start_index.append(idx)
+            start_total += t.values[idx]
+
+        def walk(steps: Iterable[tuple[int, int]]) -> list[int]:
+            y = list(start)
+            index = start_index.copy()
+            total = start_total
+            values = [total]
+            for i, v in steps:
+                _check_variable(i, n)
+                trees[i].check_node(v)
+                shift = v - y[i]
+                for table, k, stride in incident[i]:
+                    old = index[k]
+                    index[k] = new = old + stride * shift
+                    total += table[new] - table[old]
+                y[i] = v
+                values.append(total)
+            return values
+
+        return walk
 
     def grid(self, axes: Sequence[Sequence[int]]) -> np.ndarray:
         """f over the axes as one array: one gather-add per table.

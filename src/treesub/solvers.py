@@ -41,6 +41,7 @@ produce identical outputs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -292,12 +293,12 @@ def sfm_wolfe(g: BinaryCubeFunction) -> tuple[frozenset[int], int]:
         return frozenset(), g.evaluate(frozenset())
 
     def greedy(x: np.ndarray) -> np.ndarray:
-        order = [int(j) for j in np.argsort(x, kind="stable")]
+        order = np.argsort(x, kind="stable").tolist()
         values = _walk(g, frozenset(), [free[j] for j in order], lambda A, i: A | {i})
-        v = np.empty(k)
+        v = [0.0] * k
         for j, prev, cur in zip(order, values, values[1:]):
             v[j] = float(cur - prev)
-        return v
+        return np.array(v)
 
     point = _min_norm_point(k, greedy)
     threshold = -(_EPS ** 0.5)
@@ -334,26 +335,29 @@ def bisub_minnorm(h: SignBoxFunction) -> tuple[SignVector, int]:
     k = len(live)
     result = h.zeros()
     if k:
-        seen: list[int] = []  # the lowest and highest h value of every walk
+        allowed = [h.allowed[i] for i in live]
+        low, high = math.inf, -math.inf  # the lowest and highest h value the walks have seen
 
         def solve(penalty: int) -> list[Sign]:
             def signed_greedy(x: np.ndarray) -> np.ndarray:
-                order = [int(j) for j in np.argsort(-np.abs(x), kind="stable")]
-                signs = [-1 if x[j] > 0 else 1 for j in order]
-                steps = [(live[j], s) for j, s in zip(order, signs) if s in h.allowed[live[j]]]
+                nonlocal low, high
+                entries = x.tolist()
+                order = np.argsort(-np.abs(x), kind="stable").tolist()
+                signs = [-1 if entries[j] > 0 else 1 for j in order]
+                steps = [(live[j], s) for j, s in zip(order, signs) if s in allowed[j]]
                 values = _walk(h, h.zeros(), steps, _put_sign)
-                seen.extend((min(values), max(values)))
-                v = np.empty(k)
+                low, high = min(low, min(values)), max(high, max(values))
+                v = [0.0] * k
                 moves = iter(values)
                 prev = next(moves)
                 for j, s in zip(order, signs):
-                    if s in h.allowed[live[j]]:
+                    if s in allowed[j]:
                         cur = next(moves)
                         v[j] = float(s * (cur - prev))
                         prev = cur
                     else:
                         v[j] = float(s * penalty)
-                return v
+                return np.array(v)
 
             point = _min_norm_point(k, signed_greedy)
             threshold = _EPS ** 0.5
@@ -373,7 +377,7 @@ def bisub_minnorm(h: SignBoxFunction) -> tuple[SignVector, int]:
             for _ in range(20):
                 signs = solve(penalty)
                 in_box = all(s in a for s, a in zip(signs, h.allowed))
-                needed = 2 * (max(seen) - min(seen)) + 1
+                needed = 2 * (high - low) + 1
                 if in_box and penalty >= needed:
                     break
                 penalty = max(needed, 2 * penalty)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import treesub as ts
@@ -192,6 +194,99 @@ def test_restriction_moves_are_built_once_per_restriction(monkeypatch):
     cube.grid()
     box.grid()
     assert len(calls) == built
+
+
+def _count_walkers(monkeypatch) -> list:
+    """Record the start of every ``SumOfTerms.walker`` built from now on."""
+    built = []
+    walker = ts.SumOfTerms.walker
+    monkeypatch.setattr(ts.SumOfTerms, "walker", lambda f, x: built.append(x) or walker(f, x))
+    return built
+
+
+def _count_walked_restrictions(monkeypatch) -> list:
+    """Record, for every restriction ``minimize`` builds, one entry per walk."""
+    walks = []
+    for name in ("inward_restrict", "outward_restrict"):
+        restrict = getattr(descent, name)
+
+        def counted(*args, _restrict=restrict):
+            g = _restrict(*args)
+            key = len(walks)
+            walks.append(0)
+
+            def walk(steps):
+                walks[key] += 1
+                return g.walk(steps)
+
+            return dataclasses.replace(g, walk=walk)
+
+        monkeypatch.setattr(descent, name, counted)
+    return walks
+
+
+def _seeded_sums(seed, count):
+    rng = ts.SplitMix64(seed)
+    dom = ts.ProductDomain([ts.complete_binary_tree(3), ts.chain_tree(4), ts.complete_binary_tree(7),
+                            ts.chain_tree(3), ts.complete_binary_tree(3)])
+    return rng, [ts.SumOfTerms(dom, random_terms(rng, dom, -5, 9, 5)) for _ in range(count)]
+
+
+def test_brute_minimize_builds_no_walker(monkeypatch):
+    built = _count_walkers(monkeypatch)
+    rng, sums = _seeded_sums(41, 6)
+    for f in sums:
+        start = tuple(rng.below(t.node_count) for t in f.domain.trees)
+        ts.minimize(f, None, start)
+        ts.minimize(f, None, start, diagnostics=True)
+    assert built == []
+
+
+def test_min_norm_minimize_builds_one_walker_per_walked_restriction(monkeypatch):
+    built = _count_walkers(monkeypatch)
+    walks = _count_walked_restrictions(monkeypatch)
+    rng, sums = _seeded_sums(42, 8)
+    for f in sums:
+        start = tuple(rng.below(t.node_count) for t in f.domain.trees)
+        for engines in ({"inward_engine": "wolfe", "outward_engine": "minnorm"},
+                        {"inward_engine": "wolfe"}, {"outward_engine": "minnorm"}):
+            del built[:], walks[:]
+            ts.minimize(f, None, start, **engines)
+            walked = sum(1 for count in walks if count)
+            assert 0 < len(built) <= walked
+            assert sum(walks) > walked  # the walker of a restriction serves several walks
+
+
+def test_min_norm_solves_on_one_walker_match_the_evaluate_path(monkeypatch):
+    from treesub import solvers
+
+    built = _count_walkers(monkeypatch)
+    rounds = [0]
+    min_norm_point = solvers._min_norm_point
+
+    def counted(*args):
+        rounds[0] += 1
+        return min_norm_point(*args)
+
+    monkeypatch.setattr(solvers, "_min_norm_point", counted)
+    rng, sums = _seeded_sums(43, 6)
+    box_rounds = []
+    for f in sums:
+        for _ in range(4):
+            x = tuple(rng.below(t.node_count) for t in f.domain.trees)
+            for restrict, solve in ((ts.inward_restrict, ts.sfm_wolfe),
+                                    (ts.outward_restrict, ts.bisub_minnorm)):
+                g = restrict(f, None, x)
+                del built[:]
+                rounds[0] = 0
+                result = solve(g)
+                if solve is ts.bisub_minnorm:
+                    box_rounds.append(rounds[0])
+                assert solve(g) == result
+                assert len(built) <= 1
+                assert solve(dataclasses.replace(g, walk=None)) == result
+    # restricted boxes ran more than one penalty round on the same walker
+    assert max(box_rounds) >= 2
 
 
 # ---------------------------------------------------------------------------

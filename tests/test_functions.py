@@ -178,6 +178,18 @@ def _random_walk(rng, dom, length):
     return x, steps
 
 
+def _interleaved_walks(rng, f, length, starts=3, walks=12):
+    """Walks of ``walkers`` from a few starts of f, called in a random
+    interleaving, each paired with a fresh ``walk`` and ``term_walk``."""
+    dom = f.domain
+    xs = [_random_walk(rng, dom, 0)[0] for _ in range(starts)]
+    walkers = [f.walker(x) for x in xs]
+    for _ in range(walks):
+        j = rng.below(starts)
+        steps = _random_walk(rng, dom, length())[1]
+        yield walkers[j](steps), f.walk(xs[j], steps), term_walk(dom, f.terms, xs[j], steps), steps
+
+
 def test_sum_walk_matches_plain_loop_oracle():
     rng = ts.SplitMix64(606)
     stepped_twice = 0
@@ -189,7 +201,10 @@ def test_sum_walk_matches_plain_loop_oracle():
         assert values == term_walk(dom, f.terms, x, steps), trial
         assert all(type(v) is int for v in values)
         stepped_twice += len({i for i, _ in steps}) < len(steps)
-    assert stepped_twice > 10
+        for walked, fresh, expected, steps in _interleaved_walks(rng, f, lambda: rng.below(12)):
+            assert walked == fresh == expected, trial
+            stepped_twice += len({i for i, _ in steps}) < len(steps)
+    assert stepped_twice > 100
 
 
 def test_sum_walk_steps_one_coordinate_twice():
@@ -210,11 +225,15 @@ def test_sum_walk_is_exact_beyond_int64():
     values = f.walk(x, steps)
     assert min(values) >= 1 << 63
     assert values == term_walk(dom, f.terms, x, steps)
+    for walked, fresh, expected, _ in _interleaved_walks(rng, f, lambda: 20):
+        assert min(walked) >= 1 << 63
+        assert walked == fresh == expected
 
 
 def test_dense_table_walks_through_the_base_class():
     rng = ts.SplitMix64(8)
     assert ts.DenseTable.walk is ts.CostFunction.walk
+    assert ts.DenseTable.walker is ts.CostFunction.walker
     for _ in range(20):
         dom = ts.ProductDomain([_WALK_SHAPES[rng.below(3)] for _ in range(1 + rng.below(3))])
         f = ts.DenseTable(dom, [rng.below(50) - 25 for _ in range(dom.size())])
@@ -433,7 +452,7 @@ _ENTRY_POINTS = {
 def test_a_foreign_domain_is_refused_before_any_evaluation(name, trees, monkeypatch):
     f = _c3x3_sum()
     calls = []
-    for attr in ("evaluate", "grid", "walk"):
+    for attr in ("evaluate", "grid", "walk", "walker"):
         monkeypatch.setattr(f, attr, lambda *args, _attr=attr: calls.append(_attr))
     with pytest.raises(DomainError, match="is not the function's"):
         _ENTRY_POINTS[name](f, ts.ProductDomain(trees))
@@ -577,6 +596,7 @@ def _recorded_sum(calls: list) -> ts.SumOfTerms:
     f = ts.SumOfTerms(dom, random_terms(ts.SplitMix64(3), dom, 0, 9, 2))
     for name, oracle in _recorded_oracles(calls).items():
         setattr(f, name, oracle)
+    f.walker = _recorder(calls, "walker")
     return f
 
 
