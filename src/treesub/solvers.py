@@ -25,9 +25,11 @@ Min-norm-point alternatives are provided as well:
 Each greedy call moves one coordinate at a time along a chain from the
 empty set or the zero vector, so both engines read one ``walk`` of the
 restriction per call: its values at every prefix of the chain.  The
-descent's restrictions carry a walk that, for a ``SumOfTerms`` cost,
-re-sums only the terms of the moved coordinate per step; without one,
-the engines call ``evaluate`` once per prefix.  Every greedy vertex
+descent's restrictions carry a walk that builds one walk state of the
+cost at the neighborhood's center on its first call and reuses it on
+every later one; for a ``SumOfTerms`` cost each step re-sums only the
+terms of the moved coordinate.  Without a walk, the engines call
+``evaluate`` once per prefix.  Every greedy vertex
 entry is the float of an exact integer difference.  Both engines share
 one convergence tolerance and one cap on major cycles, private constants
 of this module.
