@@ -7,7 +7,7 @@ import dataclasses
 import pytest
 
 import treesub as ts
-from treesub import descent
+from treesub import descent, solvers
 from treesub.descent import apply_inward, apply_outward
 from treesub.errors import (
     BudgetExceededError,
@@ -259,8 +259,6 @@ def test_min_norm_minimize_builds_one_walker_per_walked_restriction(monkeypatch)
 
 
 def test_min_norm_solves_on_one_walker_match_the_evaluate_path(monkeypatch):
-    from treesub import solvers
-
     built = _count_walkers(monkeypatch)
     rounds = [0]
     min_norm_point = solvers._min_norm_point

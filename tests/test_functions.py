@@ -179,8 +179,9 @@ def _random_walk(rng, dom, length):
 
 
 def _interleaved_walks(rng, f, length, starts=3, walks=12):
-    """Walks of ``walkers`` from a few starts of f, called in a random
-    interleaving, each paired with a fresh ``walk`` and ``term_walk``."""
+    """Walks from a few starts of f through one walker per start, called
+    in a random interleaving; each is yielded with a fresh ``walk``, the
+    ``term_walk`` oracle and its steps."""
     dom = f.domain
     xs = [_random_walk(rng, dom, 0)[0] for _ in range(starts)]
     walkers = [f.walker(x) for x in xs]
