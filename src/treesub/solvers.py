@@ -170,6 +170,7 @@ def bisub_brute(h: SignBoxFunction) -> tuple[SignVector, int]:
 _DEGENERACY_EPS = 1e-12
 _EPS = 1e-10  # relative squared-norm gap that ends the loop; its root thresholds the point
 _MAX_MAJOR_CYCLES = 10_000
+_CORRAL_ROWS = 8  # initial capacity of the corral buffers; they double when full
 
 
 @dataclass
@@ -187,35 +188,14 @@ class MinNormState:
     eps: float
 
     def consistent(self) -> bool:
-        if np.any(self.coefficients < -self.eps):
+        lam = self.coefficients
+        if (lam < -self.eps).any():
             return False
-        if abs(float(self.coefficients.sum()) - 1.0) > max(self.eps, 1e-9):
+        if abs(float(lam.sum()) - 1.0) > max(self.eps, 1e-9):
             return False
-        recombined = self.vertices.T @ self.coefficients
+        recombined = self.vertices.T @ lam
         scale = max(1.0, float(np.abs(self.vertices).max()))
-        return bool(np.all(np.abs(recombined - self.point) <= 1e-9 * scale))
-
-
-def _affine_minimizer(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest point to the origin in the affine hull of the rows of S.
-
-    Solves the bordered normal equations; degenerate vertex sets fall
-    back to least squares.
-    """
-    m = S.shape[0]
-    M = np.empty((m + 1, m + 1))
-    M[0, 0] = 0.0
-    M[0, 1:] = 1.0
-    M[1:, 0] = 1.0
-    M[1:, 1:] = S @ S.T
-    rhs = np.zeros(m + 1)
-    rhs[0] = 1.0
-    try:
-        sol = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(M, rhs, rcond=None)[0]
-    coeffs = sol[1:]
-    return coeffs, S.T @ coeffs
+        return bool((np.abs(recombined - self.point) <= 1e-9 * scale).all())
 
 
 def _min_norm_point(dim: int, linear_minimizer: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -225,40 +205,71 @@ def _min_norm_point(dim: int, linear_minimizer: Callable[[np.ndarray], np.ndarra
     Terminates when the squared-norm gap <x, x> - <x, q> falls below
     ``_EPS`` times a scale correction; raises on the cycle cap or an
     inconsistent corral instead of returning a silently wrong point.
+
+    The corral lives in buffers kept across cycles: its vertices in
+    ``S[:m]``, their weights in ``lam[:m]`` and the bordered system of
+    its affine hull in ``B[:m+1, :m+1]``, a border of ones around the
+    Gram matrix ``G[:m, :m] = S[:m] @ S[:m].T`` (``G`` views ``B``).
+    Adding a vertex writes one row and column of ``G``; dropping vertices
+    compresses its rows and columns in place.  Greedy vertices have
+    integer entries, so every Gram entry is exact and the system solved
+    is the one a rebuild would give.
     """
-    first = linear_minimizer(np.zeros(dim))
-    state = MinNormState(
-        point=first, vertices=first.reshape(1, dim), coefficients=np.array([1.0]), eps=_EPS
-    )
+    rows = _CORRAL_ROWS
+    S = np.empty((rows, dim))
+    B = np.ones((rows + 1, rows + 1))
+    B[0, 0] = 0.0
+    G = B[1:, 1:]
+    lam = np.empty(rows)
+    unit = np.zeros(rows + 1)  # right-hand side of the bordered system: weights sum to one
+    unit[0] = 1.0
+    x = S[0] = linear_minimizer(np.zeros(dim))
+    G[0, 0], lam[0], m = x @ x, 1.0, 1
+    xx = float(G[0, 0])
     for _ in range(_MAX_MAJOR_CYCLES):
-        x, S, lam = state.point, state.vertices, state.coefficients
         q = linear_minimizer(x)
-        scale = max(1.0, float((S * S).sum(axis=1).max()), float(q @ q))
-        if float(x @ q) >= float(x @ x) - _EPS * scale:
+        qq = float(q @ q)
+        scale = max(1.0, float(G.diagonal()[:m].max()), qq)
+        if float(x @ q) >= xx - _EPS * scale:
             return x
-        if np.any(np.all(np.abs(S - q) <= _DEGENERACY_EPS * scale, axis=1)):
+        if (np.abs(S[:m] - q) <= _DEGENERACY_EPS * scale).all(axis=1).any():
             return x  # oracle repeats a known vertex: numerically converged
-        S = np.vstack([S, q])
-        lam = np.append(lam, 0.0)
-        for _ in range(S.shape[0] + 4):
-            coeffs, y = _affine_minimizer(S)
-            if np.all(coeffs > -_DEGENERACY_EPS):
-                lam = np.clip(coeffs, 0.0, None)
-                lam /= lam.sum()
-                state = MinNormState(S.T @ lam, S, lam, _EPS)
+        if m == rows:
+            S, lam = np.concatenate([S, S]), np.concatenate([lam, lam])
+            B, unit = np.pad(B, (0, rows), constant_values=1.0), np.pad(unit, (0, rows))
+            G, rows = B[1:, 1:], 2 * rows
+        G[m, :m] = G[:m, m] = S[:m] @ q
+        G[m, m], S[m], lam[m] = qq, q, 0.0
+        m += 1
+        for _ in range(m + 4):
+            # affine minimizer of the corral: its weights solve the bordered system
+            try:
+                coeffs = np.linalg.solve(B[:m + 1, :m + 1], unit[:m + 1])[1:]
+            except np.linalg.LinAlgError:
+                coeffs = np.linalg.lstsq(B[:m + 1, :m + 1], unit[:m + 1], rcond=None)[0][1:]
+            w = lam[:m]
+            if coeffs.min() > -_DEGENERACY_EPS:
+                np.maximum(coeffs, 0.0, out=w)
+                w /= w.sum()
+                x = S[:m].T @ w
+                xx = float(x @ x)
                 break
-            shrink = lam - coeffs > _DEGENERACY_EPS
-            theta = float(np.min(lam[shrink] / (lam - coeffs)[shrink]))
-            lam = theta * coeffs + (1.0 - theta) * lam
-            keep = lam > _DEGENERACY_EPS
+            gap = w - coeffs
+            shrink = gap > _DEGENERACY_EPS
+            theta = float((w[shrink] / gap[shrink]).min())
+            w = theta * coeffs + (1.0 - theta) * w
+            keep = w > _DEGENERACY_EPS
             if not keep.any():
-                keep[int(np.argmax(lam))] = True
-            S = S[keep]
-            lam = lam[keep]
-            lam /= lam.sum()
+                keep[int(w.argmax())] = True
+            kept = keep.nonzero()[0]
+            m = len(kept)
+            S[:m] = S[kept]
+            G[:m, :m] = G[kept][:, kept]
+            lam[:m] = w[kept]
+            lam[:m] /= lam[:m].sum()
         else:
             raise SolverFailureError("minor cycle failed to restore a corral")
-        if not state.consistent():
+        if not MinNormState(x, S[:m], lam[:m], _EPS).consistent():
             raise SolverFailureError("min-norm corral drifted from its point")
     raise SolverFailureError(f"min-norm point loop exceeded {_MAX_MAJOR_CYCLES} major cycles")
 

@@ -369,6 +369,85 @@ def random_cut_plus_modular(rng: ts.SplitMix64, m: int) -> ts.BinaryCubeFunction
     return ts.BinaryCubeFunction(m=m, free=tuple(range(m)), evaluate=evaluate)
 
 
+def random_bisubmodular_box(rng: ts.SplitMix64, m: int, full_box: bool = False):
+    """Random bisubmodular function over a (possibly restricted) box of any size.
+
+    Unary terms with a(-1) + a(+1) >= 2 a(0) plus couplings w|s_i - s_j|
+    and w|s_i + s_j| with w >= 0: each term is bisubmodular, so their sum
+    and its restriction to any box are, with no exhaustive check.
+    """
+    if full_box:
+        allowed = ((-1, 0, 1),) * m
+    else:
+        allowed = tuple(_SIGN_CHOICES[rng.below(3)] for _ in range(m))
+    unary = []
+    for _ in range(m):
+        zero, minus = rng.below(9) - 4, rng.below(13) - 6
+        plus = max(rng.below(13) - 6, 2 * zero - minus)
+        unary.append({-1: minus, 0: zero, 1: plus})
+    couplings = [(i, j, rng.below(4), 1 - 2 * rng.below(2))
+                 for i in range(m) for j in range(i + 1, m) if rng.below(3) == 0]
+
+    def evaluate(signs) -> int:
+        value = sum(unary[i][s] for i, s in enumerate(signs))
+        return value + sum(w * abs(signs[i] - flip * signs[j]) for i, j, w, flip in couplings)
+
+    return ts.SignBoxFunction(m=m, allowed=allowed, evaluate=evaluate)
+
+
+# ---------------------------------------------------------------------------
+# Wolfe's nearest-point loop, rebuilding its linear system in every minor cycle
+
+
+def reference_min_norm_point(dim: int, linear_minimizer) -> tuple[np.ndarray, int]:
+    """The textbook nearest-point loop; returns the point and the vertices dropped.
+
+    Same tests and tolerances as Wolfe's algorithm in the package, written
+    without kept state: the corral grows by ``vstack`` and every minor
+    cycle rebuilds ``S @ S.T`` and the bordered system from the vertices.
+    """
+    eps, degenerate = 1e-10, 1e-12
+    x = linear_minimizer(np.zeros(dim))
+    S, lam, dropped = x.reshape(1, dim), np.array([1.0]), 0
+    for _ in range(10_000):
+        q = linear_minimizer(x)
+        scale = max(1.0, float((S * S).sum(axis=1).max()), float(q @ q))
+        if float(x @ q) >= float(x @ x) - eps * scale:
+            return x, dropped
+        if np.any(np.all(np.abs(S - q) <= degenerate * scale, axis=1)):
+            return x, dropped
+        S, lam = np.vstack([S, q]), np.append(lam, 0.0)
+        for _ in range(S.shape[0] + 4):
+            m = S.shape[0]
+            bordered = np.empty((m + 1, m + 1))
+            bordered[0, 0] = 0.0
+            bordered[0, 1:] = bordered[1:, 0] = 1.0
+            bordered[1:, 1:] = S @ S.T
+            rhs = np.zeros(m + 1)
+            rhs[0] = 1.0
+            try:
+                coeffs = np.linalg.solve(bordered, rhs)[1:]
+            except np.linalg.LinAlgError:
+                coeffs = np.linalg.lstsq(bordered, rhs, rcond=None)[0][1:]
+            if np.all(coeffs > -degenerate):
+                lam = np.clip(coeffs, 0.0, None)
+                lam /= lam.sum()
+                x = S.T @ lam
+                break
+            shrink = lam - coeffs > degenerate
+            theta = float(np.min(lam[shrink] / (lam - coeffs)[shrink]))
+            lam = theta * coeffs + (1.0 - theta) * lam
+            keep = lam > degenerate
+            if not keep.any():
+                keep[int(np.argmax(lam))] = True
+            dropped += int((~keep).sum())
+            S, lam = S[keep], lam[keep]
+            lam /= lam.sum()
+        else:
+            raise AssertionError("minor cycle failed to restore a corral")
+    raise AssertionError("nearest-point loop exceeded 10000 major cycles")
+
+
 # ---------------------------------------------------------------------------
 # Canonical instance documents, from the format spec in Fraction arithmetic
 

@@ -12,7 +12,14 @@ from treesub import solvers
 from treesub.errors import BudgetExceededError, DomainError, SolverFailureError
 from treesub.solvers import BinaryCubeFunction, SignBoxFunction
 
-from conftest import random_cut_plus_modular, random_sign_box, random_terms, term_sum_minimum
+from conftest import (
+    random_bisubmodular_box,
+    random_cut_plus_modular,
+    random_sign_box,
+    random_terms,
+    reference_min_norm_point,
+    term_sum_minimum,
+)
 
 
 def cube(weights=None, fn=None, m=None):
@@ -194,6 +201,10 @@ def test_min_norm_state_invariant():
     assert not drifted.consistent()
     unbalanced = ts.MinNormState(vertices.T @ lam, vertices, np.array([0.9, 0.5]), eps=1e-10)
     assert not unbalanced.consistent()
+    # sums to one and recombines to its point, but one weight is negative
+    signed = np.array([1.5, -0.5])
+    negative = ts.MinNormState(vertices.T @ signed, vertices, signed, eps=1e-10)
+    assert not negative.consistent()
 
 
 def test_inconsistent_corral_is_a_solver_failure(monkeypatch):
@@ -205,6 +216,110 @@ def test_inconsistent_corral_is_a_solver_failure(monkeypatch):
         ts.sfm_wolfe(g)
     with pytest.raises(SolverFailureError, match="corral"):
         ts.bisub_minnorm(h)
+
+
+# ---------------------------------------------------------------------------
+# Wolfe's nearest-point loop
+
+
+def _vertex_minimizer(vertices):
+    """Linear minimizer over the hull of ``vertices``: the first vertex minimizing <x, v>."""
+    import numpy as np
+
+    V = np.array(vertices, dtype=float)
+    return lambda x: V[int(np.argmin(V @ x))].copy()
+
+
+def _record_corrals(monkeypatch):
+    corrals = []
+    consistent = ts.MinNormState.consistent
+
+    def recorded(self):
+        corrals.append(self.vertices.tolist())
+        return consistent(self)
+
+    monkeypatch.setattr(ts.MinNormState, "consistent", recorded)
+    return corrals
+
+
+def test_min_norm_point_of_the_unit_simplex_is_its_centroid(monkeypatch):
+    import numpy as np
+
+    corrals = _record_corrals(monkeypatch)
+    # the centroid needs every vertex, so n above the initial capacity grows the buffers twice
+    for n in (1, 2, 5, solvers._CORRAL_ROWS, 2 * solvers._CORRAL_ROWS + 1):
+        del corrals[:]
+        point = solvers._min_norm_point(n, _vertex_minimizer(np.eye(n)))
+        assert np.allclose(point, 1.0 / n, rtol=0.0, atol=1e-12)
+        assert [len(vertices) for vertices in corrals] == list(range(2, n + 1))
+
+
+def test_min_norm_point_interior_to_a_segment():
+    import numpy as np
+
+    point = solvers._min_norm_point(2, _vertex_minimizer([(-1, 2), (3, 2)]))
+    assert np.allclose(point, (0.0, 2.0), rtol=0.0, atol=1e-12)
+
+
+def test_min_norm_point_drops_the_first_vertex_from_the_corral(monkeypatch):
+    import numpy as np
+
+    # Wolfe's triangle: the corral {p1, p2, p3} has the origin in its affine
+    # hull with a negative weight on p1, which a minor cycle removes
+    corrals = _record_corrals(monkeypatch)
+    point = solvers._min_norm_point(2, _vertex_minimizer([(0, 2), (3, 0), (-2, 1)]))
+    assert np.allclose(point, (3 / 26, 15 / 26), rtol=0.0, atol=1e-12)
+    assert corrals == [[[0.0, 2.0], [3.0, 0.0]], [[3.0, 0.0], [-2.0, 1.0]]]
+
+
+def test_min_norm_point_matches_the_textbook_loop(monkeypatch):
+    import numpy as np
+
+    min_norm_point = solvers._min_norm_point
+    totals = {"solves": 0, "dropped": 0, "grown": 0}
+
+    def twin(dim, linear_minimizer):
+        calls = [0, 0]
+
+        def counting(side):
+            def counted(x):
+                calls[side] += 1
+                return linear_minimizer(x)
+            return counted
+
+        expected, dropped = reference_min_norm_point(dim, counting(0))
+        point = min_norm_point(dim, counting(1))
+        assert np.array_equal(point, expected) and calls[0] == calls[1], (dim, calls)
+        totals["solves"] += 1
+        totals["dropped"] += dropped
+        totals["grown"] += dim >= solvers._CORRAL_ROWS
+        return point
+
+    monkeypatch.setattr(solvers, "_min_norm_point", twin)
+    rng = ts.SplitMix64(1618)
+    rounds = []
+    for m in range(1, 17):
+        for _ in range(2):
+            g = random_cut_plus_modular(rng, m)
+            value = ts.sfm_wolfe(g)[1]
+            if m <= 8:
+                assert value == ts.sfm_brute(g)[1]
+        for full_box in (True, False):
+            h = random_bisubmodular_box(rng, m, full_box)
+            before = totals["solves"]
+            vec, value = ts.bisub_minnorm(h)
+            rounds.append(totals["solves"] - before)
+            if m <= 6:
+                assert value == ts.bisub_brute(h)[1]
+    assert totals["dropped"] > 0 and totals["grown"] > 0
+    assert max(rounds) >= 2  # restricted boxes ran penalty rounds through the loop
+
+
+def test_random_bisubmodular_boxes_are_bisubmodular():
+    rng = ts.SplitMix64(2718)
+    for m in range(1, 6):
+        for full_box in (True, False):
+            assert ts.check_sign_box_bisubmodular(random_bisubmodular_box(rng, m, full_box)).ok
 
 
 # ---------------------------------------------------------------------------
