@@ -30,9 +30,17 @@ cost at the neighborhood's center on its first call and reuses it on
 every later one; for a ``SumOfTerms`` cost each step re-sums only the
 terms of the moved coordinate.  Without a walk, the engines call
 ``evaluate`` once per prefix.  Every greedy vertex
-entry is the float of an exact integer difference.  Both engines share
-one convergence tolerance and one cap on major cycles, private constants
-of this module.
+entry is the float of an exact integer difference.
+
+Both engines run one nearest-point loop, ``_min_norm_point``.  Its corral
+(the vertices whose affine hull holds the iterate) lives in buffers kept
+across cycles together with the bordered Gram system of that hull: a new
+vertex writes one Gram row and column, and a minor cycle that drops
+vertices compresses the rows and columns in place.  Gram entries are
+sums of products of integers, exact below 2**53, so there each system
+solved is the one a rebuild from the vertices would give.  Both engines
+share one convergence tolerance and one cap on major cycles, private
+constants of this module.
 
 Fixed coordinates are expressed by shrinking the free set or the allowed
 sign sets, never by penalty terms, which would not preserve
@@ -188,12 +196,11 @@ class MinNormState:
     eps: float
 
     def consistent(self) -> bool:
-        lam = self.coefficients
-        if (lam < -self.eps).any():
+        if (self.coefficients < -self.eps).any():
             return False
-        if abs(float(lam.sum()) - 1.0) > max(self.eps, 1e-9):
+        if abs(float(self.coefficients.sum()) - 1.0) > max(self.eps, 1e-9):
             return False
-        recombined = self.vertices.T @ lam
+        recombined = self.vertices.T @ self.coefficients
         scale = max(1.0, float(np.abs(self.vertices).max()))
         return bool((np.abs(recombined - self.point) <= 1e-9 * scale).all())
 
@@ -206,14 +213,9 @@ def _min_norm_point(dim: int, linear_minimizer: Callable[[np.ndarray], np.ndarra
     ``_EPS`` times a scale correction; raises on the cycle cap or an
     inconsistent corral instead of returning a silently wrong point.
 
-    The corral lives in buffers kept across cycles: its vertices in
-    ``S[:m]``, their weights in ``lam[:m]`` and the bordered system of
-    its affine hull in ``B[:m+1, :m+1]``, a border of ones around the
-    Gram matrix ``G[:m, :m] = S[:m] @ S[:m].T`` (``G`` views ``B``).
-    Adding a vertex writes one row and column of ``G``; dropping vertices
-    compresses its rows and columns in place.  Greedy vertices have
-    integer entries, so every Gram entry is exact and the system solved
-    is the one a rebuild would give.
+    The corral of m vertices is ``S[:m]`` with weights ``lam[:m]``; its
+    bordered system ``B[:m+1, :m+1]`` is a border of ones around the
+    Gram matrix ``G[:m, :m] = S[:m] @ S[:m].T``, where ``G`` views ``B``.
     """
     rows = _CORRAL_ROWS
     S = np.empty((rows, dim))
@@ -234,7 +236,7 @@ def _min_norm_point(dim: int, linear_minimizer: Callable[[np.ndarray], np.ndarra
             return x
         if (np.abs(S[:m] - q) <= _DEGENERACY_EPS * scale).all(axis=1).any():
             return x  # oracle repeats a known vertex: numerically converged
-        if m == rows:
+        if m == rows:  # full: double the buffers; rows past m are written before use
             S, lam = np.concatenate([S, S]), np.concatenate([lam, lam])
             B, unit = np.pad(B, (0, rows), constant_values=1.0), np.pad(unit, (0, rows))
             G, rows = B[1:, 1:], 2 * rows
@@ -249,7 +251,7 @@ def _min_norm_point(dim: int, linear_minimizer: Callable[[np.ndarray], np.ndarra
                 coeffs = np.linalg.lstsq(B[:m + 1, :m + 1], unit[:m + 1], rcond=None)[0][1:]
             w = lam[:m]
             if coeffs.min() > -_DEGENERACY_EPS:
-                np.maximum(coeffs, 0.0, out=w)
+                np.maximum(coeffs, 0.0, out=w)  # tiny negative weights become zero
                 w /= w.sum()
                 x = S[:m].T @ w
                 xx = float(x @ x)

@@ -399,8 +399,11 @@ def random_bisubmodular_box(rng: ts.SplitMix64, m: int, full_box: bool = False):
 # Wolfe's nearest-point loop, rebuilding its linear system in every minor cycle
 
 
-def reference_min_norm_point(dim: int, linear_minimizer) -> tuple[np.ndarray, int]:
-    """The textbook nearest-point loop; returns the point and the vertices dropped.
+def reference_min_norm_point(dim: int, linear_minimizer) -> tuple[np.ndarray, int, int]:
+    """The textbook nearest-point loop.
+
+    Returns the point, the number of vertices minor cycles dropped and the
+    largest corral.
 
     Same tests and tolerances as Wolfe's algorithm in the package, written
     without kept state: the corral grows by ``vstack`` and every minor
@@ -408,15 +411,16 @@ def reference_min_norm_point(dim: int, linear_minimizer) -> tuple[np.ndarray, in
     """
     eps, degenerate = 1e-10, 1e-12
     x = linear_minimizer(np.zeros(dim))
-    S, lam, dropped = x.reshape(1, dim), np.array([1.0]), 0
+    S, lam, dropped, largest = x.reshape(1, dim), np.array([1.0]), 0, 1
     for _ in range(10_000):
         q = linear_minimizer(x)
         scale = max(1.0, float((S * S).sum(axis=1).max()), float(q @ q))
         if float(x @ q) >= float(x @ x) - eps * scale:
-            return x, dropped
+            return x, dropped, largest
         if np.any(np.all(np.abs(S - q) <= degenerate * scale, axis=1)):
-            return x, dropped
+            return x, dropped, largest
         S, lam = np.vstack([S, q]), np.append(lam, 0.0)
+        largest = max(largest, S.shape[0])
         for _ in range(S.shape[0] + 4):
             m = S.shape[0]
             bordered = np.empty((m + 1, m + 1))

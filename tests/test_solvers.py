@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 
 import treesub as ts
@@ -191,8 +192,6 @@ def test_minnorm_deterministic():
 
 
 def test_min_norm_state_invariant():
-    import numpy as np
-
     vertices = np.array([[2.0, 0.0], [0.0, 2.0]])
     lam = np.array([0.5, 0.5])
     state = ts.MinNormState(vertices.T @ lam, vertices, lam, eps=1e-10)
@@ -224,8 +223,6 @@ def test_inconsistent_corral_is_a_solver_failure(monkeypatch):
 
 def _vertex_minimizer(vertices):
     """Linear minimizer over the hull of ``vertices``: the first vertex minimizing <x, v>."""
-    import numpy as np
-
     V = np.array(vertices, dtype=float)
     return lambda x: V[int(np.argmin(V @ x))].copy()
 
@@ -243,8 +240,6 @@ def _record_corrals(monkeypatch):
 
 
 def test_min_norm_point_of_the_unit_simplex_is_its_centroid(monkeypatch):
-    import numpy as np
-
     corrals = _record_corrals(monkeypatch)
     # the centroid needs every vertex, so n above the initial capacity grows the buffers twice
     for n in (1, 2, 5, solvers._CORRAL_ROWS, 2 * solvers._CORRAL_ROWS + 1):
@@ -255,15 +250,11 @@ def test_min_norm_point_of_the_unit_simplex_is_its_centroid(monkeypatch):
 
 
 def test_min_norm_point_interior_to_a_segment():
-    import numpy as np
-
     point = solvers._min_norm_point(2, _vertex_minimizer([(-1, 2), (3, 2)]))
     assert np.allclose(point, (0.0, 2.0), rtol=0.0, atol=1e-12)
 
 
 def test_min_norm_point_drops_the_first_vertex_from_the_corral(monkeypatch):
-    import numpy as np
-
     # Wolfe's triangle: the corral {p1, p2, p3} has the origin in its affine
     # hull with a negative weight on p1, which a minor cycle removes
     corrals = _record_corrals(monkeypatch)
@@ -273,8 +264,6 @@ def test_min_norm_point_drops_the_first_vertex_from_the_corral(monkeypatch):
 
 
 def test_min_norm_point_matches_the_textbook_loop(monkeypatch):
-    import numpy as np
-
     min_norm_point = solvers._min_norm_point
     totals = {"solves": 0, "dropped": 0, "grown": 0}
 
@@ -287,12 +276,12 @@ def test_min_norm_point_matches_the_textbook_loop(monkeypatch):
                 return linear_minimizer(x)
             return counted
 
-        expected, dropped = reference_min_norm_point(dim, counting(0))
+        expected, dropped, largest = reference_min_norm_point(dim, counting(0))
         point = min_norm_point(dim, counting(1))
         assert np.array_equal(point, expected) and calls[0] == calls[1], (dim, calls)
         totals["solves"] += 1
         totals["dropped"] += dropped
-        totals["grown"] += dim >= solvers._CORRAL_ROWS
+        totals["grown"] += largest > solvers._CORRAL_ROWS
         return point
 
     monkeypatch.setattr(solvers, "_min_norm_point", twin)
@@ -307,7 +296,7 @@ def test_min_norm_point_matches_the_textbook_loop(monkeypatch):
         for full_box in (True, False):
             h = random_bisubmodular_box(rng, m, full_box)
             before = totals["solves"]
-            vec, value = ts.bisub_minnorm(h)
+            value = ts.bisub_minnorm(h)[1]
             rounds.append(totals["solves"] - before)
             if m <= 6:
                 assert value == ts.bisub_brute(h)[1]
