@@ -486,36 +486,22 @@ def check_cube_submodular(g: BinaryCubeFunction) -> CheckReport:
                               g.evaluate, to_subset, lambda bits: tuple(sorted(to_subset(bits))))
 
 
-_SIGN_TREES = {
-    (0,): RootedTree([-1]),
-    (-1, 0): RootedTree([-1, 0]),
-    (0, 1): RootedTree([-1, 0]),
-    (-1, 0, 1): RootedTree([-1, 0, 0]),
-}
-
-_SIGN_OF_NODE = {
-    (0,): (0,),
-    (-1, 0): (0, -1),
-    (0, 1): (0, 1),
-    (-1, 0, 1): (0, -1, 1),
-}
-
-
 def check_sign_box_bisubmodular(h: SignBoxFunction) -> CheckReport:
     """Exhaustive bisubmodularity check of a sign-box restriction.
 
     Each coordinate's allowed signs embed into a 1-3 node rooted tree on
     which the midpoint pair realizes join = sign(a+b) and
-    meet = |ab| * sign(a+b), so the generic strong check applies.
-    Witnesses are reported as sign vectors.
+    meet = |ab| * sign(a+b), so the generic strong check applies: node 0
+    is sign 0, and the nonzero allowed signs follow in ascending order as
+    children of the root.  Witnesses are reported as sign vectors.
     """
-    sign_maps = [_SIGN_OF_NODE[allowed] for allowed in h.allowed]
+    sign_maps = [(0,) + tuple(s for s in allowed if s) for allowed in h.allowed]
 
     def to_signs(labels):
         return tuple(sign_maps[i][v] for i, v in enumerate(labels))
 
-    return _restriction_check("bisubmodular-box", [_SIGN_TREES[a] for a in h.allowed],
-                              h.evaluate, to_signs, to_signs)
+    trees = [RootedTree([-1] + [0] * (len(signs) - 1)) for signs in sign_maps]
+    return _restriction_check("bisubmodular-box", trees, h.evaluate, to_signs, to_signs)
 
 
 def _restriction_check(name, trees, evaluate, to_arg, to_witness) -> CheckReport:

@@ -734,12 +734,10 @@ def _random_verified(
     )
 
 
-def _chain_separable(domain: ProductDomain, seed: int, max_value: int) -> InstanceFixture:
+def _chain_separable(domain: ProductDomain, seed: int) -> InstanceFixture:
     """Separable convex costs plus |x_i - x_j| couplings on chain domains.
 
-    ``max_value`` is not read: the scales are 1 + below(3) and the
-    coupling weights below(3) whatever its value, so every value of it
-    gives the same fixture.
+    The scales are 1 + below(3) and the coupling weights below(3).
     """
     for i, t in enumerate(domain.trees):
         if not t.is_chain():
@@ -875,7 +873,7 @@ def generate(
     if max_value < 0:
         raise DomainError(f"max_value must be non-negative, got {max_value}")
     if kind == "chain-separable":
-        return _chain_separable(domain, seed, max_value)
+        return _chain_separable(domain, seed)
     if kind in ("random-verified-strong", "random-verified-weak"):
         return _random_verified(kind, domain, seed, max_value, attempt_budget)
     raise DomainError(f"unknown generator kind {kind!r}; known: {', '.join(GENERATE_KINDS)}")

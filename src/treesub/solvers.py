@@ -38,7 +38,10 @@ across cycles together with the bordered Gram system of that hull: a new
 vertex writes one Gram row and column, and a minor cycle that drops
 vertices compresses the rows and columns in place.  Gram entries are
 sums of products of integers, exact below 2**53, so there each system
-solved is the one a rebuild from the vertices would give.  Both engines
+solved is the one a rebuild from the vertices would give.  After every
+major cycle the iterate x is tested against the corral it was solved
+from: <x, s> must equal <x, x> within the tolerance for every corral
+vertex s, or the loop raises ``SolverFailureError``.  Both engines
 share one convergence tolerance and one cap on major cycles, private
 constants of this module.
 
@@ -181,37 +184,17 @@ _MAX_MAJOR_CYCLES = 10_000
 _CORRAL_ROWS = 8  # initial capacity of the corral buffers; they double when full
 
 
-@dataclass
-class MinNormState:
-    """Iterate of the nearest-point loop: a corral and its combination.
-
-    ``point`` is the convex combination of the ``vertices`` rows with
-    ``coefficients``; the coefficients are non-negative and sum to one
-    within the tolerance.
-    """
-
-    point: np.ndarray
-    vertices: np.ndarray
-    coefficients: np.ndarray
-    eps: float
-
-    def consistent(self) -> bool:
-        if (self.coefficients < -self.eps).any():
-            return False
-        if abs(float(self.coefficients.sum()) - 1.0) > max(self.eps, 1e-9):
-            return False
-        recombined = self.vertices.T @ self.coefficients
-        scale = max(1.0, float(np.abs(self.vertices).max()))
-        return bool((np.abs(recombined - self.point) <= 1e-9 * scale).all())
-
-
 def _min_norm_point(dim: int, linear_minimizer: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Wolfe's algorithm for the nearest point to the origin in a polytope.
 
     ``linear_minimizer(x)`` must return a vertex minimizing <x, v>.
     Terminates when the squared-norm gap <x, x> - <x, q> falls below
-    ``_EPS`` times a scale correction; raises on the cycle cap or an
-    inconsistent corral instead of returning a silently wrong point.
+    ``_EPS`` times a scale correction; raises on the cycle cap or a
+    drifted corral instead of returning a silently wrong point.  After
+    every major cycle each corral vertex s must satisfy
+    |<x, s> - <x, x>| <= ``_EPS`` times the largest Gram diagonal entry
+    (at least 1), which holds exactly when x is the nearest point of the
+    corral's affine hull: the system the minor cycle solved.
 
     The corral of m vertices is ``S[:m]`` with weights ``lam[:m]``; its
     bordered system ``B[:m+1, :m+1]`` is a border of ones around the
@@ -271,7 +254,7 @@ def _min_norm_point(dim: int, linear_minimizer: Callable[[np.ndarray], np.ndarra
             lam[:m] /= lam[:m].sum()
         else:
             raise SolverFailureError("minor cycle failed to restore a corral")
-        if not MinNormState(x, S[:m], lam[:m], _EPS).consistent():
+        if (np.abs(S[:m] @ x - xx) > _EPS * max(1.0, float(G.diagonal()[:m].max()))).any():
             raise SolverFailureError("min-norm corral drifted from its point")
     raise SolverFailureError(f"min-norm point loop exceeded {_MAX_MAJOR_CYCLES} major cycles")
 

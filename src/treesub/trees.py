@@ -31,6 +31,7 @@ every function in this module is pure, so concurrent reads are safe.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,7 +52,15 @@ class RootedTree:
     __slots__ = ("node_count", "parent", "children", "depth", "root", "_lift")
 
     def __init__(self, parent: Sequence[int]):
-        parents = tuple(int(p) for p in parent)
+        try:
+            parents = tuple(map(operator.index, parent))
+        except TypeError:
+            for v, p in enumerate(parent):
+                try:
+                    operator.index(p)
+                except TypeError:
+                    raise DomainError(f"parent[{v}] = {p!r} is not an integer") from None
+            raise
         n = len(parents)
         if n == 0:
             raise DomainError("a tree needs at least one node")

@@ -399,6 +399,24 @@ def random_bisubmodular_box(rng: ts.SplitMix64, m: int, full_box: bool = False):
 # Wolfe's nearest-point loop, rebuilding its linear system in every minor cycle
 
 
+def drift_the_solve(monkeypatch) -> None:
+    """Make every solve of a corral of two or more vertices shift two weights by +-0.02.
+
+    The weights still sum to one and recombine to the point formed from
+    them, so only a test of the solved system itself can tell.
+    """
+    solve = np.linalg.solve
+
+    def drifted(a, b):
+        solution = solve(a, b)
+        if len(solution) > 2:
+            solution[1] += 0.02
+            solution[2] -= 0.02
+        return solution
+
+    monkeypatch.setattr(np.linalg, "solve", drifted)
+
+
 def reference_min_norm_point(dim: int, linear_minimizer) -> tuple[np.ndarray, int, int]:
     """The textbook nearest-point loop.
 

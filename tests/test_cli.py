@@ -26,7 +26,7 @@ from treesub.cli import (
 )
 from treesub.errors import FormatError
 
-from conftest import BadCell, canonical_document_oracle
+from conftest import BadCell, canonical_document_oracle, drift_the_solve
 
 
 def write_fixture(tmp_path: Path, name: str, fixture_name: str) -> Path:
@@ -486,12 +486,13 @@ def test_minimize_weak_solver_budget_counts_labelings(tmp_path, capsys, monkeypa
 
 
 def test_minnorm_corral_failure_exits_three(monkeypatch, capsys):
-    monkeypatch.setattr(ts.MinNormState, "consistent", lambda self: False)
+    drift_the_solve(monkeypatch)
     path = corpus_paths()[0]
     assert main(["minimize", str(path), "--engine", "minnorm"]) == EXIT_FAILURE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert "drifted" in captured.err
     assert "Traceback" not in captured.err
 
 

@@ -524,6 +524,16 @@ def test_chain_separable_verified():
     assert ts.check_strong(fx.function).ok
 
 
+def test_chain_separable_ignores_max_value_but_refuses_a_negative_one():
+    dom = ts.ProductDomain([ts.chain_tree(4)] * 3)
+    fx = ts.generate("chain-separable", dom, seed=5)
+    for max_value in (0, 1, 1000):
+        other = ts.generate("chain-separable", dom, seed=5, max_value=max_value)
+        assert other.function.terms == fx.function.terms
+    with pytest.raises(DomainError, match="max_value must be non-negative"):
+        ts.generate("chain-separable", dom, seed=5, max_value=-1)
+
+
 def test_chain_separable_rejects_branching():
     dom = ts.ProductDomain([ts.star3_tree()])
     with pytest.raises(DomainError):

@@ -14,6 +14,7 @@ from treesub.errors import BudgetExceededError, DomainError, SolverFailureError
 from treesub.solvers import BinaryCubeFunction, SignBoxFunction
 
 from conftest import (
+    drift_the_solve,
     random_bisubmodular_box,
     random_cut_plus_modular,
     random_sign_box,
@@ -191,30 +192,31 @@ def test_minnorm_deterministic():
     assert ts.bisub_minnorm(h) == ts.bisub_minnorm(h)
 
 
-def test_min_norm_state_invariant():
-    vertices = np.array([[2.0, 0.0], [0.0, 2.0]])
-    lam = np.array([0.5, 0.5])
-    state = ts.MinNormState(vertices.T @ lam, vertices, lam, eps=1e-10)
-    assert state.consistent()
-    drifted = ts.MinNormState(np.array([9.0, 9.0]), vertices, lam, eps=1e-10)
-    assert not drifted.consistent()
-    unbalanced = ts.MinNormState(vertices.T @ lam, vertices, np.array([0.9, 0.5]), eps=1e-10)
-    assert not unbalanced.consistent()
-    # sums to one and recombines to its point, but one weight is negative
-    signed = np.array([1.5, -0.5])
-    negative = ts.MinNormState(vertices.T @ signed, vertices, signed, eps=1e-10)
-    assert not negative.consistent()
-
-
 def test_inconsistent_corral_is_a_solver_failure(monkeypatch):
     # a raise, not an assert, so the check also runs under python -O
     rng = ts.SplitMix64(5)
     g, h = random_cut_plus_modular(rng, 4), random_sign_box(rng, 3, full_box=True)
-    monkeypatch.setattr(ts.MinNormState, "consistent", lambda self: False)
-    with pytest.raises(SolverFailureError, match="corral"):
+    drift_the_solve(monkeypatch)
+    with pytest.raises(SolverFailureError, match="drifted"):
         ts.sfm_wolfe(g)
-    with pytest.raises(SolverFailureError, match="corral"):
+    with pytest.raises(SolverFailureError, match="drifted"):
         ts.bisub_minnorm(h)
+
+
+def test_the_lstsq_fallback_gives_the_solve_results(monkeypatch):
+    rng = ts.SplitMix64(31)
+    cubes = [random_cut_plus_modular(rng, m) for m in range(1, 9)]
+    boxes = [random_bisubmodular_box(rng, m, full_box) for m in range(1, 7) for full_box in (True, False)]
+    expected = [ts.sfm_wolfe(g) for g in cubes], [ts.bisub_minnorm(h) for h in boxes]
+    calls = []
+
+    def singular(a, b):
+        calls.append(len(b))
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    assert ([ts.sfm_wolfe(g) for g in cubes], [ts.bisub_minnorm(h) for h in boxes]) == expected
+    assert calls  # every corral system went through lstsq
 
 
 # ---------------------------------------------------------------------------
@@ -227,26 +229,29 @@ def _vertex_minimizer(vertices):
     return lambda x: V[int(np.argmin(V @ x))].copy()
 
 
-def _record_corrals(monkeypatch):
-    corrals = []
-    consistent = ts.MinNormState.consistent
+def _recording(linear_minimizer):
+    """The minimizer, and the list of the points it is called at, one per major cycle."""
+    points = []
 
-    def recorded(self):
-        corrals.append(self.vertices.tolist())
-        return consistent(self)
+    def recorded(x):
+        points.append(x.copy())
+        return linear_minimizer(x)
 
-    monkeypatch.setattr(ts.MinNormState, "consistent", recorded)
-    return corrals
+    return recorded, points
 
 
-def test_min_norm_point_of_the_unit_simplex_is_its_centroid(monkeypatch):
-    corrals = _record_corrals(monkeypatch)
+def test_min_norm_point_of_the_unit_simplex_is_its_centroid():
     # the centroid needs every vertex, so n above the initial capacity grows the buffers twice
     for n in (1, 2, 5, solvers._CORRAL_ROWS, 2 * solvers._CORRAL_ROWS + 1):
-        del corrals[:]
-        point = solvers._min_norm_point(n, _vertex_minimizer(np.eye(n)))
+        minimizer, points = _recording(_vertex_minimizer(np.eye(n)))
+        point = solvers._min_norm_point(n, minimizer)
         assert np.allclose(point, 1.0 / n, rtol=0.0, atol=1e-12)
-        assert [len(vertices) for vertices in corrals] == list(range(2, n + 1))
+        # call j is at the centroid of the first j unit vectors: the corral grows by one each cycle
+        assert len(points) == n + 1
+        for j, x in enumerate(points):
+            centroid = np.zeros(n)
+            centroid[:j] = 1.0 / max(j, 1)
+            assert np.allclose(x, centroid, rtol=0.0, atol=1e-12), (n, j)
 
 
 def test_min_norm_point_interior_to_a_segment():
@@ -254,13 +259,17 @@ def test_min_norm_point_interior_to_a_segment():
     assert np.allclose(point, (0.0, 2.0), rtol=0.0, atol=1e-12)
 
 
-def test_min_norm_point_drops_the_first_vertex_from_the_corral(monkeypatch):
+def test_min_norm_point_drops_the_first_vertex_from_the_corral():
     # Wolfe's triangle: the corral {p1, p2, p3} has the origin in its affine
-    # hull with a negative weight on p1, which a minor cycle removes
-    corrals = _record_corrals(monkeypatch)
-    point = solvers._min_norm_point(2, _vertex_minimizer([(0, 2), (3, 0), (-2, 1)]))
+    # hull with a negative weight on p1, which a minor cycle removes; the
+    # last call is at the nearest point of the segment [p2, p3]
+    minimizer, points = _recording(_vertex_minimizer([(0, 2), (3, 0), (-2, 1)]))
+    point = solvers._min_norm_point(2, minimizer)
     assert np.allclose(point, (3 / 26, 15 / 26), rtol=0.0, atol=1e-12)
-    assert corrals == [[[0.0, 2.0], [3.0, 0.0]], [[3.0, 0.0], [-2.0, 1.0]]]
+    expected = [(0, 0), (0, 2), (12 / 13, 18 / 13), (3 / 26, 15 / 26)]
+    assert len(points) == len(expected)
+    for x, y in zip(points, expected):
+        assert np.allclose(x, y, rtol=0.0, atol=1e-12)
 
 
 def test_min_norm_point_matches_the_textbook_loop(monkeypatch):
@@ -268,17 +277,13 @@ def test_min_norm_point_matches_the_textbook_loop(monkeypatch):
     totals = {"solves": 0, "dropped": 0, "grown": 0}
 
     def twin(dim, linear_minimizer):
-        calls = [0, 0]
-
-        def counting(side):
-            def counted(x):
-                calls[side] += 1
-                return linear_minimizer(x)
-            return counted
-
-        expected, dropped, largest = reference_min_norm_point(dim, counting(0))
-        point = min_norm_point(dim, counting(1))
-        assert np.array_equal(point, expected) and calls[0] == calls[1], (dim, calls)
+        textbook, textbook_points = _recording(linear_minimizer)
+        kept, kept_points = _recording(linear_minimizer)
+        expected, dropped, largest = reference_min_norm_point(dim, textbook)
+        point = min_norm_point(dim, kept)
+        assert np.array_equal(point, expected), dim
+        assert len(kept_points) == len(textbook_points), dim
+        assert all(np.array_equal(x, y) for x, y in zip(kept_points, textbook_points)), dim
         totals["solves"] += 1
         totals["dropped"] += dropped
         totals["grown"] += largest > solvers._CORRAL_ROWS

@@ -57,6 +57,18 @@ def test_rejects_empty():
         ts.RootedTree([])
 
 
+def test_parents_must_be_integers():
+    with pytest.raises(DomainError, match=r"^parent\[1\] = 0\.9 is not an integer$"):
+        ts.RootedTree([-1, 0.9, "1", True])
+    with pytest.raises(DomainError, match=r"^parent\[2\] = '1' is not an integer$"):
+        ts.RootedTree([-1, 0, "1"])
+    with pytest.raises(DomainError, match=r"^parent\[1\] = .* is not an integer$"):
+        ts.RootedTree([-1, np.float64(0.0)])
+    tree = ts.RootedTree(np.array([-1, 0, 0, 1]))  # numpy integers pass, stored as ints
+    assert tree.parent == (-1, 0, 0, 1)
+    assert all(type(p) is int for p in tree.parent)
+
+
 def test_invalid_node_id(chain5):
     with pytest.raises(DomainError):
         ts.path(chain5, 0, 5)
