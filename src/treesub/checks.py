@@ -61,7 +61,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .functions import (
     DEFAULT_PAIR_BUDGET,
     CostFunction,
@@ -205,18 +205,7 @@ def _require_exhaustible(size: int) -> None:
 
 def _digits(domain: ProductDomain, ranks: np.ndarray) -> np.ndarray:
     """The labeling of each rank, one row per rank."""
-    cards = domain.cardinalities()
-    digs = np.empty((len(ranks), domain.n), dtype=np.int64)
-    for i in range(domain.n - 1, -1, -1):
-        ranks, digs[:, i] = np.divmod(ranks, cards[i])
-    return digs
-
-
-def _strides(domain: ProductDomain) -> list[int]:
-    strides = [1] * domain.n
-    for i in range(domain.n - 2, -1, -1):
-        strides[i] = strides[i + 1] * domain.trees[i + 1].node_count
-    return strides
+    return np.stack(np.unravel_index(ranks, domain.cardinalities()), axis=1)
 
 
 def _first_violation(
@@ -239,13 +228,16 @@ def _first_violation(
 
 
 def _scaled_tables(domain: ProductDomain, tables: list[np.ndarray]) -> list[np.ndarray]:
-    """Per coordinate i, the op table times rank stride i, shaped so that
-    ``t[x_i]`` broadcasts along the y axis of coordinate i."""
+    """Per coordinate i, the rank of the labeling that holds the op table's
+    label at i and 0 elsewhere, shaped so that ``t[x_i]`` broadcasts along
+    the y axis of coordinate i."""
     cards = domain.cardinalities()
     out = []
-    for i, (tbl, stride) in enumerate(zip(tables, _strides(domain))):
+    for i, tbl in enumerate(tables):
         axes = tuple(c if j == i else 1 for j, c in enumerate(cards))
-        out.append((tbl * stride).reshape((cards[i],) + axes))
+        index = [0] * domain.n
+        index[i] = tbl
+        out.append(np.ravel_multi_index(index, cards).reshape((cards[i],) + axes))
     return out
 
 
@@ -260,14 +252,14 @@ def _block_ranks(scaled: list[np.ndarray], xdigs: np.ndarray) -> np.ndarray:
 
 
 def _candidate_pairs(table: DenseTable, domain: ProductDomain, family: OpFamily):
-    """Rank pairs (xr, yr) to replay exactly, in (rank(x), rank(y)) order.
+    """The first flagged rank pair (xr, yr) in (rank(x), rank(y)) order, or None.
 
     A vectorized pass walks rank(x) in row blocks of at most
     ``_BLOCK_CELLS`` = 2^14 pairs (one row when |D| exceeds it), so
     every block-sized array stays within glibc's 128 KiB mmap threshold
     unless one row alone outgrows it.  A block ORs
     every member's violations, up to the first member that swaps every
-    pair, and the pass yields only the first flagged pair of the first
+    pair, and the pass returns only the first flagged pair of the first
     block holding one: blocks run in rank(x) order and argmax scans a
     block in C order.  Both sides of a comparison are sums of two
     values, so twice the largest |value| picks the dtype (``sum_dtype``).
@@ -281,7 +273,7 @@ def _candidate_pairs(table: DenseTable, domain: ProductDomain, family: OpFamily)
             break  # the member maps every pair (x, y) to (y, x)
         members.append((_scaled_tables(domain, first), _scaled_tables(domain, second)))
     if not members:
-        return ()
+        return None
     values = np.asarray(table.values, dtype=sum_dtype(2 * max(map(abs, table.values))))
     grid = values.reshape(domain.cardinalities())
     digs = _digits(domain, np.arange(size, dtype=np.int64))
@@ -294,14 +286,14 @@ def _candidate_pairs(table: DenseTable, domain: ProductDomain, family: OpFamily)
             member = lhs < values[_block_ranks(first, xdigs)] + values[_block_ranks(second, xdigs)]
             viol = member if viol is None else np.logical_or(viol, member, out=viol)
         if viol.any():
-            return (divmod(start * size + int(np.argmax(viol)), size),)
-    return ()
+            return divmod(start * size + int(np.argmax(viol)), size)
+    return None
 
 
 def _flagged_sample(f: CostFunction, domain: ProductDomain, family: OpFamily,
                     samples: int, seed: int):
     """The first drawn pair that violates a member, as (s, x, y) for
-    sample index s, or nothing.
+    sample index s, or None.
 
     Pairs are drawn as rank(x) then rank(y) per sample from
     ``SplitMix64(seed)``, in blocks of at most ``_SAMPLE_PAIRS``.  A
@@ -340,8 +332,8 @@ def _flagged_sample(f: CostFunction, domain: ProductDomain, family: OpFamily,
             keep = ~viol & (rows < flagged)
             rows, lhs = rows[keep], lhs[keep]
         if flagged < count:
-            return ((start + flagged, tuple(x[flagged].tolist()), tuple(y[flagged].tolist())),)
-    return ()
+            return start + flagged, tuple(x[flagged].tolist()), tuple(y[flagged].tolist())
+    return None
 
 
 def _pair_check(
@@ -369,27 +361,39 @@ def _pair_check(
         _require_exhaustible(size)
         table = materialize(f)
         family = build_family()
-        for xr, yr in _candidate_pairs(table, domain, family):
-            witness = _first_violation(table, family, domain.unrank(xr), domain.unrank(yr), name)
-            if witness is not None:
-                return CheckReport(name, "exhaustive", False, witness, size * size, note)
-        return CheckReport(name, "exhaustive", True, None, size * size, note)
+        pair = _candidate_pairs(table, domain, family)
+        if pair is None:
+            return CheckReport(name, "exhaustive", True, None, size * size, note)
+        witness = _replay(table, family, *map(domain.unrank, pair), name)
+        return CheckReport(name, "exhaustive", False, witness, size * size, note)
     if mode != "sampled":
         raise DomainError(f"unknown mode {mode!r}; use 'exhaustive' or 'sampled'")
     if samples < 1:
         raise DomainError(f"sampled mode needs at least 1 sample, got {samples}")
     family = build_family()
-    for s, x, y in _flagged_sample(f, domain, family, samples, seed):
-        witness = _first_violation(f, family, x, y, name)
-        if witness is not None:
-            return CheckReport(
-                name, "sampled", False, witness, s + 1,
-                note=f"violation found at sample {s + 1} of {samples}",
-            )
+    flagged = _flagged_sample(f, domain, family, samples, seed)
+    if flagged is None:
+        return CheckReport(
+            name, "sampled", True, None, samples,
+            note=f"no violation found in {samples} samples; not a proof",
+        )
+    s, x, y = flagged
     return CheckReport(
-        name, "sampled", True, None, samples,
-        note=f"no violation found in {samples} samples; not a proof",
+        name, "sampled", False, _replay(f, family, x, y, name), s + 1,
+        note=f"violation found at sample {s + 1} of {samples}",
     )
+
+
+def _replay(
+    f: CostFunction, family: OpFamily, x: Labeling, y: Labeling, name: str
+) -> ViolationWitness:
+    """The witness of a pair the array pass flagged, from its exact replay;
+    a replay that finds no violation is a fault of one of the two paths."""
+    witness = _first_violation(f, family, x, y, name)
+    if witness is None:
+        raise InternalError(f"{name} check: the array pass flagged x = {x}, y = {y}, "
+                            "but its exact replay finds no violation")
+    return witness
 
 
 def check_strong(

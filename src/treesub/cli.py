@@ -20,7 +20,7 @@ byte-identical for identical inputs and flags (wall-clock timings only
 appear under --timing).
 
 Exit codes: 0 holds / success, 1 violation or bound failure, 2 input or
-structure error, 3 budget, generation or solver failure.  The
+structure error, 3 budget, generation, solver or internal failure.  The
 environment variable TREESUB_BUDGET overrides enumeration budgets
 package-wide.
 """
@@ -40,18 +40,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import checks, descent, weak
-from .errors import (
-    BudgetExceededError,
-    DomainError,
-    FormatError,
-    GenerationError,
-    InternalError,
-    IterationBoundError,
-    NotInImageError,
-    SolverFailureError,
-    TreesubError,
-    UnsupportedStructureError,
-)
+from .errors import DomainError, FormatError, NotInImageError, TreesubError, UnsupportedStructureError
 from .functions import (
     GENERATE_KINDS,
     CostFunction,
@@ -76,8 +65,7 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_FAILURE = 3
 
-_INPUT_ERRORS = (FormatError, DomainError, UnsupportedStructureError, NotInImageError, InternalError)
-_FAILURE_ERRORS = (BudgetExceededError, GenerationError, SolverFailureError, IterationBoundError)
+_INPUT_ERRORS = (FormatError, DomainError, UnsupportedStructureError, NotInImageError)
 
 
 # ---------------------------------------------------------------------------
@@ -677,9 +665,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run a suite and assert step bounds")
     p_bench.add_argument("--suite", help="directory of instance files (default: shipped corpus)")
-    p_bench.add_argument("--jobs", type=int, default=1,
-                         help="accepted for compatibility; rows always run one at a "
-                              "time in sorted path order")
     p_bench.add_argument("--timing", action="store_true", help="include wall-clock columns")
     p_bench.add_argument("--diagnostics", action="store_true")
     p_bench.add_argument("--out")
@@ -701,10 +686,7 @@ def main(argv: list[str] | None = None) -> int:
     except _INPUT_ERRORS as exc:
         _error(str(exc))
         return EXIT_INPUT
-    except _FAILURE_ERRORS as exc:
-        _error(str(exc))
-        return EXIT_FAILURE
-    except TreesubError as exc:  # safety net for future error types
+    except TreesubError as exc:  # budget, generation, solver and internal failures
         _error(str(exc))
         return EXIT_FAILURE
 

@@ -10,7 +10,8 @@ class DomainError(TreesubError):
 
 
 class InternalError(TreesubError):
-    """A data structure violated its own invariant, e.g. a cost table of the wrong length."""
+    """The package broke its own invariant, e.g. a cost table of the wrong length
+    or an exact replay that disagrees with the array pass it confirms."""
 
 
 class UnsupportedStructureError(TreesubError):

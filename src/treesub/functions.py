@@ -149,14 +149,6 @@ class ProductDomain:
         return f"ProductDomain({list(self.trees)!r})"
 
 
-def rank(domain: ProductDomain, x: Sequence[int]) -> int:
-    return domain.rank(x)
-
-
-def unrank(domain: ProductDomain, k: int) -> Labeling:
-    return domain.unrank(k)
-
-
 class CostFunction:
     """Exact cost oracle over a ProductDomain.
 
@@ -197,20 +189,15 @@ class CostFunction:
         """
         return np.array([self.evaluate(tuple(x)) for x in labels.tolist()], dtype=object)
 
-    def walk(self, x: Sequence[int], steps: Iterable[tuple[int, int]]) -> list[int]:
-        """f at x and then after each step, one exact integer per point.
+    def walker(self, x: Sequence[int]) -> Callable[[Iterable[tuple[int, int]]], list[int]]:
+        """The walks from x: a callable ``steps -> values`` giving f at x
+        and then after each step, one exact integer per point.
 
         A step ``(i, v)`` sets variable i to label v; later steps start
         from the point the earlier ones reached, and a variable may be
-        stepped more than once.  The same as ``self.walker(x)(steps)``.
-        """
-        return self.walker(x)(steps)
-
-    def walker(self, x: Sequence[int]) -> Callable[[Iterable[tuple[int, int]]], list[int]]:
-        """The walks from x: a callable ``steps -> values`` as ``walk``.
-
-        Callers that walk from one point many times build this once.
-        This version calls ``evaluate`` once per point.
+        stepped more than once.  Callers that walk from one point many
+        times build this once.  This version calls ``evaluate`` once per
+        point.
         """
         x = tuple(x)
 
@@ -296,9 +283,7 @@ class DenseTable(CostFunction):
         checked and ranked as arrays, and their values gathered from the
         table, so the work grows with the rows and not with |D|."""
         labels = _label_rows(self.domain, labels)
-        ranks = np.zeros(len(labels), dtype=np.int64)
-        for i, t in enumerate(self.domain.trees):
-            ranks = ranks * t.node_count + labels[:, i]
+        ranks = np.ravel_multi_index(labels.T, self.domain.cardinalities())
         got = list(map(self.values.__getitem__, ranks.tolist()))
         largest = max(max(got, default=0), -min(got, default=0))
         return np.array(got, dtype=sum_dtype(2 * largest))

@@ -97,38 +97,15 @@ def psi(fork: ForkTree, x: int) -> EncodedPoint:
 
 def in_image(fork: ForkTree, y: EncodedPoint) -> bool:
     """Membership of an encoded vector in the image of psi."""
-    K = fork.K
-    if len(y) != K + 1:
-        return False
-    if any(v not in (0, 1) for v in y[:K]) or y[K] not in (-1, 0, 1):
-        return False
-    k = 0
-    while k < K and y[k] == 1:
-        k += 1
-    if any(v != 0 for v in y[k:K]):
-        return False
-    if y[K] != 0:
-        if k != K:
-            return False
-        if y[K] == -1 and fork.minus is None:
-            return False
-        if y[K] == 1 and fork.plus is None:
-            return False
-    return True
+    return tuple(y) in {enc for _, enc in encoding_table(fork)}
 
 
 def psi_inverse(fork: ForkTree, y: EncodedPoint) -> int:
     """Decode an encoded vector; total exactly on the image of psi."""
-    if not in_image(fork, y):
+    label = {enc: x for x, enc in encoding_table(fork)}.get(tuple(y))
+    if label is None:
         raise NotInImageError(f"vector {y!r} is not an encoding for K={fork.K}")
-    if y[fork.K] == -1:
-        return fork.minus  # type: ignore[return-value]
-    if y[fork.K] == 1:
-        return fork.plus  # type: ignore[return-value]
-    k = 0
-    while k < fork.K and y[k] == 1:
-        k += 1
-    return fork.chain[k]
+    return label
 
 
 def star_wedge_vee(a: int, b: int) -> tuple[int, int]:

@@ -8,7 +8,7 @@ import pytest
 
 import treesub as ts
 from treesub import checks
-from treesub.errors import BudgetExceededError, DomainError
+from treesub.errors import BudgetExceededError, DomainError, InternalError
 from treesub.solvers import BinaryCubeFunction, SignBoxFunction
 
 from conftest import (
@@ -197,6 +197,18 @@ def test_big_values_replay_only_the_flagged_pair(monkeypatch):
 
 def _witness_key(w):
     return None if w is None else (w.x, w.y, w.d, w.lhs, w.rhs)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_an_unconfirmed_flagged_pair_is_an_internal_error(mode, concave_chain, monkeypatch):
+    """A pair the array pass flags but the exact replay does not confirm
+    raises, naming the pair, instead of reading as "holds"."""
+    w = ts.check_strong(concave_chain, mode=mode).witness
+    monkeypatch.setattr(checks, "_first_violation", lambda *a: None)
+    with pytest.raises(InternalError) as raised:
+        ts.check_strong(concave_chain, mode=mode)
+    assert str(raised.value) == (f"strong check: the array pass flagged x = {w.x}, y = {w.y}, "
+                                 "but its exact replay finds no violation")
 
 
 def test_chain1000_strong_and_weak_match_the_chain_oracle():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import treesub as ts
-from treesub import cli
+from treesub import checks, cli
 from treesub.cli import (
     EXIT_FAILURE,
     EXIT_INPUT,
@@ -330,6 +330,17 @@ def test_check_violation_exit_one(tmp_path, capsys):
     assert record["ok"] is False
     assert record["witness"]["x"] == [0] and record["witness"]["y"] == [2]
     assert record["witness"]["lhs"] == {"num": -4, "den": 1}
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_an_unconfirmed_flagged_pair_exits_three(mode, tmp_path, monkeypatch, capsys):
+    path = write_fixture(tmp_path, "concave.json", "chain5-concave")
+    monkeypatch.setattr(checks, "_first_violation", lambda *a: None)
+    assert main(["check", str(path), "--mode", mode]) == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: strong check: the array pass flagged x = (")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("finds no violation\n")
 
 
 def test_check_malformed_instance_exit_two(tmp_path, capsys):
@@ -664,9 +675,10 @@ def test_bench_deterministic_and_jobs(capsys):
     assert main(["bench", "--diagnostics"]) == EXIT_OK
     second = capsys.readouterr().out
     assert first == second
-    assert main(["bench", "--diagnostics", "--jobs", "3"]) == EXIT_OK
-    third = capsys.readouterr().out
-    assert first == third
+    with pytest.raises(SystemExit) as refused:
+        main(["bench", "--jobs", "3"])
+    assert refused.value.code == EXIT_INPUT
+    assert "unrecognized arguments: --jobs 3" in capsys.readouterr().err
 
 
 def test_bench_diagnostics_chain_trace(capsys):

@@ -14,6 +14,7 @@ import treesub as ts
 from treesub.errors import BudgetExceededError, DomainError, GenerationError
 
 import treesub.functions as functions
+from treesub import checks
 from conftest import brute_minimum, random_terms, term_grid, term_sum, term_walk
 
 
@@ -30,7 +31,7 @@ def c3x3():
 def test_rank_examples(c3x3):
     assert c3x3.rank((1, 2)) == 5
     assert c3x3.rank((2, 0)) == 6
-    assert ts.rank(c3x3, (0, 0)) == 0
+    assert c3x3.rank((0, 0)) == 0
 
 
 def test_unrank_first_is_all_first_nodes(c3x3):
@@ -43,7 +44,7 @@ def test_rank_unrank_bijection_mixed():
     seen = set()
     for k in range(9):
         x = dom.unrank(k)
-        assert ts.rank(dom, x) == k
+        assert dom.rank(x) == k
         seen.add(x)
     assert len(seen) == 9
     assert list(dom.labelings()) == [dom.unrank(k) for k in range(9)]
@@ -64,6 +65,26 @@ def test_domain_repr_names_each_tree():
         "ProductDomain([RootedTree(parent=[-1, 0, 0]), RootedTree(parent=[-1, 0, 1])])"
     )
     assert repr(ts.ProductDomain([star, star])) != repr(ts.ProductDomain([chain, chain]))
+
+
+@pytest.mark.parametrize("trees", [
+    [ts.complete_binary_tree(3)] * 22,  # 7^22, about 3.9e18 labelings
+    [ts.chain_tree(1000)] * 6,
+    [ts.star3_tree(), ts.chain_tree(5), ts.fork_tree(2)],
+])
+def test_array_ranks_match_rank_and_unrank(trees):
+    """``checks._digits`` and the ranks ``DenseTable.values_at`` gathers
+    agree with ``unrank``/``rank`` up to the last rank, in int64 rows."""
+    dom = ts.ProductDomain(trees)
+    size = dom.size()
+    rng = ts.SplitMix64(62)
+    ranks = [0, 1, size // 2, size - 2, size - 1] + [rng.below(size) for _ in range(40)]
+    rows = checks._digits(dom, np.array(ranks, dtype=np.int64))
+    assert rows.dtype == np.int64 and rows.shape == (len(ranks), dom.n)
+    assert [tuple(r) for r in rows.tolist()] == [dom.unrank(k) for k in ranks]
+    table = object.__new__(ts.DenseTable)  # a value per rank, too many to store
+    table.domain, table.denominator, table.values = dom, 1, range(size)
+    assert table.values_at(rows).tolist() == [dom.rank(tuple(r)) for r in rows.tolist()]
 
 
 @given(st.integers(0, 8))
@@ -180,7 +201,7 @@ def _random_walk(rng, dom, length):
 
 def _interleaved_walks(rng, f, length, starts=3, walks=12):
     """Walks from a few starts of f through one walker per start, called
-    in a random interleaving; each is yielded with a fresh ``walk``, the
+    in a random interleaving; each is yielded with a fresh walker's walk, the
     ``term_walk`` oracle and its steps."""
     dom = f.domain
     xs = [_random_walk(rng, dom, 0)[0] for _ in range(starts)]
@@ -188,7 +209,7 @@ def _interleaved_walks(rng, f, length, starts=3, walks=12):
     for _ in range(walks):
         j = rng.below(starts)
         steps = _random_walk(rng, dom, length())[1]
-        yield walkers[j](steps), f.walk(xs[j], steps), term_walk(dom, f.terms, xs[j], steps), steps
+        yield walkers[j](steps), f.walker(xs[j])(steps), term_walk(dom, f.terms, xs[j], steps), steps
 
 
 def test_sum_walk_matches_plain_loop_oracle():
@@ -198,7 +219,7 @@ def test_sum_walk_matches_plain_loop_oracle():
         dom = ts.ProductDomain([_WALK_SHAPES[rng.below(3)] for _ in range(1 + rng.below(6))])
         f = ts.SumOfTerms(dom, random_terms(rng, dom, -9, 9, rng.below(8)))
         x, steps = _random_walk(rng, dom, rng.below(12))
-        values = f.walk(x, steps)
+        values = f.walker(x)(steps)
         assert values == term_walk(dom, f.terms, x, steps), trial
         assert all(type(v) is int for v in values)
         stepped_twice += len({i for i, _ in steps}) < len(steps)
@@ -213,8 +234,8 @@ def test_sum_walk_steps_one_coordinate_twice():
     terms = [ts.Term((1, 0), tuple(range(28))), ts.Term((0,), (5, 1, 7, 2))]
     f = ts.SumOfTerms(dom, terms)
     steps = [(0, 3), (1, 6), (0, 1), (0, 1), (1, 0), (0, 0)]
-    assert f.walk((2, 4), steps) == term_walk(dom, terms, (2, 4), steps)
-    assert f.walk((2, 4), []) == [f.evaluate((2, 4))]
+    assert f.walker((2, 4))(steps) == term_walk(dom, terms, (2, 4), steps)
+    assert f.walker((2, 4))([]) == [f.evaluate((2, 4))]
 
 
 def test_sum_walk_is_exact_beyond_int64():
@@ -223,7 +244,7 @@ def test_sum_walk_is_exact_beyond_int64():
     big = (1 << 61) - 2
     f = ts.SumOfTerms(dom, random_terms(rng, dom, big, big + 3, 4))
     x, steps = _random_walk(rng, dom, 20)
-    values = f.walk(x, steps)
+    values = f.walker(x)(steps)
     assert min(values) >= 1 << 63
     assert values == term_walk(dom, f.terms, x, steps)
     for walked, fresh, expected, _ in _interleaved_walks(rng, f, lambda: 20):
@@ -233,14 +254,13 @@ def test_sum_walk_is_exact_beyond_int64():
 
 def test_dense_table_walks_through_the_base_class():
     rng = ts.SplitMix64(8)
-    assert ts.DenseTable.walk is ts.CostFunction.walk
     assert ts.DenseTable.walker is ts.CostFunction.walker
     for _ in range(20):
         dom = ts.ProductDomain([_WALK_SHAPES[rng.below(3)] for _ in range(1 + rng.below(3))])
         f = ts.DenseTable(dom, [rng.below(50) - 25 for _ in range(dom.size())])
         table = SimpleNamespace(scope=tuple(range(dom.n)), values=f.values)
         x, steps = _random_walk(rng, dom, rng.below(8))
-        assert f.walk(x, steps) == term_walk(dom, [table], x, steps)
+        assert f.walker(x)(steps) == term_walk(dom, [table], x, steps)
 
 
 def test_walk_refuses_a_bad_label_with_the_evaluate_message():
@@ -253,16 +273,16 @@ def test_walk_refuses_a_bad_label_with_the_evaluate_message():
             with pytest.raises(DomainError) as expected:
                 f.evaluate((3, bad))
             with pytest.raises(DomainError) as got:
-                f.walk((1, 2), [(0, 3), (1, bad), (1, 0)])
+                f.walker((1, 2))([(0, 3), (1, bad), (1, 0)])
             assert str(got.value) == str(expected.value)
         with pytest.raises(DomainError) as expected:
             f.evaluate((4, 2))
         with pytest.raises(DomainError) as got:
-            f.walk((4, 2), [])
+            f.walker((4, 2))([])
         assert str(got.value) == str(expected.value)
         for i in (2, -1):
             with pytest.raises(DomainError, match="variable"):
-                f.walk((1, 2), [(0, 0), (i, 0)])
+                f.walker((1, 2))([(0, 0), (i, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +423,7 @@ def test_second_grid_builds_no_table(monkeypatch):
     f = ts.SumOfTerms(dom, terms)
     labelings = list(dom.labelings())
     x, steps = _random_walk(rng, dom, 15)
-    values, walked = [f.evaluate(y) for y in labelings], f.walk(x, steps)
+    values, walked = [f.evaluate(y) for y in labelings], f.walker(x)(steps)
     axes = [(0, 3, 5), (1, 1), (2,)]
     first = f.grid(axes)
     f.grid([(6,), (0, 3), (0, 1, 2)])
@@ -412,7 +432,7 @@ def test_second_grid_builds_no_table(monkeypatch):
     assert np.array_equal(first, again)
     assert f.terms is terms
     assert [f.evaluate(y) for y in labelings] == values
-    assert f.walk(x, steps) == walked
+    assert f.walker(x)(steps) == walked
     exact = ts.SumOfTerms(dom, [ts.Term((1,), (0, 1 << 62, 0, 0))])
     exact.grid(axes)
     exact.grid(axes)
@@ -453,7 +473,7 @@ _ENTRY_POINTS = {
 def test_a_foreign_domain_is_refused_before_any_evaluation(name, trees, monkeypatch):
     f = _c3x3_sum()
     calls = []
-    for attr in ("evaluate", "grid", "walk", "walker"):
+    for attr in ("evaluate", "grid", "walker"):
         monkeypatch.setattr(f, attr, lambda *args, _attr=attr: calls.append(_attr))
     with pytest.raises(DomainError, match="is not the function's"):
         _ENTRY_POINTS[name](f, ts.ProductDomain(trees))
@@ -605,9 +625,8 @@ def _recorded_sum(calls: list) -> ts.SumOfTerms:
     """A sum over chain3 x chain2 (6 labelings) that records its oracle calls."""
     dom = ts.ProductDomain([ts.chain_tree(3), ts.chain_tree(2)])
     f = ts.SumOfTerms(dom, random_terms(ts.SplitMix64(3), dom, 0, 9, 2))
-    for name, oracle in _recorded_oracles(calls).items():
-        setattr(f, name, oracle)
-    f.walker = _recorder(calls, "walker")
+    for name in ("evaluate", "grid", "walker"):
+        setattr(f, name, _recorder(calls, name))
     return f
 
 
