@@ -32,10 +32,15 @@ op tables come from each group's map on its tree's index grid.
 Costs are integers, so verdicts are exact.  An exhaustive check takes a
 vectorized pass that walks rank(x) in row blocks of at most 2^14 pairs,
 building the ranks of op(x, y) by broadcasting per-coordinate op table
-rows, and stops at the first block holding a violation.  The values'
-size picks the arrays' dtype: int64 when every sum of two costs fits,
-else object, whose cells are exact Python ints; the pass is the same
-code on either.  Besides the op tables, its arrays hold O(2^14 + |D|)
+rows, and stops at the first block holding a violation.  When every
+member's op tables are symmetric, as meet/join and wedge/vee are, a pair
+and its mirror (y, x) violate together, so the first violating pair has
+rank(x) <= rank(y); each block then compares its rows only with the y
+whose first label is at least that of its first row, about half of all
+pairs, and flags the same first pair as the full scan.  Reports still
+count the |D|^2 ordered pairs.  The values' size picks the arrays'
+dtype: int64 when every sum of two costs fits, else object, whose cells
+are exact Python ints; the pass is the same code on either.  Besides the op tables, its arrays hold O(2^14 + |D|)
 elements whatever |D|, about 0.6 MB of traced memory at |D| = 1000.  A
 block array of 2^14 8-byte cells is 128 KiB, glibc's default mmap
 threshold, so the allocator reuses heap memory for it; larger arrays
@@ -44,10 +49,11 @@ longer than 2^14 cells (|D| > 16,384, within reach only under a raised
 TREESUB_BUDGET) is still larger than the threshold.  The pass only flags
 the first violating pair, and its witness comes from the exact replay.
 
-Sampled mode builds no tables.  It draws its pairs in blocks of at most
-2^10 and takes each block through the family as arrays, one call per
-group and member.  A pair leaves the pass at the first member that swaps
-it or that it violates, and both sides of every comparison come from one
+Sampled mode builds no tables.  It draws its pairs in a first block of
+2^6, so that a common violation costs little, then in blocks of 2^10,
+and takes each block through the family as arrays, one call per group
+and member.  A pair leaves the pass at the first member that swaps it
+or that it violates, and both sides of every comparison come from one
 batched oracle call (``CostFunction.values_at``).  The pass stops at the
 first block holding a violation, so its arrays hold O(2^10 * n) labels
 whatever the sample count; the first violating sample is replayed
@@ -85,8 +91,11 @@ from .trees import meet_join, rho, up_down, wedge_vee  # noqa: F401
 # those page faults cost more than the numpy work of the block.
 _BLOCK_CELLS = 1 << 14
 
-# Drawn pairs per block of a sampled check: 1,000 samples, the default,
-# take one block, and more take a fixed amount of memory per block.
+# Drawn pairs per block of a sampled check.  A small first block finds
+# a violation that is common among the pairs without drawing and mapping
+# a full block; later blocks take a fixed amount of memory each, and
+# 1,000 samples, the default, take two blocks.
+_FIRST_SAMPLE_PAIRS = 1 << 6
 _SAMPLE_PAIRS = 1 << 10
 
 
@@ -241,13 +250,15 @@ def _scaled_tables(domain: ProductDomain, tables: list[np.ndarray]) -> list[np.n
     return out
 
 
-def _block_ranks(scaled: list[np.ndarray], xdigs: np.ndarray) -> np.ndarray:
-    """Ranks of op(x, y) for the block's rows x and every y, as a
-    ``(rows, c_1, ..., c_n)`` array whose C order is rank(y) order."""
+def _block_ranks(scaled: list[np.ndarray], xdigs: np.ndarray, lo: int) -> np.ndarray:
+    """Ranks of op(x, y) for the block's rows x and every y with
+    y_0 >= lo, as a ``(rows, c_1 - lo, c_2, ..., c_n)`` array whose C
+    order is rank(y) order."""
+    terms = [scaled[0][:, lo:]] + scaled[1:]
     # Last coordinate first, so every sum runs over long contiguous inner axes.
-    ranks = scaled[-1][xdigs[:, -1]]
-    for i in range(len(scaled) - 2, -1, -1):
-        ranks = scaled[i][xdigs[:, i]] + ranks
+    ranks = terms[-1][xdigs[:, -1]]
+    for i in range(len(terms) - 2, -1, -1):
+        ranks = terms[i][xdigs[:, i]] + ranks
     return ranks
 
 
@@ -263,14 +274,25 @@ def _candidate_pairs(table: DenseTable, domain: ProductDomain, family: OpFamily)
     block holding one: blocks run in rank(x) order and argmax scans a
     block in C order.  Both sides of a comparison are sums of two
     values, so twice the largest |value| picks the dtype (``sum_dtype``).
+
+    When every scanned member's tables are symmetric, op(x, y) = op(y, x)
+    and the violating pairs are closed under the mirror (x, y) -> (y, x).
+    The first violating pair then has rank(x) <= rank(y), else its mirror
+    would come first, so x_0 <= y_0, and a block scans only the y with
+    y_0 at least the x_0 of its first row: about half the pairs.  The
+    slice keeps rank(y) order, so the flagged pair is the full scan's.
+    Other families (translation, whose up_down is not symmetric) scan
+    from y_0 = 0.  The report still counts all |D|^2 ordered pairs.
     """
     size = domain.size()
     members = []
+    mirrored = True
     for _, op in family:
         first, second = _build_tables(domain, op)
         if all((f == np.arange(len(f))).all() and (s.T == np.arange(len(s))).all()
                for f, s in zip(first, second)):
             break  # the member maps every pair (x, y) to (y, x)
+        mirrored &= all((f == f.T).all() and (s == s.T).all() for f, s in zip(first, second))
         members.append((_scaled_tables(domain, first), _scaled_tables(domain, second)))
     if not members:
         return None
@@ -278,15 +300,18 @@ def _candidate_pairs(table: DenseTable, domain: ProductDomain, family: OpFamily)
     grid = values.reshape(domain.cardinalities())
     digs = _digits(domain, np.arange(size, dtype=np.int64))
     rows = max(1, _BLOCK_CELLS // size)
+    stride = size // domain.trees[0].node_count  # ranks per value of y_0
     for start in range(0, size, rows):
         xdigs = digs[start:start + rows]
-        lhs = values[start:start + rows].reshape((-1,) + (1,) * domain.n) + grid
+        lo = int(xdigs[0, 0]) if mirrored else 0
+        lhs = values[start:start + rows].reshape((-1,) + (1,) * domain.n) + grid[lo:]
         viol = None
         for first, second in members:
-            member = lhs < values[_block_ranks(first, xdigs)] + values[_block_ranks(second, xdigs)]
+            member = lhs < values[_block_ranks(first, xdigs, lo)] + values[_block_ranks(second, xdigs, lo)]
             viol = member if viol is None else np.logical_or(viol, member, out=viol)
         if viol.any():
-            return divmod(start * size + int(np.argmax(viol)), size)
+            row, col = divmod(int(np.argmax(viol)), size - lo * stride)
+            return start + row, lo * stride + col
     return None
 
 
@@ -296,8 +321,9 @@ def _flagged_sample(f: CostFunction, domain: ProductDomain, family: OpFamily,
     sample index s, or None.
 
     Pairs are drawn as rank(x) then rank(y) per sample from
-    ``SplitMix64(seed)``, in blocks of at most ``_SAMPLE_PAIRS``.  A
-    block walks the members in list order; a pair leaves at the first
+    ``SplitMix64(seed)``, in a first block of ``_FIRST_SAMPLE_PAIRS`` and
+    then blocks of ``_SAMPLE_PAIRS``; the draws are the same whatever the
+    blocks.  A block walks the members in list order; a pair leaves at the first
     member that maps it to (y, x), where ``_first_violation`` stops, or
     that it violates.  Pairs after a flagged one leave too, since only
     the first counts.  The first member reads f(x) and f(y) in the same
@@ -305,8 +331,9 @@ def _flagged_sample(f: CostFunction, domain: ProductDomain, family: OpFamily,
     """
     size = domain.size()
     rng = SplitMix64(seed)
-    for start in range(0, samples, _SAMPLE_PAIRS):
-        count = min(_SAMPLE_PAIRS, samples - start)
+    bounds = [0, *range(_FIRST_SAMPLE_PAIRS, samples, _SAMPLE_PAIRS), samples]
+    for start, stop in zip(bounds, bounds[1:]):
+        count = stop - start
         digs = _digits(domain, rng.below_array(size, 2 * count))
         x, y = digs[0::2], digs[1::2]
         rows = np.arange(count)

@@ -133,14 +133,15 @@ def _normalize(nums: list[int], denominator: int, dens: dict[int, int]) -> tuple
     nums[i]/denominator.  Scaled to the lcm of the declared and recorded
     denominators, every value carries the same surplus factor, which is
     the gcd of that lcm and the scaled numerators; one division takes it
-    out, whatever common multiple the scaling started from.
+    out, whatever common multiple the scaling started from.  A common
+    denominator of 1 leaves no factor to take out, so the gcd is skipped.
     """
     den = math.lcm(denominator, *set(dens.values()))
     factor = den // denominator
     scaled = nums if factor == 1 else [n * factor for n in nums]
     for i, d in dens.items():
         scaled[i] = nums[i] * (den // d)
-    g = math.gcd(den, *scaled)
+    g = math.gcd(den, *scaled) if den > 1 else 1
     if g > 1:
         scaled = [v // g for v in scaled]
     return scaled, den // g

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, DomainError, GenerationError, InternalError
+from .errors import BudgetExceededError, DomainError, GenerationError
 from .rng import SplitMix64
 from .trees import RootedTree, meet_join_array, rho, wedge_vee_array
 # These two scalar names stay only for perfbench/tracer.py, which patches them here.
@@ -273,10 +273,7 @@ class DenseTable(CostFunction):
         self.values = values
 
     def evaluate(self, x: Sequence[int]) -> int:
-        k = self.domain.rank(x)
-        if k >= len(self.values):
-            raise InternalError("cost table shorter than the domain")
-        return self.values[k]
+        return self.values[self.domain.rank(x)]
 
     def values_at(self, labels: np.ndarray) -> np.ndarray:
         """f at each row, as ``CostFunction.values_at``: the rows are

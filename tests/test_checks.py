@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import pytest
@@ -261,24 +262,29 @@ _CHECKS_AND_ORACLES = (
 )
 
 
-def _bumped_chain_table(bumped_x0):
-    """A chain-product table violated only through bumps on the slices
-    {x0 = c, x1 >= 1}, c in bumped_x0.
+def _bumped_chain_table(bumped_x0, lengths=(3, 4, 5, 5)):
+    """A table over chains of the given lengths violated only through
+    bumps on the slices {x0 = c, x1 >= 1}, c in bumped_x0.
 
-    The base 8B * sum(x_i^2), with B = 32 >= |bump|, gives slack of at
-    least 16B wherever an operation moves a coordinate strictly inside
-    its pair, more than the bumps can take back (2B).  Every other
-    operation (d = 0 translation, strong moves on pairs at distance <= 1)
+    The bump on a slice is prod_{i >= 1} (lengths[i] - 1 - x_i) - B, in
+    [-B, 0] for the lengths used here.  The base 8B * sum(x_i^2), with
+    B = 32, gives slack of at least 16B wherever an operation moves a
+    coordinate strictly inside its pair, more than the bumps can take
+    back (2B).  Every other operation (d = 0 translation, strong moves on pairs at distance <= 1)
     maps the pair to its componentwise min and max.  Each bump is <= 0,
     antitone and strictly supermodular, so pairs inside a slice violate.
-    The top slice c = 2 is an up-set, so a min/max pair with a side off
-    it holds: with bumped_x0 = {2}, every violation has x0 = y0 = 2.
+    The top slice c = lengths[0] - 1 is an up-set, so a min/max pair with
+    a side off it holds: with bumped_x0 = {2} and the default lengths,
+    every violation has x0 = y0 = 2.
     """
-    dom = ts.ProductDomain([ts.chain_tree(k) for k in (3, 4, 5, 5)])
+    dom = ts.ProductDomain([ts.chain_tree(k) for k in lengths])
     bump = 32
+
+    def bumped(x):
+        return math.prod(k - 1 - v for k, v in zip(lengths[1:], x[1:])) - bump
+
     values = [
-        8 * bump * sum(v * v for v in x)
-        + ((3 - x[1]) * (4 - x[2]) * (4 - x[3]) - bump if x[0] in bumped_x0 and x[1] >= 1 else 0)
+        8 * bump * sum(v * v for v in x) + (bumped(x) if x[0] in bumped_x0 and x[1] >= 1 else 0)
         for x in dom.labelings()
     ]
     return ts.DenseTable(dom, values)
@@ -332,6 +338,77 @@ def test_row_blocks_of_few_rows_match_naive(monkeypatch, block_cells):
             assert _witness_key(check(f).witness) == _witness_key(expect)
             late += expect is not None and dom.rank(expect.x) >= max(1, block_cells // dom.size())
     assert late > 0
+
+
+def _broom(stem, arm):
+    """A chain of ``stem`` nodes with two arms of ``arm`` nodes hanging
+    from its deepest node; the arms' nodes come last in label order."""
+    parents = [-1] + list(range(stem - 1))
+    for _ in range(2):
+        parents += [stem - 1] + list(range(len(parents), len(parents) + arm - 1))
+    return ts.RootedTree(parents)
+
+
+def _late_violations_at_arity_one(rng):
+    """(check, oracle, table, first late rank) cases over one tree.
+
+    strong: 8 v^2 on chain40, raised by 9..40 at up to three of the labels
+    34..38.  A raise at z violates the pairs at distance 2..4 whose
+    midpoints hit z; pairs farther apart have slack 96 or more, so every
+    violation has x >= 31.  weak: random values on broom(30, 5); wedge/vee
+    map comparable labels to themselves, so every violation pairs two arm
+    labels, x >= 30.
+    """
+    values = [8 * v * v for v in range(40)]
+    for _ in range(1 + rng.below(3)):
+        values[34 + rng.below(5)] += 9 + rng.below(32)
+    yield ts.check_strong, ts.meet_join, ts.DenseTable(ts.ProductDomain([ts.chain_tree(40)]), values), 31
+    dom = ts.ProductDomain([_broom(30, 5)])
+    yield ts.check_weak, ts.wedge_vee, ts.DenseTable(dom, [rng.below(20) for _ in range(40)]), 30
+
+
+@pytest.mark.parametrize("rows", [3, 7])
+def test_symmetric_checks_slice_many_blocks_like_the_full_scan(monkeypatch, rows):
+    """Strong and weak checks over blocks of a few rows, with violations
+    only in late rows, so the blocks that flag them scan from a first
+    label y_0 > 0; witnesses equal the naive double loop's, and reports
+    still count |D|^2 pairs.  Blocks of 7 rows also straddle a change of
+    x_0 at arity 3."""
+    rng = ts.SplitMix64(97)
+    cases = []
+    for _ in range(4):
+        cases += _late_violations_at_arity_one(rng)
+    # arity 3: every violation has x0 = y0 = 3 (ranks 90..119), past 12 or more blocks
+    late = _bumped_chain_table({3}, (4, 5, 6))
+    cases += [(ts.check_strong, ts.meet_join, late, 90), (ts.check_weak, ts.wedge_vee, late, 90)]
+    for check, op, f, first_late in cases:
+        size = f.domain.size()
+        monkeypatch.setattr(checks, "_BLOCK_CELLS", rows * size)
+        expect = naive_check(f, op)
+        assert expect is not None and f.domain.rank(expect.x) >= first_late
+        report = check(f)
+        assert _witness_key(report.witness) == _witness_key(expect)
+        assert report.pairs_checked == size * size
+
+
+def test_non_symmetric_tables_scan_every_y(monkeypatch):
+    """Op tables that are not symmetric take no slice: their first
+    violation may have rank(x) > rank(y) with y before x's block.
+
+    op(x, y) = (x, x) is violated exactly where f(y) < f(x); with f = 0
+    below rank 20 and 1 from there, the first violation is (rank 20,
+    rank 0), and a block starting at rank 20 that scanned only y_0 >= 3
+    would flag rank 18 instead."""
+    dom = ts.ProductDomain([ts.chain_tree(6)] * 2)
+    size = dom.size()
+    monkeypatch.setattr(checks, "_BLOCK_CELLS", 4 * size)
+    first_twice = [[a for _ in range(6)] for a in range(6)]
+    f = ts.DenseTable(dom, [0] * 20 + [1] * (size - 20))
+    expect = naive_check(f, lambda t, a, b: (a, a))
+    assert (dom.rank(expect.x), dom.rank(expect.y)) == (20, 0)
+    report = ts.check_multimorphism(f, op_pair=([first_twice] * 2, [first_twice] * 2))
+    assert _witness_key(report.witness) == _witness_key(expect)
+    assert report.pairs_checked == size * size
 
 
 def test_exhaustive_checks_stay_within_a_block_of_memory():
@@ -556,7 +633,9 @@ def test_sampled_checks_call_the_array_op_once_per_tree_per_member_per_block(mon
         for samples in (40, 2500):
             calls.clear()
             report = ts.check_strong(f, mode="sampled", samples=samples, seed=9)
-            blocks = -(-report.pairs_checked // checks._SAMPLE_PAIRS)
+            # a first block of _FIRST_SAMPLE_PAIRS, then blocks of _SAMPLE_PAIRS
+            rest = max(0, report.pairs_checked - checks._FIRST_SAMPLE_PAIRS)
+            blocks = 1 + -(-rest // checks._SAMPLE_PAIRS)
             assert len(calls) == blocks + (not report.ok)
             verdicts.add(report.ok)
             assert report == ts.check_multimorphism(f, op_pair=tables, mode="sampled",
@@ -567,7 +646,7 @@ def test_sampled_checks_call_the_array_op_once_per_tree_per_member_per_block(mon
         f = ts.SumOfTerms(ts.ProductDomain(trees), [])
         calls.clear()
         assert ts.check_strong(f, mode="sampled", samples=3000, seed=9).ok
-        assert calls == list(dict.fromkeys(trees)) * 3
+        assert calls == list(dict.fromkeys(trees)) * 4  # 64 + 1024 + 1024 + 888 pairs
 
 
 def test_exhaustive_checks_call_the_array_op_once_per_tree_per_member(monkeypatch):
