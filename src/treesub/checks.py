@@ -40,12 +40,13 @@ whose first label is at least that of its first row, about half of all
 pairs, and flags the same first pair as the full scan.  Reports still
 count the |D|^2 ordered pairs.  The values' size picks the arrays'
 dtype: int64 when every sum of two costs fits, else object, whose cells
-are exact Python ints; the pass is the same code on either.  Besides the op tables, its arrays hold O(2^14 + |D|)
-elements whatever |D|, about 0.6 MB of traced memory at |D| = 1000.  A
-block array of 2^14 8-byte cells is 128 KiB, glibc's default mmap
-threshold, so the allocator reuses heap memory for it; larger arrays
-were mapped or trimmed and faulted in afresh on every allocation.  A row
-longer than 2^14 cells (|D| > 16,384, within reach only under a raised
+are exact Python ints; the pass is the same code on either.  Besides
+the op tables, its arrays hold O(2^14 + |D|) elements whatever |D|,
+about 0.6 MB of traced memory at |D| = 1000.  A block array of 2^14
+8-byte cells is 128 KiB, glibc's default mmap threshold, so the
+allocator reuses heap memory for it; larger arrays were mapped or
+trimmed and faulted in afresh on every allocation.  A row longer than
+2^14 cells (|D| > 16,384, within reach only under a raised
 TREESUB_BUDGET) is still larger than the threshold.  The pass only flags
 the first violating pair, and its witness comes from the exact replay.
 
@@ -251,9 +252,9 @@ def _scaled_tables(domain: ProductDomain, tables: list[np.ndarray]) -> list[np.n
 
 
 def _block_ranks(scaled: list[np.ndarray], xdigs: np.ndarray, lo: int) -> np.ndarray:
-    """Ranks of op(x, y) for the block's rows x and every y with
-    y_0 >= lo, as a ``(rows, c_1 - lo, c_2, ..., c_n)`` array whose C
-    order is rank(y) order."""
+    """Ranks of op(x, y) for the block's rows x and every y whose first
+    label is at least lo, as a ``(rows, c_1 - lo, c_2, ..., c_n)`` array
+    whose C order is rank(y) order."""
     terms = [scaled[0][:, lo:]] + scaled[1:]
     # Last coordinate first, so every sum runs over long contiguous inner axes.
     ranks = terms[-1][xdigs[:, -1]]
@@ -286,13 +287,14 @@ def _candidate_pairs(table: DenseTable, domain: ProductDomain, family: OpFamily)
     """
     size = domain.size()
     members = []
-    mirrored = True
+    symmetric = True
     for _, op in family:
         first, second = _build_tables(domain, op)
         if all((f == np.arange(len(f))).all() and (s.T == np.arange(len(s))).all()
                for f, s in zip(first, second)):
             break  # the member maps every pair (x, y) to (y, x)
-        mirrored &= all((f == f.T).all() and (s == s.T).all() for f, s in zip(first, second))
+        symmetric = symmetric and all((f == f.T).all() and (s == s.T).all()
+                                      for f, s in zip(first, second))
         members.append((_scaled_tables(domain, first), _scaled_tables(domain, second)))
     if not members:
         return None
@@ -300,18 +302,19 @@ def _candidate_pairs(table: DenseTable, domain: ProductDomain, family: OpFamily)
     grid = values.reshape(domain.cardinalities())
     digs = _digits(domain, np.arange(size, dtype=np.int64))
     rows = max(1, _BLOCK_CELLS // size)
-    stride = size // domain.trees[0].node_count  # ranks per value of y_0
     for start in range(0, size, rows):
         xdigs = digs[start:start + rows]
-        lo = int(xdigs[0, 0]) if mirrored else 0
+        lo = int(xdigs[0, 0]) if symmetric else 0
         lhs = values[start:start + rows].reshape((-1,) + (1,) * domain.n) + grid[lo:]
         viol = None
         for first, second in members:
-            member = lhs < values[_block_ranks(first, xdigs, lo)] + values[_block_ranks(second, xdigs, lo)]
+            member = lhs < (values[_block_ranks(first, xdigs, lo)]
+                            + values[_block_ranks(second, xdigs, lo)])
             viol = member if viol is None else np.logical_or(viol, member, out=viol)
         if viol.any():
-            row, col = divmod(int(np.argmax(viol)), size - lo * stride)
-            return start + row, lo * stride + col
+            # the block scanned the last viol[0].size ranks of y
+            row, col = divmod(int(np.argmax(viol)), viol[0].size)
+            return start + row, size - viol[0].size + col
     return None
 
 
@@ -323,9 +326,9 @@ def _flagged_sample(f: CostFunction, domain: ProductDomain, family: OpFamily,
     Pairs are drawn as rank(x) then rank(y) per sample from
     ``SplitMix64(seed)``, in a first block of ``_FIRST_SAMPLE_PAIRS`` and
     then blocks of ``_SAMPLE_PAIRS``; the draws are the same whatever the
-    blocks.  A block walks the members in list order; a pair leaves at the first
-    member that maps it to (y, x), where ``_first_violation`` stops, or
-    that it violates.  Pairs after a flagged one leave too, since only
+    blocks.  A block walks the members in list order; a pair leaves at
+    the first member that maps it to (y, x), where ``_first_violation``
+    stops, or that it violates.  Pairs after a flagged one leave too, since only
     the first counts.  The first member reads f(x) and f(y) in the same
     oracle call as its own two labelings.
     """

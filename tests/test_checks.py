@@ -362,7 +362,8 @@ def _late_violations_at_arity_one(rng):
     values = [8 * v * v for v in range(40)]
     for _ in range(1 + rng.below(3)):
         values[34 + rng.below(5)] += 9 + rng.below(32)
-    yield ts.check_strong, ts.meet_join, ts.DenseTable(ts.ProductDomain([ts.chain_tree(40)]), values), 31
+    chain = ts.DenseTable(ts.ProductDomain([ts.chain_tree(40)]), values)
+    yield ts.check_strong, ts.meet_join, chain, 31
     dom = ts.ProductDomain([_broom(30, 5)])
     yield ts.check_weak, ts.wedge_vee, ts.DenseTable(dom, [rng.below(20) for _ in range(40)]), 30
 
