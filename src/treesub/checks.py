@@ -255,11 +255,13 @@ def _block_ranks(scaled: list[np.ndarray], xdigs: np.ndarray, lo: int) -> np.nda
     """Ranks of op(x, y) for the block's rows x and every y whose first
     label is at least lo, as a ``(rows, c_1 - lo, c_2, ..., c_n)`` array
     whose C order is rank(y) order."""
-    terms = [scaled[0][:, lo:]] + scaled[1:]
     # Last coordinate first, so every sum runs over long contiguous inner axes.
-    ranks = terms[-1][xdigs[:, -1]]
-    for i in range(len(terms) - 2, -1, -1):
-        ranks = terms[i][xdigs[:, i]] + ranks
+    ranks = None
+    for i in range(len(scaled) - 1, -1, -1):
+        term = scaled[i][xdigs[:, i]]
+        if i == 0:
+            term = term[:, lo:]
+        ranks = term if ranks is None else term + ranks
     return ranks
 
 
