@@ -330,9 +330,9 @@ def _flagged_sample(f: CostFunction, domain: ProductDomain, family: OpFamily,
     then blocks of ``_SAMPLE_PAIRS``; the draws are the same whatever the
     blocks.  A block walks the members in list order; a pair leaves at
     the first member that maps it to (y, x), where ``_first_violation``
-    stops, or that it violates.  Pairs after a flagged one leave too, since only
-    the first counts.  The first member reads f(x) and f(y) in the same
-    oracle call as its own two labelings.
+    stops, or that it violates.  Pairs after a flagged one leave too,
+    since only the first counts.  The first member reads f(x) and f(y) in
+    the same oracle call as its own two labelings.
     """
     size = domain.size()
     rng = SplitMix64(seed)
