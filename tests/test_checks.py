@@ -350,7 +350,7 @@ def _broom(stem, arm):
 
 
 def _late_violations_at_arity_one(rng):
-    """(check, oracle, table, first late rank) cases over one tree.
+    """(check, tree op, table, first late rank) cases over one tree.
 
     strong: 8 v^2 on chain40, raised by 9..40 at up to three of the labels
     34..38.  A raise at z violates the pairs at distance 2..4 whose
