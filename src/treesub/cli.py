@@ -354,13 +354,7 @@ def _cmd_check(args) -> int:
     domain, function, _ = parse_instance(args.instance)
     mode = args.mode
     kwargs = dict(mode=mode, samples=args.samples, seed=args.seed)
-    if args.property == "strong":
-        report = checks.check_strong(function, domain, **kwargs)
-    elif args.property == "weak":
-        report = checks.check_weak(function, domain, **kwargs)
-    elif args.property == "translation":
-        report = checks.check_translation(function, domain, **kwargs)
-    elif args.property == "multimorphism":
+    if args.property == "multimorphism":
         builders = {
             "meet-join": checks.meet_join_tables,
             "wedge-vee": checks.wedge_vee_tables,
@@ -371,8 +365,8 @@ def _cmd_check(args) -> int:
         report = checks.check_multimorphism(
             function, domain, op_pair, name=f"multimorphism:{args.ops}", **kwargs
         )
-    else:  # pragma: no cover - argparse restricts choices
-        raise DomainError(f"unknown property {args.property!r}")
+    else:
+        report = checks._property_checks()[args.property](function, domain, **kwargs)
     record = {
         "command": "check",
         "instance": args.instance,
@@ -473,7 +467,10 @@ def _parse_tree_spec(spec: str, n: int | None) -> ProductDomain:
     tokens = [tok.strip() for tok in spec.split(",") if tok.strip()]
     if not tokens:
         raise DomainError("--tree-spec is empty")
-    if n is not None and len(tokens) == 1:
+    if n is not None:
+        if len(tokens) > 1:
+            raise DomainError(f"--n replicates a single-token --tree-spec, "
+                              f"but {spec!r} has {len(tokens)} tokens")
         tokens = tokens * n
     trees = []
     for tok in tokens:

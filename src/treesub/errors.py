@@ -10,8 +10,8 @@ class DomainError(TreesubError):
 
 
 class InternalError(TreesubError):
-    """The package broke its own invariant, e.g. a cost table of the wrong length
-    or an exact replay that disagrees with the array pass it confirms."""
+    """The package broke its own invariant, e.g. an exact replay that
+    disagrees with the array pass it confirms."""
 
 
 class UnsupportedStructureError(TreesubError):
@@ -24,11 +24,6 @@ class BudgetExceededError(TreesubError):
 
 class GenerationError(TreesubError):
     """Rejection sampling exhausted its attempt budget."""
-
-    def __init__(self, message: str, attempts: int = 0, accepted: int = 0):
-        super().__init__(message)
-        self.attempts = attempts
-        self.accepted = accepted
 
 
 class SolverFailureError(TreesubError):

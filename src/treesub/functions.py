@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, DomainError, GenerationError
 from .rng import SplitMix64
-from .trees import RootedTree, meet_join_array, rho, wedge_vee_array
+from .trees import RootedTree, meet_join_array, rho, up_down_array
 # These two scalar names stay only for perfbench/tracer.py, which patches them here.
 from .trees import meet_join, wedge_vee  # noqa: F401
 
@@ -107,12 +107,7 @@ class ProductDomain:
         return tuple(t.root for t in self.trees)
 
     def validate(self, x: Sequence[int]) -> Labeling:
-        if len(x) != len(self.trees):
-            raise DomainError(
-                f"labeling length {len(x)} does not match arity {len(self.trees)}"
-            )
-        for t, v in zip(self.trees, x):
-            t.check_node(v)
+        self.rank(x)
         return tuple(x)
 
     def rank(self, x: Sequence[int]) -> int:
@@ -219,10 +214,19 @@ def _check_variable(i: int, n: int) -> None:
 
 
 def _label_rows(domain: ProductDomain, labels: np.ndarray) -> np.ndarray:
-    """``labels`` as a ``(k, n)`` int64 array, each label checked against its tree."""
-    labels = np.asarray(labels, dtype=np.int64)
+    """``labels`` as a ``(k, n)`` int64 array, each label checked against its tree.
+
+    Arrays of any dtype but integer or bool are checked cell by cell with
+    ``check_node``, so a float, string or None label is refused as
+    ``evaluate`` refuses it, never truncated."""
+    labels = np.asarray(labels)
     if labels.ndim != 2 or labels.shape[1] != domain.n:
         raise DomainError(f"labelings of shape {labels.shape} do not have arity {domain.n}")
+    if labels.dtype.kind not in "biu":
+        for row in labels.tolist():
+            for t, v in zip(domain.trees, row):
+                t.check_node(v)
+    labels = labels.astype(np.int64, copy=False)
     bad = (labels < 0) | (labels >= domain.cardinalities())
     if bad.any():
         k, i = np.argwhere(bad)[0]
@@ -620,7 +624,7 @@ def _random_unary(rng: SplitMix64, tree: RootedTree, op, max_value: int) -> list
         h = np.array(g, dtype=sum_dtype(2 * max(g)))
         if (h[a] + h[b] >= h[first] + h[second]).all():
             return g
-    raise GenerationError("unary rejection sampling failed", attempts=_UNARY_TRIES)
+    raise GenerationError("unary rejection sampling failed")
 
 
 def _depth_coupling_term(
@@ -639,13 +643,7 @@ def _depth_coupling_term(
 def _run_check(kind: str, f: CostFunction):
     from . import checks  # deferred: checks imports this module
 
-    if kind == "strong":
-        return checks.check_strong(f)
-    if kind == "weak":
-        return checks.check_weak(f)
-    if kind == "translation":
-        return checks.check_translation(f)
-    raise DomainError(f"unknown property {kind!r}")
+    return checks._property_checks()[kind](f)
 
 
 def _verify_properties(f: CostFunction, wanted: Sequence[str]) -> frozenset[str]:
@@ -674,15 +672,13 @@ def _random_verified(
     trusted by construction.
     """
     prop = "strong" if kind == "random-verified-strong" else "weak"
-    op = meet_join_array if prop == "strong" else wedge_vee_array
+    op = meet_join_array if prop == "strong" else lambda t, a, b: up_down_array(t, a, b, 0)
     rng = SplitMix64(seed)
     size = domain.size()
     require_budget(size * size, DEFAULT_PAIR_BUDGET,
                    f"domain size {size} needs {size * size} verification pairs, budget {{limit}}")
     if attempt_budget < 1:
-        raise GenerationError(
-            f"attempt budget {attempt_budget}: acceptance rate 0/0", attempts=0, accepted=0
-        )
+        raise GenerationError(f"attempt budget {attempt_budget}: acceptance rate 0/0")
     for attempt in range(attempt_budget):
         style = attempt % 3  # 0: +noise, 1: +couplings, 2: separable only
         terms = [
@@ -709,11 +705,7 @@ def _random_verified(
                 verified_properties=frozenset({prop}),
                 provenance=f"{kind} seed={seed} attempt={attempt} style={style}",
             )
-    raise GenerationError(
-        f"{kind}: no candidate accepted; acceptance rate 0/{attempt_budget}",
-        attempts=attempt_budget,
-        accepted=0,
-    )
+    raise GenerationError(f"{kind}: no candidate accepted; acceptance rate 0/{attempt_budget}")
 
 
 def _chain_separable(domain: ProductDomain, seed: int) -> InstanceFixture:

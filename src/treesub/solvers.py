@@ -287,8 +287,6 @@ def sfm_wolfe(g: BinaryCubeFunction) -> tuple[frozenset[int], int]:
     """
     free = g.free
     k = len(free)
-    if k == 0:
-        return frozenset(), g.evaluate(frozenset())
 
     def greedy(x: np.ndarray) -> np.ndarray:
         order = np.argsort(x, kind="stable").tolist()
@@ -331,55 +329,53 @@ def bisub_minnorm(h: SignBoxFunction) -> tuple[SignVector, int]:
     """
     live = [i for i in range(h.m) if h.allowed[i] != (0,)]
     k = len(live)
-    result = h.zeros()
-    if k:
-        allowed = [h.allowed[i] for i in live]
-        low, high = math.inf, -math.inf  # the lowest and highest h value the walks have seen
+    allowed = [h.allowed[i] for i in live]
+    low, high = math.inf, -math.inf  # the lowest and highest h value the walks have seen
 
-        def solve(penalty: int) -> list[Sign]:
-            def signed_greedy(x: np.ndarray) -> np.ndarray:
-                nonlocal low, high
-                entries = x.tolist()
-                order = np.argsort(-np.abs(x), kind="stable").tolist()
-                signs = [-1 if entries[j] > 0 else 1 for j in order]
-                steps = [(live[j], s) for j, s in zip(order, signs) if s in allowed[j]]
-                values = _walk(h, h.zeros(), steps, _put_sign)
-                low, high = min(low, min(values)), max(high, max(values))
-                v = [0.0] * k
-                moves = iter(values)
-                prev = next(moves)
-                for j, s in zip(order, signs):
-                    if s in allowed[j]:
-                        cur = next(moves)
-                        v[j] = float(s * (cur - prev))
-                        prev = cur
-                    else:
-                        v[j] = float(s * penalty)
-                return np.array(v)
+    def solve(penalty: int) -> list[Sign]:
+        def signed_greedy(x: np.ndarray) -> np.ndarray:
+            nonlocal low, high
+            entries = x.tolist()
+            order = np.argsort(-np.abs(x), kind="stable").tolist()
+            signs = [-1 if entries[j] > 0 else 1 for j in order]
+            steps = [(live[j], s) for j, s in zip(order, signs) if s in allowed[j]]
+            values = _walk(h, h.zeros(), steps, _put_sign)
+            low, high = min(low, min(values)), max(high, max(values))
+            v = [0.0] * k
+            moves = iter(values)
+            prev = next(moves)
+            for j, s in zip(order, signs):
+                if s in allowed[j]:
+                    cur = next(moves)
+                    v[j] = float(s * (cur - prev))
+                    prev = cur
+                else:
+                    v[j] = float(s * penalty)
+            return np.array(v)
 
-            point = _min_norm_point(k, signed_greedy)
-            threshold = _EPS ** 0.5
-            signs = [0] * h.m
-            for j, coord in enumerate(live):
-                if point[j] > threshold:
-                    signs[coord] = -1
-                elif point[j] < -threshold:
-                    signs[coord] = 1
-            return signs
+        point = _min_norm_point(k, signed_greedy)
+        threshold = _EPS ** 0.5
+        signs = [0] * h.m
+        for j, coord in enumerate(live):
+            if point[j] > threshold:
+                signs[coord] = -1
+            elif point[j] < -threshold:
+                signs[coord] = 1
+        return signs
 
-        restricted = any(h.allowed[i] != (-1, 0, 1) for i in live)
-        if not restricted:
-            result = tuple(solve(0))
+    restricted = any(h.allowed[i] != (-1, 0, 1) for i in live)
+    if not restricted:
+        result = tuple(solve(0))
+    else:
+        penalty = 1
+        for _ in range(20):
+            signs = solve(penalty)
+            in_box = all(s in a for s, a in zip(signs, h.allowed))
+            needed = 2 * (high - low) + 1
+            if in_box and penalty >= needed:
+                break
+            penalty = max(needed, 2 * penalty)
         else:
-            penalty = 1
-            for _ in range(20):
-                signs = solve(penalty)
-                in_box = all(s in a for s, a in zip(signs, h.allowed))
-                needed = 2 * (high - low) + 1
-                if in_box and penalty >= needed:
-                    break
-                penalty = max(needed, 2 * penalty)
-            else:
-                raise SolverFailureError("penalty extension failed to stabilize")
-            result = tuple(s if s in a else 0 for s, a in zip(signs, h.allowed))
+            raise SolverFailureError("penalty extension failed to stabilize")
+        result = tuple(s if s in a else 0 for s, a in zip(signs, h.allowed))
     return result, h.evaluate(result)

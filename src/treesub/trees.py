@@ -23,9 +23,10 @@ On a chain rooted at an endpoint, meet/join are the floor/ceil midpoints
 of the label interval and wedge/vee are min/max.  On the 3-node star read
 as signs {-1, 0, +1}, join is sign(a+b) and meet is |ab|*sign(a+b).
 
-Each operation also has an array form (``meet_join_array`` and so on)
-that maps label arrays in O(log height) numpy gathers on an ancestor
-table built on first use.  Trees and path views are otherwise immutable;
+``meet_join`` and ``up_down`` also have array forms (``meet_join_array``,
+``up_down_array``; wedge/vee's is ``up_down_array`` at d = 0) that map
+label arrays in O(log height) numpy gathers on an ancestor table built
+on first use.  Trees and path views are otherwise immutable;
 every function in this module is pure, so concurrent reads are safe.
 """
 
@@ -256,9 +257,9 @@ def up_down(tree: RootedTree, a: int, b: int, d: int) -> tuple[int, int]:
 
 
 def _paths(tree: RootedTree, a, b):
-    """The paths from a to b for label arrays a and b: the apex, its
-    index and the length of each, and the map from path positions p to
-    nodes.  The node at p is an ancestor of a up to the apex, else of b."""
+    """The paths from a to b for label arrays a and b: the apex's index
+    and the length of each, and the map from path positions p to nodes.
+    The node at p is an ancestor of a up to the apex, else of b."""
     up, depth = tree._lifting()
 
     def lift(v, k):  # the ancestor k levels above v, for 0 <= k <= depth(v)
@@ -280,26 +281,21 @@ def _paths(tree: RootedTree, a, b):
         left = p <= index
         return lift(np.where(left, a, b), np.where(left, p, length - p))
 
-    return apex, index, length, node_at
+    return index, length, node_at
 
 
 def meet_join_array(tree: RootedTree, a, b) -> tuple[np.ndarray, np.ndarray]:
     """``meet_join`` of every label pair (a, b) of the arrays a and b."""
-    _, index, length, node_at = _paths(tree, a, b)
+    index, length, node_at = _paths(tree, a, b)
     low, high = length // 2, (length + 1) // 2
     # the midpoint nearer the apex is the ancestor
     return node_at(np.where(low >= index, low, high)), node_at(np.where(low >= index, high, low))
 
 
-def wedge_vee_array(tree: RootedTree, a, b) -> tuple[np.ndarray, np.ndarray]:
-    """``wedge_vee`` of every label pair (a, b) of the arrays a and b."""
-    apex, index, length, node_at = _paths(tree, a, b)
-    return apex, node_at(length - index)
-
-
 def up_down_array(tree: RootedTree, a, b, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """``up_down`` of every label pair (a, b) of the arrays a and b, for d >= 0."""
-    _, index, length, node_at = _paths(tree, a, b)
+    """``up_down`` of every label pair (a, b) of the arrays a and b, for
+    d >= 0; d = 0 is ``wedge_vee``'s array form."""
+    index, length, node_at = _paths(tree, a, b)
     step = np.minimum(np.maximum(d - index, 0), length - index)
     return node_at(index + step), node_at(length - index - step)
 

@@ -555,6 +555,14 @@ def test_generate_catalog_and_tree_spec_validation(tmp_path, capsys):
     assert main(["generate", "--kind", "chain-separable", "--tree-spec",
                  "pyramid9", "--out", str(out)]) == EXIT_INPUT
     assert main(["generate", "--kind", "chain-separable", "--out", str(out)]) == EXIT_INPUT
+    capsys.readouterr()
+    assert main(["generate", "--kind", "random-verified-strong", "--tree-spec", "chain3,chain4",
+                 "--n", "3", "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: --n replicates a single-token --tree-spec")
+    assert "'chain3,chain4' has 2 tokens" in err
+    assert main(["generate", "--kind", "chain-separable", "--tree-spec", "chain3,chain4",
+                 "--out", str(out)]) == EXIT_OK
 
 
 # ---------------------------------------------------------------------------

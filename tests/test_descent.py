@@ -343,6 +343,15 @@ def test_minnorm_engines_agree(c5sq):
         _, v1, _ = ts.minimize(fx.function)
         _, v2, _ = ts.minimize(fx.function, inward_engine="wolfe", outward_engine="minnorm")
         assert v1 == v2
+    # bintree7^4 from all roots: the first inward cube is empty, and at the
+    # all-leaves minimum every outward sign is fixed
+    tree = ts.complete_binary_tree(3)
+    dom = ts.ProductDomain([tree] * 4)
+    unary = [tuple(2 * ts.rho(tree, v, t) + tree.depth[v] for v in range(7)) for t in (3, 4, 5, 6)]
+    f = ts.SumOfTerms(dom, [ts.Term((i,), u) for i, u in enumerate(unary)])
+    brute = ts.minimize(f)
+    assert brute[:2] == ((3, 4, 5, 6), 8)
+    assert ts.minimize(f, inward_engine="wolfe", outward_engine="minnorm") == brute
 
 
 def test_unknown_engines(c5sq, monkeypatch):

@@ -409,6 +409,13 @@ def test_values_at_refuses_a_bad_label_with_the_evaluate_message():
             with pytest.raises(DomainError) as got:
                 f.values_at(np.array([[0, 1, 2], [6, 3, bad], [7, 0, 0]]))
             assert str(got.value) == str(expected.value)
+        # non-integer labels are refused at their first cell, never truncated
+        for bad in (1.7, "1", None):
+            with pytest.raises(DomainError) as expected:
+                f.evaluate((bad, 1, 2))
+            with pytest.raises(DomainError) as got:
+                f.values_at(np.array([[bad, 1, 2], [0, 0, 0]]))
+            assert str(got.value) == str(expected.value)
         with pytest.raises(DomainError, match="arity 3"):
             f.values_at(np.zeros((2, 2), dtype=np.int64))
 

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 import treesub as ts
 from treesub.errors import DomainError
-from treesub.trees import meet_join_array, up_down_array, wedge_vee_array
+from treesub.trees import meet_join_array, up_down_array
 
 from conftest import bfs_path, is_ancestor_oracle
 
@@ -295,6 +295,10 @@ def _bfs_ops(tree: ts.RootedTree, a: np.ndarray, b: np.ndarray):
     return meet_join, wedge_vee, up_down
 
 
+def _wedge_vee_array(tree, a, b):
+    return up_down_array(tree, a, b, 0)
+
+
 @pytest.mark.parametrize("tree", _ARRAY_TREES.values(), ids=_ARRAY_TREES.keys())
 def test_array_ops_match_scalar_ops_and_bfs_paths(tree):
     """Every label pair, and for up_down every d below n.  Trees up to
@@ -306,7 +310,7 @@ def test_array_ops_match_scalar_ops_and_bfs_paths(tree):
     pairs = [(x, y) for x in range(n) for y in range(n)]
     scalar_steps = range(n) if n <= 16 else sorted({0, 1, n // 2, n - 1})
     for array_op, scalar_op, want in ((meet_join_array, ts.meet_join, meet_join),
-                                      (wedge_vee_array, ts.wedge_vee, wedge_vee)):
+                                      (_wedge_vee_array, ts.wedge_vee, wedge_vee)):
         got = array_op(tree, a, b)
         assert all((g == w).all() for g, w in zip(got, want))
         assert [(got[0][p], got[1][p]) for p in pairs] == [scalar_op(tree, *p) for p in pairs]
@@ -327,7 +331,7 @@ def test_array_ops_match_scalar_ops_on_random_pairs(tree):
     pairs = list(zip(a.tolist(), b.tolist()))
     meet_join, wedge_vee, up_down = _bfs_ops(tree, a[:100], b[:100])
     for array_op, scalar_op, want in ((meet_join_array, ts.meet_join, meet_join),
-                                      (wedge_vee_array, ts.wedge_vee, wedge_vee)):
+                                      (_wedge_vee_array, ts.wedge_vee, wedge_vee)):
         got = array_op(tree, a, b)
         assert list(zip(*(g.tolist() for g in got))) == [scalar_op(tree, *p) for p in pairs]
         assert all((g[:100] == w).all() for g, w in zip(got, want))
