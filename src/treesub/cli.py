@@ -40,7 +40,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import checks, descent, weak
-from .errors import DomainError, FormatError, NotInImageError, TreesubError, UnsupportedStructureError
+from .errors import DomainError, FormatError, TreesubError, UnsupportedStructureError
 from .functions import (
     GENERATE_KINDS,
     CostFunction,
@@ -65,7 +65,7 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_FAILURE = 3
 
-_INPUT_ERRORS = (FormatError, DomainError, UnsupportedStructureError, NotInImageError)
+_INPUT_ERRORS = (FormatError, DomainError, UnsupportedStructureError)
 
 
 # ---------------------------------------------------------------------------
@@ -180,36 +180,33 @@ def parse_document(doc: dict, origin: str = "instance") -> tuple[ProductDomain, 
     if not isinstance(fn, dict):
         raise _fail("function", "expected an object")
     ftype = fn.get("type")
+    body = "values" if ftype == "table" else "terms" if ftype == "sum" else None
     declared_den = fn.get("denominator", 1)
     if not isinstance(declared_den, int) or isinstance(declared_den, bool) or declared_den < 1:
         raise _fail("function.denominator", "expected a positive integer")
+    if body is None:
+        raise _fail("function.type", f"expected 'table' or 'sum', got {ftype!r}")
+    unknown = set(fn) - {"type", "denominator", body}
+    if unknown:
+        raise _fail("function", f"unexpected keys {sorted(unknown)}")
+    raw = fn.get(body)
+    if not isinstance(raw, list):
+        raise _fail(f"function.{body}", "expected an array")
     nums: list[int] = []
     dens: dict[int, int] = {}
 
     if ftype == "table":
-        unknown = set(fn) - {"type", "denominator", "values"}
-        if unknown:
-            raise _fail("function", f"unexpected keys {sorted(unknown)}")
-        raw_values = fn.get("values")
-        if not isinstance(raw_values, list):
-            raise _fail("function.values", "expected an array")
-        if len(raw_values) != domain.size():
+        if len(raw) != domain.size():
             raise _fail(
                 "function.values",
-                f"expected {domain.size()} entries for this domain, got {len(raw_values)}",
+                f"expected {domain.size()} entries for this domain, got {len(raw)}",
             )
-        _parse_values(raw_values, "function.values", declared_den, nums, dens)
+        _parse_values(raw, "function.values", declared_den, nums, dens)
         nums, den = _normalize(nums, declared_den, dens)
         function: CostFunction = DenseTable(domain, nums, den)
-    elif ftype == "sum":
-        unknown = set(fn) - {"type", "denominator", "terms"}
-        if unknown:
-            raise _fail("function", f"unexpected keys {sorted(unknown)}")
-        raw_terms = fn.get("terms")
-        if not isinstance(raw_terms, list):
-            raise _fail("function.terms", "expected an array")
+    else:
         shapes = []
-        for ti, entry in enumerate(raw_terms):
+        for ti, entry in enumerate(raw):
             where = f"function.terms[{ti}]"
             if not isinstance(entry, dict) or set(entry) != {"scope", "values"}:
                 raise _fail(where, 'expected an object {"scope": [...], "values": [...]}')
@@ -239,8 +236,6 @@ def parse_document(doc: dict, origin: str = "instance") -> tuple[ProductDomain, 
             function = SumOfTerms(domain, terms, den)
         except DomainError as exc:
             raise _fail("function.terms", str(exc)) from exc
-    else:
-        raise _fail("function.type", f"expected 'table' or 'sum', got {ftype!r}")
 
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
@@ -495,7 +490,13 @@ def _spec_number(token: str, prefix: str) -> int:
 
 
 def _cmd_generate(args) -> int:
-    if args.kind == "fixture-catalog":
+    catalog = args.kind == "fixture-catalog"
+    for flag, value, read in (("--name", args.name, catalog),
+                              ("--tree-spec", args.tree_spec, not catalog),
+                              ("--n", args.n, not catalog)):
+        if value is not None and not read:
+            raise DomainError(f"kind {args.kind!r} does not read {flag}")
+    if catalog:
         fixture = generate("fixture-catalog", name=args.name)
         seed = None
     else:

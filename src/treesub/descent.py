@@ -155,20 +155,19 @@ def outward_restrict(f: CostFunction, domain: ProductDomain | None, x: Labeling)
 
     Sign -1 moves coordinate i to the first child of x_i and +1 to the
     second child; signs without a child are excluded from the allowed
-    set.  The all-zeros vector maps to x itself.  Requires binary trees.
+    set.  The all-zeros vector maps to x itself.  A node x_i with more
+    than two children has no sign reading and is refused.
     """
     domain = own_domain(f, domain)
     x = domain.validate(x)
-    _require_binary(domain)
     allowed = []
     for i, t in enumerate(domain.trees):
         kids = t.children[x[i]]
-        if len(kids) == 0:
-            allowed.append((0,))
-        elif len(kids) == 1:
-            allowed.append((-1, 0))
-        else:
-            allowed.append((-1, 0, 1))
+        if len(kids) > 2:
+            raise UnsupportedStructureError(
+                f"tree {i} is not binary: node {x[i]} has {len(kids)} children"
+            )
+        allowed.append(((0,), (-1, 0), (-1, 0, 1))[len(kids)])
     allowed = tuple(allowed)
     # the labeling each sign moves to: x wherever that sign is not allowed
     to = {s: apply_outward(domain, x, [s if s in a else 0 for a in allowed]) for s in (-1, 0, 1)}

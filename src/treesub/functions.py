@@ -17,7 +17,7 @@ import itertools
 import math
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -77,7 +77,7 @@ class ProductDomain:
     ranked in mixed radix with variable 0 most significant.
     """
 
-    __slots__ = ("trees",)
+    __slots__ = ("trees", "_size")
 
     def __init__(self, trees: Sequence[RootedTree]):
         trees = tuple(trees)
@@ -89,16 +89,14 @@ class ProductDomain:
             if size > _MAX_DOMAIN_SIZE:
                 raise DomainError("domain size exceeds the 2**62 guard")
         self.trees = trees
+        self._size = size
 
     @property
     def n(self) -> int:
         return len(self.trees)
 
     def size(self) -> int:
-        out = 1
-        for t in self.trees:
-            out *= t.node_count
-        return out
+        return self._size
 
     def cardinalities(self) -> tuple[int, ...]:
         return tuple(t.node_count for t in self.trees)
@@ -107,18 +105,20 @@ class ProductDomain:
         return tuple(t.root for t in self.trees)
 
     def validate(self, x: Sequence[int]) -> Labeling:
-        self.rank(x)
-        return tuple(x)
+        """x as a tuple of plain ints, each checked against its tree."""
+        if len(x) != len(self.trees):
+            raise DomainError(f"labeling length {len(x)} does not match arity {len(self.trees)}")
+        return tuple(map(RootedTree.check_node, self.trees, x))
 
     def rank(self, x: Sequence[int]) -> int:
+        # checks x as validate does, without building the tuple
         if len(x) != len(self.trees):
             raise DomainError(
                 f"labeling length {len(x)} does not match arity {len(self.trees)}"
             )
         r = 0
         for t, v in zip(self.trees, x):
-            t.check_node(v)
-            r = r * t.node_count + v
+            r = r * t.node_count + t.check_node(v)
         return r
 
     def unrank(self, k: int) -> Labeling:
@@ -739,71 +739,44 @@ def _chain_separable(domain: ProductDomain, seed: int) -> InstanceFixture:
 
 
 def _catalog_builders() -> dict[str, Callable[[], InstanceFixture]]:
-    def chain5_separable() -> InstanceFixture:
-        domain = ProductDomain([chain_tree(5), chain_tree(5)])
-        terms = [
+    def fixed(name, trees, function, verify=(), start=None, note=""):
+        """``function(domain)`` over the product of ``trees``, with ``verify`` checked."""
+        def build() -> InstanceFixture:
+            domain = ProductDomain(trees)
+            f = function(domain)
+            verified = _verify_properties(f, verify)
+            return InstanceFixture(domain, f, verified, f"catalog {name}{note}", start)
+        return name, build
+
+    def drawn(name, kind, tree, seed):
+        """The ``kind`` fixture over tree x tree that ``_random_verified`` draws from seed."""
+        def build() -> InstanceFixture:
+            domain = ProductDomain([tree, tree])
+            inner = _random_verified(kind, domain, seed, max_value=20, attempt_budget=1000)
+            return replace(inner, provenance=f"catalog {name} (seed {seed})")
+        return name, build
+
+    def table(values):
+        return lambda domain: DenseTable(domain, values)
+
+    def separable(domain):
+        return SumOfTerms(domain, [
             Term(scope=(0,), values=tuple((v - 3) ** 2 for v in range(5))),
             Term(scope=(1,), values=tuple((v - 1) ** 2 for v in range(5))),
             _depth_coupling_term(domain, 0, 1, 2),
-        ]
-        f = SumOfTerms(domain, terms)
-        verified = _verify_properties(f, ["strong", "translation", "weak"])
-        return InstanceFixture(domain, f, verified, "catalog chain5-separable")
+        ])
 
-    def chain5_concave() -> InstanceFixture:
-        domain = ProductDomain([chain_tree(5)])
-        f = DenseTable(domain, [-(v**2) for v in range(5)])
-        return InstanceFixture(domain, f, frozenset(), "catalog chain5-concave")
-
-    def star3_root_spike() -> InstanceFixture:
-        domain = ProductDomain([star3_tree()])
-        f = DenseTable(domain, [1, 0, 0])
-        return InstanceFixture(domain, f, frozenset(), "catalog star3-root-spike")
-
-    def bintree5_strong() -> InstanceFixture:
-        tree = RootedTree([-1, 0, 0, 1, 1])
-        domain = ProductDomain([tree, tree])
-        inner = _random_verified(
-            "random-verified-strong", domain, seed=42, max_value=20, attempt_budget=1000
-        )
-        return InstanceFixture(
-            inner.domain, inner.function, inner.verified_properties,
-            "catalog bintree5-strong (seed 42)",
-        )
-
-    def fork2_weak() -> InstanceFixture:
-        domain = ProductDomain([fork_tree(2), fork_tree(2)])
-        inner = _random_verified(
-            "random-verified-weak", domain, seed=7, max_value=20, attempt_budget=1000
-        )
-        return InstanceFixture(
-            inner.domain, inner.function, inner.verified_properties,
-            "catalog fork2-weak (seed 7)",
-        )
-
-    def chain5_quadratic() -> InstanceFixture:
-        domain = ProductDomain([chain_tree(5)])
-        f = DenseTable(domain, [v**2 for v in range(5)])
-        verified = _verify_properties(f, ["strong", "translation", "weak"])
-        return InstanceFixture(
-            domain, f, verified, "catalog chain5-quadratic (start at 4)", start=(4,)
-        )
-
-    def const_mixed() -> InstanceFixture:
-        domain = ProductDomain([chain_tree(3), star3_tree()])
-        f = DenseTable(domain, [5] * domain.size())
-        verified = _verify_properties(f, ["strong", "translation", "weak"])
-        return InstanceFixture(domain, f, verified, "catalog const-mixed")
-
-    return {
-        "chain5-separable": chain5_separable,
-        "chain5-concave": chain5_concave,
-        "star3-root-spike": star3_root_spike,
-        "bintree5-strong": bintree5_strong,
-        "fork2-weak": fork2_weak,
-        "chain5-quadratic": chain5_quadratic,
-        "const-mixed": const_mixed,
-    }
+    every = ("strong", "translation", "weak")
+    return dict([
+        fixed("chain5-separable", [chain_tree(5), chain_tree(5)], separable, every),
+        fixed("chain5-concave", [chain_tree(5)], table([-(v**2) for v in range(5)])),
+        fixed("star3-root-spike", [star3_tree()], table([1, 0, 0])),
+        drawn("bintree5-strong", "random-verified-strong", RootedTree([-1, 0, 0, 1, 1]), 42),
+        drawn("fork2-weak", "random-verified-weak", fork_tree(2), 7),
+        fixed("chain5-quadratic", [chain_tree(5)], table([v**2 for v in range(5)]), every,
+              start=(4,), note=" (start at 4)"),
+        fixed("const-mixed", [chain_tree(3), star3_tree()], table([5] * 9), every),
+    ])
 
 
 def fixture_catalog_names() -> tuple[str, ...]:

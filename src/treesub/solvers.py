@@ -363,19 +363,17 @@ def bisub_minnorm(h: SignBoxFunction) -> tuple[SignVector, int]:
                 signs[coord] = 1
         return signs
 
+    # a full box has no forbidden sign, so no greedy step reads the penalty
     restricted = any(h.allowed[i] != (-1, 0, 1) for i in live)
-    if not restricted:
-        result = tuple(solve(0))
+    penalty = 1
+    for _ in range(20):
+        signs = solve(penalty)
+        in_box = all(s in a for s, a in zip(signs, h.allowed))
+        needed = 2 * (high - low) + 1 if restricted else 0
+        if in_box and penalty >= needed:
+            break
+        penalty = max(needed, 2 * penalty)
     else:
-        penalty = 1
-        for _ in range(20):
-            signs = solve(penalty)
-            in_box = all(s in a for s, a in zip(signs, h.allowed))
-            needed = 2 * (high - low) + 1
-            if in_box and penalty >= needed:
-                break
-            penalty = max(needed, 2 * penalty)
-        else:
-            raise SolverFailureError("penalty extension failed to stabilize")
-        result = tuple(s if s in a else 0 for s, a in zip(signs, h.allowed))
+        raise SolverFailureError("penalty extension failed to stabilize")
+    result = tuple(s if s in a else 0 for s, a in zip(signs, h.allowed))
     return result, h.evaluate(result)

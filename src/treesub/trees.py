@@ -79,23 +79,17 @@ class RootedTree:
                 raise DomainError(f"parent[{v}] = {p} is out of range")
             children[p].append(v)
 
-        # Depths via memoized walks to the root; a walk longer than n
-        # nodes means the parent array contains a cycle.
+        # Depths by one BFS from the root; a node it never reaches lies
+        # on, or below, a cycle of the parent array.
         depth = [-1] * n
         depth[root] = 0
-        for v in range(n):
-            if depth[v] >= 0:
-                continue
-            trail = []
-            u = v
-            while depth[u] < 0:
-                trail.append(u)
-                u = parents[u]
-                if len(trail) > n:
-                    raise DomainError("parent array contains a cycle")
-            base = depth[u]
-            for offset, w in enumerate(reversed(trail), start=1):
-                depth[w] = base + offset
+        order = [root]
+        for u in order:
+            for w in children[u]:
+                depth[w] = depth[u] + 1
+                order.append(w)
+        if len(order) < n:
+            raise DomainError("parent array contains a cycle")
 
         self.node_count = n
         self.parent = parents
@@ -115,9 +109,16 @@ class RootedTree:
         return self._lift
 
     def check_node(self, v: int) -> int:
-        if not isinstance(v, int) or not 0 <= v < self.node_count:
+        """v as a plain int; any integer type (``operator.index``) is accepted."""
+        if isinstance(v, int) and 0 <= v < self.node_count:
+            return v
+        try:
+            label = operator.index(v)
+        except TypeError:
+            label = -1
+        if not 0 <= label < self.node_count:
             raise DomainError(f"node id {v!r} is not in 0..{self.node_count - 1}")
-        return v
+        return label
 
     def is_binary(self) -> bool:
         return all(len(c) <= 2 for c in self.children)
@@ -178,8 +179,8 @@ class PathView:
 
 def path(tree: RootedTree, a: int, b: int) -> PathView:
     """The unique path from a to b, found by the two-pointer walk."""
-    tree.check_node(a)
-    tree.check_node(b)
+    a = tree.check_node(a)
+    b = tree.check_node(b)
     left: list[int] = []
     right: list[int] = []
     x, y = a, b

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import DomainError, NotInImageError, UnsupportedStructureError
-from .functions import CostFunction, Labeling, ProductDomain, grid_minimum, own_domain
+from .functions import CostFunction, Labeling, ProductDomain, grid_minimum, own_domain, star3_tree
 from .solvers import bisub_brute  # noqa: F401  the benchmark's tracer patches weak.bisub_brute
-from .trees import RootedTree
+from .trees import RootedTree, wedge_vee
 
 EncodedPoint = tuple[int, ...]
 
@@ -108,27 +108,20 @@ def psi_inverse(fork: ForkTree, y: EncodedPoint) -> int:
     return label
 
 
-def star_wedge_vee(a: int, b: int) -> tuple[int, int]:
-    """Wedge/vee on a star tree rooted at 0, computed on raw labels.
-
-    Distinct non-root labels meet at the root and their vee is the root
-    as well; the root against any label gives (root, label).
-    """
-    if a == b:
-        return a, a
-    if a == 0:
-        return 0, b
-    if b == 0:
-        return 0, a
-    return 0, 0
+_STAR = star3_tree()
+_STAR_NODE = {0: 0, -1: 1, 1: 2}  # encoded value -> node of _STAR
+_STAR_SIGN = (0, -1, 1)  # node of _STAR -> encoded value
 
 
 def encoded_wedge_vee(y1: EncodedPoint, y2: EncodedPoint) -> tuple[EncodedPoint, EncodedPoint]:
-    """Coordinatewise star wedge/vee of two encoded vectors."""
+    """Coordinatewise wedge/vee of two encoded vectors on the 3-node star."""
     if len(y1) != len(y2):
         raise DomainError("encoded vectors of different lengths")
-    pairs = [star_wedge_vee(a, b) for a, b in zip(y1, y2)]
-    return tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
+    try:
+        pairs = [wedge_vee(_STAR, _STAR_NODE[a], _STAR_NODE[b]) for a, b in zip(y1, y2)]
+    except KeyError as exc:
+        raise DomainError(f"encoded value {exc.args[0]!r} is not in {{-1, 0, 1}}") from None
+    return tuple(_STAR_SIGN[w] for w, _ in pairs), tuple(_STAR_SIGN[v] for _, v in pairs)
 
 
 def encoding_table(fork: ForkTree) -> list[tuple[int, EncodedPoint]]:

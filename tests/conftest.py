@@ -71,9 +71,14 @@ def bfs_path(tree: ts.RootedTree, a: int, b: int) -> list[int]:
 
 
 def root_walk(tree: ts.RootedTree, v: int) -> list[int]:
+    """The nodes from v up to the root.  ``tree`` needs only ``parent``
+    and ``root``; a walk that outgrows the node count has entered a cycle
+    of the parent array and raises ValueError."""
     out = [v]
     while out[-1] != tree.root:
         out.append(tree.parent[out[-1]])
+        if len(out) > len(tree.parent):
+            raise ValueError(f"the walk from {v} never reaches the root")
     return out
 
 

@@ -565,6 +565,22 @@ def test_generate_catalog_and_tree_spec_validation(tmp_path, capsys):
                  "--out", str(out)]) == EXIT_OK
 
 
+@pytest.mark.parametrize("flags, flag", [
+    (["--kind", "fixture-catalog", "--name", "star3-root-spike", "--tree-spec", "chain3,chain4"],
+     "--tree-spec"),
+    (["--kind", "fixture-catalog", "--name", "star3-root-spike", "--n", "3"], "--n"),
+    (["--kind", "chain-separable", "--tree-spec", "chain3,chain3", "--name", "const-mixed"],
+     "--name"),
+    (["--kind", "random-verified-weak", "--tree-spec", "fork1", "--n", "2", "--name", "fork2-weak"],
+     "--name"),
+])
+def test_generate_refuses_a_flag_its_kind_does_not_read(flags, flag, tmp_path, capsys):
+    out = tmp_path / "g.json"
+    assert main(["generate", *flags, "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: kind {flags[1]!r} does not read {flag}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # Bench and encode-weak
 

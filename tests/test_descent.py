@@ -109,7 +109,18 @@ def test_outward_rejects_ternary_tree():
     f = ts.DenseTable(dom, [0, 1, 2, 3])
     with pytest.raises(UnsupportedStructureError) as err:
         ts.outward_restrict(f, dom, (0,))
-    assert "tree 0" in str(err.value) and "node 0" in str(err.value)
+    assert str(err.value) == "tree 0 is not binary: node 0 has 3 children"
+
+
+def test_outward_guards_only_the_nodes_it_moves():
+    # a leaf of a ternary tree has a sign box; only a node with three children has none
+    dom = ts.ProductDomain([ts.RootedTree([-1, 0, 0, 0]), ts.chain_tree(3)])
+    f = ts.DenseTable(dom, range(12))
+    box = ts.outward_restrict(f, dom, (1, 0))
+    assert box.allowed == ((0,), (-1, 0))
+    assert ts.bisub_brute(box) == ((0, 0), f.evaluate((1, 0)))
+    with pytest.raises(UnsupportedStructureError, match="node 0 has 3 children"):
+        ts.outward_restrict(f, dom, (0, 0))
 
 
 def test_outward_restriction_is_bisubmodular_on_fixtures():
@@ -427,6 +438,26 @@ def test_minimize_rejects_ternary_tree():
         ts.minimize(f, dom)
     # the exhaustive scan covers non-binary shapes
     assert ts.minimize_exhaustive(f, dom) == ((3,), 0)
+
+
+class _NoOracle(ts.CostFunction):
+    """A cost whose every oracle call fails the test."""
+
+    def __init__(self, domain):
+        self.domain = domain
+        self.denominator = 1
+
+    def evaluate(self, x):
+        raise AssertionError(f"oracle called at {x}")
+
+    grid = values_at = walker = evaluate
+
+
+def test_minimize_refuses_a_wider_tree_before_any_oracle_call():
+    # the start's nodes all have a sign box, but the domain holds a node with three children
+    dom = ts.ProductDomain([ts.RootedTree([-1, 0, 0, 0]), ts.chain_tree(3)])
+    with pytest.raises(UnsupportedStructureError, match="tree 0 is not binary: node 0 has 3 children"):
+        ts.minimize(_NoOracle(dom), dom, (1, 0))
 
 
 def test_minimize_exhaustive_tie_breaks_by_rank():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -57,6 +58,25 @@ def test_rank_validation(c3x3):
         c3x3.rank((0,))
     with pytest.raises(DomainError):
         c3x3.unrank(9)
+
+
+def test_numpy_integer_labels_are_read_as_plain_labels():
+    dom = ts.ProductDomain([ts.chain_tree(5), ts.complete_binary_tree(2)])
+    sums = ts.SumOfTerms(dom, random_terms(ts.SplitMix64(4), dom, 0, 9, 2))
+    table = ts.DenseTable(dom, range(dom.size()))
+    for label in (np.int64(1), np.uint8(1), np.intp(1)):
+        got = dom.validate((label, np.int32(2)))
+        assert got == (1, 2) and [type(v) for v in got] == [int, int]
+        for f in (sums, table):
+            assert f.evaluate((label, 0)) == f.evaluate((1, 0))
+            assert repr(ts.minimize(f, None, (label, 0))) == repr(ts.minimize(f, None, (1, 0)))
+            assert f.values_at(np.array([[label, 0]], dtype=object)).tolist() == [f.evaluate((1, 0))]
+    for f in (sums, table):
+        assert (f.grid([np.arange(5), range(3)]) == f.grid([range(5), range(3)])).all()
+    # other types are refused with the message they always had
+    for bad in (1.0, "1", np.int64(5)):
+        with pytest.raises(DomainError, match=re.escape(f"node id {bad!r} is not in 0..4")):
+            dom.validate((bad, 0))
 
 
 def test_domain_repr_names_each_tree():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +12,7 @@ import treesub as ts
 from treesub.errors import DomainError
 from treesub.trees import meet_join_array, up_down_array
 
-from conftest import bfs_path, is_ancestor_oracle
+from conftest import bfs_path, is_ancestor_oracle, root_walk
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +47,34 @@ def test_rejects_no_root():
 def test_rejects_cycle():
     with pytest.raises(DomainError):
         ts.RootedTree([-1, 2, 1])
+
+
+def test_depths_and_cycle_refusal_match_the_root_walk():
+    rng = ts.SplitMix64(23)
+    outcomes = {"tree": 0, "cycle": 0}
+    for _ in range(400):
+        n = 1 + rng.below(12)
+        labels = list(range(n))
+        for k in range(n - 1, 0, -1):
+            j = rng.below(k + 1)
+            labels[k], labels[j] = labels[j], labels[k]
+        parent = [-1] * n
+        for k in range(1, n):
+            parent[labels[k]] = labels[rng.below(k)]
+        if n > 1 and rng.below(2):
+            # re-point one parent; it plants a cycle when the new parent lies below it
+            parent[labels[1 + rng.below(n - 1)]] = labels[1 + rng.below(n - 1)]
+        shape = SimpleNamespace(parent=parent, root=labels[0])
+        try:
+            want = tuple(len(root_walk(shape, v)) - 1 for v in range(n))
+        except ValueError:
+            outcomes["cycle"] += 1
+            with pytest.raises(DomainError, match="^parent array contains a cycle$"):
+                ts.RootedTree(parent)
+        else:
+            outcomes["tree"] += 1
+            assert ts.RootedTree(parent).depth == want
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 def test_rejects_out_of_range_parent():

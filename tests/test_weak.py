@@ -7,8 +7,8 @@ import itertools
 import pytest
 
 import treesub as ts
-from treesub.errors import BudgetExceededError, NotInImageError, UnsupportedStructureError
-from treesub.weak import NotFork, encoded_wedge_vee, recognize_domain, star_wedge_vee
+from treesub.errors import BudgetExceededError, DomainError, NotInImageError, UnsupportedStructureError
+from treesub.weak import NotFork, encoded_wedge_vee, recognize_domain
 
 from conftest import brute_minimum, encoded_first_minimum, fork_encodings
 
@@ -101,14 +101,20 @@ def test_star_ops_match_tree_ops():
     # the per-coordinate star operations are wedge/vee on explicit star trees
     binary = ts.RootedTree([-1, 0])
     ternary = ts.star3_tree()
-    sign = {0: 0, 1: 1}
     for a, b in itertools.product((0, 1), repeat=2):
-        assert star_wedge_vee(a, b) == ts.wedge_vee(binary, a, b)
+        w, v = ts.wedge_vee(binary, a, b)
+        assert encoded_wedge_vee((a,), (b,)) == ((w,), (v,))
     node = {0: 0, -1: 1, 1: 2}
     back = {v: k for k, v in node.items()}
     for a, b in itertools.product((-1, 0, 1), repeat=2):
         w, v = ts.wedge_vee(ternary, node[a], node[b])
-        assert star_wedge_vee(a, b) == (back[w], back[v])
+        assert encoded_wedge_vee((a,), (b,)) == ((back[w],), (back[v],))
+
+
+def test_encoded_ops_refuse_values_off_the_star():
+    for y1, y2 in [((2,), (0,)), ((0,), (-2,)), ((1, 0), (1, 3))]:
+        with pytest.raises(DomainError, match="is not in"):
+            encoded_wedge_vee(y1, y2)
 
 
 def test_psi_preserves_wedge_and_vee():
