@@ -30,10 +30,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import math
-import operator
 import sys
 import time
 from importlib import resources
@@ -54,6 +52,7 @@ from .functions import (
     fixture_catalog_names,
     fork_tree,
     generate,
+    non_int_cells,
     star3_tree,
 )
 from .trees import RootedTree
@@ -110,16 +109,16 @@ def _parse_values(
 ) -> None:
     """Append each value's unreduced numerator to nums.
 
-    Plain integer cells, all of a canonical file, are found in one pass
-    over their types and taken as they are; every other cell goes through
-    ``_parse_value`` in document order, so the first bad one is reported.
-    A denominator other than the declared one is recorded in dens under
-    the value's position in nums.
+    Plain integer cells, all of a canonical file, are taken as they are:
+    ``non_int_cells`` tells them apart in one C-level pass over the cells'
+    types, the same check ``DenseTable`` and ``Term`` make.  Only the
+    cells it returns go through ``_parse_value``, in document order, so
+    the first bad one is reported.  A denominator other than the declared
+    one is recorded in dens under the value's position in nums.
     """
     base = len(nums)
     nums.extend(raw_values)
-    not_int = map(operator.is_not, map(type, raw_values), itertools.repeat(int))
-    for i in itertools.compress(itertools.count(), not_int):
+    for i in non_int_cells(raw_values):
         num, den = _parse_value(raw_values[i], denominator, where, i)
         nums[base + i] = num
         if den != denominator:
@@ -491,9 +490,13 @@ def _spec_number(token: str, prefix: str) -> int:
 
 def _cmd_generate(args) -> int:
     catalog = args.kind == "fixture-catalog"
+    drawn = args.kind in ("random-verified-strong", "random-verified-weak")
     for flag, value, read in (("--name", args.name, catalog),
                               ("--tree-spec", args.tree_spec, not catalog),
-                              ("--n", args.n, not catalog)):
+                              ("--n", args.n, not catalog),
+                              ("--seed", args.seed, not catalog),
+                              ("--max-value", args.max_value, not catalog),
+                              ("--attempts", args.attempts, drawn)):
         if value is not None and not read:
             raise DomainError(f"kind {args.kind!r} does not read {flag}")
     if catalog:
@@ -503,14 +506,14 @@ def _cmd_generate(args) -> int:
         if not args.tree_spec:
             raise DomainError(f"kind {args.kind!r} needs --tree-spec")
         domain = _parse_tree_spec(args.tree_spec, args.n)
+        seed = 0 if args.seed is None else args.seed
         fixture = generate(
             args.kind,
             domain,
-            args.seed,
-            max_value=args.max_value,
-            attempt_budget=args.attempts,
+            seed,
+            max_value=20 if args.max_value is None else args.max_value,
+            attempt_budget=1000 if args.attempts is None else args.attempts,
         )
-        seed = args.seed
     doc = fixture_document(fixture, seed, args.kind)
     _write_text(args.out, canonical_dumps(doc))
     record = {
@@ -654,11 +657,16 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="fixture name for --kind fixture-catalog")
     p_gen.add_argument("--n", type=int, help="replicate a single-token --tree-spec n times")
     p_gen.add_argument("--tree-spec", help="comma-separated: chainN, forkK, star3, bintree7")
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--max-value", type=int, default=20,
-                       help="largest unary proposal value of the random-verified kinds; "
-                            "chain-separable ignores it (it must still be non-negative)")
-    p_gen.add_argument("--attempts", type=int, default=1000)
+    p_gen.add_argument("--seed", type=int,
+                       help="seed of the generator's stream (default: 0); "
+                            "the fixture catalog refuses it")
+    p_gen.add_argument("--max-value", type=int,
+                       help="largest unary proposal value of the random-verified kinds "
+                            "(default: 20); chain-separable ignores it (it must still be "
+                            "non-negative) and the fixture catalog refuses it")
+    p_gen.add_argument("--attempts", type=int,
+                       help="rejection-sampling budget of the random-verified kinds "
+                            "(default: 1000); the other kinds refuse it")
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=_cmd_generate)
 

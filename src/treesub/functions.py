@@ -240,16 +240,36 @@ def _check_denominator(denominator: int) -> int:
     return denominator
 
 
-def _int_values(values: Sequence[int], what: str) -> tuple[int, ...]:
+def non_int_cells(values: Sequence) -> list[int]:
+    """Positions of the cells whose type is not exactly ``int``, in order.
+
+    One C-level pass over the cells' types answers for a sequence of
+    plain ints, as every canonical file holds; only otherwise are the
+    positions gathered.  A bool, an ``IntEnum`` member
+    or a numpy integer is not a plain int and is returned.
+    """
+    types = list(map(type, values))
+    if types.count(int) == len(types):
+        return []
+    not_int = map(operator.is_not, types, itertools.repeat(int))
+    return list(itertools.compress(itertools.count(), not_int))
+
+
+def _int_values(values: Iterable[int], what: str) -> tuple[int, ...]:
     """The values as a tuple of ints; anything without ``__index__``
     (a float, a string, a Fraction) is refused at its first cell.
 
-    A tuple of plain ints is kept, not copied: generators and callers
+    An iterator is read into a tuple once, before any check.  A tuple of
+    plain ints is returned as given, not copied: generators and callers
     that hold their own term tuples would otherwise store every value
-    twice.
+    twice.  A list or range of plain ints becomes a tuple with no call
+    per cell.  Anything else (bools, numpy integers, numpy arrays) goes
+    through ``operator.index`` cell by cell.
     """
-    if type(values) is tuple and {int}.issuperset(map(type, values)):
-        return values
+    if iter(values) is values:
+        values = tuple(values)
+    if type(values) in (tuple, list, range) and not non_int_cells(values):
+        return values if type(values) is tuple else tuple(values)
     try:
         return tuple(map(operator.index, values))
     except TypeError:

@@ -252,6 +252,38 @@ def test_large_table_reports_the_first_of_two_bad_cells(big_table):
     assert _parse_against_oracle(doc) == "function.values[40000].den: expected a positive integer"
 
 
+def _count_parse_value_calls(monkeypatch) -> list:
+    """Record (where, index, raw) of every cli._parse_value call."""
+    calls = []
+    real = cli._parse_value
+
+    def counted(raw, denominator, where, index):
+        calls.append((where, index, raw))
+        return real(raw, denominator, where, index)
+
+    monkeypatch.setattr(cli, "_parse_value", counted)
+    return calls
+
+
+def test_plain_int_table_makes_no_per_cell_parse_call(big_table, monkeypatch):
+    calls = _count_parse_value_calls(monkeypatch)
+    parse_document(big_table)
+    assert calls == []
+
+
+def test_only_the_non_int_cells_are_parsed_in_document_order(big_table, monkeypatch):
+    cells = {9: {"num": 3, "den": 4}, 70_000: 2.5, 500: True, _LAST: {"num": 1, "den": 2}}
+    calls = _count_parse_value_calls(monkeypatch)
+    with pytest.raises(FormatError) as err:
+        parse_document(_with_cells(big_table, cells))
+    assert str(err.value) == "function.values[500]: expected an integer or {num, den} object"
+    assert [index for _, index, _ in calls] == [9, 500]
+    del calls[:]
+    good = {9: {"num": 3, "den": 4}, _LAST: {"num": 1, "den": 2}}
+    parse_document(_with_cells(big_table, good))
+    assert calls == [("function.values", 9, good[9]), ("function.values", _LAST, good[_LAST])]
+
+
 def test_declared_denominator_no_cell_uses_leaves_no_factor():
     rng = ts.SplitMix64(5)
     values = [{"num": rng.below(41) - 20, "den": (2, 4, 6, 12)[rng.below(4)]} for _ in range(7**4)]
@@ -573,12 +605,47 @@ def test_generate_catalog_and_tree_spec_validation(tmp_path, capsys):
      "--name"),
     (["--kind", "random-verified-weak", "--tree-spec", "fork1", "--n", "2", "--name", "fork2-weak"],
      "--name"),
+    (["--kind", "fixture-catalog", "--name", "const-mixed", "--seed", "9", "--attempts", "2"],
+     "--seed"),
+    (["--kind", "fixture-catalog", "--name", "const-mixed", "--seed", "0"], "--seed"),
+    (["--kind", "fixture-catalog", "--name", "const-mixed", "--max-value", "20"], "--max-value"),
+    (["--kind", "fixture-catalog", "--name", "const-mixed", "--attempts", "1000"], "--attempts"),
+    (["--kind", "chain-separable", "--tree-spec", "chain3", "--attempts", "3"], "--attempts"),
 ])
 def test_generate_refuses_a_flag_its_kind_does_not_read(flags, flag, tmp_path, capsys):
     out = tmp_path / "g.json"
     assert main(["generate", *flags, "--out", str(out)]) == EXIT_INPUT
     assert capsys.readouterr().err == f"error: kind {flags[1]!r} does not read {flag}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, spec, given", [
+    ("random-verified-strong", "chain3,chain4", ["--seed", "0", "--max-value", "20",
+                                                 "--attempts", "1000"]),
+    ("random-verified-weak", "fork2,fork2", ["--seed", "0", "--max-value", "20",
+                                             "--attempts", "1000"]),
+    ("chain-separable", "chain5,chain3", ["--seed", "0", "--max-value", "20"]),
+    ("chain-separable", "chain5,chain3", ["--max-value", "3"]),
+])
+def test_generate_left_out_flags_take_their_documented_defaults(kind, spec, given, tmp_path,
+                                                                capsys):
+    outputs = []
+    for flags in ([], given):
+        out = tmp_path / f"g{len(flags)}.json"
+        assert main(["generate", "--kind", kind, "--tree-spec", spec, *flags,
+                     "--out", str(out)]) == EXIT_OK
+        report = capsys.readouterr().out.replace(str(out), "OUT")
+        outputs.append((out.read_bytes(), report))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])["seed"] == 0
+
+
+def test_generate_help_states_the_defaults(capsys):
+    with pytest.raises(SystemExit):
+        main(["generate", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for default in ("(default: 0)", "(default: 20)", "(default: 1000)"):
+        assert default in text
 
 
 # ---------------------------------------------------------------------------

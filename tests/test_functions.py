@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import enum
 import inspect
+import operator
 import re
 from fractions import Fraction
 from types import SimpleNamespace
@@ -151,6 +153,108 @@ def test_integer_like_cost_values_become_ints():
     assert f.values == term.values == (4, 1, 2)
     assert all(type(v) is int for v in f.values + term.values)
     assert ts.minimize_exhaustive(f) == ((1,), 1)
+
+
+class _Level(enum.IntEnum):
+    LOW = 3
+    HIGH = 10**20
+
+
+def _copy_of_the_per_cell_path(values, what):
+    """Every cell through ``operator.index``, as tables and terms were read
+    before the type pass; the reference for ``functions._int_values``."""
+    if type(values) is tuple and {int}.issuperset(map(type, values)):
+        return values
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        for k, v in enumerate(values):
+            try:
+                operator.index(v)
+            except TypeError:
+                raise DomainError(f"{what} cell {k} holds {v!r}, not an integer") from None
+        raise
+
+
+_CELL_SETS = [
+    [],
+    [0, -4, 7],
+    [2**63, -(2**70), 5],
+    [True, 4, False],
+    [_Level.LOW, _Level.HIGH, 1],
+    [np.int64(4), np.uint8(200), 2],
+    [1, 2.0, 3],
+    [0, 1, 2.5],
+    ["7", 0, 1],
+    [1, Fraction(1, 2), 0],
+    [4, Fraction(4, 1), 0],
+    [0, None, 1],
+    [np.float64(1.0), 1, 1],
+    [1, True, 2.5, None],
+]
+
+_CONTAINERS = {
+    "list": list,
+    "tuple": tuple,
+    "generator": lambda cells: (c for c in cells),
+    "map": lambda cells: map(lambda c: c, cells),
+    "numpy object array": lambda cells: np.array(cells, dtype=object),
+}
+
+
+def _outcome(read, values, what):
+    try:
+        got = read(values, what)
+    except DomainError as exc:
+        return "error", str(exc)
+    return "ok", got, [type(v) for v in got]
+
+
+@pytest.mark.parametrize("container", sorted(_CONTAINERS))
+@pytest.mark.parametrize("cells", _CELL_SETS, ids=repr)
+def test_table_and_term_cells_read_as_the_per_cell_path_reads_them(cells, container):
+    """Equal tuple of plain ints, or the same DomainError text.  The reference
+    reads an iterator's cells from a list: the per-cell path's retry after a
+    TypeError re-read an iterator it had already consumed."""
+    build = _CONTAINERS[container]
+    expected = _outcome(_copy_of_the_per_cell_path, list(cells), "cost table")
+    assert _outcome(functions._int_values, build(cells), "cost table") == expected
+    if expected[0] == "error":
+        with pytest.raises(DomainError) as err:
+            ts.DenseTable(ts.ProductDomain([ts.chain_tree(max(len(cells), 1))]), build(cells))
+        assert str(err.value) == expected[1]
+        with pytest.raises(DomainError) as err:
+            ts.Term((0,), build(cells))
+        assert str(err.value) == expected[1].replace("cost table", "term over scope (0,)")
+    elif cells:
+        assert ts.DenseTable(ts.ProductDomain([ts.chain_tree(len(cells))]),
+                             build(cells)).values == expected[1]
+        assert ts.Term((0,), build(cells)).values == expected[1]
+    assert functions.non_int_cells(cells) == [k for k, v in enumerate(cells) if type(v) is not int]
+
+
+@pytest.mark.parametrize("values", [
+    range(5),
+    range(2**64, 2**64 + 9, 3),
+    np.arange(6),
+    np.array([2**62, -3], dtype=np.int64),
+    np.array([0.0, 2.0, 3.5]),
+    np.array([1, 0, 1], dtype=bool),
+], ids=repr)
+def test_ranges_and_numpy_arrays_read_as_the_per_cell_path_reads_them(values):
+    expected = _outcome(_copy_of_the_per_cell_path, values, "cost table")
+    assert _outcome(functions._int_values, values, "cost table") == expected
+
+
+def test_plain_int_tuples_are_kept_and_lists_keep_their_int_objects():
+    dom = ts.ProductDomain([ts.chain_tree(4)])
+    cells = [10**30 + k for k in range(4)]
+    kept = tuple(cells)
+    assert ts.DenseTable(dom, kept).values is kept
+    assert ts.Term((0,), kept).values is kept
+    for values in (ts.DenseTable(dom, cells).values, ts.Term((0,), cells).values):
+        assert type(values) is tuple
+        assert all(got is cell for got, cell in zip(values, cells, strict=True))
 
 
 def test_sum_of_terms_unary_square():
