@@ -82,7 +82,7 @@ from .functions import (
 )
 from .rng import SplitMix64
 from .solvers import BinaryCubeFunction, SignBoxFunction
-from .trees import RootedTree, meet_join_array, up_down_array
+from .trees import RootedTree, meet_join_array, plain_int, up_down_array
 # These four scalar names stay only for perfbench/tracer.py, which patches them here.
 from .trees import meet_join, rho, up_down, wedge_vee  # noqa: F401
 
@@ -204,7 +204,7 @@ def _validate_tables(domain: ProductDomain, tables: list[OpTable], which: str) -
             raise DomainError(f"{which}: table {i} is not {n}x{n}")
         for row in table:
             for v in row:
-                if not isinstance(v, int) or not 0 <= v < n:
+                if not 0 <= plain_int(v, -1) < n:
                     raise DomainError(f"{which}: table {i} holds invalid label {v!r}")
 
 

@@ -52,10 +52,9 @@ from .functions import (
     fixture_catalog_names,
     fork_tree,
     generate,
-    non_int_cells,
     star3_tree,
 )
-from .trees import RootedTree
+from .trees import RootedTree, non_int_cells
 
 FORMAT_VERSION = "1"
 
@@ -86,22 +85,27 @@ def _naming(path: str | Path):
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _parse_value(raw, denominator: int, where: str, index: int) -> tuple[int, int]:
-    """Cost value where[index] as an unreduced (numerator, denominator) pair."""
-    if isinstance(raw, int) and not isinstance(raw, bool):
-        return raw, denominator
+def _parse_value(raw, where: str, index: int) -> tuple[int, int]:
+    """Cost value where[index], a cell other than a plain int, as an
+    unreduced (numerator, denominator) pair."""
     at = f"{where}[{index}]"
     if isinstance(raw, dict):
         extra = set(raw) - {"num", "den"}
         if extra:
             raise _fail(at, f"unexpected keys {sorted(extra)}")
         num, den = raw.get("num"), raw.get("den")
-        if not isinstance(num, int) or isinstance(num, bool):
+        if type(num) is not int:
             raise _fail(at + ".num", "expected an integer")
-        if not isinstance(den, int) or isinstance(den, bool) or den < 1:
+        if type(den) is not int or den < 1:
             raise _fail(at + ".den", "expected a positive integer")
         return num, den
     raise _fail(at, "expected an integer or {num, den} object")
+
+
+def _int_array(raw) -> bool:
+    """Whether raw is a JSON array of integers: a list whose items' type
+    is exactly ``int``, as ``type(v) is int`` reads one JSON integer."""
+    return isinstance(raw, list) and not non_int_cells(raw)
 
 
 def _parse_values(
@@ -119,7 +123,7 @@ def _parse_values(
     base = len(nums)
     nums.extend(raw_values)
     for i in non_int_cells(raw_values):
-        num, den = _parse_value(raw_values[i], denominator, where, i)
+        num, den = _parse_value(raw_values[i], where, i)
         nums[base + i] = num
         if den != denominator:
             dens[base + i] = den
@@ -165,9 +169,7 @@ def parse_document(doc: dict, origin: str = "instance") -> tuple[ProductDomain, 
         if not isinstance(entry, dict) or set(entry) != {"parent"}:
             raise _fail(f"trees[{i}]", 'expected an object {"parent": [...]}')
         parent = entry["parent"]
-        if not isinstance(parent, list) or not all(
-            isinstance(p, int) and not isinstance(p, bool) for p in parent
-        ):
+        if not _int_array(parent):
             raise _fail(f"trees[{i}].parent", "expected an array of integers")
         try:
             trees.append(RootedTree(parent))
@@ -181,7 +183,7 @@ def parse_document(doc: dict, origin: str = "instance") -> tuple[ProductDomain, 
     ftype = fn.get("type")
     body = "values" if ftype == "table" else "terms" if ftype == "sum" else None
     declared_den = fn.get("denominator", 1)
-    if not isinstance(declared_den, int) or isinstance(declared_den, bool) or declared_den < 1:
+    if type(declared_den) is not int or declared_den < 1:
         raise _fail("function.denominator", "expected a positive integer")
     if body is None:
         raise _fail("function.type", f"expected 'table' or 'sum', got {ftype!r}")
@@ -210,11 +212,7 @@ def parse_document(doc: dict, origin: str = "instance") -> tuple[ProductDomain, 
             if not isinstance(entry, dict) or set(entry) != {"scope", "values"}:
                 raise _fail(where, 'expected an object {"scope": [...], "values": [...]}')
             scope = entry["scope"]
-            if (
-                not isinstance(scope, list)
-                or not scope
-                or not all(isinstance(s, int) and not isinstance(s, bool) for s in scope)
-            ):
+            if not _int_array(scope) or not scope:
                 raise _fail(where + ".scope", "expected a non-empty array of integers")
             values = entry["values"]
             if not isinstance(values, list):
@@ -387,9 +385,7 @@ def _parse_start(raw: str | None, metadata: dict, domain: ProductDomain, path: s
     if start is None:
         return None
     where = f"{path}: metadata.start"
-    if not isinstance(start, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in start
-    ):
+    if not _int_array(start):
         raise _fail(where, "expected an array of integers")
     try:
         return domain.validate(tuple(start))

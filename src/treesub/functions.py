@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, DomainError, GenerationError
 from .rng import SplitMix64
-from .trees import RootedTree, meet_join_array, rho, up_down_array
+from .trees import RootedTree, meet_join_array, plain_int, plain_ints, rho, up_down_array
 # These two scalar names stay only for perfbench/tracer.py, which patches them here.
 from .trees import meet_join, wedge_vee  # noqa: F401
 
@@ -235,50 +234,10 @@ def _label_rows(domain: ProductDomain, labels: np.ndarray) -> np.ndarray:
 
 
 def _check_denominator(denominator: int) -> int:
-    if not isinstance(denominator, int) or denominator < 1:
+    d = plain_int(denominator, 0)
+    if d < 1:
         raise DomainError(f"denominator {denominator!r} must be a positive integer")
-    return denominator
-
-
-def non_int_cells(values: Sequence) -> list[int]:
-    """Positions of the cells whose type is not exactly ``int``, in order.
-
-    One C-level pass over the cells' types answers for a sequence of
-    plain ints, as every canonical file holds; only otherwise are the
-    positions gathered.  A bool, an ``IntEnum`` member
-    or a numpy integer is not a plain int and is returned.
-    """
-    types = list(map(type, values))
-    if types.count(int) == len(types):
-        return []
-    not_int = map(operator.is_not, types, itertools.repeat(int))
-    return list(itertools.compress(itertools.count(), not_int))
-
-
-def _int_values(values: Iterable[int], what: str) -> tuple[int, ...]:
-    """The values as a tuple of ints; anything without ``__index__``
-    (a float, a string, a Fraction) is refused at its first cell.
-
-    An iterator is read into a tuple once, before any check.  A tuple of
-    plain ints is returned as given, not copied: generators and callers
-    that hold their own term tuples would otherwise store every value
-    twice.  A list or range of plain ints becomes a tuple with no call
-    per cell.  Anything else (bools, numpy integers, numpy arrays) goes
-    through ``operator.index`` cell by cell.
-    """
-    if iter(values) is values:
-        values = tuple(values)
-    if type(values) in (tuple, list, range) and not non_int_cells(values):
-        return values if type(values) is tuple else tuple(values)
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError:
-        for k, v in enumerate(values):
-            try:
-                operator.index(v)
-            except TypeError:
-                raise DomainError(f"{what} cell {k} holds {v!r}, not an integer") from None
-        raise
+    return d
 
 
 class DenseTable(CostFunction):
@@ -287,7 +246,7 @@ class DenseTable(CostFunction):
     __slots__ = ("domain", "denominator", "values")
 
     def __init__(self, domain: ProductDomain, values: Sequence[int], denominator: int = 1):
-        values = _int_values(values, "cost table")
+        values = plain_ints(values, lambda k, v: f"cost table cell {k} holds {v!r}, not an integer")
         if len(values) != domain.size():
             raise DomainError(
                 f"table has {len(values)} entries, domain has {domain.size()}"
@@ -322,11 +281,14 @@ class Term:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= len(self.scope) <= 3:
-            raise DomainError(f"term arity {len(self.scope)} is not in 1..3")
-        if len(set(self.scope)) != len(self.scope):
-            raise DomainError(f"term scope {self.scope} repeats a variable")
-        object.__setattr__(self, "values", _int_values(self.values, f"term over scope {self.scope}"))
+        scope = plain_ints(self.scope, lambda k, v: f"term scope[{k}] = {v!r} is not an integer")
+        if not 1 <= len(scope) <= 3:
+            raise DomainError(f"term arity {len(scope)} is not in 1..3")
+        if len(set(scope)) != len(scope):
+            raise DomainError(f"term scope {scope} repeats a variable")
+        object.__setattr__(self, "scope", scope)
+        object.__setattr__(self, "values", plain_ints(
+            self.values, lambda k, v: f"term over scope {scope} cell {k} holds {v!r}, not an integer"))
 
 
 class SumOfTerms(CostFunction):

@@ -32,15 +32,67 @@ every function in this module is pure, so concurrent reads are safe.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainError
 
 ROOT_SENTINEL = -1
+
+
+def non_int_cells(values: Sequence) -> list[int]:
+    """Positions of the cells whose type is not exactly ``int``, in order.
+
+    One C-level pass over the cells' types answers for a sequence of
+    plain ints, as every canonical file holds; only otherwise are the
+    positions gathered.  A bool, an ``IntEnum`` member
+    or a numpy integer is not a plain int and is returned.
+    """
+    types = list(map(type, values))
+    if types.count(int) == len(types):
+        return []
+    not_int = map(operator.is_not, types, itertools.repeat(int))
+    return list(itertools.compress(itertools.count(), not_int))
+
+
+def plain_int(v, otherwise: int | None) -> int | None:
+    """v as a plain int by ``operator.index``, the rule of ``plain_ints``
+    for one value (a node label, a denominator, an op-table label), or
+    ``otherwise`` when v has no ``__index__``."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        return otherwise
+
+
+def plain_ints(values: Iterable, refusal: Callable[[int, object], str]) -> tuple[int, ...]:
+    """The values as a tuple of plain ints, read by ``operator.index``.
+
+    This is the package's one rule for a sequence of integers: parents,
+    cost cells and term scopes.  An integer of any type (a bool, an
+    ``IntEnum`` member, a numpy integer) becomes a plain int; the first
+    item without ``__index__`` (a float, a string, a Fraction, None)
+    raises DomainError with the message ``refusal(k, v)`` for the item v
+    at position k, built only then.  An iterator is read into a tuple
+    once, before any check.  A tuple of plain ints is returned as given,
+    not copied, and a list or range of them becomes a tuple with no call
+    per item.
+    """
+    if iter(values) is values:
+        values = tuple(values)
+    if type(values) in (tuple, list, range) and not non_int_cells(values):
+        return values if type(values) is tuple else tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        for k, v in enumerate(values):
+            if plain_int(v, None) is None:
+                raise DomainError(refusal(k, v)) from None
+        raise
 
 
 class RootedTree:
@@ -52,16 +104,8 @@ class RootedTree:
 
     __slots__ = ("node_count", "parent", "children", "depth", "root", "_lift")
 
-    def __init__(self, parent: Sequence[int]):
-        try:
-            parents = tuple(map(operator.index, parent))
-        except TypeError:
-            for v, p in enumerate(parent):
-                try:
-                    operator.index(p)
-                except TypeError:
-                    raise DomainError(f"parent[{v}] = {p!r} is not an integer") from None
-            raise
+    def __init__(self, parent: Iterable[int]):
+        parents = plain_ints(parent, lambda k, p: f"parent[{k}] = {p!r} is not an integer")
         n = len(parents)
         if n == 0:
             raise DomainError("a tree needs at least one node")
@@ -109,13 +153,11 @@ class RootedTree:
         return self._lift
 
     def check_node(self, v: int) -> int:
-        """v as a plain int; any integer type (``operator.index``) is accepted."""
-        if isinstance(v, int) and 0 <= v < self.node_count:
+        """v as a plain int, read by ``plain_int``: a bool, an ``IntEnum``
+        member or a numpy integer label comes back as a plain int."""
+        if type(v) is int and 0 <= v < self.node_count:
             return v
-        try:
-            label = operator.index(v)
-        except TypeError:
-            label = -1
+        label = plain_int(v, -1)
         if not 0 <= label < self.node_count:
             raise DomainError(f"node id {v!r} is not in 0..{self.node_count - 1}")
         return label

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import treesub as ts
@@ -773,6 +774,23 @@ def test_multimorphism_malformed_table():
         ts.check_multimorphism(f, dom, (good, bad_label))
     with pytest.raises(DomainError):
         ts.check_multimorphism(f, dom, None)
+
+
+def test_multimorphism_table_labels_of_any_integer_type():
+    """Numpy tables and numpy or bool labels read as their plain ints; a
+    float label is refused, not truncated."""
+    dom = ts.ProductDomain([ts.chain_tree(2), ts.chain_tree(3)])
+    f = random_table_function(ts.SplitMix64(29), dom, max_value=8)
+    op1, op2 = ts.meet_join_tables(dom)
+    expected = ts.check_multimorphism(f, dom, (op1, op2))
+    as_numpy = [np.array(t) for t in op1], [np.array(t) for t in op2]
+    as_bool = [[[bool(v) for v in row] for row in op1[0]], op1[1]], op2
+    assert ts.check_multimorphism(f, dom, as_numpy) == expected
+    assert ts.check_multimorphism(f, dom, as_bool) == expected
+    floats = [[[float(v) for v in row] for row in op1[0]], op1[1]]
+    with pytest.raises(DomainError) as err:
+        ts.check_multimorphism(f, dom, (floats, op2))
+    assert str(err.value) == "op1: table 0 holds invalid label 0.0"
 
 
 # ---------------------------------------------------------------------------

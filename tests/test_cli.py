@@ -24,7 +24,7 @@ from treesub.cli import (
     parse_document,
     parse_instance,
 )
-from treesub.errors import FormatError
+from treesub.errors import DomainError, FormatError
 
 from conftest import BadCell, canonical_document_oracle, drift_the_solve
 
@@ -127,6 +127,107 @@ def test_positioned_parse_errors(mutate, path_hint):
     with pytest.raises(FormatError) as err:
         parse_document(doc)
     assert path_hint in str(err.value)
+
+
+def _table_doc() -> dict:
+    return {"format_version": "1", "trees": [{"parent": [-1, 0, 1]}],
+            "function": {"type": "table", "denominator": 1, "values": [0, 1, 2]}}
+
+
+def _sum_doc() -> dict:
+    return {"format_version": "1", "trees": [{"parent": [-1, 0, 1]}, {"parent": [-1, 0]}],
+            "function": {"type": "sum", "terms": [{"scope": [0], "values": [0, 1, 2]}]}}
+
+
+def _set_term(**entry):
+    return lambda d: d["function"]["terms"][0].update(entry)
+
+
+_TERM_ENTRY = 'expected an object {"scope": [...], "values": [...]}'
+_NOT_A_SCOPE = "function.terms[0].scope: expected a non-empty array of integers"
+_REFUSALS = [
+    ("top-level keys", _table_doc, lambda d: d.update(extra=1, other=2),
+     "instance: unexpected keys ['extra', 'other']"),
+    ("tree entry not an object", _table_doc, lambda d: d["trees"].append([-1, 0]),
+     'trees[1]: expected an object {"parent": [...]}'),
+    ("tree entry with another key", _table_doc, lambda d: d["trees"][0].update(children=[]),
+     'trees[0]: expected an object {"parent": [...]}'),
+    ("float parent", _table_doc, lambda d: d["trees"][0].update(parent=[-1, 0, 1.0]),
+     "trees[0].parent: expected an array of integers"),
+    ("bool parent", _table_doc, lambda d: d["trees"][0].update(parent=[-1, True, 1]),
+     "trees[0].parent: expected an array of integers"),
+    ("string parent", _table_doc, lambda d: d["trees"][0].update(parent="-1,0,1"),
+     "trees[0].parent: expected an array of integers"),
+    ("function not an object", _table_doc, lambda d: d.update(function=[0, 1, 2]),
+     "function: expected an object"),
+    ("true denominator", _table_doc, lambda d: d["function"].update(denominator=True),
+     "function.denominator: expected a positive integer"),
+    ("zero denominator", _table_doc, lambda d: d["function"].update(denominator=0),
+     "function.denominator: expected a positive integer"),
+    ("float denominator", _table_doc, lambda d: d["function"].update(denominator=1.5),
+     "function.denominator: expected a positive integer"),
+    ("function keys", _table_doc, lambda d: d["function"].update(terms=[]),
+     "function: unexpected keys ['terms']"),
+    ("body not an array", _table_doc, lambda d: d["function"].update(values={"0": 1}),
+     "function.values: expected an array"),
+    ("term not an object", _sum_doc, lambda d: d["function"].update(terms=[[[0], [0, 1, 2]]]),
+     "function.terms[0]: " + _TERM_ENTRY),
+    ("term with another key", _sum_doc, _set_term(weight=1), "function.terms[0]: " + _TERM_ENTRY),
+    ("empty scope", _sum_doc, _set_term(scope=[]), _NOT_A_SCOPE),
+    ("bool scope", _sum_doc, _set_term(scope=[True]), _NOT_A_SCOPE),
+    ("scope not an array", _sum_doc, _set_term(scope=0), _NOT_A_SCOPE),
+    ("term values not an array", _sum_doc, _set_term(values="012"),
+     "function.terms[0].values: expected an array"),
+    ("arity 4", _sum_doc, _set_term(scope=[0, 1, 0, 1]),
+     "function.terms[0]: term arity 4 is not in 1..3"),
+    ("repeated scope", _sum_doc, _set_term(scope=[0, 0], values=[0] * 9),
+     "function.terms[0]: term scope (0, 0) repeats a variable"),
+    ("scope out of range", _sum_doc, _set_term(scope=[2]),
+     "function.terms: term scope index 2 is out of range"),
+    ("term of wrong length", _sum_doc, _set_term(values=[0, 1]),
+     "function.terms: term over scope (0,) has 2 entries, expected 3"),
+]
+
+
+@pytest.mark.parametrize("case, base, mutate, message", _REFUSALS, ids=[c[0] for c in _REFUSALS])
+def test_parse_refusals_keep_their_text(case, base, mutate, message):
+    doc = base()
+    mutate(doc)
+    with pytest.raises(FormatError) as err:
+        parse_document(doc)
+    assert str(err.value) == message
+
+
+def test_a_refused_document_exits_two_with_one_error_line(tmp_path, capsys):
+    doc = _table_doc()
+    doc["function"]["denominator"] = True
+    path = tmp_path / "true_denominator.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: function.denominator: expected a positive integer\n"
+
+
+@pytest.mark.parametrize("spec, message", [
+    (",", "--tree-spec is empty"),
+    ("chainX", "tree spec 'chainX' needs an integer suffix"),
+])
+def test_bad_tree_specs_keep_their_text(spec, message, tmp_path, capsys):
+    out = tmp_path / "g.json"
+    argv = ["generate", "--kind", "chain-separable", "--tree-spec", spec, "--out", str(out)]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_build_document_refuses_a_foreign_cost():
+    class Foreign(ts.CostFunction):
+        pass
+
+    with pytest.raises(DomainError) as err:
+        build_document(ts.ProductDomain([ts.chain_tree(2)]), Foreign())
+    assert str(err.value) == "cannot serialize cost function of type Foreign"
 
 
 _BAD_VALUES = (True, False, 2.5, "7", None, [1], {"num": 1}, {"num": 1, "den": 0},
@@ -257,9 +358,9 @@ def _count_parse_value_calls(monkeypatch) -> list:
     calls = []
     real = cli._parse_value
 
-    def counted(raw, denominator, where, index):
+    def counted(raw, where, index):
         calls.append((where, index, raw))
-        return real(raw, denominator, where, index)
+        return real(raw, where, index)
 
     monkeypatch.setattr(cli, "_parse_value", counted)
     return calls

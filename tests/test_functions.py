@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import inspect
+import json
 import operator
 import re
 from fractions import Fraction
@@ -18,6 +19,8 @@ from treesub.errors import BudgetExceededError, DomainError, GenerationError
 
 import treesub.functions as functions
 from treesub import checks
+from treesub.cli import build_document, canonical_dumps, parse_document
+from treesub.trees import non_int_cells, plain_ints
 from conftest import brute_minimum, random_terms, term_grid, term_sum, term_walk
 
 
@@ -162,7 +165,7 @@ class _Level(enum.IntEnum):
 
 def _copy_of_the_per_cell_path(values, what):
     """Every cell through ``operator.index``, as tables and terms were read
-    before the type pass; the reference for ``functions._int_values``."""
+    before the type pass; the reference for ``plain_ints``."""
     if type(values) is tuple and {int}.issuperset(map(type, values)):
         return values
     try:
@@ -174,6 +177,11 @@ def _copy_of_the_per_cell_path(values, what):
             except TypeError:
                 raise DomainError(f"{what} cell {k} holds {v!r}, not an integer") from None
         raise
+
+
+def _plain_ints(values, what):
+    """``plain_ints`` with the refusal that tables and terms give it."""
+    return plain_ints(values, lambda k, v: f"{what} cell {k} holds {v!r}, not an integer")
 
 
 _CELL_SETS = [
@@ -218,7 +226,7 @@ def test_table_and_term_cells_read_as_the_per_cell_path_reads_them(cells, contai
     TypeError re-read an iterator it had already consumed."""
     build = _CONTAINERS[container]
     expected = _outcome(_copy_of_the_per_cell_path, list(cells), "cost table")
-    assert _outcome(functions._int_values, build(cells), "cost table") == expected
+    assert _outcome(_plain_ints, build(cells), "cost table") == expected
     if expected[0] == "error":
         with pytest.raises(DomainError) as err:
             ts.DenseTable(ts.ProductDomain([ts.chain_tree(max(len(cells), 1))]), build(cells))
@@ -230,7 +238,7 @@ def test_table_and_term_cells_read_as_the_per_cell_path_reads_them(cells, contai
         assert ts.DenseTable(ts.ProductDomain([ts.chain_tree(len(cells))]),
                              build(cells)).values == expected[1]
         assert ts.Term((0,), build(cells)).values == expected[1]
-    assert functions.non_int_cells(cells) == [k for k, v in enumerate(cells) if type(v) is not int]
+    assert non_int_cells(cells) == [k for k, v in enumerate(cells) if type(v) is not int]
 
 
 @pytest.mark.parametrize("values", [
@@ -243,7 +251,7 @@ def test_table_and_term_cells_read_as_the_per_cell_path_reads_them(cells, contai
 ], ids=repr)
 def test_ranges_and_numpy_arrays_read_as_the_per_cell_path_reads_them(values):
     expected = _outcome(_copy_of_the_per_cell_path, values, "cost table")
-    assert _outcome(functions._int_values, values, "cost table") == expected
+    assert _outcome(_plain_ints, values, "cost table") == expected
 
 
 def test_plain_int_tuples_are_kept_and_lists_keep_their_int_objects():
@@ -255,6 +263,117 @@ def test_plain_int_tuples_are_kept_and_lists_keep_their_int_objects():
     for values in (ts.DenseTable(dom, cells).values, ts.Term((0,), cells).values):
         assert type(values) is tuple
         assert all(got is cell for got, cell in zip(values, cells, strict=True))
+
+
+class _Bit(enum.IntEnum):
+    ZERO = 0
+    ONE = 1
+
+
+_LABEL_TYPES = {"bool": bool, "IntEnum": _Bit, "numpy int64": np.int64, "numpy uint8": np.uint8}
+
+
+@pytest.mark.parametrize("kind", sorted(_LABEL_TYPES))
+def test_labels_of_any_integer_type_give_plain_int_results(kind):
+    """A labeling of bools, ``IntEnum`` members or numpy integers gives
+    the plain labeling's results, and every label returned is a plain int."""
+    as_kind = _LABEL_TYPES[kind]
+    dom = ts.ProductDomain([ts.chain_tree(2), ts.chain_tree(2)])
+    plain_rows = np.array(list(dom.labelings()))
+    for f in (ts.DenseTable(dom, [4, 2, 3, 0]), ts.SumOfTerms(dom, [ts.Term((0, 1), (4, 2, 3, 0))])):
+        for x in dom.labelings():
+            y = tuple(map(as_kind, x))
+            assert dom.validate(y) == x
+            assert all(type(v) is int for v in dom.validate(y))
+            assert dom.rank(y) == dom.rank(x)
+            assert f.evaluate(y) == f.evaluate(x)
+            got, expected = ts.minimize(f, None, y), ts.minimize(f, None, x)
+            assert got == expected
+            assert all(type(v) is int for v in got[0])
+        axes = [tuple(map(as_kind, (1, 0))), tuple(map(as_kind, (0, 1)))]
+        assert f.grid(axes).tolist() == f.grid([(1, 0), (0, 1)]).tolist()
+        rows = [[as_kind(v) for v in row] for row in plain_rows.tolist()]
+        for kind_rows in (np.array(rows), np.array(rows, dtype=object)):
+            assert f.values_at(kind_rows).tolist() == f.values_at(plain_rows).tolist()
+
+
+_SCOPES = {
+    "list": (lambda: [1], (1,)),
+    "bool": (lambda: (True,), (1,)),
+    "bool and int": (lambda: (False, 1), (0, 1)),
+    "numpy array": (lambda: np.array([1, 0]), (1, 0)),
+    "numpy int": (lambda: (np.int64(1),), (1,)),
+    "IntEnum": (lambda: (_Bit.ONE, _Bit.ZERO), (1, 0)),
+    "generator": (lambda: (i for i in [0, 1]), (0, 1)),
+    "range": (lambda: range(2), (0, 1)),
+}
+
+
+@pytest.mark.parametrize("given", sorted(_SCOPES))
+def test_term_scopes_are_read_as_tuples_of_plain_ints(given):
+    scope, read = _SCOPES[given]
+    values = tuple(range(3 ** len(read)))
+    term = ts.Term(scope(), values)
+    assert term.scope == read and type(term.scope) is tuple
+    assert all(type(i) is int for i in term.scope)
+    assert hash(term) == hash(ts.Term(read, values))
+    dom = ts.ProductDomain([ts.chain_tree(3), ts.chain_tree(3)])
+    f = ts.SumOfTerms(dom, [term])
+    doc = json.loads(canonical_dumps(build_document(dom, f)))
+    assert doc["function"]["terms"] == [{"scope": list(read), "values": list(values)}]
+    assert parse_document(doc)[1].terms == (term,)
+
+
+@pytest.mark.parametrize("scope, message", [
+    ((0.0,), "term scope[0] = 0.0 is not an integer"),
+    (("0",), "term scope[0] = '0' is not an integer"),
+    ((1, None), "term scope[1] = None is not an integer"),
+    ([0, 1.5, 2], "term scope[1] = 1.5 is not an integer"),
+])
+def test_a_scope_entry_that_is_not_an_integer_is_named(scope, message):
+    with pytest.raises(DomainError) as err:
+        ts.Term(scope, (1, 2, 3))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("given, read", [(True, 1), (np.int64(2), 2), (np.uint8(4), 4), (_Level.LOW, 3)],
+                         ids=repr)
+def test_integer_denominators_are_read_as_plain_ints_and_round_trip(given, read):
+    dom = ts.ProductDomain([ts.chain_tree(2)])
+    for f in (ts.DenseTable(dom, [1, 2], denominator=given),
+              ts.SumOfTerms(dom, [ts.Term((0,), (1, 2))], denominator=given)):
+        assert f.denominator == read and type(f.denominator) is int
+        doc = json.loads(canonical_dumps(build_document(dom, f)))
+        assert doc["function"]["denominator"] == read
+        back = parse_document(doc)[1]
+        assert [back.value(x) for x in dom.labelings()] == [f.value(x) for x in dom.labelings()]
+
+
+@pytest.mark.parametrize("given", [2.0, "2", 0, -3, False, None, Fraction(2), np.float64(2.0)], ids=repr)
+def test_denominators_that_are_not_positive_integers_keep_their_message(given):
+    dom = ts.ProductDomain([ts.chain_tree(2)])
+    for build in (lambda: ts.DenseTable(dom, [1, 2], denominator=given),
+                  lambda: ts.SumOfTerms(dom, [ts.Term((0,), (1, 2))], denominator=given)):
+        with pytest.raises(DomainError) as err:
+            build()
+        assert str(err.value) == f"denominator {given!r} must be a positive integer"
+
+
+def test_domain_refusals_keep_their_text():
+    with pytest.raises(DomainError) as err:
+        ts.ProductDomain([])
+    assert str(err.value) == "a domain needs at least one variable"
+    assert ts.ProductDomain([ts.complete_binary_tree(3)] * 22).size() == 7**22
+    with pytest.raises(DomainError) as err:
+        ts.ProductDomain([ts.complete_binary_tree(3)] * 23)
+    assert str(err.value) == "domain size exceeds the 2**62 guard"
+
+
+def test_grid_refuses_the_wrong_number_of_axes():
+    f = ts.SumOfTerms(ts.ProductDomain([ts.chain_tree(2)] * 2), [ts.Term((0,), (1, 2))])
+    with pytest.raises(DomainError) as err:
+        f.grid([range(2)])
+    assert str(err.value) == "got 1 axes for arity 2"
 
 
 def test_sum_of_terms_unary_square():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import enum
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -94,9 +96,63 @@ def test_parents_must_be_integers():
         ts.RootedTree([-1, 0, "1"])
     with pytest.raises(DomainError, match=r"^parent\[1\] = .* is not an integer$"):
         ts.RootedTree([-1, np.float64(0.0)])
+    with pytest.raises(DomainError, match=r"^parent\[2\] = 0\.5 is not an integer$"):
+        ts.RootedTree(p for p in [-1, 0, 0.5])
     tree = ts.RootedTree(np.array([-1, 0, 0, 1]))  # numpy integers pass, stored as ints
     assert tree.parent == (-1, 0, 0, 1)
     assert all(type(p) is int for p in tree.parent)
+
+
+class _Node(enum.IntEnum):
+    ROOT = 0
+    CHILD = 1
+
+
+_PARENT_SETS = [
+    [-1],
+    [-1, 0, 1],
+    [1, -1, 0],
+    [True, -1, False],
+    [-1, _Node.ROOT, _Node.CHILD],
+    [np.int64(-1), np.uint8(0), 0],
+    [-1, 0, 0.5],
+    [-1, "0", 0.5],
+    [-1, None],
+    [-1, Fraction(0)],
+    [-1, 0, 1.0],
+    [],
+    [-1, 5],
+    [-1, -1],
+    [-1, 2, 1],
+]
+
+_CONTAINERS = {
+    "list": list,
+    "tuple": tuple,
+    "generator": lambda parents: (p for p in parents),
+    "map": lambda parents: map(lambda p: p, parents),
+    "numpy object array": lambda parents: np.array(parents, dtype=object),
+}
+
+
+def _tree_outcome(parents):
+    try:
+        tree = ts.RootedTree(parents)
+    except DomainError as exc:
+        return "error", str(exc)
+    return "ok", tree.parent, [type(p) for p in tree.parent]
+
+
+@pytest.mark.parametrize("container", sorted(_CONTAINERS))
+@pytest.mark.parametrize("parents", _PARENT_SETS, ids=repr)
+def test_parents_read_alike_from_every_container(parents, container):
+    """Every container gives the list form's tuple of plain ints or its
+    DomainError; an iterator is read once, so a bad parent in a generator
+    is named as in a list."""
+    expected = _tree_outcome(list(parents))
+    assert _tree_outcome(_CONTAINERS[container](parents)) == expected
+    if expected[0] == "ok":
+        assert set(expected[2]) == {int}
 
 
 def test_invalid_node_id(chain5):
