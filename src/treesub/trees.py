@@ -72,14 +72,14 @@ def plain_int(v, otherwise: int | None) -> int | None:
 def plain_ints(values: Iterable, refusal: Callable[[int, object], str]) -> tuple[int, ...]:
     """The values as a tuple of plain ints, read by ``operator.index``.
 
-    This is the package's one rule for a sequence of integers: parents,
-    cost cells and term scopes.  An integer of any type (a bool, an
-    ``IntEnum`` member, a numpy integer) becomes a plain int; the first
-    item without ``__index__`` (a float, a string, a Fraction, None)
-    raises DomainError with the message ``refusal(k, v)`` for the item v
-    at position k, built only then.  An iterator is read into a tuple
-    once, before any check.  A tuple of plain ints is returned as given,
-    not copied, and a list or range of them becomes a tuple with no call
+    The package's one rule for a sequence of integers (parents, cost
+    cells, term scopes): an integer of any type (a bool, an ``IntEnum``
+    member, a numpy integer) becomes a plain int, and the first item
+    without ``__index__`` (a float, a string, a Fraction, None) raises
+    DomainError with the message ``refusal(k, v)`` for the item v at
+    position k, built only then.  An iterator is read once, before any
+    check.  A tuple of plain ints is kept, so a caller's tuple is not
+    stored twice; a list or range of them becomes a tuple with no call
     per item.
     """
     if iter(values) is values:
