@@ -59,12 +59,20 @@ def non_int_cells(values: Sequence) -> list[int]:
     return list(itertools.compress(itertools.count(), not_int))
 
 
+def _index(v) -> int:
+    """v by ``operator.index``, a numpy bool as the 0/1 of a Python bool.
+
+    numpy 2 gives ``np.bool_`` no ``__index__`` and numpy 1.x warns on
+    it, so it is tested for before ``operator.index`` is called."""
+    return int(v) if isinstance(v, np.bool_) else operator.index(v)
+
+
 def plain_int(v, otherwise: int | None) -> int | None:
-    """v as a plain int by ``operator.index``, the rule of ``plain_ints``
-    for one value (a node label, a denominator, an op-table label), or
-    ``otherwise`` when v has no ``__index__``."""
+    """v as a plain int by the rule of ``plain_ints``, for one value (a
+    node label, a denominator, an op-table label), or ``otherwise`` when
+    v is not an integer."""
     try:
-        return operator.index(v)
+        return _index(v)
     except TypeError:
         return otherwise
 
@@ -74,20 +82,20 @@ def plain_ints(values: Iterable, refusal: Callable[[int, object], str]) -> tuple
 
     The package's one rule for a sequence of integers (parents, cost
     cells, term scopes): an integer of any type (a bool, an ``IntEnum``
-    member, a numpy integer) becomes a plain int, and the first item
-    without ``__index__`` (a float, a string, a Fraction, None) raises
-    DomainError with the message ``refusal(k, v)`` for the item v at
-    position k, built only then.  An iterator is read once, before any
-    check.  A tuple of plain ints is kept, so a caller's tuple is not
-    stored twice; a list or range of them becomes a tuple with no call
-    per item.
+    member, a numpy integer) becomes a plain int, a numpy bool 0 or 1 as
+    a Python bool does, and the first item without ``__index__`` (a
+    float, a string, a Fraction, None) raises DomainError with the
+    message ``refusal(k, v)`` for the item v at position k, built only
+    then.  An iterator is read once, before any check.  A tuple of plain
+    ints is kept, so a caller's tuple is not stored twice; a list or
+    range of them becomes a tuple with no call per item.
     """
     if iter(values) is values:
         values = tuple(values)
     if type(values) in (tuple, list, range) and not non_int_cells(values):
         return values if type(values) is tuple else tuple(values)
     try:
-        return tuple(map(operator.index, values))
+        return tuple(map(_index, values))
     except TypeError:
         for k, v in enumerate(values):
             if plain_int(v, None) is None:

@@ -121,6 +121,152 @@ def test_strong_translation_equivalence_random_tables():
     assert agree_viol > 0  # both verdicts actually occur
 
 
+# chain products: the first three read labels in depth order; the last
+# two hold chains whose ids are not (2 -> 0 -> 1 -> 3 and 1 -> 2 -> 0)
+# and a one-node chain
+_CHAIN_DOMAINS = [
+    [ts.chain_tree(4), ts.chain_tree(3)],
+    [ts.chain_tree(2), ts.chain_tree(3), ts.chain_tree(2)],
+    [ts.chain_tree(7)],
+    [ts.RootedTree([2, 0, -1, 1]), ts.chain_tree(1), ts.RootedTree([2, -1, 1])],
+    [ts.chain_tree(1), ts.RootedTree([2, 0, -1, 1]), ts.chain_tree(3)],
+]
+
+
+def _translation_agrees_with_naive(f):
+    got = ts.check_translation(f)
+    expected = naive_check_translation(f)
+    assert _witness_key(got.witness) == _witness_key(expected)
+    assert (got.ok, got.pairs_checked, got.note) == (
+        expected is None, f.domain.size() ** 2,
+        "d capped at rho_inf(x, y) per pair; all coordinates saturate beyond")
+    return got
+
+
+@pytest.mark.parametrize("trees", _CHAIN_DOMAINS, ids=repr)
+def test_chain_translation_matches_naive_on_random_tables(trees):
+    dom = ts.ProductDomain(trees)
+    rng = ts.SplitMix64(73)
+    verdicts = set()
+    for _ in range(12):
+        verdicts.add(_translation_agrees_with_naive(random_table_function(rng, dom, max_value=9)).ok)
+    assert False in verdicts
+
+
+@pytest.mark.parametrize("trees", _CHAIN_DOMAINS, ids=repr)
+def test_chain_translation_holds_on_verified_fixtures_as_naive_does(trees):
+    dom = ts.ProductDomain(trees)
+    for seed in range(3):
+        fixture = ts.generate("random-verified-strong", dom, seed=seed)
+        assert _translation_agrees_with_naive(fixture.function).ok
+    if all(t == ts.chain_tree(t.node_count) for t in trees):
+        for seed in range(3):
+            fixture = ts.generate("chain-separable", dom, seed=seed)
+            assert fixture.verified_properties == frozenset({"strong"})
+            assert _translation_agrees_with_naive(fixture.function).ok
+
+
+@pytest.mark.parametrize("trees", _CHAIN_DOMAINS[:2] + _CHAIN_DOMAINS[3:], ids=repr)
+def test_chain_translation_matches_naive_along_a_strong_cone_walk(trees):
+    """A seeded walk among strong-passing tables: each step moves one cell,
+    and is kept only while the strong check holds.  Both the kept tables
+    and the rejected one-cell perturbations, which fail, give the naive
+    translation scan's verdict and witness."""
+    dom = ts.ProductDomain(trees)
+    rng = ts.SplitMix64(101)
+    values = list(ts.generate("random-verified-strong", dom, seed=1).function.values)
+    kept = rejected = 0
+    for _ in range(40):
+        k = rng.below(len(values))
+        step = list(values)
+        step[k] += rng.below(9) - 4
+        f = ts.DenseTable(dom, step)
+        strong = ts.check_strong(f).ok
+        assert _translation_agrees_with_naive(f).ok == strong
+        if strong:
+            values, kept = step, kept + 1
+        else:
+            rejected += 1
+    assert kept and rejected
+
+
+def test_chain_translation_runs_the_strong_pass_then_the_d_scan_on_one_table(monkeypatch):
+    """On chains the exhaustive check materializes f once, runs the
+    meet/join pass on it, and builds the d-members only when that fails."""
+    dom = ts.ProductDomain([ts.chain_tree(4), ts.chain_tree(3)])
+    f = ts.generate("chain-separable", dom, seed=2).function
+    materialized = []
+    real = checks.materialize
+    monkeypatch.setattr(checks, "materialize", lambda f: materialized.append(f) or real(f))
+    up_down_calls = _count_calls(monkeypatch, "up_down_array")
+    strong_calls = _count_calls(monkeypatch, "meet_join_array")
+    assert ts.check_translation(f).ok
+    assert materialized == [f] and strong_calls == [dom.trees[0], dom.trees[1]]
+    assert up_down_calls == []
+    bad = ts.DenseTable(dom, [0] * 5 + [9] + [0] * 6)  # a spike at (1, 2)
+    materialized.clear()
+    strong_calls.clear()
+    got = ts.check_translation(bad)
+    assert not got.ok and materialized == [bad] and strong_calls == [dom.trees[0], dom.trees[1]]
+    # members d = 0..3 for the scan, then d = 0..witness.d for the replay
+    assert len(up_down_calls) == 2 * (4 + got.witness.d + 1)
+
+
+def test_a_failing_equivalent_pass_with_a_holding_scan_is_an_internal_error(monkeypatch):
+    f = ts.generate("chain-separable", ts.ProductDomain([ts.chain_tree(3)] * 2), seed=0).function
+    real = checks._candidate_pairs
+    passes = []
+
+    def first_flags(table, domain, family):
+        passes.append(family)
+        return (0, 1) if len(passes) == 1 else real(table, domain, family)
+
+    monkeypatch.setattr(checks, "_candidate_pairs", first_flags)
+    with pytest.raises(InternalError, match="equivalent family fails"):
+        ts.check_translation(f)
+    assert len(passes) == 2
+
+
+def test_translation_on_branching_trees_scans_every_member(monkeypatch):
+    """A domain with one branching tree keeps the d-scan: no meet/join
+    pass, and every member up to the first that swaps every pair."""
+    dom = ts.ProductDomain([ts.chain_tree(3), ts.star3_tree()])
+    rng = ts.SplitMix64(83)
+    fs = [ts.generate("random-verified-strong", dom, seed=4).function] + [
+        random_table_function(rng, dom, max_value=6) for _ in range(6)]
+    strong_calls = _count_calls(monkeypatch, "meet_join_array")
+    up_down_calls = _count_calls(monkeypatch, "up_down_array")
+    verdicts = set()
+    for f in fs:
+        strong_calls.clear()
+        up_down_calls.clear()
+        got = _translation_agrees_with_naive(f)
+        replayed = 0 if got.ok else got.witness.d + 1
+        assert strong_calls == []
+        assert up_down_calls == [dom.trees[0], dom.trees[1]] * (3 + replayed)
+        verdicts.add(got.ok)
+    assert verdicts == {True, False}
+
+
+def test_sampled_translation_on_chains_keeps_the_d_scan(monkeypatch):
+    """Sampled mode on chains maps every drawn block through the d-members
+    and never through meet/join; its reports are the scalar replay's."""
+    dom = ts.ProductDomain([ts.chain_tree(5), ts.RootedTree([2, 0, -1, 1])])
+    rng = ts.SplitMix64(89)
+    fs = [ts.generate("random-verified-strong", dom, seed=0).function] + [
+        random_table_function(rng, dom, max_value=9) for _ in range(4)]
+    strong_calls = _count_calls(monkeypatch, "meet_join_array")
+    up_down_calls = _count_calls(monkeypatch, "up_down_array")
+    for f in fs:
+        for samples, seed in ((30, 5), (1500, 11)):
+            up_down_calls.clear()
+            got = ts.check_translation(f, mode="sampled", samples=samples, seed=seed)
+            assert up_down_calls
+            expected = replay_sampled(f, sampled_steps("translation", dom), samples, seed)
+            assert (_witness_key(got.witness), got.pairs_checked, got.note) == expected
+    assert strong_calls == []
+
+
 def test_checkers_match_naive_oracle():
     dom = ts.ProductDomain([ts.chain_tree(3), ts.star3_tree()])
     rng = ts.SplitMix64(31)
@@ -669,14 +815,21 @@ def test_sampled_checks_call_the_array_op_once_per_tree_per_member_per_block(mon
 def test_exhaustive_checks_call_the_array_op_once_per_tree_per_member(monkeypatch):
     """Exhaustive op tables come from one array-op call per distinct tree
     and member, over every label pair at once, up to the first member that
-    swaps every pair; reports match the same check on meet/join tables."""
+    swaps every pair; reports match the same check on meet/join tables.
+    A holding translation check on chains builds the meet/join tables
+    alone."""
     calls = _count_calls(monkeypatch, "up_down_array")
+    strong_calls = _count_calls(monkeypatch, "meet_join_array")
     dom = ts.ProductDomain([ts.chain_tree(10)] * 3)
     f = ts.DenseTable(dom, [sum((v - 4) ** 2 for v in x) for x in dom.labelings()])
     assert ts.check_translation(f).ok
-    # members d = 0..9; up_down(9) swaps every pair of chain10
-    assert calls == [dom.trees[0]] * 10
+    assert calls == [] and strong_calls == [dom.trees[0]]
     dom = ts.ProductDomain([ts.chain_tree(3), ts.star3_tree(), ts.chain_tree(3)])
+    fixture = ts.generate("random-verified-strong", dom, seed=3)
+    strong_calls.clear()
+    assert ts.check_translation(fixture.function).ok
+    # members d = 0, 1, 2 per distinct tree; up_down(2) swaps every pair of both
+    assert calls == [dom.trees[0], dom.trees[1]] * 3 and strong_calls == []
     tables = ts.meet_join_tables(dom)
     rng = ts.SplitMix64(61)
     for _ in range(10):

@@ -163,17 +163,23 @@ class _Level(enum.IntEnum):
     HIGH = 10**20
 
 
+def _index_or_bool(v):
+    """``operator.index``, with a numpy bool read as the Python bool of its value."""
+    return operator.index(bool(v) if isinstance(v, np.bool_) else v)
+
+
 def _copy_of_the_per_cell_path(values, what):
     """Every cell through ``operator.index``, as tables and terms were read
-    before the type pass; the reference for ``plain_ints``."""
+    before the type pass, a numpy bool as its Python bool; the reference
+    for ``plain_ints``."""
     if type(values) is tuple and {int}.issuperset(map(type, values)):
         return values
     try:
-        return tuple(map(operator.index, values))
+        return tuple(map(_index_or_bool, values))
     except TypeError:
         for k, v in enumerate(values):
             try:
-                operator.index(v)
+                _index_or_bool(v)
             except TypeError:
                 raise DomainError(f"{what} cell {k} holds {v!r}, not an integer") from None
         raise
@@ -191,6 +197,7 @@ _CELL_SETS = [
     [True, 4, False],
     [_Level.LOW, _Level.HIGH, 1],
     [np.int64(4), np.uint8(200), 2],
+    [np.True_, 3, np.False_],
     [1, 2.0, 3],
     [0, 1, 2.5],
     ["7", 0, 1],
@@ -270,7 +277,8 @@ class _Bit(enum.IntEnum):
     ONE = 1
 
 
-_LABEL_TYPES = {"bool": bool, "IntEnum": _Bit, "numpy int64": np.int64, "numpy uint8": np.uint8}
+_LABEL_TYPES = {"bool": bool, "IntEnum": _Bit, "numpy int64": np.int64, "numpy uint8": np.uint8,
+                "numpy bool": np.bool_}
 
 
 @pytest.mark.parametrize("kind", sorted(_LABEL_TYPES))
@@ -295,6 +303,34 @@ def test_labels_of_any_integer_type_give_plain_int_results(kind):
         rows = [[as_kind(v) for v in row] for row in plain_rows.tolist()]
         for kind_rows in (np.array(rows), np.array(rows, dtype=object)):
             assert f.values_at(kind_rows).tolist() == f.values_at(plain_rows).tolist()
+
+
+@pytest.mark.parametrize("bit", [False, True])
+def test_python_bools_numpy_bools_and_bool_arrays_read_as_one_label(bit):
+    """A Python bool, a numpy bool scalar and a bool array cell are the
+    same 0/1 label to ``check_node``, ``evaluate``, ``grid`` and
+    ``values_at``, and the same denominator."""
+    tree = ts.chain_tree(2)
+    dom = ts.ProductDomain([tree, tree])
+    plain = (int(bit), int(not bit))
+    for f in (ts.DenseTable(dom, [0, 5, 7, 11]), ts.SumOfTerms(dom, [ts.Term((0, 1), (0, 5, 7, 11))])):
+        expected = f.evaluate(plain)
+        for as_bool in (bool, np.bool_):
+            x = tuple(map(as_bool, plain))
+            assert [tree.check_node(v) for v in x] == list(plain)
+            assert all(type(tree.check_node(v)) is int for v in x)
+            assert f.evaluate(x) == expected
+            assert f.grid([(v,) for v in x]).tolist() == [[expected]]
+            assert f.values_at(np.array([x], dtype=object)).tolist() == [expected]
+        assert f.values_at(np.array([plain], dtype=bool)).tolist() == [expected]
+    for as_bool in (bool, np.bool_):
+        given = as_bool(bit)
+        if bit:
+            assert ts.DenseTable(dom, [0, 5, 7, 11], denominator=given).denominator == 1
+            assert type(ts.SumOfTerms(dom, [], denominator=given).denominator) is int
+        else:
+            with pytest.raises(DomainError, match="must be a positive integer"):
+                ts.DenseTable(dom, [0, 5, 7, 11], denominator=given)
 
 
 _SCOPES = {
@@ -336,8 +372,8 @@ def test_a_scope_entry_that_is_not_an_integer_is_named(scope, message):
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("given, read", [(True, 1), (np.int64(2), 2), (np.uint8(4), 4), (_Level.LOW, 3)],
-                         ids=repr)
+@pytest.mark.parametrize("given, read", [(True, 1), (np.True_, 1), (np.int64(2), 2), (np.uint8(4), 4),
+                                         (_Level.LOW, 3)], ids=repr)
 def test_integer_denominators_are_read_as_plain_ints_and_round_trip(given, read):
     dom = ts.ProductDomain([ts.chain_tree(2)])
     for f in (ts.DenseTable(dom, [1, 2], denominator=given),
