@@ -12,9 +12,7 @@ from . import errors
 from .checks import (
     CheckReport,
     ViolationWitness,
-    check_cube_submodular,
     check_multimorphism,
-    check_sign_box_bisubmodular,
     check_strong,
     check_translation,
     check_weak,
@@ -108,9 +106,7 @@ __all__ = [
     "bisub_brute",
     "bisub_minnorm",
     "chain_tree",
-    "check_cube_submodular",
     "check_multimorphism",
-    "check_sign_box_bisubmodular",
     "check_strong",
     "check_translation",
     "check_weak",

@@ -14,6 +14,8 @@ coordinate; a pair violates the property when it violates any member:
 * ``check_translation``  -- the directed d-step family, one member per
                             d >= 0 (a pair's scan ends once every
                             coordinate saturates, by d = rho_inf(x, y));
+                            on chain products an exhaustive check runs
+                            the strong pass first;
 * ``check_multimorphism``-- one member of arbitrary per-tree tables.
 
 All four run through one pair checker.  Exhaustive mode enumerates pairs
@@ -23,16 +25,6 @@ across runs and implementations.  Sampled mode draws pairs i.i.d.
 uniform by rank from a seeded stream; it proves nothing and its report
 says so.
 
-On a product of chains, read by depth, meet/join is
-(floor((x+y)/2), ceil((x+y)/2)) and up_down(x, y, d) is
-(min(y, x + d), max(y - d, x)) per coordinate: the strong inequality is
-discrete midpoint convexity and the d-family is translation
-submodularity, which are equivalent on a box (Murota, *Discrete Convex
-Analysis*, SIAM 2003, Thm 7.7).  There an exhaustive translation check
-runs the one-member strong pass first, and scans the d-family only for
-the witness of a failing one.  Branching trees and sampled mode scan
-the d-family alone.
-
 Ops map label arrays.  A coordinate op is a list of groups (map, columns),
 one per distinct tree (per coordinate for op tables), and ``_apply`` runs
 each group once over its columns of a block of label rows: drawn pairs
@@ -40,28 +32,23 @@ in sampled mode, or one flagged pair for its exact replay.  Exhaustive
 op tables come from each group's map on its tree's index grid.
 
 Costs are integers, so verdicts are exact.  An exhaustive check takes a
-vectorized pass that walks rank(x) in row blocks of at most 2^14 pairs,
-building the ranks of op(x, y) by broadcasting per-coordinate op table
-rows, and stops at the first block holding a violation.  When every
-member's op tables are symmetric, as meet/join and wedge/vee are, a pair
-and its mirror (y, x) violate together, so the first violating pair has
-rank(x) <= rank(y); each block then compares its rows only with the y
-whose first label is at least that of its first row, about half of all
-pairs, and flags the same first pair as the full scan.  Reports still
-count the |D|^2 ordered pairs.  The values' size picks the arrays'
-dtype: int64 when every sum of two costs fits, else object, whose cells
-are exact Python ints; the pass is the same code on either.  Besides
-the op tables, its arrays hold O(2^14 + |D|) elements whatever |D|,
-about 0.6 MB of traced memory at |D| = 1000.  A block array of 2^14
-8-byte cells is 128 KiB, glibc's default mmap threshold, so the
-allocator reuses heap memory for it; larger arrays were mapped or
-trimmed and faulted in afresh on every allocation.  A row longer than
-2^14 cells (|D| > 16,384, within reach only under a raised
-TREESUB_BUDGET) is still larger than the threshold.  The pass only flags
-the first violating pair, and its witness comes from the exact replay.
+vectorized pass that walks rank(x) in row blocks of at most
+``_BLOCK_CELLS`` pairs, building the ranks of op(x, y) by broadcasting
+per-coordinate op table rows, and stops at the first block holding a
+violation.  When every member's op tables are symmetric, as meet/join
+and wedge/vee are, a pair and its mirror (y, x) violate together, so
+the first violating pair has rank(x) <= rank(y); each block then
+compares its rows only with the y whose first label is at least that of
+its first row, about half of all pairs, and flags the same first pair
+as the full scan.  Reports still count the |D|^2 ordered pairs.  The
+values' size picks the arrays' dtype: int64 when every sum of two costs
+fits, else object, whose cells are exact Python ints; the pass is the
+same code on either.  Besides the op tables, its arrays hold
+O(2^14 + |D|) elements whatever |D|, about 0.6 MB of traced memory at
+|D| = 1000.  The pass only flags the first violating pair, and its
+witness comes from the exact replay.
 
-Sampled mode builds no tables.  It draws its pairs in a first block of
-2^6, so that a common violation costs little, then in blocks of 2^10,
+Sampled mode builds no tables.  It draws its pairs in blocks of 2^10
 and takes each block through the family as arrays, one call per group
 and member.  A pair leaves the pass at the first member that swaps it
 or that it violates, and both sides of every comparison come from one
@@ -91,22 +78,21 @@ from .functions import (
     sum_dtype,
 )
 from .rng import SplitMix64
-from .solvers import BinaryCubeFunction, SignBoxFunction
-from .trees import RootedTree, meet_join_array, plain_int, up_down_array
+from .trees import meet_join_array, plain_int, up_down_array
 # These four scalar names stay only for perfbench/tracer.py, which patches them here.
 from .trees import meet_join, rho, up_down, wedge_vee  # noqa: F401
 
 # Pairs per row block of the vectorized path.  2^14 8-byte cells are
-# 128 KiB, glibc's default mmap threshold.  Larger block temporaries
-# are mapped or trimmed and faulted in afresh on every allocation, and
-# those page faults cost more than the numpy work of the block.
+# 128 KiB, glibc's default mmap threshold, so the allocator reuses heap
+# memory for a block.  Larger block temporaries are mapped or trimmed
+# and faulted in afresh on every allocation, and those page faults cost
+# more than the numpy work of the block.  A row longer than 2^14 cells
+# (|D| > 16,384, within reach only under a raised TREESUB_BUDGET) is
+# still larger than the threshold.
 _BLOCK_CELLS = 1 << 14
 
-# Drawn pairs per block of a sampled check.  A small first block finds
-# a violation that is common among the pairs without drawing and mapping
-# a full block; later blocks take a fixed amount of memory each, and
-# 1,000 samples, the default, take two blocks.
-_FIRST_SAMPLE_PAIRS = 1 << 6
+# Drawn pairs per block of a sampled check: each block takes a fixed
+# amount of memory, and 1,000 samples, the default, take one block.
 _SAMPLE_PAIRS = 1 << 10
 
 
@@ -280,9 +266,7 @@ def _candidate_pairs(table: DenseTable, domain: ProductDomain, family: OpFamily)
     """The first flagged rank pair (xr, yr) in (rank(x), rank(y)) order, or None.
 
     A vectorized pass walks rank(x) in row blocks of at most
-    ``_BLOCK_CELLS`` = 2^14 pairs (one row when |D| exceeds it), so
-    every block-sized array stays within glibc's 128 KiB mmap threshold
-    unless one row alone outgrows it.  A block ORs
+    ``_BLOCK_CELLS`` pairs (one row when |D| exceeds it).  A block ORs
     every member's violations, up to the first member that swaps every
     pair, and the pass returns only the first flagged pair of the first
     block holding one: blocks run in rank(x) order and argmax scans a
@@ -337,21 +321,17 @@ def _flagged_sample(f: CostFunction, domain: ProductDomain, family: OpFamily,
     sample index s, or None.
 
     Pairs are drawn as rank(x) then rank(y) per sample from
-    ``SplitMix64(seed)``, in a first block of ``_FIRST_SAMPLE_PAIRS`` and
-    then blocks of ``_SAMPLE_PAIRS``, each bound computed as its block
-    is reached; the draws are the same whatever the blocks.  A block
-    walks the members in list order; a pair leaves at the first member
-    that maps it to (y, x), where ``_first_violation`` stops, or that it
-    violates.  Pairs after a flagged one leave too,
-    since only the first counts.  The first member reads f(x) and f(y) in
-    the same oracle call as its own two labelings.
+    ``SplitMix64(seed)``, in blocks of ``_SAMPLE_PAIRS``; the draws are
+    the same whatever the blocks.  A block walks the members in list
+    order; a pair leaves at the first member that maps it to (y, x),
+    where ``_first_violation`` stops, or that it violates.  Pairs after a
+    flagged one leave too, since only the first counts.  The first member
+    reads f(x) and f(y) in the same oracle call as its own two labelings.
     """
     size = domain.size()
     rng = SplitMix64(seed)
-    start = 0
-    while start < samples:
-        stop = min(samples, start + (_SAMPLE_PAIRS if start else _FIRST_SAMPLE_PAIRS))
-        count = stop - start
+    for start in range(0, samples, _SAMPLE_PAIRS):
+        count = min(_SAMPLE_PAIRS, samples - start)
         digs = _digits(domain, rng.below_array(size, 2 * count))
         x, y = digs[0::2], digs[1::2]
         rows = np.arange(count)
@@ -378,7 +358,6 @@ def _flagged_sample(f: CostFunction, domain: ProductDomain, family: OpFamily,
             rows, lhs = rows[keep], lhs[keep]
         if flagged < count:
             return start + flagged, tuple(x[flagged].tolist()), tuple(y[flagged].tolist())
-        start = stop
     return None
 
 
@@ -524,25 +503,24 @@ def check_translation(
     shared scan of the pair ends there.  The witness carries the smallest
     violating d, which is below rho_inf(x, y), as a capped scan reports.
 
-    On a product of chains a holding exhaustive check costs one strong
-    check.  Read by depth, a chain's labels are 0..n-1, ``meet_join(x,
-    y)`` is (floor((x+y)/2), ceil((x+y)/2)) and ``up_down(x, y, d)`` is
-    (min(y, x + d), max(y - d, x)).  So strong is discrete midpoint
-    convexity and the d-family is translation submodularity with p = y,
-    q = x, alpha = d, both over a box (f is +inf outside it, and both
-    ops map two box points into the box); the two are equivalent
-    (Murota, *Discrete Convex Analysis*, SIAM 2003, Thm 7.7).  The strong
-    pass runs first on the materialized table, and a holding one gives
-    the report the d-scan would give; after a failing one the d-scan
-    runs as before for the first witness.  On a branching tree strong
-    implies translation only by experiment, so such a domain, and
-    sampled mode on any domain, scan the d-family alone.
+    On a product of chains an exhaustive check runs the strong pass
+    first, on the materialized table: a holding one gives the report the
+    d-scan would give, and after a failing one the d-scan runs as before
+    for the first witness.  Branching trees, and sampled mode on any
+    domain, scan the d-family alone.
     """
     domain = own_domain(f, domain)
     steps = range(max(t.node_count for t in domain.trees))
     note = "d capped at rho_inf(x, y) per pair; all coordinates saturate beyond"
-    # Murota (2003), Thm 7.7: on a box of Z^n, discrete midpoint convexity
-    # (strong on chains) holds iff translation submodularity does
+    # Read by depth, a chain's labels are 0..n-1, meet_join(x, y) is
+    # (floor((x+y)/2), ceil((x+y)/2)) and up_down(x, y, d) is
+    # (min(y, x + d), max(y - d, x)).  So on a product of chains strong is
+    # discrete midpoint convexity and the d-family is translation
+    # submodularity with p = y, q = x, alpha = d, both over a box (f is
+    # +inf outside it, and both ops map two box points into the box); the
+    # two are equivalent (Murota, *Discrete Convex Analysis*, SIAM 2003,
+    # Thm 7.7).  On a branching tree strong implies translation only by
+    # experiment.
     chains = all(t.is_chain() for t in domain.trees)
     return _pair_check(f, domain, lambda: [(d, _tree_op(domain, up_down_array, d)) for d in steps],
                        "translation", mode, samples, seed, note,
@@ -555,59 +533,3 @@ def _property_checks() -> dict[str, Callable[..., CheckReport]]:
     is the one that runs."""
     return {"strong": check_strong, "weak": check_weak, "translation": check_translation}
 
-
-# ---------------------------------------------------------------------------
-# Restriction checks used by the descent neighborhoods
-
-
-def check_cube_submodular(g: BinaryCubeFunction) -> CheckReport:
-    """Exhaustive submodularity check of a binary-cube restriction.
-
-    The cube over the free coordinates is a product of 2-node chains, on
-    which the midpoint pair coincides with set intersection/union, so the
-    generic strong check applies.  Witness labelings are reported as
-    sorted tuples of the free coordinate ids in each subset.
-    """
-    free = g.free
-
-    def to_subset(bits):
-        return frozenset(i for i, b in zip(free, bits) if b)
-
-    return _restriction_check("submodular-cube", [RootedTree([-1, 0]) for _ in free],
-                              g.evaluate, to_subset, lambda bits: tuple(sorted(to_subset(bits))))
-
-
-def check_sign_box_bisubmodular(h: SignBoxFunction) -> CheckReport:
-    """Exhaustive bisubmodularity check of a sign-box restriction.
-
-    Each coordinate's allowed signs embed into a 1-3 node rooted tree on
-    which the midpoint pair realizes join = sign(a+b) and
-    meet = |ab| * sign(a+b), so the generic strong check applies: node 0
-    is sign 0, and the nonzero allowed signs follow in ascending order as
-    children of the root.  Witnesses are reported as sign vectors.
-    """
-    sign_maps = [(0,) + tuple(s for s in allowed if s) for allowed in h.allowed]
-
-    def to_signs(labels):
-        return tuple(sign_maps[i][v] for i, v in enumerate(labels))
-
-    trees = [RootedTree([-1] + [0] * (len(signs) - 1)) for signs in sign_maps]
-    return _restriction_check("bisubmodular-box", trees, h.evaluate, to_signs, to_signs)
-
-
-def _restriction_check(name, trees, evaluate, to_arg, to_witness) -> CheckReport:
-    """Strong check of a restriction embedded into a product of small trees.
-
-    ``to_arg`` maps a labeling of the trees to the restriction's argument
-    and ``to_witness`` to the form its witnesses are reported in.
-    """
-    if not trees:
-        return CheckReport(name, "exhaustive", True, None, 1, note="no free coordinates")
-    domain = ProductDomain(trees)
-    _require_exhaustible(domain.size())  # refuse before any evaluation
-    values = [evaluate(to_arg(labels)) for labels in domain.labelings()]
-    report = check_strong(DenseTable(domain, values))
-    w = report.witness
-    if w is not None:
-        w = ViolationWitness(name, to_witness(w.x), to_witness(w.y), None, w.lhs, w.rhs)
-    return CheckReport(name, report.mode, report.ok, w, report.pairs_checked, report.note)

@@ -342,20 +342,34 @@ def _error(message: str) -> None:
 # Commands
 
 
+def _refuse_unread(subject: str, flags) -> None:
+    """Refuse the first of the (flag, value, read) triples whose flag was
+    given (its value is not None) to a ``subject`` that does not read it."""
+    for flag, value, read in flags:
+        if value is not None and not read:
+            raise DomainError(f"{subject} does not read {flag}")
+
+
 def _cmd_check(args) -> int:
+    multimorphism = args.property == "multimorphism"
+    _refuse_unread(f"property {args.property!r}", [("--ops", args.ops, multimorphism)])
+    sampled = args.mode == "sampled"
+    _refuse_unread(f"mode {args.mode!r}", [("--samples", args.samples, sampled),
+                                           ("--seed", args.seed, sampled)])
     domain, function, _ = parse_instance(args.instance)
-    mode = args.mode
-    kwargs = dict(mode=mode, samples=args.samples, seed=args.seed)
-    if args.property == "multimorphism":
+    # flags left out take the checkers' own defaults
+    kwargs = {k: v for k, v in (("samples", args.samples), ("seed", args.seed)) if v is not None}
+    kwargs["mode"] = args.mode
+    if multimorphism:
+        ops = args.ops or "meet-join"
         builders = {
             "meet-join": checks.meet_join_tables,
             "wedge-vee": checks.wedge_vee_tables,
             "min-max": checks.min_max_tables,
             "projections": checks.projection_tables,
         }
-        op_pair = builders[args.ops](domain)
         report = checks.check_multimorphism(
-            function, domain, op_pair, name=f"multimorphism:{args.ops}", **kwargs
+            function, domain, builders[ops](domain), name=f"multimorphism:{ops}", **kwargs
         )
     else:
         report = checks._property_checks()[args.property](function, domain, **kwargs)
@@ -394,13 +408,19 @@ def _parse_start(raw: str | None, metadata: dict, domain: ProductDomain, path: s
 
 
 def _cmd_minimize(args) -> int:
+    descends = args.solver == "descent"
+    _refuse_unread(f"solver {args.solver!r}", [("--engine", args.engine, descends),
+                                               ("--start", args.start, descends),
+                                               ("--trace", args.trace, descends),
+                                               ("--diagnostics", args.diagnostics, descends)])
+    engine = args.engine or "brute"
     domain, function, metadata = parse_instance(args.instance)
     start = _parse_start(args.start, metadata, domain, args.instance)
     record: dict = {
         "command": "minimize",
         "instance": args.instance,
         "solver": args.solver,
-        "engine": args.engine,
+        "engine": engine,
         "s1_steps": None,
         "s2_steps": None,
         "certificate": None,
@@ -410,15 +430,15 @@ def _cmd_minimize(args) -> int:
     elif args.solver == "weak":
         x, value = weak.minimize_weak(function, domain)
     else:
-        inward = "brute" if args.engine == "brute" else "wolfe"
-        outward = "brute" if args.engine == "brute" else "minnorm"
+        inward = "brute" if engine == "brute" else "wolfe"
+        outward = "brute" if engine == "brute" else "minnorm"
         x, value, trace = descent.minimize(
             function,
             domain,
             start,
             inward_engine=inward,
             outward_engine=outward,
-            diagnostics=args.diagnostics,
+            diagnostics=bool(args.diagnostics),
         )
         record["s1_steps"] = trace.s1_steps
         record["s2_steps"] = trace.s2_steps
@@ -487,14 +507,12 @@ def _spec_number(token: str, prefix: str) -> int:
 def _cmd_generate(args) -> int:
     catalog = args.kind == "fixture-catalog"
     drawn = args.kind in ("random-verified-strong", "random-verified-weak")
-    for flag, value, read in (("--name", args.name, catalog),
-                              ("--tree-spec", args.tree_spec, not catalog),
-                              ("--n", args.n, not catalog),
-                              ("--seed", args.seed, not catalog),
-                              ("--max-value", args.max_value, not catalog),
-                              ("--attempts", args.attempts, drawn)):
-        if value is not None and not read:
-            raise DomainError(f"kind {args.kind!r} does not read {flag}")
+    _refuse_unread(f"kind {args.kind!r}", [("--name", args.name, catalog),
+                                           ("--tree-spec", args.tree_spec, not catalog),
+                                           ("--n", args.n, not catalog),
+                                           ("--seed", args.seed, not catalog),
+                                           ("--max-value", args.max_value, not catalog),
+                                           ("--attempts", args.attempts, drawn)])
     if catalog:
         fixture = generate("fixture-catalog", name=args.name)
         seed = None
@@ -624,13 +642,17 @@ def _build_parser() -> argparse.ArgumentParser:
         default="strong",
     )
     p_check.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
-    p_check.add_argument("--samples", type=int, default=1000)
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--samples", type=int,
+                         help="pairs drawn in sampled mode (default: 1000); "
+                              "exhaustive mode refuses it")
+    p_check.add_argument("--seed", type=int,
+                         help="seed of sampled mode's draws (default: 0); "
+                              "exhaustive mode refuses it")
     p_check.add_argument(
         "--ops",
         choices=("meet-join", "wedge-vee", "min-max", "projections"),
-        default="meet-join",
-        help="operation pair for --property multimorphism",
+        help="operation pair for --property multimorphism (default: meet-join); "
+             "other properties refuse it",
     )
     p_check.add_argument("--out")
     p_check.set_defaults(func=_cmd_check)
@@ -638,11 +660,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_min = sub.add_parser("minimize", help="minimize an instance")
     p_min.add_argument("instance")
     p_min.add_argument("--solver", choices=("descent", "brute", "weak"), default="descent")
-    p_min.add_argument("--engine", choices=("brute", "minnorm"), default="brute",
-                       help="inner engines for descent: brute, or min-norm-point")
+    # --solver brute and weak refuse the four descent flags
+    p_min.add_argument("--engine", choices=("brute", "minnorm"),
+                       help="inner engines for descent: brute (default), or min-norm-point")
     p_min.add_argument("--start", help="comma-separated start labeling")
-    p_min.add_argument("--trace", action="store_true", help="include the value sequence")
-    p_min.add_argument("--diagnostics", action="store_true",
+    p_min.add_argument("--trace", action="store_true", default=None,
+                       help="include the value sequence")
+    p_min.add_argument("--diagnostics", action="store_true", default=None,
                        help="include ideal/filter distance traces (exponential)")
     p_min.add_argument("--out")
     p_min.set_defaults(func=_cmd_minimize)

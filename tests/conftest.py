@@ -8,6 +8,7 @@ double loops over labelings.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -137,6 +138,43 @@ def naive_check_translation(f: ts.CostFunction) -> ts.ViolationWitness | None:
     return None
 
 
+def naive_cube_violation(g: ts.BinaryCubeFunction):
+    """First (A, B, lhs, rhs) with g(A) + g(B) < g(A & B) + g(A | B), or None.
+
+    A and B run over the subsets of ``g.free``, by size and then in
+    ``itertools.combinations`` order.  Every subset is evaluated once.
+    """
+    subsets = [frozenset(c) for r in range(len(g.free) + 1)
+               for c in itertools.combinations(g.free, r)]
+    value = {a: g.evaluate(a) for a in subsets}
+    for a in subsets:
+        for b in subsets:
+            lhs, rhs = value[a] + value[b], value[a & b] + value[a | b]
+            if lhs < rhs:
+                return a, b, lhs, rhs
+    return None
+
+
+def naive_box_violation(h: ts.SignBoxFunction):
+    """First (a, b, lhs, rhs) with h(a) + h(b) < h(a meet b) + h(a join b), or None.
+
+    a and b run over the sign vectors of the box in ``itertools.product``
+    order of ``h.allowed``.  Per coordinate the meet is a_i where
+    a_i == b_i, else 0, and the join is sign(a_i + b_i).  Every cell is
+    evaluated once.
+    """
+    cells = list(itertools.product(*h.allowed))
+    value = {a: h.evaluate(a) for a in cells}
+    for a in cells:
+        for b in cells:
+            meet = tuple(p if p == q else 0 for p, q in zip(a, b))
+            join = tuple((p + q > 0) - (p + q < 0) for p, q in zip(a, b))
+            lhs, rhs = value[a] + value[b], value[meet] + value[join]
+            if lhs < rhs:
+                return a, b, lhs, rhs
+    return None
+
+
 def chain_check(values, prop: str):
     """First violation, as (x, y, d, lhs, rhs), of the strong or weak
     inequality for the table ``values`` over one chain, in rank order.
@@ -171,14 +209,16 @@ def sampled_steps(prop: str, domain: ts.ProductDomain):
     "strong" and "weak" give the midpoint and wedge/vee pair; "min-max"
     gives per-coordinate min and max, for chain domains, whose labels are
     their depths; "translation" gives the up/down pair for d = 0 up to
-    rho_inf(x, y).
+    rho_inf(x, y).  Each steps function computes a tree op once per
+    distinct (tree, a, b, d).
     """
     if prop == "translation":
-        return lambda x, y: [(d, *_coordwise(domain, ts.up_down, x, y, d))
+        up_down = functools.cache(ts.up_down)
+        return lambda x, y: [(d, *_coordwise(domain, up_down, x, y, d))
                              for d in range(ts.rho_inf(domain, x, y) + 1)]
     if prop == "min-max":
         return lambda x, y: [(None, tuple(map(min, x, y)), tuple(map(max, x, y)))]
-    op = {"strong": ts.meet_join, "weak": ts.wedge_vee}[prop]
+    op = functools.cache({"strong": ts.meet_join, "weak": ts.wedge_vee}[prop])
     return lambda x, y: [(None, *_coordwise(domain, op, x, y))]
 
 
@@ -189,16 +229,17 @@ def replay_sampled(f: ts.CostFunction, steps, samples: int, seed: int):
     Each sample draws rank(x) then rank(y) from ``SplitMix64(seed)`` and
     scans ``steps(x, y)`` in order; the first sample with some
     f(x)+f(y) < f(op1)+f(op2) ends the scan, and its first such step is
-    the witness (x, y, d, lhs, rhs).
+    the witness (x, y, d, lhs, rhs).  Each labeling is evaluated once.
     """
     domain = f.domain
+    value = functools.cache(f.evaluate)
     rng = ts.SplitMix64(seed)
     for s in range(samples):
         x = domain.unrank(rng.below(domain.size()))
         y = domain.unrank(rng.below(domain.size()))
-        lhs = f.evaluate(x) + f.evaluate(y)
+        lhs = value(x) + value(y)
         for d, up, down in steps(x, y):
-            rhs = f.evaluate(up) + f.evaluate(down)
+            rhs = value(up) + value(down)
             if lhs < rhs:
                 return (x, y, d, lhs, rhs), s + 1, f"violation found at sample {s + 1} of {samples}"
     return None, samples, f"no violation found in {samples} samples; not a proof"

@@ -11,7 +11,6 @@ import pytest
 import treesub as ts
 from treesub import checks
 from treesub.errors import BudgetExceededError, DomainError, InternalError
-from treesub.solvers import BinaryCubeFunction, SignBoxFunction
 
 from conftest import (
     chain_check,
@@ -667,6 +666,25 @@ def test_sampled_reports_match_the_scalar_replay_past_one_block(prop):
     assert max(p for p in pairs if p < samples) > checks._SAMPLE_PAIRS
 
 
+@pytest.mark.parametrize("samples, low, seed", [
+    (1023, (3, 2, 4, 3), 0),   # every property holds over a block less one pair
+    (1024, (1, 2, 0, 0), 12),  # strong and translation fail at the last pair of a block
+    (1025, (1, 1, 4, 0), 5),   # strong and translation fail at the first pair of a block
+    (2048, (3, 2, 4, 3), 0),   # every property fails at sample 1545
+    (2049, (3, 5, 6, 0), 15),  # every property fails in a last block of one pair
+])
+@pytest.mark.parametrize("prop", ["strong", "weak", "min-max", "translation"])
+def test_sampled_reports_match_the_scalar_replay_at_block_edges(prop, samples, low, seed):
+    """Sample counts one short of, at and one past a block edge, on a flat
+    table with one low cell."""
+    dom = ts.ProductDomain([ts.chain_tree(7)] * 4)
+    values = [0] * dom.size()
+    values[dom.rank(low)] = -1
+    f = ts.DenseTable(dom, values)
+    report = _sampled_check(prop, f, samples, seed)
+    assert _sampled_key(report) == replay_sampled(f, sampled_steps(prop, dom), samples, seed)
+
+
 def test_sampled_checks_stay_within_a_block_of_memory():
     """200,000 samples keep the traced peak to a few block arrays (a block
     of 4 x 2^10 labelings of arity 2 is 64 KiB as int64); the 400,000
@@ -796,9 +814,7 @@ def test_sampled_checks_call_the_array_op_once_per_tree_per_member_per_block(mon
         for samples in (40, 2500):
             calls.clear()
             report = ts.check_strong(f, mode="sampled", samples=samples, seed=9)
-            # a first block of _FIRST_SAMPLE_PAIRS, then blocks of _SAMPLE_PAIRS
-            rest = max(0, report.pairs_checked - checks._FIRST_SAMPLE_PAIRS)
-            blocks = 1 + -(-rest // checks._SAMPLE_PAIRS)
+            blocks = -(-report.pairs_checked // checks._SAMPLE_PAIRS)
             assert len(calls) == blocks + (not report.ok)
             verdicts.add(report.ok)
             assert report == ts.check_multimorphism(f, op_pair=tables, mode="sampled",
@@ -809,7 +825,7 @@ def test_sampled_checks_call_the_array_op_once_per_tree_per_member_per_block(mon
         f = ts.SumOfTerms(ts.ProductDomain(trees), [])
         calls.clear()
         assert ts.check_strong(f, mode="sampled", samples=3000, seed=9).ok
-        assert calls == list(dict.fromkeys(trees)) * 4  # 64 + 1024 + 1024 + 888 pairs
+        assert calls == list(dict.fromkeys(trees)) * 3  # 1024 + 1024 + 952 pairs
 
 
 def test_exhaustive_checks_call_the_array_op_once_per_tree_per_member(monkeypatch):
@@ -944,63 +960,3 @@ def test_multimorphism_table_labels_of_any_integer_type():
     with pytest.raises(DomainError) as err:
         ts.check_multimorphism(f, dom, (floats, op2))
     assert str(err.value) == "op1: table 0 holds invalid label 0.0"
-
-
-# ---------------------------------------------------------------------------
-# Cube / sign-box restriction checks
-
-
-def test_cube_check_flags_supermodular():
-    good = BinaryCubeFunction(m=3, free=(0, 1, 2), evaluate=lambda A: len(A) * (3 - len(A)))
-    assert ts.check_cube_submodular(good).ok
-    # convex of cardinality is strictly supermodular: g({0})+g({1}) < g(both)+g(none)
-    bad = BinaryCubeFunction(m=2, free=(0, 1), evaluate=lambda A: len(A) * len(A))
-    report = ts.check_cube_submodular(bad)
-    assert not report.ok
-    # first violating pair in rank order: subsets {1} and {0}
-    assert report.witness.x == (1,) and report.witness.y == (0,)
-    assert report.witness.lhs == 2 and report.witness.rhs == 4
-
-
-def test_cube_check_empty_free():
-    g = BinaryCubeFunction(m=2, free=(), evaluate=lambda A: 5)
-    assert ts.check_cube_submodular(g).ok
-    report = ts.check_cube_submodular(BinaryCubeFunction(m=0, free=(), evaluate=lambda A: 5))
-    assert report.ok and report.witness is None and report.pairs_checked == 1
-
-
-def test_restriction_checks_refuse_before_any_evaluation(monkeypatch):
-    monkeypatch.setenv("TREESUB_BUDGET", "10")
-    calls = []
-
-    def counted(arg):
-        calls.append(arg)
-        return 0
-
-    cube = BinaryCubeFunction(m=16, free=tuple(range(16)), evaluate=counted)
-    with pytest.raises(BudgetExceededError) as cube_err:
-        ts.check_cube_submodular(cube)
-    box = SignBoxFunction(m=8, allowed=((-1, 0, 1),) * 8, evaluate=counted)
-    with pytest.raises(BudgetExceededError) as box_err:
-        ts.check_sign_box_bisubmodular(box)
-    assert calls == []
-    assert str(cube_err.value) == (
-        "domain size 65536: 4294967296 pairs exceed budget 10; "
-        "raise TREESUB_BUDGET or use sampled mode"
-    )
-    assert "domain size 6561: 43046721 pairs exceed budget 10" in str(box_err.value)
-
-
-def test_sign_box_check():
-    ok_fn = SignBoxFunction(m=2, allowed=((-1, 0, 1), (-1, 0)), evaluate=lambda s: sum(s))
-    assert ts.check_sign_box_bisubmodular(ok_fn).ok
-    # root spike on one ternary coordinate: h(0) = 1, h(+-1) = 0
-    bad = SignBoxFunction(m=1, allowed=((-1, 0, 1),), evaluate=lambda s: int(s[0] == 0))
-    report = ts.check_sign_box_bisubmodular(bad)
-    assert not report.ok
-    assert set(report.witness.x + report.witness.y) == {-1, 1}
-    # the empty box has no coordinates, like a cube with no free ones
-    empty = SignBoxFunction(m=0, allowed=(), evaluate=lambda s: 5)
-    assert ts.bisub_brute(empty) == ((), 5)
-    report = ts.check_sign_box_bisubmodular(empty)
-    assert report.ok and report.witness is None and report.pairs_checked == 1

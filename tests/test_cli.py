@@ -720,6 +720,62 @@ def test_generate_refuses_a_flag_its_kind_does_not_read(flags, flag, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["minimize", "--solver", "brute", "--engine", "minnorm"],
+     "solver 'brute' does not read --engine"),
+    (["minimize", "--solver", "brute", "--engine", "brute"],
+     "solver 'brute' does not read --engine"),
+    (["minimize", "--solver", "weak", "--start", "4,4"], "solver 'weak' does not read --start"),
+    (["minimize", "--solver", "brute", "--trace"], "solver 'brute' does not read --trace"),
+    (["minimize", "--solver", "weak", "--diagnostics"],
+     "solver 'weak' does not read --diagnostics"),
+    (["minimize", "--solver", "brute", "--engine", "minnorm", "--start", "4", "--trace",
+      "--diagnostics"], "solver 'brute' does not read --engine"),
+    (["check", "--ops", "projections"], "property 'strong' does not read --ops"),
+    (["check", "--property", "translation", "--mode", "sampled", "--ops", "meet-join"],
+     "property 'translation' does not read --ops"),
+    (["check", "--samples", "5"], "mode 'exhaustive' does not read --samples"),
+    (["check", "--property", "weak", "--mode", "exhaustive", "--seed", "0"],
+     "mode 'exhaustive' does not read --seed"),
+    (["check", "--ops", "projections", "--samples", "5", "--seed", "9"],
+     "property 'strong' does not read --ops"),
+])
+def test_minimize_and_check_refuse_a_flag_they_do_not_read(flags, message, tmp_path, capsys):
+    """Refused before the instance is read: the file named does not exist."""
+    out = tmp_path / "r.json"
+    argv = [flags[0], str(tmp_path / "missing.json"), *flags[1:], "--out", str(out)]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("left_out, given, expect", [
+    (["minimize"], ["minimize", "--engine", "brute"], {"engine": "brute"}),
+    (["check", "--property", "multimorphism"],
+     ["check", "--property", "multimorphism", "--ops", "meet-join"],
+     {"property": "multimorphism:meet-join"}),
+    (["check", "--mode", "sampled"], ["check", "--mode", "sampled", "--samples", "1000",
+                                      "--seed", "0"],
+     {"pairs_checked": 1000, "note": "no violation found in 1000 samples; not a proof"}),
+    (["check", "--property", "multimorphism", "--mode", "sampled"],
+     ["check", "--property", "multimorphism", "--mode", "sampled", "--ops", "meet-join",
+      "--samples", "1000", "--seed", "0"],
+     {"property": "multimorphism:meet-join", "pairs_checked": 1000}),
+])
+def test_minimize_and_check_left_out_flags_take_their_documented_defaults(left_out, given, expect,
+                                                                         tmp_path, capsys):
+    path = write_fixture(tmp_path, "quad.json", "chain5-quadratic")
+    reports = []
+    for argv in (left_out, given):
+        assert main([argv[0], str(path), *argv[1:]]) == EXIT_OK
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    record = json.loads(reports[0])
+    assert {k: record[k] for k in expect} == expect
+
+
 @pytest.mark.parametrize("kind, spec, given", [
     ("random-verified-strong", "chain3,chain4", ["--seed", "0", "--max-value", "20",
                                                  "--attempts", "1000"]),
@@ -746,6 +802,18 @@ def test_generate_help_states_the_defaults(capsys):
         main(["generate", "--help"])
     text = " ".join(capsys.readouterr().out.split())
     for default in ("(default: 0)", "(default: 20)", "(default: 1000)"):
+        assert default in text
+
+
+@pytest.mark.parametrize("command, defaults", [
+    ("check", ("(default: 1000)", "(default: 0)", "(default: meet-join)")),
+    ("minimize", ("brute (default)",)),
+])
+def test_check_and_minimize_help_state_the_defaults(command, defaults, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for default in defaults:
         assert default in text
 
 

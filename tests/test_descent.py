@@ -16,7 +16,7 @@ from treesub.errors import (
     UnsupportedStructureError,
 )
 
-from conftest import brute_minimum, random_terms
+from conftest import brute_minimum, naive_box_violation, naive_cube_violation, random_terms
 
 
 @pytest.fixture
@@ -67,7 +67,17 @@ def test_inward_restriction_is_submodular_on_fixtures():
         for _ in range(5):
             x = fx.domain.unrank(rng.below(fx.domain.size()))
             cube = ts.inward_restrict(fx.function, fx.domain, x)
-            assert ts.check_cube_submodular(cube).ok
+            assert naive_cube_violation(cube) is None
+
+
+def test_cube_oracle_refutes_a_supermodular_cube():
+    good = ts.BinaryCubeFunction(m=3, free=(0, 1, 2), evaluate=lambda A: len(A) * (3 - len(A)))
+    assert naive_cube_violation(good) is None
+    # |A|^2 is strictly supermodular: g({0}) + g({1}) < g({}) + g({0, 1})
+    bad = ts.BinaryCubeFunction(m=2, free=(0, 1), evaluate=lambda A: len(A) * len(A))
+    assert naive_cube_violation(bad) == (frozenset({0}), frozenset({1}), 2, 4)
+    # no free coordinates: the empty set is the only cell
+    assert naive_cube_violation(ts.BinaryCubeFunction(m=0, free=(), evaluate=lambda A: 5)) is None
 
 
 def test_apply_inward(c5sq):
@@ -130,7 +140,18 @@ def test_outward_restriction_is_bisubmodular_on_fixtures():
         for _ in range(5):
             x = fx.domain.unrank(rng.below(fx.domain.size()))
             box = ts.outward_restrict(fx.function, fx.domain, x)
-            assert ts.check_sign_box_bisubmodular(box).ok
+            assert naive_box_violation(box) is None
+
+
+def test_box_oracle_refutes_a_root_spike():
+    ok_fn = ts.SignBoxFunction(m=2, allowed=((-1, 0, 1), (-1, 0)), evaluate=lambda s: sum(s))
+    assert naive_box_violation(ok_fn) is None
+    # root spike on one ternary coordinate: h(0) = 1, h(+-1) = 0, and
+    # h(-1) + h(+1) < h(-1 meet +1) + h(-1 join +1) = 2 h(0)
+    bad = ts.SignBoxFunction(m=1, allowed=((-1, 0, 1),), evaluate=lambda s: int(s[0] == 0))
+    assert naive_box_violation(bad) == ((-1,), (1,), 0, 2)
+    # no coordinates: the empty vector is the only cell
+    assert naive_box_violation(ts.SignBoxFunction(m=0, allowed=(), evaluate=lambda s: 5)) is None
 
 
 def test_apply_outward():

@@ -15,6 +15,7 @@ from treesub.solvers import BinaryCubeFunction, SignBoxFunction
 
 from conftest import (
     drift_the_solve,
+    naive_box_violation,
     random_bisubmodular_box,
     random_cut_plus_modular,
     random_sign_box,
@@ -134,6 +135,9 @@ def test_bisub_zero_function_first_enumerated():
 def test_bisub_sum():
     h = SignBoxFunction(m=2, allowed=((-1, 0, 1), (-1, 0, 1)), evaluate=lambda s: sum(s))
     assert ts.bisub_brute(h) == ((-1, -1), -2)
+    # the box of no coordinates holds one cell, the empty sign vector
+    empty = SignBoxFunction(m=0, allowed=(), evaluate=lambda s: sum(s) + 5)
+    assert ts.bisub_brute(empty) == ((), 5)
 
 
 def test_bisub_box_guard():
@@ -179,7 +183,7 @@ def test_minnorm_matches_brute_on_random_bisubmodular():
     for trial in range(12):
         m = 2 + rng.below(4)  # up to 5 here; the acceptance suite pushes to 6
         h = random_sign_box(rng, m)
-        assert ts.check_sign_box_bisubmodular(h).ok
+        assert naive_box_violation(h) is None
         _, expected = ts.bisub_brute(h)
         vec, value = ts.bisub_minnorm(h)
         assert value == expected, (trial, m)
@@ -313,7 +317,7 @@ def test_random_bisubmodular_boxes_are_bisubmodular():
     rng = ts.SplitMix64(2718)
     for m in range(1, 6):
         for full_box in (True, False):
-            assert ts.check_sign_box_bisubmodular(random_bisubmodular_box(rng, m, full_box)).ok
+            assert naive_box_violation(random_bisubmodular_box(rng, m, full_box)) is None
 
 
 # ---------------------------------------------------------------------------
