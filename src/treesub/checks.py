@@ -48,6 +48,20 @@ O(2^14 + |D|) elements whatever |D|, about 0.6 MB of traced memory at
 |D| = 1000.  The pass only flags the first violating pair, and its
 witness comes from the exact replay.
 
+A member that maps every label pair (a, b) of some coordinates S to
+(b, a), but not of the rest R, is decided whole before the pass.  With
+(u, v) its labels on R, f(x) + f(y) >= f(y_S, u) + f(x_S, v) splits into
+a term in x_S and one in y_S, so the member holds for every pair exactly
+when M[x_R, v] + M[y_R, u] >= 0 for every R pair, where M[p, q] is the
+minimum over z_S of f(z_S, p) - f(z_S, q).  That takes |D| * |R|
+differences and |R|^2 comparisons in place of |D|^2 pairs, and is done
+while the |R|^2 cells fit one block; its sums span four values, so four
+times the largest |value| picks its dtype.  A member proven to hold
+leaves the pass, and one that fails stays in it, so the pass flags the
+same first pair.  In the d-step family these are the members with d at
+or past the diameter of some trees but not all: d = 4..8 on
+bintree7^2 x chain10, where 4 of 9 members are left to scan.
+
 Sampled mode builds no tables.  It draws its pairs in blocks of 2^10
 and takes each block through the family as arrays, one call per group
 and member.  A pair leaves the pass at the first member that swaps it
@@ -60,6 +74,7 @@ exactly for its witness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -262,6 +277,44 @@ def _block_ranks(scaled: list[np.ndarray], xdigs: np.ndarray, lo: int) -> np.nda
     return ranks
 
 
+def _swapped_coordinates(first: list[np.ndarray], second: list[np.ndarray]) -> list[bool]:
+    """Per coordinate, whether the member's tables map every label pair
+    (a, b) to (b, a)."""
+    return [bool((f == np.arange(len(f))).all() and (s.T == np.arange(len(s))).all())
+            for f, s in zip(first, second)]
+
+
+def _split_holds(grid: np.ndarray, first: list[np.ndarray], second: list[np.ndarray],
+                 swapped: list[bool]) -> bool:
+    """Whether a member holds for every pair, decided over its unswapped
+    coordinates alone.
+
+    With S the swapped coordinates, R the rest and (u, v) the member's
+    labels on R, the inequality f(x) + f(y) >= f(y_S, u) + f(x_S, v)
+    splits into a term in x_S and one in y_S, so it holds for every pair
+    exactly when M[x_R, v] + M[y_R, u] >= 0 for every R pair, where
+    M[p, q] is the minimum over z_S of f(z_S, p) - f(z_S, q).  M is a
+    running minimum over blocks of z_S rows of at most ``_BLOCK_CELLS``
+    differences; ``grid``'s dtype must hold sums of four values.
+    """
+    keep = [i for i, s in enumerate(swapped) if not s]
+    cards = [grid.shape[i] for i in keep]
+    r = math.prod(cards)
+    g = grid.transpose([i for i, s in enumerate(swapped) if s] + keep).reshape(-1, r)
+    rows = max(1, _BLOCK_CELLS // (r * r))
+    m = None
+    for start in range(0, len(g), rows):
+        block = g[start:start + rows]
+        least = (block[:, :, None] - block[:, None, :]).min(axis=0)
+        m = least if m is None else np.minimum(m, least, out=m)
+    # the R ranks of u and v for every R pair, rank(x_R) by rank(y_R)
+    pairs = [(a[:, None], a[None, :]) for a in np.unravel_index(np.arange(r), cards)]
+    u = np.ravel_multi_index([first[i][a, b] for i, (a, b) in zip(keep, pairs)], cards)
+    v = np.ravel_multi_index([second[i][a, b] for i, (a, b) in zip(keep, pairs)], cards)
+    ranks = np.arange(r)
+    return bool((m[ranks[:, None], v] + m[ranks[None, :], u] >= 0).all())
+
+
 def _candidate_pairs(table: DenseTable, domain: ProductDomain, family: OpFamily):
     """The first flagged rank pair (xr, yr) in (rank(x), rank(y)) order, or None.
 
@@ -273,6 +326,17 @@ def _candidate_pairs(table: DenseTable, domain: ProductDomain, family: OpFamily)
     block in C order.  Both sides of a comparison are sums of two
     values, so twice the largest |value| picks the dtype (``sum_dtype``).
 
+    A member that swaps every label pair on some coordinates S but not
+    on the rest R is first decided whole by ``_split_holds``, when the
+    |R|^2 cells of its R pairs fit one block: |D| * |R| differences and
+    |R|^2 comparisons in place of |D|^2 pairs.  Its sums span four
+    values, so four times the largest |value| picks that dtype.  A
+    member proven to hold flags no pair, so the pass leaves it out and
+    builds no scaled tables for it; one that fails stays, and the pass
+    finds the same first pair as a scan of every member.  In the d-step
+    family these are the members with d at or past the diameter of some
+    trees but not all, such as d = 4..8 on bintree7^2 x chain10.
+
     When every scanned member's tables are symmetric, op(x, y) = op(y, x)
     and the violating pairs are closed under the mirror (x, y) -> (y, x).
     The first violating pair then has rank(x) <= rank(y), else its mirror
@@ -283,20 +347,27 @@ def _candidate_pairs(table: DenseTable, domain: ProductDomain, family: OpFamily)
     from y_0 = 0.  The report still counts all |D|^2 ordered pairs.
     """
     size = domain.size()
-    members = []
-    symmetric = True
+    largest = max(map(abs, table.values))
+    values = np.asarray(table.values, dtype=sum_dtype(2 * largest))
+    cards = domain.cardinalities()
+    grid = values.reshape(cards)
+    wide = grid.astype(sum_dtype(4 * largest), copy=False)
+    tables = []
     for _, op in family:
         first, second = _build_tables(domain, op)
-        if all((f == np.arange(len(f))).all() and (s.T == np.arange(len(s))).all()
-               for f, s in zip(first, second)):
+        swapped = _swapped_coordinates(first, second)
+        if all(swapped):
             break  # the member maps every pair (x, y) to (y, x)
-        symmetric = symmetric and all((f == f.T).all() and (s == s.T).all()
-                                      for f, s in zip(first, second))
-        members.append((_scaled_tables(domain, first), _scaled_tables(domain, second)))
-    if not members:
+        free = math.prod(c for c, s in zip(cards, swapped) if not s)
+        if any(swapped) and free * free <= _BLOCK_CELLS and _split_holds(wide, first, second, swapped):
+            continue  # the member holds for every pair
+        tables.append((first, second))
+    if not tables:
         return None
-    values = np.asarray(table.values, dtype=sum_dtype(2 * max(map(abs, table.values))))
-    grid = values.reshape(domain.cardinalities())
+    symmetric = all((f == f.T).all() and (s == s.T).all()
+                    for first, second in tables for f, s in zip(first, second))
+    members = [(_scaled_tables(domain, first), _scaled_tables(domain, second))
+               for first, second in tables]
     digs = _digits(domain, np.arange(size, dtype=np.int64))
     rows = max(1, _BLOCK_CELLS // size)
     for start in range(0, size, rows):

@@ -379,10 +379,11 @@ class SumOfTerms(CostFunction):
         Each axis label is validated once.  The first call folds the
         terms into tables (``_fold_terms``) and keeps them on the
         instance; every call then adds ``table[index of each scope
-        variable]`` into the result, with one broadcast-shaped index
-        array per variable.  The result has the tables' dtype: int64, or
-        object (exact Python ints) when the terms' values are too large
-        for int64.
+        variable]`` into the result.  The labels of all axes form one
+        index array, and each variable that a table reads indexes by a
+        broadcast-shaped view of its own slice.  The result has the
+        tables' dtype: int64, or object (exact Python ints) when the
+        terms' values are too large for int64.
         """
         domain = self.domain
         axes = [tuple(a) for a in axes]
@@ -391,12 +392,16 @@ class SumOfTerms(CostFunction):
         for t, axis in zip(domain.trees, axes):
             for v in axis:
                 t.check_node(v)
-        n = domain.n
-        index = [
-            np.array(axis, dtype=np.intp).reshape([-1 if j == i else 1 for j in range(n)])
-            for i, axis in enumerate(axes)
-        ]
-        return _gather_add(self._folded(), index, [len(a) for a in axes])
+        tables = self._folded()
+        read = {i for scope, _ in tables for i in scope}
+        shape = [len(a) for a in axes]
+        labels = np.fromiter(itertools.chain.from_iterable(axes), dtype=np.intp, count=sum(shape))
+        index, end = [], 0
+        for i, c in enumerate(shape):
+            index.append(labels[end:end + c].reshape((1,) * i + (c,) + (1,) * (len(shape) - 1 - i))
+                         if i in read else None)
+            end += c
+        return _gather_add(tables, index, shape)
 
     def values_at(self, labels: np.ndarray) -> np.ndarray:
         """f at each row, as ``CostFunction.values_at``: the rows are
@@ -417,7 +422,7 @@ def _gather_add(tables, index, shape) -> np.ndarray:
     """The sum over ``tables`` of ``table[index of each scope variable]``.
 
     ``index[i]`` indexes variable i and broadcasts to ``shape``, the
-    shape of the result.
+    shape of the result; only the variables of some scope are read.
     """
     out = np.zeros(shape, dtype=tables[0][1].dtype if tables else np.int64)
     for scope, table in tables:

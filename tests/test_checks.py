@@ -861,6 +861,133 @@ def test_exhaustive_checks_call_the_array_op_once_per_tree_per_member(monkeypatc
 
 
 # ---------------------------------------------------------------------------
+# Members that swap every label pair of some trees
+
+_B5 = ts.RootedTree([-1, 0, 0, 1, 1])  # a 5-node binary tree, diameter 3
+
+# Each domain's d-family holds members with d at or past the diameter of
+# one tree but not of all; chain1 swaps under every member.
+_SPLIT_DOMAINS = [
+    [ts.complete_binary_tree(3), ts.chain_tree(10)],
+    [ts.chain_tree(6), ts.complete_binary_tree(3)],
+    [ts.star3_tree(), ts.chain_tree(5), ts.star3_tree()],
+    [_B5, ts.chain_tree(9)],
+    [ts.chain_tree(1), ts.chain_tree(7)],
+]
+
+
+def _diameter(tree):
+    n = tree.node_count
+    return max(ts.rho(tree, a, b) for a in range(n) for b in range(n))
+
+
+def _in_split_member(trees, d):
+    """Whether the d-step member swaps every label pair of some of the
+    trees but not of all: up_down swaps a pair by d = rho, so a tree's
+    pairs all swap exactly when d reaches its diameter."""
+    diameters = [_diameter(t) for t in trees]
+    return min(diameters) <= d < max(diameters)
+
+
+@pytest.mark.parametrize("trees", _SPLIT_DOMAINS, ids=repr)
+def test_split_members_match_naive_on_random_tables_and_fixtures(trees):
+    dom = ts.ProductDomain(trees)
+    rng = ts.SplitMix64(131)
+    fs = [random_table_function(rng, dom, max_value=9) for _ in range(8)] + [
+        ts.generate("random-verified-strong", dom, seed=seed).function for seed in range(3)]
+    verdicts = set()
+    for f in fs:
+        for check, oracle in _CHECKS_AND_ORACLES:
+            got = check(f)
+            assert _witness_key(got.witness) == _witness_key(oracle(f))
+            verdicts.add(got.ok)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("trees", _SPLIT_DOMAINS, ids=repr)
+def test_split_member_witnesses_match_naive(trees):
+    """Verified fixtures with three cells moved by up to 8: some tables
+    fail first in a member that swaps every pair of some trees, and each
+    gives the naive scan's witness, d included."""
+    dom = ts.ProductDomain(trees)
+    rng = ts.SplitMix64(137)
+    split = 0
+    for seed in range(4):
+        base = list(ts.materialize(ts.generate("random-verified-strong", dom, seed=seed).function).values)
+        for _ in range(30):
+            values = list(base)
+            for _ in range(3):
+                values[rng.below(len(values))] += rng.below(17) - 8
+            f = ts.DenseTable(dom, values)
+            got = _translation_agrees_with_naive(f)
+            split += not got.ok and _in_split_member(trees, got.witness.d)
+    assert split >= 3
+
+
+def test_members_past_one_block_of_unswapped_pairs_scan_every_pair(monkeypatch):
+    """On chain1 x chainN the meet/join member swaps chain1's pairs; its
+    N^2 chainN pairs are decided whole while they fit one block (N = 128)
+    and scanned pair by pair past it (N = 129), with the naive verdicts."""
+    decided = []
+    split_holds = checks._split_holds
+    monkeypatch.setattr(checks, "_split_holds", lambda *a: decided.append(a) or split_holds(*a))
+    for n, whole in ((128, True), (129, False)):
+        dom = ts.ProductDomain([ts.chain_tree(1), ts.chain_tree(n)])
+        assert (n * n <= checks._BLOCK_CELLS) == whole
+        convex = [(v - 60) ** 2 for v in range(n)]
+        bumped = list(convex)
+        bumped[100] += 3  # violated by (99, 101) first
+        for values in (convex, bumped):
+            decided.clear()
+            f = ts.DenseTable(dom, values)
+            got = ts.check_strong(f)
+            assert _witness_key(got.witness) == _witness_key(naive_check(f, ts.meet_join))
+            assert got.ok == (values is convex)
+            assert len(decided) == whole
+
+
+def test_holding_translation_scans_only_the_members_below_the_smaller_diameter(monkeypatch):
+    """On bintree7^2 x chain10 the members d = 4..8 swap every pair of
+    both bintree7 coordinates; a holding table decides each of them whole
+    and builds scaled tables only for d = 0..3."""
+    B7 = ts.complete_binary_tree(3)
+    dom = ts.ProductDomain([B7, B7, ts.chain_tree(10)])
+    f = ts.generate("random-verified-strong", dom, seed=3).function
+    # f couples the trees with the chain: its chain steps vary with the bintree7 labels
+    steps = np.diff(np.array(f.values).reshape(49, 10), axis=1)
+    assert (steps != steps[0]).any()
+    scaled, decided = [], []
+    scaled_tables, split_holds = checks._scaled_tables, checks._split_holds
+    monkeypatch.setattr(checks, "_scaled_tables",
+                        lambda domain, tables: scaled.append(tables) or scaled_tables(domain, tables))
+    monkeypatch.setattr(checks, "_split_holds", lambda *a: decided.append(a) or split_holds(*a))
+    assert ts.check_translation(f).ok
+    assert len(decided) == 5
+    expected = [side for d in range(4) for side in
+                checks._build_tables(dom, checks._tree_op(dom, checks.up_down_array, d))]
+    assert len(scaled) == len(expected) == 8
+    for got, want in zip(scaled, expected):
+        assert all((g == w).all() for g, w in zip(got, want))
+
+
+def test_split_members_sum_four_values_exactly():
+    """Cells just past 2^61: twice the largest |value| fits int64, four
+    times does not, so the split test runs on exact ints; in int64 the
+    sum -4B of a violated pair would wrap to a positive number."""
+    big = (1 << 61) + 5
+    # a violated and a holding table per domain; chain3's middle node and
+    # star3's root 0 lie between the other two labels
+    cases = [([ts.chain_tree(1), ts.chain_tree(3)], [-big, big, -big], [big, -big, big]),
+             ([ts.star3_tree(), ts.chain_tree(1)], [big, -big, -big], [-big, big, big])]
+    for trees, violated, holding in cases:
+        for values in (violated, holding):
+            f = ts.DenseTable(ts.ProductDomain(trees), values)
+            for check, oracle in _CHECKS_AND_ORACLES:
+                assert _witness_key(check(f).witness) == _witness_key(oracle(f))
+            assert ts.check_strong(f).ok == (values is holding)
+
+
+# ---------------------------------------------------------------------------
 # Generic multimorphism check
 
 

@@ -634,6 +634,26 @@ def test_sum_grid_over_hand_built_scopes():
     assert ts.materialize(f).values == tuple(term_grid(dom, terms, full))
 
 
+def test_sum_grid_with_a_variable_no_term_reads():
+    """A variable outside every scope keeps its axis in the shape and its
+    labels checked, in either dtype, though no table reads them."""
+    dom = ts.ProductDomain([ts.chain_tree(3), ts.star3_tree(), ts.chain_tree(4)])
+    rng = ts.SplitMix64(17)
+    unread = ((0, 1, 2), (1, 1, 0), (2,), (), (0, 2, 1, 0))
+    for top in (9, 1 << 62):  # int64 tables, then exact ints
+        terms = [ts.Term((2, 0), tuple(rng.below(19) - 9 for _ in range(12))),
+                 ts.Term((0,), (top, 0, -3))]
+        f = ts.SumOfTerms(dom, terms)
+        for middle in unread:
+            for axes in ([range(3), middle, range(4)], [(2, 0), middle, (3,)], [(1,), middle, ()]):
+                got = f.grid(axes)
+                assert got.shape == tuple(len(a) for a in axes)
+                assert got.dtype == (np.int64 if top == 9 else object)
+                assert got.ravel().tolist() == term_grid(dom, terms, axes)
+        for bad in ((3,), (0, -1), (np.int64(5),)):
+            with pytest.raises(DomainError, match="is not in 0..2"):
+                f.grid([(0,), bad, (1,)])
+
 def test_sum_grid_is_exact_once_the_tables_reach_2_62():
     dom = ts.ProductDomain([ts.chain_tree(3), ts.chain_tree(4)])
     big = 1 << 62
