@@ -25,28 +25,39 @@ across runs and implementations.  Sampled mode draws pairs i.i.d.
 uniform by rank from a seeded stream; it proves nothing and its report
 says so.
 
-Ops map label arrays.  A coordinate op is a list of groups (map, columns),
-one per distinct tree (per coordinate for op tables), and ``_apply`` runs
-each group once over its columns of a block of label rows: drawn pairs
-in sampled mode, or one flagged pair for its exact replay.  Exhaustive
-op tables come from each group's map on its tree's index grid.
+Ops map label pairs.  A coordinate op is a list of groups (tree, map,
+columns), one per distinct tree (per coordinate for op tables); a map
+reads the pairs of its columns as ``trees.Paths``, whose path walk runs
+once and is kept for every member of the family, so the d-step members
+share one walk per tree.  ``_apply`` runs each group once over its
+columns of a block of label rows: drawn pairs in sampled mode, or one
+flagged pair for its exact replay.  Exhaustive op tables come from each
+group's map on its tree's index grid, walked once per check.
 
 Costs are integers, so verdicts are exact.  An exhaustive check takes a
 vectorized pass that walks rank(x) in row blocks of at most
-``_BLOCK_CELLS`` pairs, building the ranks of op(x, y) by broadcasting
-per-coordinate op table rows, and stops at the first block holding a
-violation.  When every member's op tables are symmetric, as meet/join
-and wedge/vee are, a pair and its mirror (y, x) violate together, so
-the first violating pair has rank(x) <= rank(y); each block then
-compares its rows only with the y whose first label is at least that of
-its first row, about half of all pairs, and flags the same first pair
-as the full scan.  Reports still count the |D|^2 ordered pairs.  The
-values' size picks the arrays' dtype: int64 when every sum of two costs
-fits, else object, whose cells are exact Python ints; the pass is the
-same code on either.  Besides the op tables, its arrays hold
-O(2^14 + |D|) elements whatever |D|, about 0.6 MB of traced memory at
-|D| = 1000.  The pass only flags the first violating pair, and its
-witness comes from the exact replay.
+``_BLOCK_CELLS`` pairs and stops at the first block holding a
+violation.  Each side of a member gets two half-rank tables, built once
+per check: split the coordinates into A, the first h, and B, the rest;
+TA[rank(x_A)] holds the A part of rank(op(x, y)) for every y_A, and
+TB[rank(x_B)] the B part for every y_B, so a block's op ranks are two
+row gathers and one add.  The pass's arrays hold the blocks and
+|D_A|^2 + |D_B|^2 ranks per side (10,100 at chain10^3, 6,642 at
+star3^6), besides the op tables: about 0.7 MB of traced memory at
+|D| = 1000.  When each member's violating pairs are closed under the
+mirror (x, y) -> (y, x), the first violating pair has rank(x) <= rank(y),
+and each block compares its rows only with the y whose first label is
+at least that of its first row, about half of all pairs, flagging the
+same first pair as the full scan.  A member is mirror-closed when every
+coordinate's tables are symmetric, so op(y, x) = op(x, y) (meet/join,
+wedge/vee), or when every coordinate's first table is the transpose of
+its second, so op(y, x) is op(x, y) with its two labelings swapped
+(up/down at d = 1 on star3, the projections); either way the pair and
+its mirror compare the same two sums.  Reports still count the |D|^2
+ordered pairs.  The values' size picks the arrays' dtype: int64 when
+every sum of two costs fits, else object, whose cells are exact Python
+ints; the pass is the same code on either.  The pass only flags the
+first violating pair, and its witness comes from the exact replay.
 
 A member that maps every label pair (a, b) of some coordinates S to
 (b, a), but not of the rest R, is decided whole before the pass.  With
@@ -64,8 +75,9 @@ bintree7^2 x chain10, where 4 of 9 members are left to scan.
 
 Sampled mode builds no tables.  It draws its pairs in blocks of 2^10
 and takes each block through the family as arrays, one call per group
-and member.  A pair leaves the pass at the first member that swaps it
-or that it violates, and both sides of every comparison come from one
+and member, over one path walk per group and block.  A pair leaves the
+pass at the first member that swaps it or that it violates, its walk
+leaving with it, and both sides of every comparison come from one
 batched oracle call (``CostFunction.values_at``).  The pass stops at the
 first block holding a violation, so its arrays hold O(2^10 * n) labels
 whatever the sample count; the first violating sample is replayed
@@ -93,7 +105,7 @@ from .functions import (
     sum_dtype,
 )
 from .rng import SplitMix64
-from .trees import meet_join_array, plain_int, up_down_array
+from .trees import Paths, RootedTree, meet_join_paths, plain_int, up_down_paths
 # These four scalar names stay only for perfbench/tracer.py, which patches them here.
 from .trees import meet_join, rho, up_down, wedge_vee  # noqa: F401
 
@@ -141,60 +153,98 @@ class CheckReport:
 
 
 OpTable = list[list[int]]
-# A coordinate op is a list of groups (map, columns): the map takes label
-# arrays a, b of one tree to (op1(a, b), op2(a, b)) for those columns.
-CoordOp = list[tuple[Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]], list[int]]]
+# A coordinate op is a list of groups (tree, map, columns): the map takes
+# the label pairs (a, b) of those columns, as ``trees.Paths`` on their
+# tree, to (op1(a, b), op2(a, b)).  The members of a family share each
+# group's Paths, so a tree's paths are walked once for every d.
+CoordOp = list[tuple[RootedTree, Callable[[Paths], tuple[np.ndarray, np.ndarray]], list[int]]]
 # Members (d, op); d is None outside the d-step family.  Members are
 # ordered so that once one maps a pair (x, y) to (y, x), every later
 # member does too: the rest of the family holds with equality there.
 OpFamily = list[tuple[int | None, CoordOp]]
 
 
-def _tree_op(domain: ProductDomain, op, *args) -> CoordOp:
-    """The array op on each distinct tree, for the coordinates holding it."""
-    return [(lambda a, b, t=t: op(t, a, b, *args), [i for i, u in enumerate(domain.trees) if u == t])
-            for t in dict.fromkeys(domain.trees)]
+def _tree_groups(domain: ProductDomain) -> list[tuple[RootedTree, list[int]]]:
+    """Each distinct tree and the coordinates holding it."""
+    return [(t, [i for i, u in enumerate(domain.trees) if u == t]) for t in dict.fromkeys(domain.trees)]
 
 
-def _table_op(first: list[OpTable], second: list[OpTable]) -> CoordOp:
+def _tree_op(groups: list[tuple[RootedTree, list[int]]], op, *args) -> CoordOp:
+    """The paths op on each distinct tree of ``_tree_groups``."""
+    return [(t, lambda p: op(p, *args), cols) for t, cols in groups]
+
+
+def _table_op(domain: ProductDomain, first: list[OpTable], second: list[OpTable]) -> CoordOp:
     tables = [(np.asarray(f), np.asarray(s)) for f, s in zip(first, second)]
-    return [(lambda a, b, f=f, s=s: (f[a, b], s[a, b]), [i]) for i, (f, s) in enumerate(tables)]
+    return [(domain.trees[i], lambda p, f=f, s=s: (f[p.a, p.b], s[p.a, p.b]), [i])
+            for i, (f, s) in enumerate(tables)]
 
 
-def _apply(op: CoordOp, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both labelings of op(x, y) for each row of the label arrays x and y,
-    from one call per group."""
-    first, second = np.empty_like(x), np.empty_like(x)
-    for m, cols in op:
-        first[:, cols], second[:, cols] = m(x[:, cols], y[:, cols])
+class _PairRows:
+    """Rows of label pairs (x, y), and the paths of each group's columns,
+    walked on first use and kept for every member that reads them."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, paths: dict | None = None):
+        self.x, self.y = x, y
+        self._paths = {} if paths is None else paths
+
+    def paths(self, tree: RootedTree, cols: list[int]) -> Paths:
+        key = tuple(cols)
+        if key not in self._paths:
+            self._paths[key] = Paths(tree, self.x[:, cols], self.y[:, cols])
+        return self._paths[key]
+
+    def take(self, rows: np.ndarray) -> _PairRows:
+        """The rows ``rows``, with the paths walked so far."""
+        return _PairRows(self.x[rows], self.y[rows], {k: p.take(rows) for k, p in self._paths.items()})
+
+
+def _apply(op: CoordOp, pairs: _PairRows) -> tuple[np.ndarray, np.ndarray]:
+    """Both labelings of op(x, y) for each row of the pairs, from one call
+    per group."""
+    first, second = np.empty_like(pairs.x), np.empty_like(pairs.x)
+    for tree, m, cols in op:
+        first[:, cols], second[:, cols] = m(pairs.paths(tree, cols))
     return first, second
 
 
-def _build_tables(domain: ProductDomain, op: CoordOp) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Both op tables per coordinate, from one call per group on its index grid."""
+def _build_tables(domain: ProductDomain, op: CoordOp, grids: dict[RootedTree, Paths]):
+    """Both op tables per coordinate, and whether they map every label pair
+    (a, b) to (b, a), from one call per group on its tree's index grid.
+
+    ``grids`` keeps each tree's grid paths, so the members of a family walk
+    them once.  An up/down at or past a tree's diameter hands back the
+    grids themselves, which needs no comparison to be known as swapping.
+    """
     tables = {}
-    for m, cols in op:
-        n = domain.trees[cols[0]].node_count
-        tables.update(dict.fromkeys(cols, m(*np.indices((n, n)))))
-    return [tables[i][0] for i in range(domain.n)], [tables[i][1] for i in range(domain.n)]
+    for tree, m, cols in op:
+        if tree not in grids:
+            grids[tree] = Paths(tree, *np.indices((tree.node_count,) * 2))
+        p = grids[tree]
+        first, second = m(p)
+        swapped = ((first is p.b and second is p.a)
+                   or (np.array_equal(first, p.b) and np.array_equal(second, p.a)))
+        tables.update(dict.fromkeys(cols, (first, second, swapped)))
+    first, second, swapped = zip(*(tables[i] for i in range(domain.n)))
+    return list(first), list(second), list(swapped)
 
 
 def _listed_tables(domain: ProductDomain, op, *args) -> tuple[list[OpTable], list[OpTable]]:
-    tables = _build_tables(domain, _tree_op(domain, op, *args))
-    return tuple([t.tolist() for t in side] for side in tables)
+    first, second, _ = _build_tables(domain, _tree_op(_tree_groups(domain), op, *args), {})
+    return [t.tolist() for t in first], [t.tolist() for t in second]
 
 
 def meet_join_tables(domain: ProductDomain) -> tuple[list[OpTable], list[OpTable]]:
-    return _listed_tables(domain, meet_join_array)
+    return _listed_tables(domain, meet_join_paths)
 
 
 def wedge_vee_tables(domain: ProductDomain) -> tuple[list[OpTable], list[OpTable]]:
-    return _listed_tables(domain, up_down_array, 0)
+    return _listed_tables(domain, up_down_paths, 0)
 
 
 def projection_tables(domain: ProductDomain) -> tuple[list[OpTable], list[OpTable]]:
     """op1 returns the first argument, op2 the second; always a multimorphism."""
-    return _listed_tables(domain, lambda t, a, b: (a, b))
+    return _listed_tables(domain, lambda p: (p.a, p.b))
 
 
 def min_max_tables(domain: ProductDomain) -> tuple[list[OpTable], list[OpTable]]:
@@ -239,8 +289,9 @@ def _first_violation(
     member and every later one hold with equality.
     """
     lhs = f.evaluate(x) + f.evaluate(y)
+    pairs = _PairRows(np.array([x]), np.array([y]))
     for d, op in family:
-        first, second = (tuple(z[0].tolist()) for z in _apply(op, np.array([x]), np.array([y])))
+        first, second = (tuple(z[0].tolist()) for z in _apply(op, pairs))
         if first == y and second == x:
             break
         rhs = f.evaluate(first) + f.evaluate(second)
@@ -249,39 +300,62 @@ def _first_violation(
     return None
 
 
-def _scaled_tables(domain: ProductDomain, tables: list[np.ndarray]) -> list[np.ndarray]:
-    """Per coordinate i, the rank of the labeling that holds the op table's
-    label at i and 0 elsewhere, shaped so that ``t[x_i]`` broadcasts along
-    the y axis of coordinate i."""
-    cards = domain.cardinalities()
-    out = []
-    for i, tbl in enumerate(tables):
-        axes = tuple(c if j == i else 1 for j, c in enumerate(cards))
-        index = [0] * domain.n
-        index[i] = tbl
-        out.append(np.ravel_multi_index(index, cards).reshape((cards[i],) + axes))
-    return out
+def _half_tables(cards: list[int], tables: list[np.ndarray], h: int) -> list[np.ndarray]:
+    """The two half-rank tables of one side of a member, split before
+    coordinate h.
+
+    ``ta[rank(x_A)]`` holds, for every y_A, the rank of the labeling that
+    holds op(x, y) on the coordinates A below h and 0 elsewhere, shaped
+    (c_0, ..., c_{h-1}); ``tb[rank(x_B)]`` holds the same for the other
+    coordinates B, shaped (c_h, ..., c_{n-1}).  So rank(op(x, y)) is
+    ta[rank(x_A)][y_A] + tb[rank(x_B)][y_B].  A side with no coordinates
+    is one rank, 0.
+    """
+    halves = []
+    for part in (range(h), range(h, len(cards))):
+        k = len(part)
+        half = np.zeros((1,) * 2 * k, dtype=np.intp)
+        for j, i in enumerate(part):
+            # x_i on axis j and y_i on axis k + j, scaled by i's rank stride
+            axes = [1] * 2 * k
+            axes[j] = axes[k + j] = cards[i]
+            half = half + tables[i].reshape(axes) * math.prod(cards[i + 1:])
+        halves.append(half.reshape([-1] + [cards[i] for i in part]))
+    return halves
 
 
-def _block_ranks(scaled: list[np.ndarray], xdigs: np.ndarray, lo: int) -> np.ndarray:
-    """Ranks of op(x, y) for the block's rows x and every y whose first
-    label is at least lo, as a ``(rows, c_1 - lo, c_2, ..., c_n)`` array
-    whose C order is rank(y) order."""
-    # Last coordinate first, so every sum runs over long contiguous inner axes.
-    ranks = None
-    for i in range(len(scaled) - 1, -1, -1):
-        term = scaled[i][xdigs[:, i]]
-        if i == 0:
-            term = term[:, lo:]
-        ranks = term if ranks is None else term + ranks
-    return ranks
+def _split_cost(cards: list[int], h: int) -> int:
+    """The half tables' ranks, |D_A|^2 + |D_B|^2, plus the inner loops of
+    a scan's rank adds, |D| * |D_A|: a block's add runs one loop over the
+    y_B per row and y_A, and numpy's cost per loop outweighs its cost per
+    cell while the loops are short."""
+    a, b = math.prod(cards[:h]), math.prod(cards[h:])
+    return a * a + b * b + a * a * b
 
 
-def _swapped_coordinates(first: list[np.ndarray], second: list[np.ndarray]) -> list[bool]:
-    """Per coordinate, whether the member's tables map every label pair
-    (a, b) to (b, a)."""
-    return [bool((f == np.arange(len(f))).all() and (s.T == np.arange(len(s))).all())
-            for f, s in zip(first, second)]
+def _block_ranks(halves: list[np.ndarray], xa: np.ndarray, xb: np.ndarray, lo: int) -> np.ndarray:
+    """Ranks of op(x, y) for the block's rows x, given as rank(x_A) and
+    rank(x_B), and every y whose first label is at least lo, as a
+    ``(rows, c_0 - lo, c_1, ..., c_{n-1})`` array whose C order is rank(y)
+    order: two row gathers and one add."""
+    ta, tb = halves
+    return (ta[xa, lo:][(...,) + (None,) * (tb.ndim - 1)]
+            + tb[xb][(slice(None),) + (None,) * (ta.ndim - 1)])
+
+
+def _mirror_closed(first: list[np.ndarray], second: list[np.ndarray]) -> bool:
+    """Whether a member's violating pairs are closed under the mirror
+    (x, y) -> (y, x).
+
+    When every coordinate's tables are symmetric, op(y, x) = op(x, y); when
+    every coordinate has first.T == second, op(y, x) is op(x, y) with its
+    two labelings swapped.  Either way f(op1) + f(op2) is the same sum for
+    (x, y) and (y, x), and so is f(x) + f(y).  A mix of the two kinds over
+    the coordinates is neither.
+    """
+    tables = {(id(f), id(s)): (f, s) for f, s in zip(first, second)}.values()
+    return (all((f == f.T).all() and (s == s.T).all() for f, s in tables)
+            or all((f.T == s).all() for f, s in tables))
 
 
 def _split_holds(grid: np.ndarray, first: list[np.ndarray], second: list[np.ndarray],
@@ -326,25 +400,42 @@ def _candidate_pairs(table: DenseTable, domain: ProductDomain, family: OpFamily)
     block in C order.  Both sides of a comparison are sums of two
     values, so twice the largest |value| picks the dtype (``sum_dtype``).
 
+    The op tables come from one walk of each tree's paths
+    (``_build_tables``), and each side of a scanned member from two
+    half-rank tables built once, before the first block
+    (``_half_tables``).  They split before the coordinate h, D_A being
+    the product of the first h trees and D_B of the rest, that makes
+    ``_split_cost`` least: the tables' |D_A|^2 + |D_B|^2 ranks plus the
+    |D| * |D_A| inner loops of the scan's rank adds.  That is 10,100
+    ranks on chain10^3 and 4,949 on bintree7^2 x chain10 (h = 1), and
+    6,642 on star3^6 (h = 2).  A block's op ranks are then two row
+    gathers and one add (``_block_ranks``).
+
     A member that swaps every label pair on some coordinates S but not
     on the rest R is first decided whole by ``_split_holds``, when the
     |R|^2 cells of its R pairs fit one block: |D| * |R| differences and
     |R|^2 comparisons in place of |D|^2 pairs.  Its sums span four
     values, so four times the largest |value| picks that dtype.  A
     member proven to hold flags no pair, so the pass leaves it out and
-    builds no scaled tables for it; one that fails stays, and the pass
+    builds no half tables for it; one that fails stays, and the pass
     finds the same first pair as a scan of every member.  In the d-step
     family these are the members with d at or past the diameter of some
     trees but not all, such as d = 4..8 on bintree7^2 x chain10.
 
-    When every scanned member's tables are symmetric, op(x, y) = op(y, x)
-    and the violating pairs are closed under the mirror (x, y) -> (y, x).
-    The first violating pair then has rank(x) <= rank(y), else its mirror
-    would come first, so x_0 <= y_0, and a block scans only the y with
-    y_0 at least the x_0 of its first row: about half the pairs.  The
-    slice keeps rank(y) order, so the flagged pair is the full scan's.
-    Other families (translation, whose up_down is not symmetric) scan
-    from y_0 = 0.  The report still counts all |D|^2 ordered pairs.
+    When every scanned member's violating pairs are closed under the
+    mirror (x, y) -> (y, x), the first violating pair has
+    rank(x) <= rank(y), else its mirror would come first.  The rule is
+    per member (``_mirror_closed``): every coordinate's tables symmetric,
+    as meet/join and wedge/vee are, so op(y, x) = op(x, y); or every
+    coordinate's first table the transpose of its second, as up/down at
+    d = 1 on star3 and the projections are, so op(y, x) is op(x, y) with
+    its labelings swapped; either way (y, x) compares the same two sums
+    as (x, y).  A member mixing the two kinds over its coordinates is
+    neither.  Then x_0 <= y_0, and a block scans only the y with y_0 at
+    least the x_0 of its first row: about half the pairs.  The slice
+    keeps rank(y) order, so the flagged pair is the full scan's.  Other
+    families scan from y_0 = 0.  The report still counts all |D|^2
+    ordered pairs.
     """
     size = domain.size()
     largest = max(map(abs, table.values))
@@ -352,32 +443,31 @@ def _candidate_pairs(table: DenseTable, domain: ProductDomain, family: OpFamily)
     cards = domain.cardinalities()
     grid = values.reshape(cards)
     wide = grid.astype(sum_dtype(4 * largest), copy=False)
-    tables = []
+    grids = {}
+    members = []
     for _, op in family:
-        first, second = _build_tables(domain, op)
-        swapped = _swapped_coordinates(first, second)
+        first, second, swapped = _build_tables(domain, op, grids)
         if all(swapped):
             break  # the member maps every pair (x, y) to (y, x)
         free = math.prod(c for c, s in zip(cards, swapped) if not s)
         if any(swapped) and free * free <= _BLOCK_CELLS and _split_holds(wide, first, second, swapped):
             continue  # the member holds for every pair
-        tables.append((first, second))
-    if not tables:
+        members.append((first, second))
+    if not members:
         return None
-    symmetric = all((f == f.T).all() and (s == s.T).all()
-                    for first, second in tables for f, s in zip(first, second))
-    members = [(_scaled_tables(domain, first), _scaled_tables(domain, second))
-               for first, second in tables]
-    digs = _digits(domain, np.arange(size, dtype=np.int64))
+    mirrored = all(_mirror_closed(first, second) for first, second in members)
+    h = min(range(1, domain.n + 1), key=lambda h: _split_cost(cards, h))
+    halves = [[_half_tables(cards, side, h) for side in member] for member in members]
+    xa, xb = np.divmod(np.arange(size), math.prod(cards[h:]))
     rows = max(1, _BLOCK_CELLS // size)
     for start in range(0, size, rows):
-        xdigs = digs[start:start + rows]
-        lo = int(xdigs[0, 0]) if symmetric else 0
-        lhs = values[start:start + rows].reshape((-1,) + (1,) * domain.n) + grid[lo:]
+        stop = min(start + rows, size)
+        lo = start // (size // cards[0]) if mirrored else 0
+        lhs = values[start:stop].reshape((-1,) + (1,) * domain.n) + grid[lo:]
         viol = None
-        for first, second in members:
-            member = lhs < (values[_block_ranks(first, xdigs, lo)]
-                            + values[_block_ranks(second, xdigs, lo)])
+        for first, second in halves:
+            member = lhs < (values[_block_ranks(first, xa[start:stop], xb[start:stop], lo)]
+                            + values[_block_ranks(second, xa[start:stop], xb[start:stop], lo)])
             viol = member if viol is None else np.logical_or(viol, member, out=viol)
         if viol.any():
             # the block scanned the last viol[0].size ranks of y
@@ -406,13 +496,14 @@ def _flagged_sample(f: CostFunction, domain: ProductDomain, family: OpFamily,
         digs = _digits(domain, rng.below_array(size, 2 * count))
         x, y = digs[0::2], digs[1::2]
         rows = np.arange(count)
+        live = _PairRows(x, y)
         lhs = None
         flagged = count
         for _, op in family:
             if not len(rows):
                 break
-            xs, ys = x[rows], y[rows]
-            first, second = _apply(op, xs, ys)
+            xs, ys = live.x, live.y
+            first, second = _apply(op, live)
             unswapped = ~((first == ys).all(axis=1) & (second == xs).all(axis=1))
             rows, first, second = rows[unswapped], first[unswapped], second[unswapped]
             k = len(rows)
@@ -427,6 +518,7 @@ def _flagged_sample(f: CostFunction, domain: ProductDomain, family: OpFamily,
                 flagged = int(rows[np.argmax(viol)])
             keep = ~viol & (rows < flagged)
             rows, lhs = rows[keep], lhs[keep]
+            live = live.take(np.flatnonzero(unswapped)[keep])
         if flagged < count:
             return start + flagged, tuple(x[flagged].tolist()), tuple(y[flagged].tolist())
     return None
@@ -506,7 +598,7 @@ def _replay(
 
 
 def _strong_family(domain: ProductDomain) -> OpFamily:
-    return [(None, _tree_op(domain, meet_join_array))]
+    return [(None, _tree_op(_tree_groups(domain), meet_join_paths))]
 
 
 def check_strong(
@@ -532,7 +624,7 @@ def check_weak(
 ) -> CheckReport:
     """Verify f(x)+f(y) >= f(wedge)+f(vee), wedge/vee being up/down at d = 0."""
     domain = own_domain(f, domain)
-    return _pair_check(f, domain, lambda: [(None, _tree_op(domain, up_down_array, 0))],
+    return _pair_check(f, domain, lambda: [(None, _tree_op(_tree_groups(domain), up_down_paths, 0))],
                        "weak", mode, samples, seed)
 
 
@@ -553,7 +645,7 @@ def check_multimorphism(
     op1, op2 = op_pair
     _validate_tables(domain, op1, "op1")
     _validate_tables(domain, op2, "op2")
-    return _pair_check(f, domain, lambda: [(None, _table_op(op1, op2))],
+    return _pair_check(f, domain, lambda: [(None, _table_op(domain, op1, op2))],
                        name, mode, samples, seed)
 
 
@@ -593,9 +685,14 @@ def check_translation(
     # Thm 7.7).  On a branching tree strong implies translation only by
     # experiment.
     chains = all(t.is_chain() for t in domain.trees)
-    return _pair_check(f, domain, lambda: [(d, _tree_op(domain, up_down_array, d)) for d in steps],
+    return _pair_check(f, domain, lambda: _translation_family(domain, steps),
                        "translation", mode, samples, seed, note,
                        equivalent=(lambda: _strong_family(domain)) if chains else None)
+
+
+def _translation_family(domain: ProductDomain, steps: range) -> OpFamily:
+    groups = _tree_groups(domain)
+    return [(d, _tree_op(groups, up_down_paths, d)) for d in steps]
 
 
 def _property_checks() -> dict[str, Callable[..., CheckReport]]:

@@ -26,8 +26,11 @@ as signs {-1, 0, +1}, join is sign(a+b) and meet is |ab|*sign(a+b).
 ``meet_join`` and ``up_down`` also have array forms (``meet_join_array``,
 ``up_down_array``; wedge/vee's is ``up_down_array`` at d = 0) that map
 label arrays in O(log height) numpy gathers on an ancestor table built
-on first use.  Trees and path views are otherwise immutable;
-every function in this module is pure, so concurrent reads are safe.
+on first use.  Both read the pairs' paths from ``Paths``
+(``meet_join_paths``, ``up_down_paths``), which walks them once and
+keeps the walk, so up/down at many d share it.  Trees and path views
+are otherwise immutable; every function in this module is pure, so
+concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -307,48 +310,94 @@ def up_down(tree: RootedTree, a: int, b: int, d: int) -> tuple[int, int]:
     return p.nodes[p.position(up)], p.nodes[p.position(down)]
 
 
-def _paths(tree: RootedTree, a, b):
-    """The paths from a to b for label arrays a and b: the apex's index
-    and the length of each, and the map from path positions p to nodes.
-    The node at p is an ancestor of a up to the apex, else of b."""
-    up, depth = tree._lifting()
+class Paths:
+    """The paths from a to b for equal-shape label arrays a and b of one
+    tree: the apex's index and the length of each, and the map from path
+    positions p to nodes (the node at p is an ancestor of a up to the
+    apex, else of b).
 
-    def lift(v, k):  # the ancestor k levels above v, for 0 <= k <= depth(v)
-        for j in range(int(np.max(k, initial=0)).bit_length()):
-            v = np.where(k >> j & 1, up[j, v], v)
-        return v
-    gap = depth[a] - depth[b]
-    u = lift(np.where(gap > 0, a, b), np.abs(gap))
-    w = np.where(gap > 0, b, a)
-    for j in range(len(up) - 1, -1, -1):
-        pu, pw = up[j, u], up[j, w]
-        differ = pu != pw
-        u, w = np.where(differ, pu, u), np.where(differ, pw, w)
-    apex = np.where(u == w, u, up[0, u])
-    index = depth[a] - depth[apex]
-    length = index + depth[b] - depth[apex]
+    The walk runs on first use and is kept, and ``take`` keeps it for a
+    subset of the pairs, so ops at several step counts share one walk.
+    """
 
-    def node_at(p):
+    __slots__ = ("tree", "a", "b", "_walked")
+
+    def __init__(self, tree: RootedTree, a, b, walked=None):
+        self.tree, self.a, self.b, self._walked = tree, a, b, walked
+
+    def _walk(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._walked is None:
+            up, depth = self.tree._lifting()
+            a, b = self.a, self.b
+            gap = depth[a] - depth[b]
+            u = _lift(up, np.where(gap > 0, a, b), np.abs(gap))
+            w = np.where(gap > 0, b, a)
+            for j in range(len(up) - 1, -1, -1):
+                pu, pw = up[j, u], up[j, w]
+                differ = pu != pw
+                u, w = np.where(differ, pu, u), np.where(differ, pw, w)
+            apex = np.where(u == w, u, up[0, u])
+            index = depth[a] - depth[apex]
+            self._walked = index, index + depth[b] - depth[apex]
+        return self._walked
+
+    @property
+    def index(self) -> np.ndarray:
+        return self._walk()[0]
+
+    @property
+    def length(self) -> np.ndarray:
+        return self._walk()[1]
+
+    def node_at(self, p) -> np.ndarray:
+        index, length = self._walk()
         left = p <= index
-        return lift(np.where(left, a, b), np.where(left, p, length - p))
+        return _lift(self.tree._lifting()[0], np.where(left, self.a, self.b),
+                     np.where(left, p, length - p))
 
-    return index, length, node_at
+    def take(self, rows) -> Paths:
+        """The paths of the pairs in ``rows`` (an index or mask along the
+        first axis), with the walk kept if it ran."""
+        walked = None if self._walked is None else tuple(t[rows] for t in self._walked)
+        return Paths(self.tree, self.a[rows], self.b[rows], walked)
+
+
+def _lift(up: np.ndarray, v, k):
+    """The ancestor k levels above v, for 0 <= k <= depth(v)."""
+    for j in range(int(k.max(initial=0)).bit_length()):
+        v = np.where(k >> j & 1, up[j, v], v)
+    return v
+
+
+def meet_join_paths(p: Paths) -> tuple[np.ndarray, np.ndarray]:
+    """``meet_join`` of every label pair of the paths p."""
+    index, length = p.index, p.length
+    low, high = length // 2, (length + 1) // 2
+    # the midpoint nearer the apex is the ancestor
+    return tuple(p.node_at(np.where(low >= index, [low, high], [high, low])))
+
+
+def up_down_paths(p: Paths, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``up_down`` of every label pair of the paths p, for d >= 0.
+
+    Once d reaches every path's length, up_down maps each pair (a, b) to
+    (b, a), and the label arrays b and a themselves are returned."""
+    index, length = p.index, p.length
+    if d >= length.max(initial=0):
+        return p.b, p.a
+    step = np.minimum(np.maximum(d - index, 0), length - index)
+    return tuple(p.node_at(np.stack((index + step, length - index - step))))
 
 
 def meet_join_array(tree: RootedTree, a, b) -> tuple[np.ndarray, np.ndarray]:
     """``meet_join`` of every label pair (a, b) of the arrays a and b."""
-    index, length, node_at = _paths(tree, a, b)
-    low, high = length // 2, (length + 1) // 2
-    # the midpoint nearer the apex is the ancestor
-    return node_at(np.where(low >= index, low, high)), node_at(np.where(low >= index, high, low))
+    return meet_join_paths(Paths(tree, a, b))
 
 
 def up_down_array(tree: RootedTree, a, b, d: int) -> tuple[np.ndarray, np.ndarray]:
     """``up_down`` of every label pair (a, b) of the arrays a and b, for
     d >= 0; d = 0 is ``wedge_vee``'s array form."""
-    index, length, node_at = _paths(tree, a, b)
-    step = np.minimum(np.maximum(d - index, 0), length - index)
-    return node_at(index + step), node_at(length - index - step)
+    return up_down_paths(Paths(tree, a, b), d)
 
 
 def rho_inf(domain, x: Sequence[int], y: Sequence[int]) -> int:

@@ -197,8 +197,8 @@ def test_chain_translation_runs_the_strong_pass_then_the_d_scan_on_one_table(mon
     materialized = []
     real = checks.materialize
     monkeypatch.setattr(checks, "materialize", lambda f: materialized.append(f) or real(f))
-    up_down_calls = _count_calls(monkeypatch, "up_down_array")
-    strong_calls = _count_calls(monkeypatch, "meet_join_array")
+    up_down_calls = _count_calls(monkeypatch, "up_down_paths")
+    strong_calls = _count_calls(monkeypatch, "meet_join_paths")
     assert ts.check_translation(f).ok
     assert materialized == [f] and strong_calls == [dom.trees[0], dom.trees[1]]
     assert up_down_calls == []
@@ -233,8 +233,8 @@ def test_translation_on_branching_trees_scans_every_member(monkeypatch):
     rng = ts.SplitMix64(83)
     fs = [ts.generate("random-verified-strong", dom, seed=4).function] + [
         random_table_function(rng, dom, max_value=6) for _ in range(6)]
-    strong_calls = _count_calls(monkeypatch, "meet_join_array")
-    up_down_calls = _count_calls(monkeypatch, "up_down_array")
+    strong_calls = _count_calls(monkeypatch, "meet_join_paths")
+    up_down_calls = _count_calls(monkeypatch, "up_down_paths")
     verdicts = set()
     for f in fs:
         strong_calls.clear()
@@ -254,8 +254,8 @@ def test_sampled_translation_on_chains_keeps_the_d_scan(monkeypatch):
     rng = ts.SplitMix64(89)
     fs = [ts.generate("random-verified-strong", dom, seed=0).function] + [
         random_table_function(rng, dom, max_value=9) for _ in range(4)]
-    strong_calls = _count_calls(monkeypatch, "meet_join_array")
-    up_down_calls = _count_calls(monkeypatch, "up_down_array")
+    strong_calls = _count_calls(monkeypatch, "meet_join_paths")
+    up_down_calls = _count_calls(monkeypatch, "up_down_paths")
     for f in fs:
         for samples, seed in ((30, 5), (1500, 11)):
             up_down_calls.clear()
@@ -755,7 +755,7 @@ def test_refusals_come_before_any_path_walk(monkeypatch):
     def walked(*args):
         raise AssertionError("a tree op ran before the check was accepted")
 
-    for name in ("meet_join_array", "up_down_array"):
+    for name in ("meet_join_paths", "up_down_paths"):
         monkeypatch.setattr(checks, name, walked)
     for check in (ts.check_strong, ts.check_weak, ts.check_translation):
         with pytest.raises(BudgetExceededError, match="4000000 pairs"):
@@ -779,8 +779,8 @@ def test_sampled_translation_stops_by_rho_inf(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(checks, "up_down_array",
-                        counted("up_down", checks.up_down_array, lambda args: args[1].size))
+    monkeypatch.setattr(checks, "up_down_paths",
+                        counted("up_down", checks.up_down_paths, lambda args: args[0].a.size))
     monkeypatch.setattr(ts.SumOfTerms, "evaluate",
                         counted("evaluate", ts.SumOfTerms.evaluate, lambda args: 1))
     report = ts.check_translation(f, mode="sampled", samples=40, seed=9)
@@ -793,10 +793,10 @@ def test_sampled_translation_stops_by_rho_inf(monkeypatch):
 
 
 def _count_calls(monkeypatch, name):
-    """Patch the array op ``checks.<name>`` to record the tree of each call."""
+    """Patch the paths op ``checks.<name>`` to record the tree of each call."""
     calls = []
     op = getattr(checks, name)
-    monkeypatch.setattr(checks, name, lambda tree, *a: calls.append(tree) or op(tree, *a))
+    monkeypatch.setattr(checks, name, lambda p, *a: calls.append(p.tree) or op(p, *a))
     return calls
 
 
@@ -804,7 +804,7 @@ def test_sampled_checks_call_the_array_op_once_per_tree_per_member_per_block(mon
     """A sampled check maps each block of drawn pairs with one array-op
     call per distinct tree and member; a witness replays one more call per
     tree and member.  Reports match the same check on meet/join tables."""
-    calls = _count_calls(monkeypatch, "meet_join_array")
+    calls = _count_calls(monkeypatch, "meet_join_paths")
     dom = ts.ProductDomain([ts.chain_tree(300)])
     tables = ts.meet_join_tables(dom)
     verdicts = set()
@@ -834,8 +834,8 @@ def test_exhaustive_checks_call_the_array_op_once_per_tree_per_member(monkeypatc
     swaps every pair; reports match the same check on meet/join tables.
     A holding translation check on chains builds the meet/join tables
     alone."""
-    calls = _count_calls(monkeypatch, "up_down_array")
-    strong_calls = _count_calls(monkeypatch, "meet_join_array")
+    calls = _count_calls(monkeypatch, "up_down_paths")
+    strong_calls = _count_calls(monkeypatch, "meet_join_paths")
     dom = ts.ProductDomain([ts.chain_tree(10)] * 3)
     f = ts.DenseTable(dom, [sum((v - 4) ** 2 for v in x) for x in dom.labelings()])
     assert ts.check_translation(f).ok
@@ -949,24 +949,25 @@ def test_members_past_one_block_of_unswapped_pairs_scan_every_pair(monkeypatch):
 def test_holding_translation_scans_only_the_members_below_the_smaller_diameter(monkeypatch):
     """On bintree7^2 x chain10 the members d = 4..8 swap every pair of
     both bintree7 coordinates; a holding table decides each of them whole
-    and builds scaled tables only for d = 0..3."""
+    and builds half-rank tables only for d = 0..3."""
     B7 = ts.complete_binary_tree(3)
     dom = ts.ProductDomain([B7, B7, ts.chain_tree(10)])
     f = ts.generate("random-verified-strong", dom, seed=3).function
     # f couples the trees with the chain: its chain steps vary with the bintree7 labels
     steps = np.diff(np.array(f.values).reshape(49, 10), axis=1)
     assert (steps != steps[0]).any()
-    scaled, decided = [], []
-    scaled_tables, split_holds = checks._scaled_tables, checks._split_holds
-    monkeypatch.setattr(checks, "_scaled_tables",
-                        lambda domain, tables: scaled.append(tables) or scaled_tables(domain, tables))
+    halved, decided = [], []
+    half_tables, split_holds = checks._half_tables, checks._split_holds
+    monkeypatch.setattr(checks, "_half_tables",
+                        lambda cards, tables, h: halved.append(tables) or half_tables(cards, tables, h))
     monkeypatch.setattr(checks, "_split_holds", lambda *a: decided.append(a) or split_holds(*a))
     assert ts.check_translation(f).ok
     assert len(decided) == 5
+    groups = checks._tree_groups(dom)
     expected = [side for d in range(4) for side in
-                checks._build_tables(dom, checks._tree_op(dom, checks.up_down_array, d))]
-    assert len(scaled) == len(expected) == 8
-    for got, want in zip(scaled, expected):
+                checks._build_tables(dom, checks._tree_op(groups, checks.up_down_paths, d), {})[:2]]
+    assert len(halved) == len(expected) == 8
+    for got, want in zip(halved, expected):
         assert all((g == w).all() for g, w in zip(got, want))
 
 
@@ -985,6 +986,258 @@ def test_split_members_sum_four_values_exactly():
             for check, oracle in _CHECKS_AND_ORACLES:
                 assert _witness_key(check(f).witness) == _witness_key(oracle(f))
             assert ts.check_strong(f).ok == (values is holding)
+
+
+# ---------------------------------------------------------------------------
+# Half-rank tables, the mirror rule and one path walk per check
+
+_B7 = ts.complete_binary_tree(3)
+
+# arity 1 to 6, uneven cardinalities, no chain1 (whose pairs every member swaps)
+_UNEVEN_DOMAINS = [
+    [ts.chain_tree(7)],
+    [ts.chain_tree(2), _B7],
+    [ts.chain_tree(2), _B7, ts.star3_tree()],
+    [ts.chain_tree(2), _B7, ts.star3_tree(), ts.chain_tree(5)],
+    [ts.chain_tree(3), ts.star3_tree(), ts.chain_tree(2), ts.star3_tree(), ts.chain_tree(2)],
+    [ts.chain_tree(2), ts.star3_tree(), ts.chain_tree(2), ts.chain_tree(3), ts.chain_tree(2),
+     ts.star3_tree()],
+]
+
+
+@pytest.mark.parametrize("trees", _UNEVEN_DOMAINS, ids=repr)
+def test_half_tables_give_the_rank_of_op_x_y_for_every_split(trees):
+    """For every split h and every first label lo, a block's ranks from
+    the two half tables equal rank(op(x, y)) from the per-coordinate
+    tables, for every x and every y with y_0 >= lo, in rank(y) order."""
+    dom = ts.ProductDomain(trees)
+    cards, size = dom.cardinalities(), dom.size()
+    rng = np.random.default_rng(len(trees))
+    tables = [rng.integers(0, c, (c, c)) for c in cards]
+    xs = np.stack(np.unravel_index(np.arange(size), cards), axis=1)
+    want = np.ravel_multi_index([t[xs[:, i, None], xs[None, :, i]] for i, t in enumerate(tables)],
+                                cards)  # rank(op(x, y)), rank(x) by rank(y)
+    for h in range(1, dom.n + 1):
+        halves = checks._half_tables(cards, tables, h)
+        assert [t.shape[1:] for t in halves] == [tuple(cards[:h]), tuple(cards[h:])]
+        xa, xb = np.divmod(np.arange(size), math.prod(cards[h:]))
+        for lo in range(cards[0]):
+            got = checks._block_ranks(halves, xa, xb, lo)
+            assert got.shape == (size, cards[0] - lo) + tuple(cards[1:])
+            assert (got.reshape(size, -1) == want[:, lo * size // cards[0]:]).all()
+
+
+def test_the_split_keeps_the_scan_loops_long_and_the_tables_small():
+    """The split minimizes the tables' ranks plus the scan's inner loops:
+    bintree7^2 x chain10 and chain10^3 split after the first tree, star3^6
+    after the second, and one long tree ahead of a short one stays whole
+    in the first half, since a second half of its size would not pay."""
+    def split(trees):
+        cards = [t.node_count for t in trees]
+        return min(range(1, len(cards) + 1), key=lambda h: checks._split_cost(cards, h))
+
+    assert split([_B7, _B7, ts.chain_tree(10)]) == 1
+    assert split([ts.chain_tree(10)] * 3) == 1
+    assert split([ts.star3_tree()] * 6) == 2
+    assert split([ts.chain_tree(500), ts.chain_tree(2)]) == 1
+    assert split([ts.chain_tree(2), ts.chain_tree(500)]) == 1
+
+
+@pytest.mark.parametrize("trees", _UNEVEN_DOMAINS, ids=repr)
+def test_half_table_checks_match_naive_late_in_many_blocks(monkeypatch, trees):
+    """Blocks of 3 rows; a random table, a verified fixture, and the
+    first of its variants with one or two cells moved by up to 4 that
+    some check flags past the first block; each table also
+    shifted by 2^70, so the pass runs on object arrays.  Verdicts and
+    witnesses are the naive scans'."""
+    dom = ts.ProductDomain(trees)
+    size = dom.size()
+    monkeypatch.setattr(checks, "_BLOCK_CELLS", 3 * size)
+    rng = ts.SplitMix64(149 + len(trees))
+    base = list(ts.materialize(ts.generate("random-verified-strong", dom, seed=1).function).values)
+    tables = [list(random_table_function(rng, dom, max_value=9).values), base]
+    for _ in range(50):
+        moved = list(base)
+        for _ in range(1 + rng.below(2)):
+            moved[rng.below(size)] += rng.below(9) - 4
+        f = ts.DenseTable(dom, moved)
+        if any(w is not None and dom.rank(w.x) >= 3 for w in (c(f).witness for c, _ in _CHECKS_AND_ORACLES)):
+            tables.append(moved)
+            break
+    late = 0
+    for values in tables:
+        for shift in (0, 1 << 70):
+            f = ts.DenseTable(dom, [v + shift for v in values])
+            for check, oracle in _CHECKS_AND_ORACLES:
+                expect = oracle(f)
+                got = check(f)
+                assert _witness_key(got.witness) == _witness_key(expect)
+                assert got.pairs_checked == size * size
+                late += expect is not None and dom.rank(expect.x) >= 3
+    assert late > 0
+
+
+def test_exhaustive_memory_stays_within_a_few_blocks_with_half_tables():
+    """Each side of a member holds |D_A|^2 + |D_B|^2 ranks: 10,100 on
+    chain10^3, well under a block's 2^14 * 8 bytes more than the blocks."""
+    dom = ts.ProductDomain([ts.chain_tree(10)] * 3)
+    first, second, _ = checks._build_tables(
+        dom, checks._tree_op(checks._tree_groups(dom), checks.meet_join_paths), {})
+    halves = checks._half_tables(dom.cardinalities(), first, 1)
+    assert sum(t.size for t in halves) == 10**2 + 100**2
+
+
+def _star_product(n):
+    return ts.ProductDomain([ts.star3_tree()] * n)
+
+
+def _star_sliced_tables(dom, rng, wanted):
+    """Verified fixtures with one to three cells on the x_0 = 2 third
+    lowered, kept when the pass flags a first pair with x_0 >= 1, where a
+    block compares its rows only with y_0 >= x_0; at most ``wanted``."""
+    size = dom.size()
+    found = []
+    for seed in range(6):
+        base = list(ts.materialize(ts.generate("random-verified-strong", dom, seed=seed).function).values)
+        for k in range(40):
+            values = list(base)
+            for _ in range(1 + k % 3):
+                values[2 * size // 3 + rng.below(size // 3)] -= 1 + rng.below(4)
+            f = ts.DenseTable(dom, values)
+            w = ts.check_translation(f).witness
+            if w is not None and w.x[0] >= 1:
+                found.append(f)
+                if len(found) == wanted:
+                    return found
+    return found
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_star_translation_members_slice_by_the_mirror(monkeypatch, n):
+    """On star3^n the scanned d-members are d = 0, whose tables are
+    symmetric, and d = 1, whose first table is the transpose of its
+    second; both are mirror-closed, so each block scans only the y with
+    y_0 >= x_0.  Over blocks of 1 row, random tables and, up to arity
+    5, fixtures whose first violation has x_0 >= 1 give the naive
+    witness."""
+    dom = _star_product(n)
+    groups = checks._tree_groups(dom)
+    for d in (0, 1):
+        first, second, swapped = checks._build_tables(
+            dom, checks._tree_op(groups, checks.up_down_paths, d), {})
+        assert checks._mirror_closed(first, second) and not any(swapped)
+    monkeypatch.setattr(checks, "_BLOCK_CELLS", dom.size())
+    lows = []
+    block_ranks = checks._block_ranks
+    monkeypatch.setattr(checks, "_block_ranks",
+                        lambda halves, xa, xb, lo: lows.append(lo) or block_ranks(halves, xa, xb, lo))
+    rng = ts.SplitMix64(151 + n)
+    fs = [random_table_function(rng, dom, max_value=9) for _ in range(4)]
+    sliced = _star_sliced_tables(dom, rng, 2) if n <= 5 else []
+    assert len(sliced) == (2 if n <= 5 else 0)
+    for f, late in [(f, False) for f in fs] + [(f, True) for f in sliced]:
+        lows.clear()
+        got = _translation_agrees_with_naive(f)
+        assert not got.ok
+        assert max(lows) == got.witness.x[0]  # the flagging block scanned from y_0 = x_0
+        assert got.witness.x[0] >= 1 or not late
+
+
+def test_swap_symmetric_op_tables_slice_by_the_mirror(monkeypatch):
+    """A member whose every coordinate has first.T == second, as the
+    projections and (g, g.T) for any table g have, is mirror-closed and
+    sliced; its witnesses are the naive scan's, over blocks of 1 row."""
+    trees = [ts.chain_tree(4), ts.star3_tree(), ts.chain_tree(3)]
+    dom = ts.ProductDomain(trees)
+    monkeypatch.setattr(checks, "_BLOCK_CELLS", dom.size())
+    rng = ts.SplitMix64(157)
+    pr = ts.projection_tables(dom)
+    assert checks._mirror_closed(*(list(map(np.asarray, side)) for side in pr))
+    verdicts = set()
+    for _ in range(12):
+        f = random_table_function(rng, dom, max_value=9)
+        assert ts.check_multimorphism(f, dom, pr).ok and naive_check(f, lambda t, a, b: (a, b)) is None
+        g = {t: [[rng.below(t.node_count) for _ in range(t.node_count)] for _ in range(t.node_count)]
+             for t in trees}
+        op1 = [g[t] for t in trees]
+        op2 = [[list(row) for row in zip(*g[t])] for t in trees]
+        assert checks._mirror_closed(list(map(np.asarray, op1)), list(map(np.asarray, op2)))
+        got = ts.check_multimorphism(f, dom, (op1, op2))
+        expect = naive_check(f, lambda t, a, b: (g[t][a][b], g[t][b][a]))
+        assert _witness_key(got.witness) == _witness_key(expect)
+        verdicts.add(got.ok)
+    assert False in verdicts
+
+
+def test_a_member_mixing_symmetric_and_swap_symmetric_coordinates_scans_every_y(monkeypatch):
+    """Meet/join on the star3 coordinate (symmetric) and projections on the
+    chain4 one (first.T == second) make a member that is not mirror-closed:
+    its first violation may have rank(x) > rank(y), with y_0 < x_0, which
+    a block scanning from y_0 = x_0 would miss.  Witnesses are the naive
+    scan's, over blocks of 1 row."""
+    star, chain = ts.star3_tree(), ts.chain_tree(4)
+    dom = ts.ProductDomain([star, chain])
+    monkeypatch.setattr(checks, "_BLOCK_CELLS", dom.size())
+    mj, pr = ts.meet_join_tables(dom), ts.projection_tables(dom)
+    op1, op2 = [mj[0][0], pr[0][1]], [mj[1][0], pr[1][1]]
+    assert not checks._mirror_closed(list(map(np.asarray, op1)), list(map(np.asarray, op2)))
+
+    def op(t, a, b):
+        return ts.meet_join(t, a, b) if t == star else (a, b)
+
+    rng = ts.SplitMix64(163)
+    backwards = 0
+    for _ in range(40):
+        f = random_table_function(rng, dom, max_value=9)
+        expect = naive_check(f, op)
+        got = ts.check_multimorphism(f, dom, (op1, op2))
+        assert _witness_key(got.witness) == _witness_key(expect)
+        backwards += expect is not None and expect.x[0] > expect.y[0]
+    assert backwards >= 3
+
+
+def _count_walks(monkeypatch):
+    """Patch ``trees.Paths`` to record the tree of each path walk it runs."""
+    walks = []
+    walk = ts.trees.Paths._walk
+    monkeypatch.setattr(ts.trees.Paths, "_walk",
+                        lambda p: (p._walked is None and walks.append(p.tree)) or walk(p))
+    return walks
+
+
+def test_exhaustive_translation_walks_each_trees_paths_once(monkeypatch):
+    """A holding bintree7^2 x chain10 check walks the index-grid paths of
+    each distinct tree once for all ten members; up/down at d >= 4, past
+    bintree7's diameter, maps its label pairs with no node lookup."""
+    dom = ts.ProductDomain([_B7, _B7, ts.chain_tree(10)])
+    f = ts.generate("random-verified-strong", dom, seed=3).function
+    walks = _count_walks(monkeypatch)
+    lookups = []
+    node_at = ts.trees.Paths.node_at
+    monkeypatch.setattr(ts.trees.Paths, "node_at", lambda p, q: lookups.append(p.tree) or node_at(p, q))
+    assert ts.check_translation(f).ok
+    assert walks == [_B7, ts.chain_tree(10)]
+    assert lookups.count(_B7) == 4 and lookups.count(ts.chain_tree(10)) == 9
+
+
+def test_sampled_translation_walks_each_blocks_paths_once(monkeypatch):
+    """Sampled mode walks the paths of each drawn block once per distinct
+    tree and steps every d over them, keeping them for the pairs still
+    live; its reports are the scalar replay's."""
+    dom = ts.ProductDomain([ts.star3_tree(), ts.chain_tree(6), ts.star3_tree(), _B7])
+    rng = ts.SplitMix64(167)
+    fs = [ts.generate("random-verified-strong", dom, seed=0).function] + [
+        random_table_function(rng, dom, max_value=9) for _ in range(3)]
+    walks = _count_walks(monkeypatch)
+    for f in fs:
+        for samples, seed in ((30, 5), (2500, 11)):
+            walks.clear()
+            got = ts.check_translation(f, mode="sampled", samples=samples, seed=seed)
+            expected = replay_sampled(f, sampled_steps("translation", dom), samples, seed)
+            assert (_witness_key(got.witness), got.pairs_checked, got.note) == expected
+            blocks = -(-got.pairs_checked // checks._SAMPLE_PAIRS)
+            # three distinct trees per block, and the witness's replay walks them again
+            assert len(walks) == 3 * (blocks + (not got.ok))
 
 
 # ---------------------------------------------------------------------------
