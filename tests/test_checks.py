@@ -1077,16 +1077,6 @@ def test_half_table_checks_match_naive_late_in_many_blocks(monkeypatch, trees):
     assert late > 0
 
 
-def test_exhaustive_memory_stays_within_a_few_blocks_with_half_tables():
-    """Each side of a member holds |D_A|^2 + |D_B|^2 ranks: 10,100 on
-    chain10^3, well under a block's 2^14 * 8 bytes more than the blocks."""
-    dom = ts.ProductDomain([ts.chain_tree(10)] * 3)
-    first, second, _ = checks._build_tables(
-        dom, checks._tree_op(checks._tree_groups(dom), checks.meet_join_paths), {})
-    halves = checks._half_tables(dom.cardinalities(), first, 1)
-    assert sum(t.size for t in halves) == 10**2 + 100**2
-
-
 def _star_product(n):
     return ts.ProductDomain([ts.star3_tree()] * n)
 
