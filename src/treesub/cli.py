@@ -108,25 +108,27 @@ def _int_array(raw) -> bool:
     return isinstance(raw, list) and not non_int_cells(raw)
 
 
-def _parse_values(
-    raw_values: list, where: str, denominator: int, nums: list, dens: dict[int, int]
-) -> None:
-    """Append each value's unreduced numerator to nums.
+def _parse_values(raw_values: list, where: str, denominator: int, dens: dict[int, int], base: int = 0) -> list:
+    """The values' unreduced numerators, each a plain int.
 
     Plain integer cells, all of a canonical file, are taken as they are:
     ``non_int_cells`` tells them apart in one C-level pass over the cells'
-    types, the same check ``DenseTable`` and ``Term`` make.  Only the
-    cells it returns go through ``_parse_value``, in document order, so
-    the first bad one is reported.  A denominator other than the declared
-    one is recorded in dens under the value's position in nums.
+    types, the same check ``DenseTable`` and ``Term`` make, and when it
+    finds none raw_values itself is returned, uncopied.  Only the cells it
+    returns go through ``_parse_value``, in document order, so the first
+    bad one is reported.  A denominator other than the declared one is
+    recorded in dens under base plus the value's position.
     """
-    base = len(nums)
-    nums.extend(raw_values)
-    for i in non_int_cells(raw_values):
+    odd = non_int_cells(raw_values)
+    if not odd:
+        return raw_values
+    nums = list(raw_values)
+    for i in odd:
         num, den = _parse_value(raw_values[i], where, i)
-        nums[base + i] = num
+        nums[i] = num
         if den != denominator:
             dens[base + i] = den
+    return nums
 
 
 def _normalize(nums: list[int], denominator: int, dens: dict[int, int]) -> tuple[list[int], int]:
@@ -202,9 +204,8 @@ def parse_document(doc: dict, origin: str = "instance") -> tuple[ProductDomain, 
                 "function.values",
                 f"expected {domain.size()} entries for this domain, got {len(raw)}",
             )
-        _parse_values(raw, "function.values", declared_den, nums, dens)
-        nums, den = _normalize(nums, declared_den, dens)
-        function: CostFunction = DenseTable(domain, nums, den)
+        nums, den = _normalize(_parse_values(raw, "function.values", declared_den, dens), declared_den, dens)
+        function: CostFunction = DenseTable._of_plain_ints(domain, nums, den)
     else:
         shapes = []
         for ti, entry in enumerate(raw):
@@ -217,7 +218,7 @@ def parse_document(doc: dict, origin: str = "instance") -> tuple[ProductDomain, 
             values = entry["values"]
             if not isinstance(values, list):
                 raise _fail(where + ".values", "expected an array")
-            _parse_values(values, where + ".values", declared_den, nums, dens)
+            nums.extend(_parse_values(values, where + ".values", declared_den, dens, len(nums)))
             shapes.append((tuple(scope), len(values)))
         nums, den = _normalize(nums, declared_den, dens)
         terms = []

@@ -246,7 +246,21 @@ class DenseTable(CostFunction):
     __slots__ = ("domain", "denominator", "values")
 
     def __init__(self, domain: ProductDomain, values: Sequence[int], denominator: int = 1):
-        values = plain_ints(values, lambda k, v: f"cost table cell {k} holds {v!r}, not an integer")
+        self._store(domain, plain_ints(
+            values, lambda k, v: f"cost table cell {k} holds {v!r}, not an integer"), denominator)
+
+    @classmethod
+    def _of_plain_ints(cls, domain: ProductDomain, values: Sequence[int], denominator: int) -> DenseTable:
+        """The table of values whose every item already has type exactly
+        ``int``, as the CLI's parser hands it its numerators once its
+        ``non_int_cells`` pass and ``_parse_value`` have typed every cell.
+        The cells are not scanned again; the length and the denominator
+        are checked, and one tuple copy is stored, never the caller's list."""
+        table = cls.__new__(cls)
+        table._store(domain, tuple(values), denominator)
+        return table
+
+    def _store(self, domain: ProductDomain, values: tuple[int, ...], denominator: int) -> None:
         if len(values) != domain.size():
             raise DomainError(
                 f"table has {len(values)} entries, domain has {domain.size()}"

@@ -560,8 +560,9 @@ def test_non_symmetric_tables_scan_every_y(monkeypatch):
 
 def test_exhaustive_checks_stay_within_a_block_of_memory():
     """Peak traced memory stays near a few row-block arrays (128 KiB each)
-    and the O(|D|) values and digits, under 1 MB at |D| = 1000; one
-    |D|^2 int64 array alone would take 8 MB."""
+    and the half-rank tables (|D_A|^2 + |D_B|^2 = 10,100 ranks per member
+    side at chain10^3), about 0.71 MB in all and under 1 MB at |D| = 1000;
+    one |D|^2 int64 array alone would take 8 MB."""
     dom = ts.ProductDomain([ts.chain_tree(10)] * 3)
     f = ts.DenseTable(dom, [sum((v - 4) ** 2 for v in x) for x in dom.labelings()])
     for check in (ts.check_strong, ts.check_weak, ts.check_translation):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import treesub as ts
-from treesub import checks, cli
+from treesub import checks, cli, trees
 from treesub.cli import (
     EXIT_FAILURE,
     EXIT_INPUT,
@@ -370,6 +370,30 @@ def test_plain_int_table_makes_no_per_cell_parse_call(big_table, monkeypatch):
     calls = _count_parse_value_calls(monkeypatch)
     parse_document(big_table)
     assert calls == []
+
+
+@pytest.mark.parametrize("denominator, factor", [(6, 2), (1, 1)])
+def test_plain_int_table_cells_are_type_scanned_once(big_table, monkeypatch, denominator, factor):
+    """The parser's ``non_int_cells`` pass is the table's only type scan,
+    and the table stores its own tuple, not the document's list."""
+    scanned = []
+    real = trees.non_int_cells
+
+    def counted(values):
+        scanned.append(len(values))
+        return real(values)
+
+    monkeypatch.setattr(cli, "non_int_cells", counted)
+    monkeypatch.setattr(trees, "non_int_cells", counted)
+    cells = list(big_table["function"]["values"])
+    doc = {**big_table, "function": {**big_table["function"], "denominator": denominator, "values": cells}}
+    f = parse_document(doc)[1]
+    assert [n for n in scanned if n == _LAST + 1] == [_LAST + 1]
+    assert type(f.values) is tuple
+    assert f.values == tuple(c // factor for c in cells)
+    assert f.denominator == denominator // factor
+    cells[0] += 2
+    assert f.values[0] == (cells[0] - 2) // factor
 
 
 def test_only_the_non_int_cells_are_parsed_in_document_order(big_table, monkeypatch):

@@ -158,6 +158,23 @@ def test_integer_like_cost_values_become_ints():
     assert ts.minimize_exhaustive(f) == ((1,), 1)
 
 
+@pytest.mark.parametrize("bad", [1.5, "7", None])
+def test_public_table_constructor_scans_every_cell(bad):
+    """Only the parser skips the scan of its own plain-int numerators:
+    ``DenseTable(domain, cells)`` refuses a float, str or None in the last
+    of 117,649 cells by position, and reads a bool or a numpy int as the
+    plain int of its value."""
+    dom = ts.ProductDomain([ts.chain_tree(7)] * 6)
+    last = dom.size() - 1
+    cells = [0] * last + [bad]
+    with pytest.raises(DomainError, match=f"^cost table cell {last} holds {re.escape(repr(bad))}, not"):
+        ts.DenseTable(dom, cells)
+    cells[last], cells[1], cells[2] = True, np.int64(-3), np.uint8(200)
+    values = ts.DenseTable(dom, cells).values
+    assert values[:3] == (0, -3, 200) and values[last] == 1
+    assert all(type(v) is int for v in values)
+
+
 class _Level(enum.IntEnum):
     LOW = 3
     HIGH = 10**20
