@@ -108,7 +108,9 @@ def _int_array(raw) -> bool:
     return isinstance(raw, list) and not non_int_cells(raw)
 
 
-def _parse_values(raw_values: list, where: str, denominator: int, dens: dict[int, int], base: int = 0) -> list:
+def _parse_values(
+    raw_values: list, where: str, denominator: int, dens: dict[int, int], base: int = 0
+) -> list:
     """The values' unreduced numerators, each a plain int.
 
     Plain integer cells, all of a canonical file, are taken as they are:
@@ -204,7 +206,8 @@ def parse_document(doc: dict, origin: str = "instance") -> tuple[ProductDomain, 
                 "function.values",
                 f"expected {domain.size()} entries for this domain, got {len(raw)}",
             )
-        nums, den = _normalize(_parse_values(raw, "function.values", declared_den, dens), declared_den, dens)
+        nums = _parse_values(raw, "function.values", declared_den, dens)
+        nums, den = _normalize(nums, declared_den, dens)
         function: CostFunction = DenseTable._of_plain_ints(domain, nums, den)
     else:
         shapes = []

@@ -250,11 +250,10 @@ class DenseTable(CostFunction):
             values, lambda k, v: f"cost table cell {k} holds {v!r}, not an integer"), denominator)
 
     @classmethod
-    def _of_plain_ints(cls, domain: ProductDomain, values: Sequence[int], denominator: int) -> DenseTable:
-        """The table of values whose every item already has type exactly
-        ``int``, as the CLI's parser hands it its numerators once its
-        ``non_int_cells`` pass and ``_parse_value`` have typed every cell.
-        The cells are not scanned again; the length and the denominator
+    def _of_plain_ints(cls, domain: ProductDomain, values: list[int], denominator: int) -> DenseTable:
+        """The table of values that all have type exactly ``int``, as the CLI
+        parser's ``non_int_cells`` pass and ``_parse_value`` leave its
+        numerators: no cell is scanned again, the length and the denominator
         are checked, and one tuple copy is stored, never the caller's list."""
         table = cls.__new__(cls)
         table._store(domain, tuple(values), denominator)
