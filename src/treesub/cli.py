@@ -121,11 +121,11 @@ def _parse_values(
     bad one is reported.  A denominator other than the declared one is
     recorded in dens under base plus the value's position.
     """
-    odd = non_int_cells(raw_values)
-    if not odd:
+    not_int = non_int_cells(raw_values)
+    if not not_int:
         return raw_values
     nums = list(raw_values)
-    for i in odd:
+    for i in not_int:
         num, den = _parse_value(raw_values[i], where, i)
         nums[i] = num
         if den != denominator:
