@@ -253,8 +253,10 @@ class DenseTable(CostFunction):
     def _of_plain_ints(cls, domain: ProductDomain, values: list[int], denominator: int) -> DenseTable:
         """The table of values that all have type exactly ``int``, as the CLI
         parser's ``non_int_cells`` pass and ``_parse_value`` leave its
-        numerators: no cell is scanned again, the length and the denominator
-        are checked, and one tuple copy is stored, never the caller's list."""
+        numerators, and as ``tolist`` leaves the cells of a folded term
+        table, int64 or object: no cell is scanned again, the length and the
+        denominator are checked, and one tuple copy is stored, never the
+        caller's list."""
         table = cls.__new__(cls)
         table._store(domain, tuple(values), denominator)
         return table

@@ -1331,3 +1331,213 @@ def test_multimorphism_table_labels_of_any_integer_type():
     with pytest.raises(DomainError) as err:
         ts.check_multimorphism(f, dom, (floats, op2))
     assert str(err.value) == "op1: table 0 holds invalid label 0.0"
+
+
+# ---------------------------------------------------------------------------
+# Sums of terms checked one host table at a time
+
+_SUM_TREE_POOL = (ts.chain_tree(2), ts.chain_tree(3), ts.chain_tree(4), ts.star3_tree(),
+                  ts.complete_binary_tree(3), ts.fork_tree(2))
+
+
+def _random_sum_domain(rng: ts.SplitMix64, arity: int) -> ts.ProductDomain:
+    """A product of ``arity`` trees from the pool with at most 100 labelings."""
+    while True:
+        dom = ts.ProductDomain([_SUM_TREE_POOL[rng.below(len(_SUM_TREE_POOL))] for _ in range(arity)])
+        if dom.size() <= 100:
+            return dom
+
+
+def _random_scope(rng: ts.SplitMix64, n: int) -> tuple[int, ...]:
+    """1-3 distinct variables in a random order."""
+    scope = list(range(n))
+    for j in range(n - 1, 0, -1):
+        r = rng.below(j + 1)
+        scope[j], scope[r] = scope[r], scope[j]
+    return tuple(scope[:1 + rng.below(min(3, n))])
+
+
+def _random_sum(rng: ts.SplitMix64, dom: ts.ProductDomain, verified: bool) -> ts.SumOfTerms:
+    """0-4 terms over random scopes.  A term's table is strongly verified
+    on its scope's product when ``verified`` (and otherwise on a coin
+    flip), else small random values."""
+    terms = []
+    for _ in range(rng.below(5)):
+        scope = _random_scope(rng, dom.n)
+        sub = ts.ProductDomain([dom.trees[i] for i in scope])
+        if verified or rng.below(2):
+            values = ts.generate("random-verified-strong", sub, seed=rng.below(1000), max_value=6).function.values
+        else:
+            values = tuple(rng.below(7) for _ in range(sub.size()))
+        terms.append(ts.Term(scope, values))
+    return ts.SumOfTerms(dom, terms)
+
+
+def _assert_sum_matches_full_pass_and_naive(f) -> dict[str, bool]:
+    """Each exhaustive report on the sum equals the full pass's on its
+    table, and its verdict and witness equal the naive oracle's."""
+    size = f.domain.size()
+    table = ts.materialize(f)
+    verdicts = {}
+    for check, oracle in _CHECKS_AND_ORACLES:
+        got = check(f)
+        assert got == check(table)
+        expect = oracle(f)
+        assert (got.ok, _witness_key(got.witness), got.pairs_checked) == (
+            expect is None, _witness_key(expect), size * size)
+        verdicts[check.__name__] = got.ok
+    return verdicts
+
+
+def test_sum_reports_match_the_full_pass_and_naive_on_random_sums():
+    """Random sums over chains, star3, bintree7 and fork2 at arity 1-4,
+    with terms of 1-3 variables over scopes in random order, and sums of
+    no terms: the host pass changes no report."""
+    rng = ts.SplitMix64(83)
+    seen = {name: set() for name in ("check_strong", "check_weak", "check_translation")}
+    for k in range(40):
+        dom = _random_sum_domain(rng, 1 + k % 4)
+        for name, ok in _assert_sum_matches_full_pass_and_naive(_random_sum(rng, dom, k % 3 != 0)).items():
+            seen[name].add(ok)
+    assert all(verdicts == {True, False} for verdicts in seen.values())
+    for arity in (1, 3):
+        dom = _random_sum_domain(rng, arity)
+        assert all(_assert_sum_matches_full_pass_and_naive(ts.SumOfTerms(dom, [])).values())
+
+
+def test_sum_reports_match_the_full_pass_and_naive_past_int64():
+    """A sum whose tables hold 2^70-sized values (object dtype) takes the
+    same host pass on exact ints, holding and failing."""
+    dom = ts.ProductDomain([ts.chain_tree(3), ts.star3_tree(), ts.chain_tree(4)])
+    big = 1 << 70
+    convex = ts.Term((2,), (big, 0, 0, big))
+    coupled = ts.Term((1, 0), ts.generate("random-verified-strong", ts.ProductDomain(
+        [dom.trees[1], dom.trees[0]]), seed=4).function.values)
+    holding = ts.SumOfTerms(dom, [convex, coupled])
+    assert all(table.dtype == object for _, table in holding._folded())
+    assert all(_assert_sum_matches_full_pass_and_naive(holding).values())
+    spike = ts.Term((1,), (big, 0, 0))  # star3's root above both leaves
+    assert not any(_assert_sum_matches_full_pass_and_naive(
+        ts.SumOfTerms(dom, [convex, coupled, spike])).values())
+
+
+def _two_host_sum(rng: ts.SplitMix64, trees):
+    """Terms A over (0, 1) and B over (2, 1), both strongly verified, plus
+    a unary p(x_1) added into A and taken out of B, plus on a coin flip a
+    little noise in B; and the two host tables, on (0, 1) and (1, 2)."""
+    dom = ts.ProductDomain(trees)
+    c0, c1, c2 = (t.node_count for t in trees)
+    va = ts.generate("random-verified-strong", ts.ProductDomain([trees[0], trees[1]]),
+                     seed=rng.below(1000), max_value=4).function.values
+    vb = ts.generate("random-verified-strong", ts.ProductDomain([trees[2], trees[1]]),
+                     seed=rng.below(1000), max_value=4).function.values
+    p = [rng.below(9) - 4 for _ in range(c1)]
+    noisy = rng.below(2)
+    a = [va[x0 * c1 + x1] + p[x1] for x0 in range(c0) for x1 in range(c1)]
+    b = [vb[x2 * c1 + x1] - p[x1] + noisy * rng.below(2) for x2 in range(c2) for x1 in range(c1)]
+    f = ts.SumOfTerms(dom, [ts.Term((0, 1), a), ts.Term((2, 1), b)])
+    hosts = [ts.DenseTable(ts.ProductDomain([trees[0], trees[1]]), a),
+             ts.DenseTable(ts.ProductDomain([trees[1], trees[2]]),
+                           [b[x2 * c1 + x1] for x1 in range(c1) for x2 in range(c2)])]
+    return f, hosts
+
+
+@pytest.mark.parametrize("check, oracle", _CHECKS_AND_ORACLES, ids=lambda c: getattr(c, "__name__", ""))
+def test_a_failing_host_falls_back_to_the_full_pass(check, oracle):
+    """A seeded search finds sums that hold while one of their host tables
+    fails, and sums that fail: each report equals the full pass's on the
+    materialized table and the naive oracle's verdict and witness."""
+    rng = ts.SplitMix64(97)
+    trees_of = [[ts.chain_tree(3), ts.chain_tree(4), ts.chain_tree(3)],
+                [ts.star3_tree(), ts.chain_tree(3), ts.fork_tree(2)],
+                [ts.complete_binary_tree(3), ts.star3_tree(), ts.chain_tree(2)]]
+    found = {True: 0, False: 0}
+    for k in range(60):
+        f, hosts = _two_host_sum(rng, trees_of[k % 3])
+        expect = oracle(f)
+        if expect is None and all(oracle(h) is None for h in hosts):
+            continue  # the host pass decides these alone
+        got = check(f)
+        assert got == check(ts.materialize(f))
+        assert (got.ok, _witness_key(got.witness)) == (expect is None, _witness_key(expect))
+        found[got.ok] += 1
+    assert found[True] >= 5 and found[False] >= 5
+
+
+def _chain10_cubed_sum(w: int) -> ts.SumOfTerms:
+    """(v - 4)^2 on each chain10 variable plus w * |x_i - x_j| on each
+    pair: it holds every property for w >= 0 and fails each for w < 0."""
+    dom = ts.ProductDomain([ts.chain_tree(10)] * 3)
+    coupling = tuple(w * abs(a - b) for a in range(10) for b in range(10))
+    return ts.SumOfTerms(dom, [ts.Term((i,), tuple((v - 4) ** 2 for v in range(10))) for i in range(3)]
+                         + [ts.Term(s, coupling) for s in ((1, 0), (0, 2), (2, 1))])
+
+
+def _count_sum_passes(monkeypatch):
+    """Record the argument of each ``checks.materialize`` call, the domain
+    size of each ``_candidate_pairs`` call, and the domain size of each
+    check the public checks run on a host table."""
+    calls = {"materialize": [], "scanned": [], "hosts": []}
+    materialize, candidates = checks.materialize, checks._candidate_pairs
+    monkeypatch.setattr(checks, "materialize", lambda g: calls["materialize"].append(g) or materialize(g))
+    monkeypatch.setattr(checks, "_candidate_pairs", lambda table, domain, family: (
+        calls["scanned"].append(domain.size()) or candidates(table, domain, family)))
+    for name in ("check_strong", "check_weak", "check_translation"):
+        public = getattr(checks, name)
+        monkeypatch.setattr(checks, name, lambda g, *a, public=public, **k: (
+            calls["hosts"].append(g.domain.size()) or public(g, *a, **k)))
+    return calls
+
+
+@pytest.mark.parametrize("check", [ts.check_strong, ts.check_weak, ts.check_translation],
+                         ids=lambda c: c.__name__)
+def test_a_holding_sum_is_decided_by_its_host_tables_alone(monkeypatch, check):
+    """On a holding chain10^3 sum the public check runs once per host
+    table, on its own 100 labelings, and never materializes the sum or
+    scans its 10^6 pairs; the report is the full pass's."""
+    f = _chain10_cubed_sum(1)
+    expected = check(ts.materialize(f))
+    calls = _count_sum_passes(monkeypatch)
+    assert check(f) == expected and expected.ok and expected.pairs_checked == 10**6
+    assert calls["hosts"] == [100] * 3
+    assert f not in calls["materialize"] and 1000 not in calls["scanned"]
+    # a sampled check reads no host table
+    calls["hosts"].clear()
+    assert check(f, mode="sampled").ok and calls["hosts"] == []
+
+
+@pytest.mark.parametrize("check", [ts.check_strong, ts.check_weak, ts.check_translation],
+                         ids=lambda c: c.__name__)
+def test_a_failing_sum_materializes_once_after_its_first_failing_host(monkeypatch, check):
+    """A negative coupling fails the first host table and the sum: the
+    host pass stops there, and the sum is materialized once for the full
+    pass, whose report it returns."""
+    f = _chain10_cubed_sum(-1)
+    expected = check(ts.materialize(f))
+    calls = _count_sum_passes(monkeypatch)
+    assert check(f) == expected and not expected.ok
+    assert calls["hosts"] == [100]
+    assert [g for g in calls["materialize"] if g is f] == [f]
+    assert 1000 in calls["scanned"]
+
+
+def test_a_sum_with_one_host_over_every_variable_runs_the_full_pass_once(monkeypatch):
+    """A host over every variable is the sum itself: no host pass runs,
+    and the full pass scans the domain once.  Neither does
+    ``check_multimorphism`` run one, nor a refused sum."""
+    dom = ts.ProductDomain([ts.chain_tree(4), ts.star3_tree(), ts.chain_tree(3)])
+    whole = ts.generate("random-verified-strong", ts.ProductDomain(
+        [dom.trees[2], dom.trees[0], dom.trees[1]]), seed=1).function.values
+    f = ts.SumOfTerms(dom, [ts.Term((2, 0, 1), whole), ts.Term((1,), (0, 1, 1))])
+    calls = _count_sum_passes(monkeypatch)
+    assert ts.check_strong(f).ok
+    assert calls == {"materialize": [f], "scanned": [36], "hosts": []}
+    g = _chain10_cubed_sum(1)
+    calls["materialize"].clear()
+    calls["scanned"].clear()
+    assert ts.check_multimorphism(g, op_pair=ts.meet_join_tables(g.domain)).ok
+    assert calls == {"materialize": [g], "scanned": [1000], "hosts": []}
+    big = ts.SumOfTerms(ts.ProductDomain([ts.chain_tree(40)] * 2), [ts.Term((0,), tuple(range(40)))])
+    with pytest.raises(BudgetExceededError, match="2560000 pairs"):
+        ts.check_strong(big)
+    assert calls["hosts"] == []
