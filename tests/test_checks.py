@@ -1442,7 +1442,7 @@ def _two_host_sum(rng: ts.SplitMix64, trees):
     return f, hosts
 
 
-@pytest.mark.parametrize("check, oracle", _CHECKS_AND_ORACLES, ids=lambda c: getattr(c, "__name__", ""))
+@pytest.mark.parametrize("check, oracle", _CHECKS_AND_ORACLES, ids=["strong", "weak", "translation"])
 def test_a_failing_host_falls_back_to_the_full_pass(check, oracle):
     """A seeded search finds sums that hold while one of their host tables
     fails, and sums that fail: each report equals the full pass's on the
