@@ -11,6 +11,8 @@ coordinate; a pair violates the property when it violates any member:
 * ``check_strong``       -- one member, midpoint meet/join;
 * ``check_weak``         -- one member, wedge/vee (highest common
                             ancestor pair), the d = 0 up/down member;
+                            on chain products an exhaustive check reads
+                            the table's 2x2 squares first;
 * ``check_translation``  -- the directed d-step family, one member per
                             d >= 0 (a pair's scan ends once every
                             coordinate saturates, by d = rho_inf(x, y));
@@ -24,6 +26,17 @@ violation, with the members tried in list order, so witnesses are stable
 across runs and implementations.  Sampled mode draws pairs i.i.d.
 uniform by rank from a seeded stream; it proves nothing and its report
 says so.
+
+On a chain, rooted at an endpoint, wedge/vee are the shallower and the
+deeper label, so on a product of chains weak is lattice submodularity
+with each axis read in depth order.  That holds exactly when every 2x2
+square f(z + e_i) + f(z + e_j) >= f(z) + f(z + e_i + e_j) does, for
+every coordinate pair i < j (Topkis 1978; the proof is in
+``_squares_hold``): |D| * n(n-1)/2 squares in place of |D|^2 pairs.  An
+exhaustive weak check on chains decides a holding table from its
+squares alone.  Each square is a pair of the weak family, so a failing
+one is a real violation; the pair pass then runs as before for the
+first witness, and reports do not change.
 
 An exhaustive strong, weak or translation check of a ``SumOfTerms``
 first runs the same public check on each of the sum's host tables (the
@@ -540,6 +553,44 @@ def _flagged_sample(f: CostFunction, domain: ProductDomain, family: OpFamily,
     return None
 
 
+def _squares_hold(table: DenseTable, domain: ProductDomain) -> bool:
+    """Whether every 2x2 square of the table, each axis read in depth
+    order, is submodular: on a product of chains, whether weak holds.
+
+    A chain is rooted at an endpoint, so its wedge and vee are the
+    shallower and the deeper label, and read by depth the weak inequality
+    is lattice submodularity on a product of chains.  For every pair of
+    coordinates i < j, neighbours or not, and every z with z + e_i + e_j
+    in the box, the square asks f(z + e_i) + f(z + e_j) >= f(z) +
+    f(z + e_i + e_j): one slice expression over all z.  Its sums span two
+    values, so twice the largest |value| picks the dtype (``sum_dtype``).
+
+    Each square is a pair of the weak family, (z + e_i, z + e_j) having
+    wedge z and vee z + e_i + e_j, so a failing square is a violation.
+    Conversely, let every square hold, and take x and y with
+    I = {i : x_i > y_i} and J = {j : x_j < y_j}.  With m = x ^ y, write
+    F(u, v) = f(m + u + v) for u between 0 and x - m (nonzero on I only)
+    and v between 0 and y - m (on J only).  A square on i in I and j in J
+    (so i != j) says one unit step of u gains no more at v + e_j than at v,
+    and the steps of a path raising v from 0 to y - m telescope: so each
+    unit step of u gains no more at v = y - m than at v = 0.  Summing
+    those over a path raising u from 0 to x - m gives
+    f(x v y) - f(y) <= f(x) - f(m), the weak inequality for (x, y)
+    (Topkis, "Minimizing a submodular function on a lattice", Operations
+    Research 26(2), 1978).  Arity 1, or a one-node chain, has no squares
+    and holds.
+    """
+    largest = max(map(abs, table.values))
+    values = np.asarray(table.values, dtype=sum_dtype(2 * largest)).reshape(domain.cardinalities())
+    grid = values[np.ix_(*(np.argsort(t.depth) for t in domain.trees))]
+    for i in range(domain.n):
+        for j in range(i + 1, domain.n):
+            g = np.moveaxis(grid, (i, j), (0, 1))  # z_i and z_j on the first two axes
+            if (g[:-1, :-1] + g[1:, 1:] > g[1:, :-1] + g[:-1, 1:]).any():
+                return False
+    return True
+
+
 def _hosts_hold(f: CostFunction, check: Callable[[CostFunction], CheckReport]) -> bool:
     """Whether f is a ``SumOfTerms`` whose every host table passes
     ``check``, an exhaustive check on the product of its scope's trees.
@@ -569,7 +620,7 @@ def _pair_check(
     samples: int,
     seed: int,
     note: str = "",
-    equivalent: Callable[[], OpFamily] | None = None,
+    equivalent: Callable[[DenseTable], bool] | None = None,
     host_check: Callable[[CostFunction], CheckReport] | None = None,
 ) -> CheckReport:
     """Check f(x)+f(y) >= f(op1)+f(op2) for every member of the family.
@@ -582,12 +633,13 @@ def _pair_check(
     mode over every pair in rank order (``_candidate_pairs``), sampled
     mode over the drawn pairs in draw order (``_flagged_sample``).
 
-    ``equivalent`` builds a family that every f on this domain satisfies
-    exactly when it satisfies the family itself.  Exhaustive mode then
-    passes the materialized table through it first and reports a holding
-    family from that pass alone; when it fails, the family's own pass
-    finds the witness, and a family that holds there is a fault.
-    Sampled mode never reads it.
+    ``equivalent`` is a predicate on the materialized table, true exactly
+    when the family holds on it: on chain products, the strong pass for
+    the translation family (``check_translation``) and the 2x2 squares
+    for weak (``_squares_hold``).  Exhaustive mode asks it first and
+    reports a holding family from its answer alone; when it says no, the
+    family's own pass finds the witness, and a family that holds there is
+    a fault.  Sampled mode never asks it.
 
     ``host_check`` is the public exhaustive check of the same property.
     When f is a ``SumOfTerms``, exhaustive mode first runs it on each host
@@ -610,7 +662,7 @@ def _pair_check(
         if host_check is not None and _hosts_hold(f, host_check):
             return CheckReport(name, "exhaustive", True, None, size * size, note)
         table = materialize(f)
-        if equivalent is not None and _candidate_pairs(table, domain, equivalent()) is None:
+        if equivalent is not None and equivalent(table):
             return CheckReport(name, "exhaustive", True, None, size * size, note)
         family = build_family()
         pair = _candidate_pairs(table, domain, family)
@@ -677,10 +729,22 @@ def check_weak(
     samples: int = 1000,
     seed: int = 0,
 ) -> CheckReport:
-    """Verify f(x)+f(y) >= f(wedge)+f(vee), wedge/vee being up/down at d = 0."""
+    """Verify f(x)+f(y) >= f(wedge)+f(vee), wedge/vee being up/down at d = 0.
+
+    On a product of chains an exhaustive check reads the materialized
+    table's 2x2 squares first (``_squares_hold``): read by depth, weak is
+    lattice submodularity there, which holds exactly when every square
+    does, so a holding table gets the report the pair pass would give
+    from |D| * n(n-1)/2 squares in place of |D|^2 pairs.  After a failing
+    square the pair pass runs as before for the first witness.  Branching
+    trees, and sampled mode on any domain, take the pair pass alone.
+    """
     domain = own_domain(f, domain)
+    chains = all(t.is_chain() for t in domain.trees)
     return _pair_check(f, domain, lambda: [(None, _tree_op(_tree_groups(domain), up_down_paths, 0))],
-                       "weak", mode, samples, seed, host_check=check_weak)
+                       "weak", mode, samples, seed,
+                       equivalent=(lambda t: _squares_hold(t, domain)) if chains else None,
+                       host_check=check_weak)
 
 
 def check_multimorphism(
@@ -742,7 +806,8 @@ def check_translation(
     chains = all(t.is_chain() for t in domain.trees)
     return _pair_check(f, domain, lambda: _translation_family(domain, steps),
                        "translation", mode, samples, seed, note,
-                       equivalent=(lambda: _strong_family(domain)) if chains else None,
+                       equivalent=((lambda t: _candidate_pairs(t, domain, _strong_family(domain)) is None)
+                                   if chains else None),
                        host_check=check_translation)
 
 

@@ -266,6 +266,148 @@ def test_sampled_translation_on_chains_keeps_the_d_scan(monkeypatch):
     assert strong_calls == []
 
 
+# chain products for the square test: those above, chain3^4 and chain10^3
+_SQUARE_DOMAINS = _CHAIN_DOMAINS + [[ts.chain_tree(3)] * 4, [ts.chain_tree(10)] * 3]
+
+
+def _weak_agrees_with_naive_and_the_full_pass(f) -> bool:
+    """The exhaustive weak report equals the naive wedge/vee scan's verdict
+    and witness, and the min/max multimorphism check's, which runs the
+    full pair pass; it counts |D|^2 pairs and has no note."""
+    got = ts.check_weak(f)
+    expected = naive_check(f, ts.wedge_vee)
+    full = ts.check_multimorphism(f, op_pair=ts.min_max_tables(f.domain))
+    assert (got.ok, _witness_key(got.witness), got.pairs_checked, got.note) == (
+        expected is None, _witness_key(expected), f.domain.size() ** 2, "")
+    assert (full.ok, _witness_key(full.witness), full.pairs_checked) == (
+        got.ok, _witness_key(got.witness), got.pairs_checked)
+    return got.ok
+
+
+def _depth_couplings(rng: ts.SplitMix64, dom: ts.ProductDomain) -> ts.SumOfTerms:
+    """A random unary term per variable plus w * |depth_i - depth_j| on
+    each pair, w in 0..3: weak on every chain product."""
+    terms = [ts.Term((i,), tuple(rng.below(9) for _ in range(t.node_count)))
+             for i, t in enumerate(dom.trees)]
+    for i in range(dom.n):
+        for j in range(i + 1, dom.n):
+            w = rng.below(4)
+            di, dj = dom.trees[i].depth, dom.trees[j].depth
+            terms.append(ts.Term((i, j), tuple(w * abs(a - b) for a in di for b in dj)))
+    return ts.SumOfTerms(dom, terms)
+
+
+@pytest.mark.parametrize("trees", _SQUARE_DOMAINS, ids=repr)
+def test_chain_weak_matches_naive_and_the_full_pass(trees):
+    """Random tables (failing), verified-weak and chain-separable fixtures
+    and depth-coupling sums (holding), and one-cell bumps of the holding
+    tables (either): every report is the naive scan's and the full pass's.
+    chain10^3, whose naive scan of a holding table takes seconds, takes
+    one depth-coupling sum and three random tables."""
+    dom = ts.ProductDomain(trees)
+    rng = ts.SplitMix64(61)
+    small = dom.size() <= 100
+    holding = [ts.materialize(_depth_couplings(rng, dom))]
+    if small:
+        holding += [ts.generate("random-verified-weak", dom, seed=s).function for s in range(3)]
+    if small and all(t == ts.chain_tree(t.node_count) for t in trees):
+        holding.append(ts.materialize(ts.generate("chain-separable", dom, seed=1).function))
+    verdicts = []
+    for f in holding:
+        assert _weak_agrees_with_naive_and_the_full_pass(f)
+    for _ in range(6 if small else 3):
+        verdicts.append(_weak_agrees_with_naive_and_the_full_pass(
+            random_table_function(rng, dom, max_value=9)))
+    if small:
+        for f in holding:
+            for _ in range(4):
+                values = list(f.values)
+                values[rng.below(len(values))] += rng.below(7) - 3
+                verdicts.append(_weak_agrees_with_naive_and_the_full_pass(ts.DenseTable(dom, values)))
+    # one chain of two or more labels has no squares, and every table holds on it
+    assert (False in verdicts) == (sum(t.node_count > 1 for t in trees) > 1)
+
+
+def test_chain_weak_fails_on_a_non_adjacent_coordinate_pair():
+    """x_0 * x_2 on chain3^3 is modular on the coordinate pairs (0, 1) and
+    (1, 2) and fails only on (0, 2)."""
+    dom = ts.ProductDomain([ts.chain_tree(3)] * 3)
+    f = ts.DenseTable(dom, [x[0] * x[2] for x in dom.labelings()])
+    assert not _weak_agrees_with_naive_and_the_full_pass(f)
+
+
+def test_chain_weak_squares_are_exact_past_int64():
+    """2^70-scale tables take the square test on exact Python ints (object
+    dtype), holding and failing."""
+    dom = ts.ProductDomain([ts.chain_tree(3), ts.RootedTree([2, 0, -1, 1]), ts.chain_tree(2)])
+    big = 1 << 70
+    rng = ts.SplitMix64(67)
+    base = ts.materialize(_depth_couplings(rng, dom)).values
+    holding = ts.DenseTable(dom, [big * v + 1 for v in base])
+    assert np.asarray(holding.values).dtype == object
+    assert _weak_agrees_with_naive_and_the_full_pass(holding)
+    product = ts.DenseTable(dom, [big * x[0] * x[2] for x in dom.labelings()])
+    assert not _weak_agrees_with_naive_and_the_full_pass(product)
+    verdicts = set()
+    for _ in range(8):  # one cell bumped by up to 2^70 either way
+        values = [big * v for v in base]
+        values[rng.below(len(values))] += (rng.below(5) - 2) * big // 2
+        verdicts.add(_weak_agrees_with_naive_and_the_full_pass(ts.DenseTable(dom, values)))
+    assert verdicts == {True, False}
+
+
+def _count_weak_passes(monkeypatch):
+    """Record the domain size of each ``_candidate_pairs`` and each
+    ``_squares_hold`` call."""
+    calls = {"scanned": [], "squares": []}
+    candidates, squares = checks._candidate_pairs, checks._squares_hold
+    monkeypatch.setattr(checks, "_candidate_pairs", lambda table, domain, family: (
+        calls["scanned"].append(domain.size()) or candidates(table, domain, family)))
+    monkeypatch.setattr(checks, "_squares_hold", lambda table, domain: (
+        calls["squares"].append(domain.size()) or squares(table, domain)))
+    return calls
+
+
+def test_chain_weak_decides_a_holding_table_from_its_squares_alone(monkeypatch):
+    """A holding chain10^3 table makes no pair pass; a failing one makes
+    exactly one, over the whole domain, for its witness."""
+    dom = ts.ProductDomain([ts.chain_tree(10)] * 3)
+    f = ts.materialize(ts.generate("chain-separable", dom, seed=2).function)
+    calls = _count_weak_passes(monkeypatch)
+    got = ts.check_weak(f)
+    assert got.ok and got.pairs_checked == 10**6
+    assert calls == {"scanned": [], "squares": [1000]}
+    values = list(f.values)
+    values[dom.rank((4, 5, 6))] += 50  # a spike: squares around it fail
+    calls["squares"].clear()
+    got = ts.check_weak(ts.DenseTable(dom, values))
+    assert not got.ok and calls == {"scanned": [1000], "squares": [1000]}
+
+
+def test_weak_on_branching_trees_and_sampled_weak_read_no_squares(monkeypatch):
+    """chain3 x star3 keeps the pair pass for every table, and sampled mode
+    on chains never reads the squares."""
+    dom = ts.ProductDomain([ts.chain_tree(3), ts.star3_tree()])
+    rng = ts.SplitMix64(71)
+    fs = [ts.generate("random-verified-weak", dom, seed=0).function] + [
+        random_table_function(rng, dom, max_value=6) for _ in range(4)]
+    calls = _count_weak_passes(monkeypatch)
+    verdicts = {ts.check_weak(f).ok for f in fs}
+    assert verdicts == {True, False}
+    assert calls["squares"] == [] and calls["scanned"] == [9] * len(fs)
+    chains = ts.ProductDomain([ts.chain_tree(10)] * 3)
+    f = ts.generate("chain-separable", chains, seed=2).function
+    assert ts.check_weak(f, mode="sampled", samples=300).ok
+    assert calls["squares"] == []
+
+
+def test_squares_failing_a_holding_table_is_an_internal_error(monkeypatch):
+    f = ts.generate("chain-separable", ts.ProductDomain([ts.chain_tree(3)] * 2), seed=0).function
+    monkeypatch.setattr(checks, "_squares_hold", lambda table, domain: False)
+    with pytest.raises(InternalError, match="weak check: the equivalent family fails"):
+        ts.check_weak(f)
+
+
 def test_checkers_match_naive_oracle():
     dom = ts.ProductDomain([ts.chain_tree(3), ts.star3_tree()])
     rng = ts.SplitMix64(31)
