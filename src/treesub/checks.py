@@ -32,11 +32,12 @@ deeper label, so on a product of chains weak is lattice submodularity
 with each axis read in depth order.  That holds exactly when every 2x2
 square f(z + e_i) + f(z + e_j) >= f(z) + f(z + e_i + e_j) does, for
 every coordinate pair i < j (Topkis 1978; the proof is in
-``_squares_hold``): |D| * n(n-1)/2 squares in place of |D|^2 pairs.  An
-exhaustive weak check on chains decides a holding table from its
-squares alone.  Each square is a pair of the weak family, so a failing
-one is a real violation; the pair pass then runs as before for the
-first witness, and reports do not change.
+``_squares_hold``): under |D| * n(n-1)/2 squares in place of |D|^2
+pairs, 2,430 against 10^6 on chain10^3.  An exhaustive weak check on
+chains decides a holding table from its squares alone.  Each square is
+a pair of the weak family, so a failing one is a real violation; the
+pair pass then runs as before for the first witness, and reports do not
+change.
 
 An exhaustive strong, weak or translation check of a ``SumOfTerms``
 first runs the same public check on each of the sum's host tables (the
@@ -570,15 +571,16 @@ def _squares_hold(table: DenseTable, domain: ProductDomain) -> bool:
     Conversely, let every square hold, and take x and y with
     I = {i : x_i > y_i} and J = {j : x_j < y_j}.  With m = x ^ y, write
     F(u, v) = f(m + u + v) for u between 0 and x - m (nonzero on I only)
-    and v between 0 and y - m (on J only).  A square on i in I and j in J
-    (so i != j) says one unit step of u gains no more at v + e_j than at v,
-    and the steps of a path raising v from 0 to y - m telescope: so each
-    unit step of u gains no more at v = y - m than at v = 0.  Summing
-    those over a path raising u from 0 to x - m gives
-    f(x v y) - f(y) <= f(x) - f(m), the weak inequality for (x, y)
+    and v between 0 and y - m (on J only), so m + u + v stays in the box.
+    The square on i in I and j in J (so i != j) at z = m + u + v says a
+    unit step u -> u + e_i gains no more at v + e_j than at v; chained
+    along a path raising v from 0 to y - m, the step gains no more at
+    v = y - m than at v = 0.  Summing the steps of a path raising u from
+    0 to x - m gives F(x - m, y - m) - F(0, y - m) <= F(x - m, 0) - F(0, 0),
+    that is f(x v y) - f(y) <= f(x) - f(m), the weak inequality for (x, y)
     (Topkis, "Minimizing a submodular function on a lattice", Operations
-    Research 26(2), 1978).  Arity 1, or a one-node chain, has no squares
-    and holds.
+    Research 26(2), 1978).  A domain with at most one chain of two or more
+    labels, arity 1 among them, has no squares, and every table holds.
     """
     largest = max(map(abs, table.values))
     values = np.asarray(table.values, dtype=sum_dtype(2 * largest)).reshape(domain.cardinalities())
@@ -735,9 +737,10 @@ def check_weak(
     table's 2x2 squares first (``_squares_hold``): read by depth, weak is
     lattice submodularity there, which holds exactly when every square
     does, so a holding table gets the report the pair pass would give
-    from |D| * n(n-1)/2 squares in place of |D|^2 pairs.  After a failing
-    square the pair pass runs as before for the first witness.  Branching
-    trees, and sampled mode on any domain, take the pair pass alone.
+    from under |D| * n(n-1)/2 squares in place of |D|^2 pairs.  After a
+    failing square the pair pass runs as before for the first witness.
+    Branching trees, and sampled mode on any domain, take the pair pass
+    alone.
     """
     domain = own_domain(f, domain)
     chains = all(t.is_chain() for t in domain.trees)
@@ -804,10 +807,9 @@ def check_translation(
     # Thm 7.7).  On a branching tree strong implies translation only by
     # experiment.
     chains = all(t.is_chain() for t in domain.trees)
+    strong = (lambda t: _candidate_pairs(t, domain, _strong_family(domain)) is None) if chains else None
     return _pair_check(f, domain, lambda: _translation_family(domain, steps),
-                       "translation", mode, samples, seed, note,
-                       equivalent=((lambda t: _candidate_pairs(t, domain, _strong_family(domain)) is None)
-                                   if chains else None),
+                       "translation", mode, samples, seed, note, equivalent=strong,
                        host_check=check_translation)
 
 

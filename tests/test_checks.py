@@ -323,7 +323,8 @@ def test_chain_weak_matches_naive_and_the_full_pass(trees):
             for _ in range(4):
                 values = list(f.values)
                 values[rng.below(len(values))] += rng.below(7) - 3
-                verdicts.append(_weak_agrees_with_naive_and_the_full_pass(ts.DenseTable(dom, values)))
+                bumped = ts.DenseTable(dom, values)
+                verdicts.append(_weak_agrees_with_naive_and_the_full_pass(bumped))
     # one chain of two or more labels has no squares, and every table holds on it
     assert (False in verdicts) == (sum(t.node_count > 1 for t in trees) > 1)
 
