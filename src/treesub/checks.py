@@ -40,9 +40,10 @@ pair pass then runs as before for the first witness, and reports do not
 change.
 
 An exhaustive strong, weak or translation check of a ``SumOfTerms``
-first runs the same public check on each of the sum's host tables (the
-tables of ``SumOfTerms._folded``), each a ``DenseTable`` on its own
-scope's trees.  The inequality is linear in f and every op acts one
+first decides each of the sum's host tables (the tables of
+``SumOfTerms._folded``), each a ``DenseTable`` on its own scope's trees,
+by the same array pass the full check makes, without replaying a
+witness.  The inequality is linear in f and every op acts one
 coordinate at a time, so for each pair f's side f(x) + f(y) - f(op1) -
 f(op2) is the sum of the same difference of each host at the pair's
 labels on its scope: when every host holds, so does f, and the report is
@@ -192,6 +193,9 @@ CoordOp = list[tuple[RootedTree, Callable[[Paths], tuple[np.ndarray, np.ndarray]
 # ordered so that once one maps a pair (x, y) to (y, x), every later
 # member does too: the rest of the family holds with equality there.
 OpFamily = list[tuple[int | None, CoordOp]]
+# a property's family on a domain: its builder, and the predicate on a
+# materialized table that is true exactly when the family holds, or None
+FamilySpec = Callable[[ProductDomain], tuple[Callable[[], OpFamily], Callable[[DenseTable], bool] | None]]
 
 
 def _tree_groups(domain: ProductDomain) -> list[tuple[RootedTree, list[int]]]:
@@ -593,13 +597,14 @@ def _squares_hold(table: DenseTable, domain: ProductDomain) -> bool:
     return True
 
 
-def _hosts_hold(f: CostFunction, check: Callable[[CostFunction], CheckReport]) -> bool:
-    """Whether f is a ``SumOfTerms`` whose every host table passes
-    ``check``, an exhaustive check on the product of its scope's trees.
+def _hosts_hold(f: CostFunction, spec: FamilySpec, name: str) -> bool:
+    """Whether f is a ``SumOfTerms`` whose every host table holds the
+    family that ``spec`` builds on the product of its scope's trees.
 
-    The hosts are the tables of ``SumOfTerms._folded``, each checked as a
-    ``DenseTable`` of its own; ``all`` stops at the first that fails.  A
-    sum with a host over every variable has that one host and is that
+    The hosts are the tables of ``SumOfTerms._folded``, each read as a
+    ``DenseTable`` of its own and decided by ``_flagged_pair`` alone; no
+    witness is replayed, and ``all`` stops at the first host that fails.
+    A sum with a host over every variable has that one host and is that
     host, so it is refused unchecked: its check would be the full pass.
     """
     if not isinstance(f, SumOfTerms):
@@ -608,32 +613,58 @@ def _hosts_hold(f: CostFunction, check: Callable[[CostFunction], CheckReport]) -
     if any(len(scope) == f.domain.n for scope, _ in hosts):
         return False
     trees = f.domain.trees
-    return all(check(DenseTable._of_plain_ints(ProductDomain([trees[i] for i in scope]),
-                                              table.ravel().tolist(), f.denominator)).ok
+    return all(_flagged_pair(DenseTable._of_plain_ints(ProductDomain([trees[i] for i in scope]),
+                                                       table.ravel().tolist(), f.denominator),
+                             spec, name) is None
                for scope, table in hosts)
+
+
+def _flagged_pair(table: DenseTable, spec: FamilySpec, name: str):
+    """The first pair of ranks the array pass flags on ``table``, with the
+    family it ran, or None when the family holds on the table.
+
+    ``spec(domain)`` gives the family's builder and its ``equivalent``
+    predicate, or None.  The predicate is asked first and decides a
+    holding table alone; when it says no, the family's own pass
+    (``_candidate_pairs``) finds the pair, and a family that holds there
+    is a fault.
+    """
+    domain = table.domain
+    build_family, equivalent = spec(domain)
+    if equivalent is not None and equivalent(table):
+        return None
+    family = build_family()
+    pair = _candidate_pairs(table, domain, family)
+    if pair is None:
+        if equivalent is not None:
+            raise InternalError(f"{name} check: the equivalent family fails, "
+                                "but the family itself holds")
+        return None
+    return family, pair
 
 
 def _pair_check(
     f: CostFunction,
     domain: ProductDomain,
-    build_family: Callable[[], OpFamily],
+    spec: FamilySpec,
     name: str,
     mode: str,
     samples: int,
     seed: int,
     note: str = "",
-    equivalent: Callable[[DenseTable], bool] | None = None,
-    host_check: Callable[[CostFunction], CheckReport] | None = None,
+    hosts: bool = False,
 ) -> CheckReport:
     """Check f(x)+f(y) >= f(op1)+f(op2) for every member of the family.
 
-    ``build_family`` runs only once the mode, sample count and pair
-    budget are accepted.  ``note`` is attached to exhaustive reports;
-    sampled reports carry their own note saying how far the search went.
-    Both modes find the first violating pair with an array pass and
-    replay it through ``_first_violation`` for its witness: exhaustive
-    mode over every pair in rank order (``_candidate_pairs``), sampled
-    mode over the drawn pairs in draw order (``_flagged_sample``).
+    ``spec(domain)`` gives ``(build_family, equivalent)``; it runs only
+    once the mode, sample count and pair budget are accepted, and
+    ``build_family`` only when a pass needs the family.  ``note`` is
+    attached to exhaustive reports; sampled reports carry their own note
+    saying how far the search went.  Both modes find the first violating
+    pair with an array pass and replay it through ``_first_violation``
+    for its witness: exhaustive mode over every pair in rank order
+    (``_flagged_pair``), sampled mode over the drawn pairs in draw order
+    (``_flagged_sample``).
 
     ``equivalent`` is a predicate on the materialized table, true exactly
     when the family holds on it: on chain products, the strong pass for
@@ -643,43 +674,38 @@ def _pair_check(
     family's own pass finds the witness, and a family that holds there is
     a fault.  Sampled mode never asks it.
 
-    ``host_check`` is the public exhaustive check of the same property.
-    When f is a ``SumOfTerms``, exhaustive mode first runs it on each host
-    table (``_hosts_hold``) and, when every host holds, reports the sum as
-    holding without materializing it.  That is sound because the
-    inequality is linear in f and every member's ops act one coordinate
-    at a time: for each pair, f's side f(x) + f(y) - f(op1) - f(op2) is
-    the sum over hosts of the same difference on the host's coordinates,
-    each of them a pair of the host's own domain.  A d-step member past a
-    host's diameter swaps every pair of its coordinates, where the host's
-    difference is 0.  A failing host proves nothing about the sum, so the
-    pass below then runs on the materialized f as it would without the
-    host pass, and the report and witness are the same.  The pair budget
-    is enforced first either way, and a holding report still counts the
-    |D|^2 ordered pairs of f's domain.
+    With ``hosts``, when f is a ``SumOfTerms``, exhaustive mode first
+    decides each host table by the same array pass (``_hosts_hold``) and,
+    when every host holds, reports the sum as holding without
+    materializing it.  That is sound because the inequality is linear in
+    f and every member's ops act one coordinate at a time: for each
+    pair, f's side f(x) + f(y) - f(op1) - f(op2) is the sum over hosts of
+    the same difference on the host's coordinates, each of them a pair of
+    the host's own domain.  A d-step member past a host's diameter swaps
+    every pair of its coordinates, where the host's difference is 0.  A
+    failing host proves nothing about the sum, so the pass below then
+    runs on the materialized f as it would without the host pass, and
+    the report and witness are the same.  The pair budget is enforced
+    first either way, and a holding report still counts the |D|^2
+    ordered pairs of f's domain.
     """
     size = domain.size()
     if mode == "exhaustive":
         _require_exhaustible(size)
-        if host_check is not None and _hosts_hold(f, host_check):
+        if hosts and _hosts_hold(f, spec, name):
             return CheckReport(name, "exhaustive", True, None, size * size, note)
         table = materialize(f)
-        if equivalent is not None and equivalent(table):
+        flagged = _flagged_pair(table, spec, name)
+        if flagged is None:
             return CheckReport(name, "exhaustive", True, None, size * size, note)
-        family = build_family()
-        pair = _candidate_pairs(table, domain, family)
-        if pair is None:
-            if equivalent is not None:
-                raise InternalError(f"{name} check: the equivalent family fails, "
-                                    "but the family itself holds")
-            return CheckReport(name, "exhaustive", True, None, size * size, note)
+        family, pair = flagged
         witness = _replay(table, family, *map(domain.unrank, pair), name)
         return CheckReport(name, "exhaustive", False, witness, size * size, note)
     if mode != "sampled":
         raise DomainError(f"unknown mode {mode!r}; use 'exhaustive' or 'sampled'")
     if samples < 1:
         raise DomainError(f"sampled mode needs at least 1 sample, got {samples}")
-    family = build_family()
+    family = spec(domain)[0]()
     flagged = _flagged_sample(f, domain, family, samples, seed)
     if flagged is None:
         return CheckReport(
@@ -709,6 +735,10 @@ def _strong_family(domain: ProductDomain) -> OpFamily:
     return [(None, _tree_op(_tree_groups(domain), meet_join_paths))]
 
 
+def _strong_spec(domain: ProductDomain):
+    return (lambda: _strong_family(domain)), None
+
+
 def check_strong(
     f: CostFunction,
     domain: ProductDomain | None = None,
@@ -719,8 +749,13 @@ def check_strong(
 ) -> CheckReport:
     """Verify f(x)+f(y) >= f(meet)+f(join) for componentwise midpoints."""
     domain = own_domain(f, domain)
-    return _pair_check(f, domain, lambda: _strong_family(domain), "strong", mode, samples, seed,
-                       host_check=check_strong)
+    return _pair_check(f, domain, _strong_spec, "strong", mode, samples, seed, hosts=True)
+
+
+def _weak_spec(domain: ProductDomain):
+    chains = all(t.is_chain() for t in domain.trees)
+    return ((lambda: [(None, _tree_op(_tree_groups(domain), up_down_paths, 0))]),
+            (lambda t: _squares_hold(t, domain)) if chains else None)
 
 
 def check_weak(
@@ -743,11 +778,7 @@ def check_weak(
     alone.
     """
     domain = own_domain(f, domain)
-    chains = all(t.is_chain() for t in domain.trees)
-    return _pair_check(f, domain, lambda: [(None, _tree_op(_tree_groups(domain), up_down_paths, 0))],
-                       "weak", mode, samples, seed,
-                       equivalent=(lambda t: _squares_hold(t, domain)) if chains else None,
-                       host_check=check_weak)
+    return _pair_check(f, domain, _weak_spec, "weak", mode, samples, seed, hosts=True)
 
 
 def check_multimorphism(
@@ -767,7 +798,7 @@ def check_multimorphism(
     op1, op2 = op_pair
     _validate_tables(domain, op1, "op1")
     _validate_tables(domain, op2, "op2")
-    return _pair_check(f, domain, lambda: [(None, _table_op(domain, op1, op2))],
+    return _pair_check(f, domain, lambda d: ((lambda: [(None, _table_op(d, op1, op2))]), None),
                        name, mode, samples, seed)
 
 
@@ -795,8 +826,13 @@ def check_translation(
     domain, scan the d-family alone.
     """
     domain = own_domain(f, domain)
-    steps = range(max(t.node_count for t in domain.trees))
     note = "d capped at rho_inf(x, y) per pair; all coordinates saturate beyond"
+    return _pair_check(f, domain, _translation_spec, "translation", mode, samples, seed, note,
+                       hosts=True)
+
+
+def _translation_spec(domain: ProductDomain):
+    steps = range(max(t.node_count for t in domain.trees))
     # Read by depth, a chain's labels are 0..n-1, meet_join(x, y) is
     # (floor((x+y)/2), ceil((x+y)/2)) and up_down(x, y, d) is
     # (min(y, x + d), max(y - d, x)).  So on a product of chains strong is
@@ -808,9 +844,7 @@ def check_translation(
     # experiment.
     chains = all(t.is_chain() for t in domain.trees)
     strong = (lambda t: _candidate_pairs(t, domain, _strong_family(domain)) is None) if chains else None
-    return _pair_check(f, domain, lambda: _translation_family(domain, steps),
-                       "translation", mode, samples, seed, note, equivalent=strong,
-                       host_check=check_translation)
+    return (lambda: _translation_family(domain, steps)), strong
 
 
 def _translation_family(domain: ProductDomain, steps: range) -> OpFamily:

@@ -108,13 +108,16 @@ def inward_restrict(f: CostFunction, domain: ProductDomain | None, x: Labeling) 
 
     Coordinate i is free iff x_i is not the root; a subset of free
     coordinates maps to the labeling that replaces those coordinates with
-    their parents.  The empty set maps to x itself.
+    their parents.  The empty set maps to x itself.  x is checked here;
+    the grid reads f through ``_grid`` on the labels of x and their
+    parents, which need no second check.
     """
     domain = own_domain(f, domain)
     x = domain.validate(x)
-    free = tuple(i for i, t in enumerate(domain.trees) if x[i] != t.root)
+    # the labels of each coordinate: x_i, then its parent unless x_i is the root
+    axes = [(v,) if v == t.root else (v, t.parent[v]) for t, v in zip(domain.trees, x)]
+    free = tuple(i for i, a in enumerate(axes) if len(a) == 2)
     free_set = frozenset(free)
-    up = apply_inward(domain, x, free_set)
 
     def evaluate(subset: frozenset[int]) -> int:
         if not subset <= free_set:
@@ -122,10 +125,9 @@ def inward_restrict(f: CostFunction, domain: ProductDomain | None, x: Labeling) 
         return f.evaluate(apply_inward(domain, x, subset))
 
     def grid():
-        axes = [(v, up[i]) if i in free_set else (v,) for i, v in enumerate(x)]
         k = len(free)
         # free[0] is the most significant axis here but bit 0 of the rank
-        return f.grid(axes).reshape((2,) * k).transpose(tuple(reversed(range(k)))).ravel()
+        return f._grid(axes).reshape((2,) * k).transpose(tuple(reversed(range(k)))).ravel()
 
     walker = None  # f.walker(x), built on the first walk
 
@@ -135,7 +137,7 @@ def inward_restrict(f: CostFunction, domain: ProductDomain | None, x: Labeling) 
         for i in coords:
             if i not in free_set:
                 raise DomainError(f"coordinate {i} leaves the free set {sorted(free_set)}")
-            steps.append((i, up[i]))
+            steps.append((i, axes[i][1]))
         if walker is None:
             walker = f.walker(x)
         return walker(steps)
@@ -156,21 +158,22 @@ def outward_restrict(f: CostFunction, domain: ProductDomain | None, x: Labeling)
     Sign -1 moves coordinate i to the first child of x_i and +1 to the
     second child; signs without a child are excluded from the allowed
     set.  The all-zeros vector maps to x itself.  A node x_i with more
-    than two children has no sign reading and is refused.
+    than two children has no sign reading and is refused.  x is checked
+    here; the grid reads f through ``_grid`` on the labels of x and their
+    children, which need no second check.
     """
     domain = own_domain(f, domain)
     x = domain.validate(x)
-    allowed = []
-    for i, t in enumerate(domain.trees):
-        kids = t.children[x[i]]
+    allowed, axes = [], []  # axes[i]: the label each allowed sign of coordinate i moves to
+    for i, (t, v) in enumerate(zip(domain.trees, x)):
+        kids = t.children[v]
         if len(kids) > 2:
             raise UnsupportedStructureError(
-                f"tree {i} is not binary: node {x[i]} has {len(kids)} children"
+                f"tree {i} is not binary: node {v} has {len(kids)} children"
             )
         allowed.append(((0,), (-1, 0), (-1, 0, 1))[len(kids)])
+        axes.append(kids[:1] + (v,) + kids[1:])
     allowed = tuple(allowed)
-    # the labeling each sign moves to: x wherever that sign is not allowed
-    to = {s: apply_outward(domain, x, [s if s in a else 0 for a in allowed]) for s in (-1, 0, 1)}
 
     def check_sign(i, s) -> None:
         if s not in allowed[i]:
@@ -184,14 +187,14 @@ def outward_restrict(f: CostFunction, domain: ProductDomain | None, x: Labeling)
         return f.evaluate(apply_outward(domain, x, signs))
 
     def grid():
-        return f.grid([tuple(to[s][i] for s in a) for i, a in enumerate(allowed)]).ravel()
+        return f._grid(axes).ravel()
 
     walker = move = None  # f.walker(x) and (i, s) -> label, built on the first walk
 
     def walk(steps):
         nonlocal walker, move
         if walker is None:
-            move = {(i, s): to[s][i] for i, a in enumerate(allowed) for s in a}
+            move = {(i, s): v for i, a in enumerate(allowed) for s, v in zip(a, axes[i])}
             walker = f.walker(x)
         labels = []
         for i, s in steps:
@@ -306,7 +309,7 @@ def minimize(
     _require_binary(domain)
     x = domain.validate(x0) if x0 is not None else domain.all_roots()
     K = max(t.node_count for t in domain.trees)
-    fx = f.evaluate(x)
+    fx = f._evaluate(x)  # x is checked once, above
     values = [fx]
     diag: list[StepDiagnostics] | None = [] if diagnostics else None
 

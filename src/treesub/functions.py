@@ -172,6 +172,19 @@ class CostFunction:
         values = [self.evaluate(y) for y in itertools.product(*axes)]
         return np.array(values, dtype=object).reshape(tuple(len(a) for a in axes))
 
+    def _evaluate(self, x: Labeling) -> int:
+        """``evaluate`` at a labeling the caller has validated; a subclass
+        whose ``evaluate`` checks x may skip that check here.  This
+        version is ``evaluate``."""
+        return self.evaluate(x)
+
+    def _grid(self, axes: Sequence[tuple[int, ...]]) -> np.ndarray:
+        """``grid`` on one tuple of labels per variable, each label read
+        from a validated labeling or from the ``parent`` or ``children``
+        of one of its labels; a subclass whose ``grid`` checks each label
+        may skip that check here.  This version is ``grid``."""
+        return self.grid(axes)
+
     def values_at(self, labels: np.ndarray) -> np.ndarray:
         """f at each row of a ``(k, n)`` integer array of labelings.
 
@@ -335,7 +348,9 @@ class SumOfTerms(CostFunction):
         self._tables = None  # built by the first grid call
 
     def evaluate(self, x: Sequence[int]) -> int:
-        x = self.domain.validate(x)
+        return self._evaluate(self.domain.validate(x))
+
+    def _evaluate(self, x: Labeling) -> int:
         total = 0
         for t in self.terms:
             idx = 0
@@ -389,14 +404,11 @@ class SumOfTerms(CostFunction):
         return walk
 
     def grid(self, axes: Sequence[Sequence[int]]) -> np.ndarray:
-        """f over the axes as one array: one gather-add per table.
+        """f over the axes as one array, from the folded host tables.
 
-        Each axis label is validated once.  The first call folds the
-        terms into tables (``_fold_terms``) and keeps them on the
-        instance; every call then adds ``table[index of each scope
-        variable]`` into the result.  The labels of all axes form one
-        index array, and each variable that a table reads indexes by a
-        broadcast-shaped view of its own slice.  The result has the
+        The axis count and each axis label are checked here, once; the
+        values then come from ``_grid``, with one gather per group of
+        equal-shaped host tables (``_gather_add``).  The result has the
         tables' dtype: int64, or object (exact Python ints) when the
         terms' values are too large for int64.
         """
@@ -404,62 +416,127 @@ class SumOfTerms(CostFunction):
         axes = [tuple(a) for a in axes]
         if len(axes) != domain.n:
             raise DomainError(f"got {len(axes)} axes for arity {domain.n}")
-        for t, axis in zip(domain.trees, axes):
-            for v in axis:
-                t.check_node(v)
-        tables = self._folded()
-        read = {i for scope, _ in tables for i in scope}
-        shape = [len(a) for a in axes]
-        labels = np.fromiter(itertools.chain.from_iterable(axes), dtype=np.intp, count=sum(shape))
-        index, end = [], 0
-        for i, c in enumerate(shape):
-            index.append(labels[end:end + c].reshape((1,) * i + (c,) + (1,) * (len(shape) - 1 - i))
-                         if i in read else None)
-            end += c
-        return _gather_add(tables, index, shape)
+        return self._grid([tuple(map(t.check_node, axis)) for t, axis in zip(domain.trees, axes)])
+
+    def _grid(self, axes: Sequence[tuple[int, ...]]) -> np.ndarray:
+        """``grid`` on one tuple of valid plain-int labels per variable,
+        unchecked: the descent's restrictions call it on labels they read
+        from ``parent`` and ``children`` of a validated labeling.  The
+        labels of each axis, padded to the longest axis, form one row of
+        the index that ``_gather_add`` reads."""
+        shape = tuple(map(len, axes))
+        width = max(shape)
+        index = np.array([a + (0,) * (width - len(a)) for a in axes], dtype=np.intp)
+        return _gather_add(self._stacked(), index, shape)
 
     def values_at(self, labels: np.ndarray) -> np.ndarray:
         """f at each row, as ``CostFunction.values_at``: the rows are
-        checked as one array, then one gather-add per table of
-        ``_fold_terms``, with column i of the rows indexing variable i.
-        The dtype is the tables', as in ``grid``."""
+        checked as one array, then ``_gather_add`` reads column i of the
+        rows as the labels of variable i.  The dtype is the tables', as in
+        ``grid``."""
         labels = _label_rows(self.domain, labels)
-        return _gather_add(self._folded(), labels.T, len(labels))
+        return _gather_add(self._stacked(), labels.T, None)
 
-    def _folded(self):
-        tables = self._tables
-        if tables is None:
-            tables = self._tables = _fold_terms(self.domain, self.terms)
-        return tables
+    def _folded(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
+        """The host tables of ``_fold_terms``, as ``(scope, table)`` pairs."""
+        return self._fold()[0]
+
+    def _stacked(self):
+        """The host tables of ``_fold_terms`` grouped by shape, with their
+        order of addition: ``(groups, order)``."""
+        return self._fold()[1:]
+
+    def _fold(self):
+        folded = self._tables
+        if folded is None:
+            folded = self._tables = _fold_terms(self.domain, self.terms)
+        return folded
 
 
-def _gather_add(tables, index, shape) -> np.ndarray:
-    """The sum over ``tables`` of ``table[index of each scope variable]``.
+def _gather_add(stacked, index: np.ndarray, shape: tuple[int, ...] | None) -> np.ndarray:
+    """The sum over the host tables of ``table[labels of its scope]``.
 
-    ``index[i]`` indexes variable i and broadcasts to ``shape``, the
-    shape of the result; only the variables of some scope are read.
+    ``stacked`` is ``(groups, order)`` from ``_fold_terms``, and row i of
+    ``index`` holds labels of variable i.  With ``shape`` None the rows
+    are read in step, and entry k of the result sums every table at
+    column k (``values_at``).  Otherwise variable i has the first
+    ``shape[i]`` labels of its row, and the result, of that shape, sums
+    the tables over the product of those labels (``grid``).
+
+    Each group takes one gather: one ``take`` from its flat ``stack``, at
+    each host's offset plus the index rows of its scope variables times
+    their steps.  In step, each group's blocks are summed over its hosts.
+    Over a product, each host's block is cut to its variables' label
+    counts and spread over the variables from its first one on, and the
+    blocks are added by broadcasting in ``order``, the host with the last
+    first variable first: each partial sum spans only the variables from
+    the latest first variable on, and its innermost axes run long.
     """
-    out = np.zeros(shape, dtype=tables[0][1].dtype if tables else np.int64)
-    for scope, table in tables:
-        out += table[tuple(index[i] for i in scope)]
-    return out
+    groups, order = stacked
+    blocks = []
+    for stack, offsets, spread in groups:
+        flat = offsets.reshape(-1, 1) if shape is None else offsets
+        for column, key, step in spread:
+            rows = index[column] if shape is None else index[column][key]
+            flat = flat + (rows * step if step > 1 else rows)
+        blocks.append(stack.take(flat))
+    dtype = groups[0][0].dtype if groups else np.int64
+    if shape is None:
+        out = np.zeros(index.shape[1], dtype=dtype)
+        for block in blocks:
+            out += block.sum(axis=0)
+        return out
+    cut = [slice(c) for c in shape]
+    cut.append(None)  # what a pick of -1 reads: a unit axis
+    total = np.zeros((), dtype=dtype)
+    for k, h, pick in order:
+        total = blocks[k][(h, *map(cut.__getitem__, pick))] + total
+    return total if total.shape == shape else np.broadcast_to(total, shape).copy()
 
 
-def _fold_terms(
-    domain: ProductDomain, terms: Sequence[Term]
-) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
-    """The terms as tables of one dtype, int64 or object.
+def _fold_terms(domain: ProductDomain, terms: Sequence[Term]):
+    """The terms as host tables of one dtype, int64 or object:
+    ``(tables, groups, order)``.
 
-    There is one table per distinct scope that lies in no larger one,
-    with its axes in ascending variable order; each term is added into
-    the first such table whose scope holds its own.  Every table cell
-    and every sum of cells is bounded by the sum over terms of the
-    largest |value|, and that bound picks the dtype (``sum_dtype``).
+    There is one host table per distinct scope that lies in no larger
+    one, with its axes in ascending variable order; each term is added
+    into the first such table whose scope holds its own.  ``tables``
+    pairs each host's scope with its table, in that order.  The tables of
+    one shape are the slices of one ``stack`` array, so ``tables`` holds
+    views and no table is held twice.
+
+    Each group is ``(stack, offsets, spread)``: the stack; each host's
+    first position in the flat stack, shaped ``(hosts, 1, ..., 1)``; and,
+    per table axis j, the intp array of the hosts' j-th scope variables,
+    the key that spreads their index rows along axis j + 1 of that shape,
+    and the flat step of axis j.  ``order`` lists ``(group, host, pick)``
+    for every host, by descending first scope variable s; the pick names,
+    for each variable from s on, its place in the host's scope, or -1
+    when the scope does not hold it.
+
+    Every table cell and every sum of cells is bounded by the sum over
+    terms of the largest |value|, and that bound picks the dtype
+    (``sum_dtype``).
     """
     dtype = sum_dtype(sum(max(map(abs, t.values)) for t in terms))
     scopes = sorted({tuple(sorted(t.scope)) for t in terms}, key=lambda s: (-len(s), s))
     hosts = [s for k, s in enumerate(scopes) if not any(set(s) < set(r) for r in scopes[:k])]
-    tables = {s: np.zeros([domain.trees[i].node_count for i in s], dtype=dtype) for s in hosts}
+    by_shape: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for s in hosts:
+        by_shape.setdefault(tuple(domain.trees[i].node_count for i in s), []).append(s)
+    tables, groups, order = {}, [], []
+    for k, (shape, members) in enumerate(by_shape.items()):
+        stack = np.zeros((len(members),) + shape, dtype=dtype)
+        tables.update(zip(members, stack))
+        arity = len(shape)
+        offsets = np.arange(0, stack.size, math.prod(shape)).reshape((-1,) + (1,) * arity)
+        spread = tuple((np.array([s[j] for s in members], dtype=np.intp),
+                        (slice(None),) + (None,) * j + (slice(None),) + (None,) * (arity - 1 - j),
+                        math.prod(shape[j + 1:])) for j in range(arity))
+        groups.append((stack, offsets, spread))
+        order += [(k, h, tuple(i if i in s else -1 for i in range(s[0], domain.n)))
+                  for h, s in enumerate(members)]
+    order.sort(key=lambda e: len(e[2]))
     for t in terms:
         host = next(s for s in hosts if set(t.scope) <= set(s))
         sub = np.array(t.values, dtype=dtype).reshape(
@@ -468,7 +545,7 @@ def _fold_terms(
         # move the term's axes into variable order, then broadcast into the host
         sub = sub.transpose(sorted(range(len(t.scope)), key=t.scope.__getitem__))
         tables[host] += sub.reshape([domain.trees[i].node_count if i in t.scope else 1 for i in host])
-    return tuple(tables.items())
+    return tuple((s, tables[s]) for s in hosts), tuple(groups), tuple(order)
 
 
 def materialize(f: CostFunction) -> DenseTable:

@@ -1618,50 +1618,54 @@ def _chain10_cubed_sum(w: int) -> ts.SumOfTerms:
 
 def _count_sum_passes(monkeypatch):
     """Record the argument of each ``checks.materialize`` call, the domain
-    size of each ``_candidate_pairs`` call, and the domain size of each
-    check the public checks run on a host table."""
-    calls = {"materialize": [], "scanned": [], "hosts": []}
+    size of each ``_candidate_pairs`` call, the domain size of each table
+    that ``_flagged_pair`` decides (a host table's, or the materialized
+    sum's), and the pair of each witness replay."""
+    calls = {"materialize": [], "scanned": [], "passes": [], "replays": []}
     materialize, candidates = checks.materialize, checks._candidate_pairs
+    flagged, replay = checks._flagged_pair, checks._replay
     monkeypatch.setattr(checks, "materialize", lambda g: calls["materialize"].append(g) or materialize(g))
     monkeypatch.setattr(checks, "_candidate_pairs", lambda table, domain, family: (
         calls["scanned"].append(domain.size()) or candidates(table, domain, family)))
-    for name in ("check_strong", "check_weak", "check_translation"):
-        public = getattr(checks, name)
-        monkeypatch.setattr(checks, name, lambda g, *a, public=public, **k: (
-            calls["hosts"].append(g.domain.size()) or public(g, *a, **k)))
+    monkeypatch.setattr(checks, "_flagged_pair", lambda table, spec, name: (
+        calls["passes"].append(table.domain.size()) or flagged(table, spec, name)))
+    monkeypatch.setattr(checks, "_replay", lambda g, family, x, y, name: (
+        calls["replays"].append((x, y)) or replay(g, family, x, y, name)))
     return calls
 
 
 @pytest.mark.parametrize("check", [ts.check_strong, ts.check_weak, ts.check_translation],
                          ids=lambda c: c.__name__)
 def test_a_holding_sum_is_decided_by_its_host_tables_alone(monkeypatch, check):
-    """On a holding chain10^3 sum the public check runs once per host
+    """On a holding chain10^3 sum the array pass runs once per host
     table, on its own 100 labelings, and never materializes the sum or
     scans its 10^6 pairs; the report is the full pass's."""
     f = _chain10_cubed_sum(1)
     expected = check(ts.materialize(f))
     calls = _count_sum_passes(monkeypatch)
     assert check(f) == expected and expected.ok and expected.pairs_checked == 10**6
-    assert calls["hosts"] == [100] * 3
+    assert calls["passes"] == [100] * 3
     assert f not in calls["materialize"] and 1000 not in calls["scanned"]
     # a sampled check reads no host table
-    calls["hosts"].clear()
-    assert check(f, mode="sampled").ok and calls["hosts"] == []
+    calls["passes"].clear()
+    assert check(f, mode="sampled").ok and calls["passes"] == []
 
 
 @pytest.mark.parametrize("check", [ts.check_strong, ts.check_weak, ts.check_translation],
                          ids=lambda c: c.__name__)
 def test_a_failing_sum_materializes_once_after_its_first_failing_host(monkeypatch, check):
     """A negative coupling fails the first host table and the sum: the
-    host pass stops there, and the sum is materialized once for the full
-    pass, whose report it returns."""
+    host pass stops there without replaying a witness, and the sum is
+    materialized once for the full pass, whose report it returns."""
     f = _chain10_cubed_sum(-1)
     expected = check(ts.materialize(f))
     calls = _count_sum_passes(monkeypatch)
-    assert check(f) == expected and not expected.ok
-    assert calls["hosts"] == [100]
+    got = check(f)
+    assert got == expected and not expected.ok
+    assert calls["passes"] == [100, 1000]
     assert [g for g in calls["materialize"] if g is f] == [f]
     assert 1000 in calls["scanned"]
+    assert calls["replays"] == [(got.witness.x, got.witness.y)]
 
 
 def test_a_sum_with_one_host_over_every_variable_runs_the_full_pass_once(monkeypatch):
@@ -1674,13 +1678,15 @@ def test_a_sum_with_one_host_over_every_variable_runs_the_full_pass_once(monkeyp
     f = ts.SumOfTerms(dom, [ts.Term((2, 0, 1), whole), ts.Term((1,), (0, 1, 1))])
     calls = _count_sum_passes(monkeypatch)
     assert ts.check_strong(f).ok
-    assert calls == {"materialize": [f], "scanned": [36], "hosts": []}
+    assert calls == {"materialize": [f], "scanned": [36], "passes": [36], "replays": []}
     g = _chain10_cubed_sum(1)
     calls["materialize"].clear()
     calls["scanned"].clear()
+    calls["passes"].clear()
     assert ts.check_multimorphism(g, op_pair=ts.meet_join_tables(g.domain)).ok
-    assert calls == {"materialize": [g], "scanned": [1000], "hosts": []}
+    assert calls == {"materialize": [g], "scanned": [1000], "passes": [1000], "replays": []}
     big = ts.SumOfTerms(ts.ProductDomain([ts.chain_tree(40)] * 2), [ts.Term((0,), tuple(range(40)))])
+    calls["passes"].clear()
     with pytest.raises(BudgetExceededError, match="2560000 pairs"):
         ts.check_strong(big)
-    assert calls["hosts"] == []
+    assert calls["passes"] == []

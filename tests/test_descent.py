@@ -9,6 +9,7 @@ import pytest
 import treesub as ts
 from treesub import descent, solvers
 from treesub.descent import apply_inward, apply_outward
+from treesub.trees import rho
 from treesub.errors import (
     BudgetExceededError,
     DomainError,
@@ -449,6 +450,146 @@ def test_one_solve_per_stage_end_and_one_inward_resolve_after_outward_moves(c5sq
         assert solves["inward"] == s1 + 1 + (s2 > 0)
         seen.add((s1 > 0, s2 > 0))
     assert {(False, False), (False, True), (True, False)} <= seen
+
+
+# ---------------------------------------------------------------------------
+# brute descent on the stacked host tables, against the evaluate path and the full scan
+
+_PARITY_TREES = (ts.complete_binary_tree(3), ts.chain_tree(1), ts.chain_tree(2), ts.chain_tree(4),
+                 ts.star3_tree())
+
+
+def _parity_domain(rng: ts.SplitMix64) -> ts.ProductDomain:
+    """A product of 1-4 binary trees from the pool with at most 400 labelings."""
+    while True:
+        dom = ts.ProductDomain([_PARITY_TREES[rng.below(len(_PARITY_TREES))]
+                                for _ in range(1 + rng.below(4))])
+        if dom.size() <= 400:
+            return dom
+
+
+def _strong_terms(rng: ts.SplitMix64, dom: ts.ProductDomain, scale: int = 1) -> list:
+    """Terms over 1-3 variables in a random order, the first scope twice
+    and a nested one inside it, each table strongly verified on its
+    scope's product and scaled by ``scale``; their sum is strong."""
+    scopes = [tuple(random_terms(rng, dom, 0, 0, 1)[-1].scope) for _ in range(3)]
+    scopes += [scopes[0], scopes[0][::-1][:1]]
+    terms = []
+    for scope in scopes:
+        sub = ts.ProductDomain([dom.trees[i] for i in scope])
+        values = ts.generate("random-verified-strong", sub, seed=rng.below(1000), max_value=5).function.values
+        terms.append(ts.Term(scope, tuple(scale * v for v in values)))
+    return terms
+
+
+def _parity_runs(rng: ts.SplitMix64):
+    """(f, start, strong) runs: random sums of arity-1 to 3 terms over
+    permuted scopes, strong sums with a repeated and a nested scope, the
+    same scaled past 2^62, sums of 0/1 values full of ties, and sums of
+    no terms; each from a random start and from the roots."""
+    for k in range(36):
+        dom = _parity_domain(rng)
+        kind = k % 4
+        if kind == 0:
+            f, strong = ts.SumOfTerms(dom, random_terms(rng, dom, -5, 9, 4)), False
+        elif kind == 1:
+            f, strong = ts.SumOfTerms(dom, _strong_terms(rng, dom)), True
+        elif kind == 2:
+            f, strong = ts.SumOfTerms(dom, _strong_terms(rng, dom, scale=(1 << 63) + 1)), True
+            assert all(table.dtype == object for _, table in f._folded())
+        else:
+            f, strong = ts.SumOfTerms(dom, random_terms(rng, dom, 0, 1, 3)), False
+        for start in (tuple(rng.below(t.node_count) for t in dom.trees), None):
+            yield f, start, strong
+    for arity in (1, 3):
+        yield ts.SumOfTerms(_parity_domain(rng), []), None, True
+
+
+def _grid_free_restrictions(monkeypatch) -> None:
+    """``minimize``'s restrictions without a grid: both brute engines then
+    read one restricted ``evaluate`` per cell, in rank order."""
+    for name in ("inward_restrict", "outward_restrict"):
+        restrict = getattr(descent, name)
+        monkeypatch.setattr(descent, name, lambda *args, _restrict=restrict: dataclasses.replace(
+            _restrict(*args), grid=None))
+
+
+def test_brute_descent_matches_the_evaluate_path_and_the_full_scan(monkeypatch):
+    """Every brute run on the stacked host tables returns the minimizer,
+    value and trace (every field, diagnostics included) of the same run
+    on one ``evaluate`` per cell; its value is f at its minimizer, at or
+    above the full scan's minimum, and equal to it on strong sums."""
+    ties = {"cube": 0, "box": 0}
+
+    def tie_counted(kind, solver):
+        def solve(g):
+            if g.grid is not None:
+                values = g.grid()
+                ties[kind] += int((values == values.min()).sum()) > 1
+            return solver(g)
+        return solve
+
+    monkeypatch.setattr(descent, "sfm_brute", tie_counted("cube", descent.sfm_brute))
+    monkeypatch.setattr(descent, "bisub_brute", tie_counted("box", descent.bisub_brute))
+    rng = ts.SplitMix64(2026)
+    shapes = set()
+    for f, start, strong in _parity_runs(rng):
+        shapes.update(table.shape for _, table in f._folded())
+        x, value, trace = ts.minimize(f, None, start, diagnostics=True)
+        with monkeypatch.context() as m:
+            _grid_free_restrictions(m)
+            want = ts.minimize(f, None, start, diagnostics=True)
+        assert (x, value) == want[:2]
+        for field in dataclasses.fields(ts.DescentTrace):
+            assert getattr(trace, field.name) == getattr(want[2], field.name), field.name
+        best = ts.minimize_exhaustive(f)[1]
+        assert f.evaluate(x) == value >= best
+        if strong:
+            assert value == best and trace.certificate.holds()
+    assert ties["cube"] > 10 and ties["box"] > 10, ties
+    assert len({len(s) for s in shapes}) == 3 and len(shapes) > 10, shapes
+
+
+def test_brute_minimize_checks_each_label_once_per_solve(monkeypatch):
+    """On an arity-8 sum over bintree7 (unary s * rho(v, t) + depth(v)
+    and path couplings w * rho(x_i, x_i+1), as the benchmark's descent
+    family), a brute minimize from a non-root start calls ``check_node``
+    once per coordinate for the start and for each restriction's center:
+    at most arity x (solves + 1) calls.  The labels each grid reads are
+    parents and children of a checked center and are not checked again."""
+    tree = ts.complete_binary_tree(3)
+    rng = ts.SplitMix64(11)
+    terms = []
+    for i in range(8):
+        s, t = 1 + rng.below(2), 3 + rng.below(4)
+        terms.append(ts.Term((i,), tuple(s * rho(tree, v, t) + tree.depth[v] for v in range(7))))
+    for i in range(7):
+        w = 1 + rng.below(2)
+        terms.append(ts.Term((i, i + 1), tuple(w * rho(tree, a, b) for a in range(7) for b in range(7))))
+    f = ts.SumOfTerms(ts.ProductDomain([tree] * 8), terms)
+    start = (4, 2, 4, 3, 3, 5, 1, 3)
+    expected = ts.minimize(f, None, start)
+    counts = {"check_node": 0, "solves": 0}
+    check_node = ts.RootedTree.check_node
+
+    def counted_check(tree, v):
+        counts["check_node"] += 1
+        return check_node(tree, v)
+
+    def counted_solve(solver):
+        def solve(g):
+            counts["solves"] += 1
+            return solver(g)
+        return solve
+
+    monkeypatch.setattr(ts.RootedTree, "check_node", counted_check)
+    monkeypatch.setattr(descent, "sfm_brute", counted_solve(descent.sfm_brute))
+    monkeypatch.setattr(descent, "bisub_brute", counted_solve(descent.bisub_brute))
+    x, value, trace = ts.minimize(f, None, start)
+    assert (x, value, trace) == expected
+    assert trace.s1_steps > 0 and trace.s2_steps > 0
+    assert counts["solves"] == trace.s1_steps + trace.s2_steps + 3
+    assert counts["check_node"] <= 8 * (counts["solves"] + 1)
 
 
 def test_minimize_rejects_ternary_tree():

@@ -671,6 +671,36 @@ def test_sum_grid_with_a_variable_no_term_reads():
             with pytest.raises(DomainError, match="is not in 0..2"):
                 f.grid([(0,), bad, (1,)])
 
+def test_sum_grid_checks_axes_and_labels_before_reading_a_table():
+    """The public grid refuses a wrong axis count and a bad label with
+    the messages it gave before the stacked tables, before any table is
+    built; bools, numpy bools and numpy ints read as their plain ints,
+    and an empty axis gives an empty array, in either dtype."""
+    dom = ts.ProductDomain([ts.complete_binary_tree(3), ts.chain_tree(3), ts.chain_tree(1)])
+    for top, dtype in ((5, np.int64), (1 << 70, object)):
+        terms = [ts.Term((1, 0), tuple(range(21))), ts.Term((2,), (top,)), ts.Term((0,), tuple(range(7)))]
+        f = ts.SumOfTerms(dom, terms)
+        for axes in ([range(7)], [range(7), range(3), (0,), (0,)]):
+            with pytest.raises(DomainError) as err:
+                f.grid(axes)
+            assert str(err.value) == f"got {len(axes)} axes for arity 3"
+        for bad in (3, -1, np.int64(7), 1.5, None, "1"):
+            with pytest.raises(DomainError) as expected:
+                f.evaluate((0, bad, 0))
+            with pytest.raises(DomainError) as got:
+                f.grid([(6, 0), (0, bad), (0,)])
+            assert str(got.value) == str(expected.value)
+        assert f._tables is None  # refused before the first table was built
+        plain = [(6, 0), (1, 0, 2), (0,)]
+        kinds = [(np.int64(6), np.uint8(0)), (True, np.bool_(False), np.int32(2)), (np.bool_(False),)]
+        got = f.grid(kinds)
+        assert got.dtype == dtype and got.tolist() == f.grid(plain).tolist()
+        assert got.ravel().tolist() == term_grid(dom, terms, plain)
+        for axes in ([(), (0, 1), (0,)], [range(7), (), (0,)], [(), (), ()]):
+            empty = f.grid(axes)
+            assert empty.shape == tuple(map(len, axes)) and empty.dtype == dtype
+
+
 def test_sum_grid_is_exact_once_the_tables_reach_2_62():
     dom = ts.ProductDomain([ts.chain_tree(3), ts.chain_tree(4)])
     big = 1 << 62
@@ -734,6 +764,29 @@ def test_values_at_refuses_a_bad_label_with_the_evaluate_message():
             assert str(got.value) == str(expected.value)
         with pytest.raises(DomainError, match="arity 3"):
             f.values_at(np.zeros((2, 2), dtype=np.int64))
+
+
+def test_host_tables_are_views_of_one_stack_per_shape():
+    """Host tables of equal shape are slices of one stacked array, in
+    host order; no table is held twice, and each stack holds exactly the
+    tables of its shape."""
+    dom = ts.ProductDomain([ts.complete_binary_tree(3), ts.chain_tree(4), ts.complete_binary_tree(3),
+                            ts.chain_tree(4), ts.star3_tree()])
+    rng = ts.SplitMix64(44)
+    terms = random_terms(rng, dom, -9, 9, 8)
+    f = ts.SumOfTerms(dom, terms)
+    tables = f._folded()
+    groups, order = f._stacked()
+    stacks = [stack for stack, _, _ in groups]
+    assert sorted(s.shape[1:] for s in stacks) == sorted({t.shape for _, t in tables})
+    for stack in stacks:
+        members = [t for _, t in tables if t.shape == stack.shape[1:]]
+        assert len(members) == len(stack)
+        assert all(t.base is stack and np.shares_memory(t, row) for t, row in zip(members, stack))
+    assert sum(s.nbytes for s in stacks) == sum(t.nbytes for _, t in tables)
+    assert len(order) == len(tables)
+    axes = [range(t.node_count) for t in dom.trees]
+    assert f.grid(axes).ravel().tolist() == term_grid(dom, terms, axes)
 
 
 def test_second_grid_builds_no_table(monkeypatch):
