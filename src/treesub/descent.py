@@ -20,6 +20,14 @@ safety cap of K + 1 accepted moves per stage turns a violated bound
 (non-submodular input or a solver bug) into a loud error instead of a
 long walk.
 
+Labels are checked once at the public boundary.  ``minimize`` checks
+its start; each restriction checks its center x and reads the labels
+of its cube or box from ``parent`` and ``children`` of x's labels, so
+its grid reads the cost through the unchecked ``CostFunction._grid``,
+which for a ``SumOfTerms`` is one gather per group of equal-shaped host
+tables.  A brute run thus checks each coordinate once for the start and
+once per solve.
+
 Optional diagnostics track the distance from the current labeling to the
 nearest minimizer over its ancestor ideal and descendant filter; they
 cost an exponential enumeration and are meant for tests and benchmarks.
