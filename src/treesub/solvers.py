@@ -7,10 +7,11 @@ outward neighborhood).  Brute-force enumeration is the default engine
 for both, so correctness at desk scale never hinges on floating point.
 Each brute engine reads the whole cube or box as one array of exact
 values, from the restriction's ``grid`` when it carries one (the
-descent's restrictions do, and on a ``SumOfTerms`` cost each is a fixed
-few numpy calls over the sum's stacked host tables, whatever the size of
-the cube or box) or else from one ``evaluate`` per cell in rank order,
-and takes its first minimum: the lowest-rank tie-break.
+descent's restrictions do; on a ``SumOfTerms`` cost each is one gather
+per group of the sum's stacked host tables and one broadcast add per
+table, whatever the size of the cube or box) or else from one
+``evaluate`` per cell in rank order, and takes its first minimum: the
+lowest-rank tie-break.
 
 Min-norm-point alternatives are provided as well:
 
