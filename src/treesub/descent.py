@@ -24,8 +24,8 @@ Labels are checked once at the public boundary.  ``minimize`` checks
 its start; each restriction checks its center x and reads the labels
 of its cube or box from ``parent`` and ``children`` of x's labels, so
 its grid reads the cost through the unchecked ``CostFunction._grid``,
-which for a ``SumOfTerms`` is one gather per group of equal-shaped host
-tables.  A brute run thus checks each coordinate once for the start and
+which for a ``SumOfTerms`` is one gather and one broadcast add per host
+table.  A brute run thus checks each coordinate once for the start and
 once per solve.
 
 Optional diagnostics track the distance from the current labeling to the

@@ -404,13 +404,13 @@ class SumOfTerms(CostFunction):
         return walk
 
     def grid(self, axes: Sequence[Sequence[int]]) -> np.ndarray:
-        """f over the axes as one array, from the folded host tables.
+        """f over the axes as one array: one gather-add per host table.
 
         The axis count and each axis label are checked here, once; the
-        values then come from ``_grid``, with one gather per group of
-        equal-shaped host tables (``_gather_add``).  The result has the
-        tables' dtype: int64, or object (exact Python ints) when the
-        terms' values are too large for int64.
+        values then come from ``_grid``.  The first call folds the terms
+        into host tables (``_fold_terms``) and keeps them on the instance.
+        The result has the tables' dtype: int64, or object (exact Python
+        ints) when the terms' values are too large for int64.
         """
         domain = self.domain
         axes = [tuple(a) for a in axes]
@@ -422,121 +422,67 @@ class SumOfTerms(CostFunction):
         """``grid`` on one tuple of valid plain-int labels per variable,
         unchecked: the descent's restrictions call it on labels they read
         from ``parent`` and ``children`` of a validated labeling.  The
-        labels of each axis, padded to the longest axis, form one row of
-        the index that ``_gather_add`` reads."""
-        shape = tuple(map(len, axes))
-        width = max(shape)
-        index = np.array([a + (0,) * (width - len(a)) for a in axes], dtype=np.intp)
-        return _gather_add(self._stacked(), index, shape)
+        labels of variable i index it as an array of shape ``(len, 1, ...,
+        1)``, with one unit axis per later variable, for ``_gather_add``."""
+        n = len(axes)
+        index = [np.array(a, dtype=np.intp).reshape((len(a),) + (1,) * (n - 1 - i))
+                 for i, a in enumerate(axes)]
+        return _gather_add(self._folded(), index, tuple(map(len, axes)))
 
     def values_at(self, labels: np.ndarray) -> np.ndarray:
         """f at each row, as ``CostFunction.values_at``: the rows are
-        checked as one array, then ``_gather_add`` reads column i of the
-        rows as the labels of variable i.  The dtype is the tables', as in
-        ``grid``."""
+        checked as one array, then one gather-add per host table of
+        ``_fold_terms``, with column i of the rows indexing variable i.
+        The dtype is the tables', as in ``grid``."""
         labels = _label_rows(self.domain, labels)
-        return _gather_add(self._stacked(), labels.T, None)
+        return _gather_add(self._folded(), labels.T, (len(labels),))
 
     def _folded(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
         """The host tables of ``_fold_terms``, as ``(scope, table)`` pairs."""
-        return self._fold()[0]
-
-    def _stacked(self):
-        """The host tables of ``_fold_terms`` grouped by shape, with their
-        order of addition: ``(groups, order)``."""
-        return self._fold()[1:]
-
-    def _fold(self):
-        folded = self._tables
-        if folded is None:
-            folded = self._tables = _fold_terms(self.domain, self.terms)
-        return folded
+        tables = self._tables
+        if tables is None:
+            tables = self._tables = _fold_terms(self.domain, self.terms)
+        return tables
 
 
-def _gather_add(stacked, index: np.ndarray, shape: tuple[int, ...] | None) -> np.ndarray:
-    """The sum over the host tables of ``table[labels of its scope]``.
+def _gather_add(tables, index, shape: tuple[int, ...]) -> np.ndarray:
+    """The sum over ``tables`` of ``table[index of each scope variable]``,
+    as an array of ``shape``.
 
-    ``stacked`` is ``(groups, order)`` from ``_fold_terms``, and row i of
-    ``index`` holds labels of variable i.  With ``shape`` None the rows
-    are read in step, and entry k of the result sums every table at
-    column k (``values_at``).  Otherwise variable i has the first
-    ``shape[i]`` labels of its row, and the result, of that shape, sums
-    the tables over the product of those labels (``grid``).
-
-    Each group takes one gather: one ``take`` from its flat ``stack``, at
-    each host's offset plus the index rows of its scope variables times
-    their steps.  In step, each group's blocks are summed over its hosts.
-    Over a product, each host's block is cut to its variables' label
-    counts and spread over the variables from its first one on, and the
-    blocks are added by broadcasting in ``order``, the host with the last
-    first variable first: each partial sum spans only the variables from
-    the latest first variable on, and its innermost axes run long.
+    ``index[i]`` indexes variable i, and its axes line up with the last
+    axes of ``shape``: the rows of ``values_at``, or the ``(len, 1, ...,
+    1)`` arrays of ``_grid``.  A table's block then spans the variables
+    from its first scope variable on.  The blocks are added by
+    broadcasting, the last table of ``_fold_terms`` first; among tables
+    of one scope length that is the one whose first variable comes last.
+    On a grid each partial sum then spans only the variables from the
+    first variable of the table added last, and its innermost axes run
+    long.
     """
-    groups, order = stacked
-    blocks = []
-    for stack, offsets, spread in groups:
-        flat = offsets.reshape(-1, 1) if shape is None else offsets
-        for column, key, step in spread:
-            rows = index[column] if shape is None else index[column][key]
-            flat = flat + (rows * step if step > 1 else rows)
-        blocks.append(stack.take(flat))
-    dtype = groups[0][0].dtype if groups else np.int64
-    if shape is None:
-        out = np.zeros(index.shape[1], dtype=dtype)
-        for block in blocks:
-            out += block.sum(axis=0)
-        return out
-    cut = [slice(c) for c in shape]
-    cut.append(None)  # what a pick of -1 reads: a unit axis
-    total = np.zeros((), dtype=dtype)
-    for k, h, pick in order:
-        total = blocks[k][(h, *map(cut.__getitem__, pick))] + total
+    total = None
+    for scope, table in reversed(tables):
+        block = table[tuple(index[i] for i in scope)]
+        total = block if total is None else block + total
+    if total is None:  # a sum of no terms
+        return np.zeros(shape, dtype=np.int64)
     return total if total.shape == shape else np.broadcast_to(total, shape).copy()
 
 
-def _fold_terms(domain: ProductDomain, terms: Sequence[Term]):
-    """The terms as host tables of one dtype, int64 or object:
-    ``(tables, groups, order)``.
+def _fold_terms(
+    domain: ProductDomain, terms: Sequence[Term]
+) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
+    """The terms as tables of one dtype, int64 or object.
 
-    There is one host table per distinct scope that lies in no larger
-    one, with its axes in ascending variable order; each term is added
-    into the first such table whose scope holds its own.  ``tables``
-    pairs each host's scope with its table, in that order.  The tables of
-    one shape are the slices of one ``stack`` array, so ``tables`` holds
-    views and no table is held twice.
-
-    Each group is ``(stack, offsets, spread)``: the stack; each host's
-    first position in the flat stack, shaped ``(hosts, 1, ..., 1)``; and,
-    per table axis j, the intp array of the hosts' j-th scope variables,
-    the key that spreads their index rows along axis j + 1 of that shape,
-    and the flat step of axis j.  ``order`` lists ``(group, host, pick)``
-    for every host, by descending first scope variable s; the pick names,
-    for each variable from s on, its place in the host's scope, or -1
-    when the scope does not hold it.
-
-    Every table cell and every sum of cells is bounded by the sum over
-    terms of the largest |value|, and that bound picks the dtype
-    (``sum_dtype``).
+    There is one table per distinct scope that lies in no larger one,
+    with its axes in ascending variable order; each term is added into
+    the first such table whose scope holds its own.  Every table cell
+    and every sum of cells is bounded by the sum over terms of the
+    largest |value|, and that bound picks the dtype (``sum_dtype``).
     """
     dtype = sum_dtype(sum(max(map(abs, t.values)) for t in terms))
     scopes = sorted({tuple(sorted(t.scope)) for t in terms}, key=lambda s: (-len(s), s))
     hosts = [s for k, s in enumerate(scopes) if not any(set(s) < set(r) for r in scopes[:k])]
-    by_shape: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for s in hosts:
-        by_shape.setdefault(tuple(domain.trees[i].node_count for i in s), []).append(s)
-    tables, groups, order = {}, [], []
-    for k, (shape, members) in enumerate(by_shape.items()):
-        stack = np.zeros((len(members),) + shape, dtype=dtype)
-        tables.update(zip(members, stack))
-        arity = len(shape)
-        offsets = np.arange(0, stack.size, math.prod(shape)).reshape((-1,) + (1,) * arity)
-        spread = tuple((np.array([s[j] for s in members], dtype=np.intp),
-                        (slice(None),) + (None,) * j + (slice(None),) + (None,) * (arity - 1 - j),
-                        math.prod(shape[j + 1:])) for j in range(arity))
-        groups.append((stack, offsets, spread))
-        order += [(k, h, tuple(i if i in s else -1 for i in range(s[0], domain.n)))
-                  for h, s in enumerate(members)]
-    order.sort(key=lambda e: len(e[2]))
+    tables = {s: np.zeros([domain.trees[i].node_count for i in s], dtype=dtype) for s in hosts}
     for t in terms:
         host = next(s for s in hosts if set(t.scope) <= set(s))
         sub = np.array(t.values, dtype=dtype).reshape(
@@ -545,7 +491,7 @@ def _fold_terms(domain: ProductDomain, terms: Sequence[Term]):
         # move the term's axes into variable order, then broadcast into the host
         sub = sub.transpose(sorted(range(len(t.scope)), key=t.scope.__getitem__))
         tables[host] += sub.reshape([domain.trees[i].node_count if i in t.scope else 1 for i in host])
-    return tuple((s, tables[s]) for s in hosts), tuple(groups), tuple(order)
+    return tuple(tables.items())
 
 
 def materialize(f: CostFunction) -> DenseTable:

@@ -8,8 +8,8 @@ for both, so correctness at desk scale never hinges on floating point.
 Each brute engine reads the whole cube or box as one array of exact
 values, from the restriction's ``grid`` when it carries one (the
 descent's restrictions do; on a ``SumOfTerms`` cost each is one gather
-per group of the sum's stacked host tables and one broadcast add per
-table, whatever the size of the cube or box) or else from one
+and one broadcast add per host table, whatever the size of the cube or
+box) or else from one
 ``evaluate`` per cell in rank order, and takes its first minimum: the
 lowest-rank tie-break.
 

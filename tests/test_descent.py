@@ -453,7 +453,7 @@ def test_one_solve_per_stage_end_and_one_inward_resolve_after_outward_moves(c5sq
 
 
 # ---------------------------------------------------------------------------
-# brute descent on the stacked host tables, against the evaluate path and the full scan
+# brute descent on host-table grids, against the evaluate path and the full scan
 
 _PARITY_TREES = (ts.complete_binary_tree(3), ts.chain_tree(1), ts.chain_tree(2), ts.chain_tree(4),
                  ts.star3_tree())
@@ -502,7 +502,8 @@ def _parity_runs(rng: ts.SplitMix64):
         for start in (tuple(rng.below(t.node_count) for t in dom.trees), None):
             yield f, start, strong
     for arity in (1, 3):
-        yield ts.SumOfTerms(_parity_domain(rng), []), None, True
+        dom = ts.ProductDomain([_PARITY_TREES[rng.below(len(_PARITY_TREES))] for _ in range(arity)])
+        yield ts.SumOfTerms(dom, []), None, True
 
 
 def _grid_free_restrictions(monkeypatch) -> None:
@@ -515,7 +516,7 @@ def _grid_free_restrictions(monkeypatch) -> None:
 
 
 def test_brute_descent_matches_the_evaluate_path_and_the_full_scan(monkeypatch):
-    """Every brute run on the stacked host tables returns the minimizer,
+    """Every brute run on host-table grids returns the minimizer,
     value and trace (every field, diagnostics included) of the same run
     on one ``evaluate`` per cell; its value is f at its minimizer, at or
     above the full scan's minimum, and equal to it on strong sums."""

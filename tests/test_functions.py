@@ -673,8 +673,8 @@ def test_sum_grid_with_a_variable_no_term_reads():
 
 def test_sum_grid_checks_axes_and_labels_before_reading_a_table():
     """The public grid refuses a wrong axis count and a bad label with
-    the messages it gave before the stacked tables, before any table is
-    built; bools, numpy bools and numpy ints read as their plain ints,
+    the messages it gave before its checks moved in front of ``_grid``,
+    before any table is built; bools, numpy bools and numpy ints read as their plain ints,
     and an empty axis gives an empty array, in either dtype."""
     dom = ts.ProductDomain([ts.complete_binary_tree(3), ts.chain_tree(3), ts.chain_tree(1)])
     for top, dtype in ((5, np.int64), (1 << 70, object)):
@@ -766,27 +766,48 @@ def test_values_at_refuses_a_bad_label_with_the_evaluate_message():
             f.values_at(np.zeros((2, 2), dtype=np.int64))
 
 
-def test_host_tables_are_views_of_one_stack_per_shape():
-    """Host tables of equal shape are slices of one stacked array, in
-    host order; no table is held twice, and each stack holds exactly the
-    tables of its shape."""
-    dom = ts.ProductDomain([ts.complete_binary_tree(3), ts.chain_tree(4), ts.complete_binary_tree(3),
-                            ts.chain_tree(4), ts.star3_tree()])
-    rng = ts.SplitMix64(44)
-    terms = random_terms(rng, dom, -9, 9, 8)
+def test_uneven_axes_read_only_each_tables_own_labels():
+    """A grid reads each host table at its own scope's labels only, so a
+    long axis of one variable costs nothing in the tables that do not
+    hold it, and a variable held by two tables is read once per table.
+    The traced peak of a grid and of ``materialize`` stays within a small
+    multiple of the result; reading a 200-label axis on the axes of a
+    ternary host would need 200^3 cells."""
+    import tracemalloc
+
+    small = ts.chain_tree(2)
+    dom = ts.ProductDomain([ts.chain_tree(200), small, small, small])
+    rng = ts.SplitMix64(8)
+    terms = [ts.Term((3, 1, 2), tuple(rng.below(19) - 9 for _ in range(8))),
+             ts.Term((0, 1), tuple(rng.below(19) - 9 for _ in range(400))),
+             ts.Term((0,), tuple(range(200)))]
     f = ts.SumOfTerms(dom, terms)
-    tables = f._folded()
-    groups, order = f._stacked()
-    stacks = [stack for stack, _, _ in groups]
-    assert sorted(s.shape[1:] for s in stacks) == sorted({t.shape for _, t in tables})
-    for stack in stacks:
-        members = [t for _, t in tables if t.shape == stack.shape[1:]]
-        assert len(members) == len(stack)
-        assert all(t.base is stack and np.shares_memory(t, row) for t, row in zip(members, stack))
-    assert sum(s.nbytes for s in stacks) == sum(t.nbytes for _, t in tables)
-    assert len(order) == len(tables)
-    axes = [range(t.node_count) for t in dom.trees]
-    assert f.grid(axes).ravel().tolist() == term_grid(dom, terms, axes)
+    whole = [range(t.node_count) for t in dom.trees]
+    line = [range(200), (1,), (0, 1), (1,)]
+    chain = ts.chain_tree(150)
+    path = ts.ProductDomain([chain] * 3)
+    pairs = [ts.Term(s, tuple(rng.below(19) - 9 for _ in range(150 ** 2))) for s in ((0, 1), (1, 2))]
+    g = ts.SumOfTerms(path, pairs)
+    middle = [(4,), range(150), (7,)]
+    for h, axes in ((f, whole), (f, line), (g, middle)):
+        expect = term_grid(h.domain, h.terms, axes)
+        assert h.grid(axes).ravel().tolist() == expect  # folds the tables first
+        tracemalloc.start()
+        try:
+            got = h.grid(axes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.ravel().tolist() == expect
+        assert peak < 64 * 1024 + 16 * got.nbytes, (axes, peak)
+    tracemalloc.start()
+    try:
+        table = ts.materialize(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(table.values) == term_grid(dom, terms, whole)
+    assert peak < 1 << 20, peak
 
 
 def test_second_grid_builds_no_table(monkeypatch):
