@@ -672,10 +672,10 @@ def test_sum_grid_with_a_variable_no_term_reads():
                 f.grid([(0,), bad, (1,)])
 
 def test_sum_grid_checks_axes_and_labels_before_reading_a_table():
-    """The public grid refuses a wrong axis count and a bad label with
-    the messages it gave before its checks moved in front of ``_grid``,
-    before any table is built; bools, numpy bools and numpy ints read as their plain ints,
-    and an empty axis gives an empty array, in either dtype."""
+    """The public grid refuses a wrong axis count, and a bad label with
+    ``evaluate``'s message, before any table is built; bools, numpy
+    bools and numpy ints read as their plain ints, and an empty axis
+    gives an empty array, in either dtype."""
     dom = ts.ProductDomain([ts.complete_binary_tree(3), ts.chain_tree(3), ts.chain_tree(1)])
     for top, dtype in ((5, np.int64), (1 << 70, object)):
         terms = [ts.Term((1, 0), tuple(range(21))), ts.Term((2,), (top,)), ts.Term((0,), tuple(range(7)))]
@@ -767,12 +767,14 @@ def test_values_at_refuses_a_bad_label_with_the_evaluate_message():
 
 
 def test_uneven_axes_read_only_each_tables_own_labels():
-    """A grid reads each host table at its own scope's labels only, so a
-    long axis of one variable costs nothing in the tables that do not
-    hold it, and a variable held by two tables is read once per table.
-    The traced peak of a grid and of ``materialize`` stays within a small
-    multiple of the result; reading a 200-label axis on the axes of a
-    ternary host would need 200^3 cells."""
+    """A grid reads each host table at its own scope variables' labels
+    only.  A long axis then costs nothing in a table that does not hold
+    its variable (a ternary host over the chain2 trees of chain200 x
+    chain2^3), nor more than its own labels in each table that does (a
+    chain150 line through two pair hosts).  The traced peak of each grid
+    and of ``materialize`` stays within a small multiple of the result;
+    the 200 labels padded onto each axis of the ternary host would need
+    200^3 cells."""
     import tracemalloc
 
     small = ts.chain_tree(2)
