@@ -7,6 +7,7 @@ import inspect
 import json
 import operator
 import re
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -775,8 +776,6 @@ def test_uneven_axes_read_only_each_tables_own_labels():
     and of ``materialize`` stays within a small multiple of the result;
     the 200 labels padded onto each axis of the ternary host would need
     200^3 cells."""
-    import tracemalloc
-
     small = ts.chain_tree(2)
     dom = ts.ProductDomain([ts.chain_tree(200), small, small, small])
     rng = ts.SplitMix64(8)
