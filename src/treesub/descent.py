@@ -21,12 +21,16 @@ safety cap of K + 1 accepted moves per stage turns a violated bound
 long walk.
 
 Labels are checked once at the public boundary.  ``minimize`` checks
-its start; each restriction checks its center x and reads the labels
-of its cube or box from ``parent`` and ``children`` of x's labels, so
-its grid reads the cost through the unchecked ``CostFunction._grid``,
-which for a ``SumOfTerms`` is one gather and one broadcast add per host
-table.  A brute run thus checks each coordinate once for the start and
-once per solve.
+its start, and refuses a tree with a node of more than two children
+before its first oracle call; each restriction checks its center x and
+reads the axes of its cube or box, the labels of x and their parents or
+children, from the ``Neighborhoods`` table each tree builds on first
+use.  Its grid reads the cost on those axes through the unchecked
+``CostFunction._grid``, which for a ``SumOfTerms`` is one gather and
+one broadcast add per host table, with the index of each axis kept
+from earlier solves or, for an axis of one label, a plain int.  A brute
+run thus checks each coordinate once for the start and once per solve,
+and otherwise pays per solve for its gathers, its adds and its argmin.
 
 Optional diagnostics track the distance from the current labeling to the
 nearest minimizer over its ancestor ideal and descendant filter; they
@@ -117,13 +121,14 @@ def inward_restrict(f: CostFunction, domain: ProductDomain | None, x: Labeling) 
     Coordinate i is free iff x_i is not the root; a subset of free
     coordinates maps to the labeling that replaces those coordinates with
     their parents.  The empty set maps to x itself.  x is checked here;
-    the grid reads f through ``_grid`` on the labels of x and their
-    parents, which need no second check.
+    the axis of each coordinate, x_i and then its parent unless x_i is
+    the root, is read from its tree's ``Neighborhoods`` table, and the
+    grid reads f through ``_grid`` on those labels, which need no second
+    check.
     """
     domain = own_domain(f, domain)
     x = domain.validate(x)
-    # the labels of each coordinate: x_i, then its parent unless x_i is the root
-    axes = [(v,) if v == t.root else (v, t.parent[v]) for t, v in zip(domain.trees, x)]
+    axes = [t._neighborhoods().inward[v] for t, v in zip(domain.trees, x)]
     free = tuple(i for i, a in enumerate(axes) if len(a) == 2)
     free_set = frozenset(free)
 
@@ -167,21 +172,18 @@ def outward_restrict(f: CostFunction, domain: ProductDomain | None, x: Labeling)
     second child; signs without a child are excluded from the allowed
     set.  The all-zeros vector maps to x itself.  A node x_i with more
     than two children has no sign reading and is refused.  x is checked
-    here; the grid reads f through ``_grid`` on the labels of x and their
-    children, which need no second check.
+    here; the allowed signs of each coordinate and its axis, the label
+    each allowed sign moves to, are read from its tree's
+    ``Neighborhoods`` table, and the grid reads f through ``_grid`` on
+    those labels, which need no second check.
     """
     domain = own_domain(f, domain)
     x = domain.validate(x)
-    allowed, axes = [], []  # axes[i]: the label each allowed sign of coordinate i moves to
-    for i, (t, v) in enumerate(zip(domain.trees, x)):
-        kids = t.children[v]
-        if len(kids) > 2:
-            raise UnsupportedStructureError(
-                f"tree {i} is not binary: node {v} has {len(kids)} children"
-            )
-        allowed.append(((0,), (-1, 0), (-1, 0, 1))[len(kids)])
-        axes.append(kids[:1] + (v,) + kids[1:])
-    allowed = tuple(allowed)
+    moves = [t._neighborhoods().outward[v] for t, v in zip(domain.trees, x)]
+    if None in moves:
+        i = moves.index(None)
+        raise _not_binary(i, domain.trees[i], x[i])
+    allowed, axes = zip(*moves)
 
     def check_sign(i, s) -> None:
         if s not in allowed[i]:
@@ -226,13 +228,16 @@ def apply_outward(domain: ProductDomain, x: Labeling, signs) -> Labeling:
     return tuple(y)
 
 
+def _not_binary(i: int, tree, v: int) -> UnsupportedStructureError:
+    return UnsupportedStructureError(
+        f"tree {i} is not binary: node {v} has {len(tree.children[v])} children")
+
+
 def _require_binary(domain: ProductDomain) -> None:
     for i, t in enumerate(domain.trees):
-        for v, kids in enumerate(t.children):
-            if len(kids) > 2:
-                raise UnsupportedStructureError(
-                    f"tree {i} is not binary: node {v} has {len(kids)} children"
-                )
+        wide = t._neighborhoods().wide
+        if wide is not None:
+            raise _not_binary(i, t, wide)
 
 
 def _solve_inward(f, domain, x, engine: str):

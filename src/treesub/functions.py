@@ -13,8 +13,10 @@ choice is infeasible.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -323,9 +325,10 @@ class SumOfTerms(CostFunction):
     """Costs as a sum of low-arity terms sharing one denominator.
 
     The tables behind ``grid`` and ``values_at`` are built on the first
-    call of either and kept; they are built fully and then stored in one
-    assignment, so the instance stays immutable to its callers and safe
-    to evaluate concurrently.
+    call of either and kept, each with the getter that reads its scope;
+    they are built fully and then stored in one assignment, so the
+    instance stays immutable to its callers and safe to evaluate
+    concurrently.
     """
 
     __slots__ = ("domain", "denominator", "terms", "_tables")
@@ -420,14 +423,15 @@ class SumOfTerms(CostFunction):
 
     def _grid(self, axes: Sequence[tuple[int, ...]]) -> np.ndarray:
         """``grid`` on one tuple of valid plain-int labels per variable,
-        unchecked: the descent's restrictions call it on labels they read
-        from ``parent`` and ``children`` of a validated labeling.  The
-        labels of variable i index it as an array of shape ``(len, 1, ...,
-        1)``, with one unit axis per later variable, for ``_gather_add``."""
+        unchecked: the descent's restrictions call it on the axes their
+        trees' ``Neighborhoods`` tables hold for a validated labeling.
+        The labels of variable i index the tables by ``_axis_index``, as
+        an array of shape ``(len, 1, ..., 1)`` with one unit axis per
+        later variable, or by the plain int of an axis of one label, for
+        ``_gather_add``."""
         n = len(axes)
-        index = [np.array(a, dtype=np.intp).reshape((len(a),) + (1,) * (n - 1 - i))
-                 for i, a in enumerate(axes)]
-        return _gather_add(self._folded(), index, tuple(map(len, axes)))
+        index = [a[0] if len(a) == 1 else _axis_index(a, n - 1 - i) for i, a in enumerate(axes)]
+        return _gather_add(self._reads(), index, tuple(map(len, axes)))
 
     def values_at(self, labels: np.ndarray) -> np.ndarray:
         """f at each row, as ``CostFunction.values_at``: the rows are
@@ -435,37 +439,86 @@ class SumOfTerms(CostFunction):
         ``_fold_terms``, with column i of the rows indexing variable i.
         The dtype is the tables', as in ``grid``."""
         labels = _label_rows(self.domain, labels)
-        return _gather_add(self._folded(), labels.T, (len(labels),))
+        return _gather_add(self._reads(), labels.T, (len(labels),))
 
     def _folded(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
         """The host tables of ``_fold_terms``, as ``(scope, table)`` pairs."""
-        tables = self._tables
-        if tables is None:
-            tables = self._tables = _fold_terms(self.domain, self.terms)
-        return tables
+        return tuple((scope, table) for _, table, scope in reversed(self._reads()))
+
+    def _reads(self) -> tuple[tuple[Callable, np.ndarray, tuple[int, ...]], ...]:
+        """The host tables of ``_fold_terms`` as ``_gather_add`` reads
+        them: ``(get, table, scope)`` triples, the last table first, where
+        ``get`` picks the scope variables' indexes out of a grid's or a
+        row array's (``_scope_getter``)."""
+        reads = self._tables
+        if reads is None:
+            reads = self._tables = tuple((_scope_getter(scope), table, scope) for scope, table
+                                         in reversed(_fold_terms(self.domain, self.terms)))
+        return reads
 
 
-def _gather_add(tables, index, shape: tuple[int, ...]) -> np.ndarray:
-    """The sum over ``tables`` of ``table[index of each scope variable]``,
-    as an array of ``shape``.
+@functools.lru_cache(maxsize=1 << 10)
+def _scope_getter(scope: tuple[int, ...]) -> Callable:
+    """``operator.itemgetter(*scope)``, one per scope for every sum: it
+    holds no state, so sums with a scope in common share it."""
+    return operator.itemgetter(*scope)
 
-    ``index[i]`` indexes variable i, and its axes line up with the last
-    axes of ``shape``: the rows of ``values_at``, or the ``(len, 1, ...,
-    1)`` arrays of ``_grid``.  A table's block then spans the variables
-    from its first scope variable on.  The blocks are added by
-    broadcasting, the last table of ``_fold_terms`` first; among tables
-    of one scope length that is the one whose first variable comes last.
+
+def _index_array(labels: tuple[int, ...], trailing: int) -> np.ndarray:
+    return np.array(labels, dtype=np.intp).reshape((len(labels),) + (1,) * trailing)
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _kept_index(labels: tuple[int, ...], trailing: int) -> np.ndarray:
+    index = _index_array(labels, trailing)
+    index.flags.writeable = False  # one array serves every grid that reads these labels
+    return index
+
+
+def _axis_index(labels: tuple[int, ...], trailing: int) -> np.ndarray:
+    """The labels as an intp array of shape ``(len(labels), 1, ..., 1)``
+    with ``trailing`` unit axes.
+
+    An axis of at most three labels, as every neighborhood axis on a
+    binary tree is, is built once per (labels, trailing) and kept,
+    read-only, in a bounded cache (``_kept_index``); a longer one (the
+    whole-tree axes of ``materialize`` and of the descent's diagnostics)
+    is built on every call and never kept.
+    """
+    return _index_array(labels, trailing) if len(labels) > 3 else _kept_index(labels, trailing)
+
+
+def _gather_add(reads, index, shape: tuple[int, ...]) -> np.ndarray:
+    """The sum over the ``(get, table, scope)`` triples of ``reads`` of
+    ``table[get(index)]``, as an array of ``shape``.
+
+    ``get`` picks the indexes of the table's scope variables out of
+    ``index``, whose item i indexes variable i.  Its axes line up with
+    the last axes of ``shape``: the rows of ``values_at``, or the ``(len,
+    1, ..., 1)`` arrays of ``_grid``, where a plain int stands for an axis
+    of one label.  A table's block then spans the variables from its
+    first array-indexed scope variable on, and a block read at ints alone
+    is one cell.  The blocks are added by broadcasting, in the order of
+    ``reads``: the last table of ``_fold_terms`` first; among tables of
+    one scope length that is the one whose first variable comes last.
     On a grid each partial sum then spans only the variables from the
     first variable of the table added last, and its innermost axes run
-    long.
+    long.  The sum keeps the tables' dtype, int64 or object, also when it
+    is one cell.
     """
     total = None
-    for scope, table in reversed(tables):
-        block = table[tuple(index[i] for i in scope)]
+    for get, table, _ in reads:
+        block = table[get(index)]
         total = block if total is None else block + total
     if total is None:  # a sum of no terms
         return np.zeros(shape, dtype=np.int64)
-    return total if total.shape == shape else np.broadcast_to(total, shape).copy()
+    if type(total) is not np.ndarray:  # one cell: an np.int64, or a Python int from object tables
+        total = np.array(total, dtype=reads[0][1].dtype)
+    if total.shape == shape:
+        return total
+    if total.size == math.prod(shape):  # only unit axes are missing
+        return total.reshape(shape)
+    return np.broadcast_to(total, shape).copy()
 
 
 def _fold_terms(

@@ -155,7 +155,7 @@ def sfm_brute(g: BinaryCubeFunction) -> tuple[frozenset[int], int]:
         values = g.grid()
     else:
         values = np.array([g.evaluate(subset(mask)) for mask in range(1 << k)], dtype=object)
-    mask = int(np.argmin(values))  # first minimum: the lowest rank
+    mask = int(values.argmin())  # first minimum: the lowest rank
     return subset(mask), int(values[mask])
 
 
@@ -173,7 +173,7 @@ def bisub_brute(h: SignBoxFunction) -> tuple[SignVector, int]:
         values = h.grid()
     else:
         values = np.array([h.evaluate(v) for v in itertools.product(*h.allowed)], dtype=object)
-    rank = int(np.argmin(values))  # first minimum: the lowest rank
+    rank = int(values.argmin())  # first minimum: the lowest rank
     digits = np.unravel_index(rank, [len(signs) for signs in h.allowed])
     return tuple(signs[d] for signs, d in zip(h.allowed, digits)), int(values[rank])
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -106,14 +106,37 @@ def plain_ints(values: Iterable, refusal: Callable[[int, object], str]) -> tuple
         raise
 
 
+class Neighborhoods(NamedTuple):
+    """The descent's per-node tables of one tree (``RootedTree._neighborhoods``).
+
+    ``inward[v]`` is v's inward axis: ``(v,)`` at the root, else ``(v,
+    parent)``.  ``outward[v]`` is the pair (allowed signs, axis) of v's
+    outward move: ``(0,)``, ``(-1, 0)`` or ``(-1, 0, 1)`` by its child
+    count, and the axis ``children[:1] + (v,) + children[1:]``, the label
+    each allowed sign moves to; it is None at a node with more than two
+    children, which has no sign reading.  ``wide`` is the first such
+    node, or None when the tree is binary.
+    """
+
+    inward: tuple[tuple[int, ...], ...]
+    outward: tuple[tuple[tuple[int, ...], tuple[int, ...]] | None, ...]
+    wide: int | None
+
+
+_SIGNS = ((0,), (-1, 0), (-1, 0, 1))  # the allowed signs of a node with 0, 1 or 2 children
+
+
 class RootedTree:
     """A rooted tree over dense integer node ids.
 
     Built from a parent array with -1 at the root.  Exposes parent,
-    ordered children, depth, and the ancestor predicate.
+    ordered children, depth, and the ancestor predicate.  Two tables are
+    built on first use and kept: the ancestor table of the array path
+    operations and the descent's ``Neighborhoods``.  Neither takes part
+    in equality, hashing or the repr.
     """
 
-    __slots__ = ("node_count", "parent", "children", "depth", "root", "_lift")
+    __slots__ = ("node_count", "parent", "children", "depth", "root", "_lift", "_nbhd")
 
     def __init__(self, parent: Iterable[int]):
         parents = plain_ints(parent, lambda k, p: f"parent[{k}] = {p!r} is not an integer")
@@ -152,6 +175,7 @@ class RootedTree:
         self.depth = tuple(depth)
         self.root = root
         self._lift = None
+        self._nbhd = None
 
     def _lifting(self) -> tuple[np.ndarray, np.ndarray]:
         """(up, depth) arrays, ``up[j, v]`` being the 2^j-th ancestor of v
@@ -162,6 +186,17 @@ class RootedTree:
                 up.append(up[-1][up[-1]])
             self._lift = np.array(up), np.array(self.depth)
         return self._lift
+
+    def _neighborhoods(self) -> Neighborhoods:
+        """Each node's inward axis and outward move, built on first use."""
+        if self._nbhd is None:
+            inward = tuple((v,) if p < 0 else (v, p) for v, p in enumerate(self.parent))
+            outward = tuple(
+                None if len(kids) > 2 else (_SIGNS[len(kids)], kids[:1] + (v,) + kids[1:])
+                for v, kids in enumerate(self.children))
+            wide = outward.index(None) if None in outward else None
+            self._nbhd = Neighborhoods(inward, outward, wide)
+        return self._nbhd
 
     def check_node(self, v: int) -> int:
         """v as a plain int, read by ``plain_int``: a bool, an ``IntEnum``

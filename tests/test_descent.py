@@ -7,7 +7,7 @@ import dataclasses
 import pytest
 
 import treesub as ts
-from treesub import descent, solvers
+from treesub import descent, functions, solvers
 from treesub.descent import apply_inward, apply_outward
 from treesub.trees import rho
 from treesub.errors import (
@@ -551,13 +551,11 @@ def test_brute_descent_matches_the_evaluate_path_and_the_full_scan(monkeypatch):
     assert len({len(s) for s in shapes}) == 3 and len(shapes) > 10, shapes
 
 
-def test_brute_minimize_checks_each_label_once_per_solve(monkeypatch):
-    """On an arity-8 sum over bintree7 (unary s * rho(v, t) + depth(v)
-    and path couplings w * rho(x_i, x_i+1), as the benchmark's descent
-    family), a brute minimize from a non-root start calls ``check_node``
-    once per coordinate for the start and for each restriction's center:
-    at most arity x (solves + 1) calls.  The labels each grid reads are
-    parents and children of a checked center and are not checked again."""
+def _arity8_descent_sum():
+    """An arity-8 sum over bintree7 as the benchmark's descent family
+    builds it (unary s * rho(v, t) + depth(v) and path couplings
+    w * rho(x_i, x_i+1)), and a non-root start from which both stages
+    move."""
     tree = ts.complete_binary_tree(3)
     rng = ts.SplitMix64(11)
     terms = []
@@ -567,8 +565,16 @@ def test_brute_minimize_checks_each_label_once_per_solve(monkeypatch):
     for i in range(7):
         w = 1 + rng.below(2)
         terms.append(ts.Term((i, i + 1), tuple(w * rho(tree, a, b) for a in range(7) for b in range(7))))
-    f = ts.SumOfTerms(ts.ProductDomain([tree] * 8), terms)
-    start = (4, 2, 4, 3, 3, 5, 1, 3)
+    return ts.SumOfTerms(ts.ProductDomain([tree] * 8), terms), (4, 2, 4, 3, 3, 5, 1, 3)
+
+
+def test_brute_minimize_checks_each_label_once_per_solve(monkeypatch):
+    """On the arity-8 descent sum, a brute minimize from a non-root start
+    calls ``check_node`` once per coordinate for the start and for each
+    restriction's center: at most arity x (solves + 1) calls.  The labels
+    each grid reads are parents and children of a checked center and are
+    not checked again."""
+    f, start = _arity8_descent_sum()
     expected = ts.minimize(f, None, start)
     counts = {"check_node": 0, "solves": 0}
     check_node = ts.RootedTree.check_node
@@ -591,6 +597,27 @@ def test_brute_minimize_checks_each_label_once_per_solve(monkeypatch):
     assert trace.s1_steps > 0 and trace.s2_steps > 0
     assert counts["solves"] == trace.s1_steps + trace.s2_steps + 3
     assert counts["check_node"] <= 8 * (counts["solves"] + 1)
+
+
+def test_brute_minimize_builds_each_axis_index_once(monkeypatch):
+    """On the arity-8 descent sum, the first brute minimize builds at
+    most one index array per distinct (labels, position) its grids read,
+    and a second minimize builds none: every neighborhood axis of two or
+    three labels is kept, and one of a single label is read as an int."""
+    f, start = _arity8_descent_sum()
+    built = []
+    index_array = functions._index_array
+    functions._kept_index.cache_clear()
+    monkeypatch.setattr(functions, "_index_array",
+                        lambda labels, trailing: built.append((labels, trailing))
+                        or index_array(labels, trailing))
+    first = ts.minimize(f, None, start)
+    assert first[2].s1_steps > 0 and first[2].s2_steps > 0
+    assert built and len(built) == len(set(built))
+    assert all(2 <= len(labels) <= 3 for labels, _ in built)
+    del built[:]
+    assert ts.minimize(f, None, start) == first
+    assert built == []
 
 
 def test_minimize_rejects_ternary_tree():
@@ -621,6 +648,28 @@ def test_minimize_refuses_a_wider_tree_before_any_oracle_call():
     dom = ts.ProductDomain([ts.RootedTree([-1, 0, 0, 0]), ts.chain_tree(3)])
     with pytest.raises(UnsupportedStructureError, match="tree 0 is not binary: node 0 has 3 children"):
         ts.minimize(_NoOracle(dom), dom, (1, 0))
+
+
+def test_a_node_past_two_children_is_refused_where_it_is_moved_and_before_minimize_reads_f():
+    """The tree tables leave each refusal where it was: ``outward_restrict``
+    refuses a center at a node with three children, and only there, and
+    ``minimize`` refuses the domain before its first oracle call, with
+    the first such tree and node in the message, each time it is asked."""
+    wide = ts.RootedTree([-1, 0, 1, 1, 1, 0, 5, 5, 5, 5])  # nodes 1 and 5 have 3 and 4 children
+    dom = ts.ProductDomain([ts.chain_tree(2), wide])
+    f = ts.DenseTable(dom, range(20))
+    for v in (0, 2, 9):
+        box = ts.outward_restrict(f, dom, (0, v))
+        assert box.allowed == ((-1, 0), wide._neighborhoods().outward[v][0])
+    assert ts.inward_restrict(f, dom, (1, 2)).free == (0, 1)
+    for _ in range(2):
+        for x, message in (((1, 1), "node 1 has 3 children"), ((0, 5), "node 5 has 4 children")):
+            with pytest.raises(UnsupportedStructureError) as err:
+                ts.outward_restrict(f, dom, x)
+            assert str(err.value) == f"tree 1 is not binary: {message}"
+        with pytest.raises(UnsupportedStructureError) as err:
+            ts.minimize(_NoOracle(dom), dom, (0, 2))
+        assert str(err.value) == "tree 1 is not binary: node 1 has 3 children"
 
 
 def test_minimize_exhaustive_tie_breaks_by_rank():

@@ -811,6 +811,61 @@ def test_uneven_axes_read_only_each_tables_own_labels():
     assert peak < 1 << 20, peak
 
 
+def test_grids_on_axes_of_zero_to_three_labels_follow_the_term_sum():
+    """``grid`` and the unchecked ``_grid`` give the term sum on axes
+    that mix 0, 1, 2 and 3 labels, on one-cell grids whose every axis
+    holds one label (read by plain ints), and on a sum of no terms.  The
+    shape is one length per axis, and the dtype is the tables': int64,
+    or object with Python-int cells once the terms pass 2^62, also for a
+    single cell; a sum of no terms is int64 zeros."""
+    dom = ts.ProductDomain([ts.complete_binary_tree(3), ts.chain_tree(4), ts.star3_tree(),
+                            ts.chain_tree(1)])
+    rng = ts.SplitMix64(35)
+    base = random_terms(rng, dom, -9, 9, 6)
+    fixed = [[(6, 0, 2), (3,), (1, 2), ()], [(5, 1), (0, 2, 3), (0,), (0, 0)],
+             [(6,), (3,), (0,), (0,)], [(0,), (1,), (2,), (0,)], [(2, 2, 2), (), (0, 1, 2), (0,)]]
+    drawn = [[tuple(rng.below(t.node_count) for _ in range(rng.below(4))) for t in dom.trees]
+             for _ in range(40)]
+    lengths = {len(a) for axes in drawn for a in axes}
+    assert lengths == {0, 1, 2, 3}
+    assert sum(all(len(a) == 1 for a in axes) for axes in fixed) == 2
+    for scale, dtype in ((1, np.int64), (1 << 62, object)):
+        terms = [ts.Term(t.scope, tuple(v * scale for v in t.values)) for t in base]
+        for f, want in ((ts.SumOfTerms(dom, terms), dtype), (ts.SumOfTerms(dom, []), np.int64)):
+            for axes in fixed + drawn:
+                expect = term_grid(dom, f.terms, axes)
+                for got in (f.grid(axes), f._grid(axes)):
+                    assert type(got) is np.ndarray
+                    assert got.shape == tuple(map(len, axes)), axes
+                    assert got.dtype == want, axes
+                    assert got.ravel().tolist() == expect, axes
+                    if want == object:
+                        assert all(type(v) is int for v in got.ravel())
+
+
+def test_short_axes_are_indexed_once_and_kept_read_only(monkeypatch):
+    """An axis of two or three labels is built once per (labels, trailing
+    unit axes) and kept, read-only, in a bounded cache; an axis of one
+    label reads as its int, and one of more than three labels is built
+    on every read and never kept."""
+    built = []
+    index_array = functions._index_array
+    monkeypatch.setattr(functions, "_index_array",
+                        lambda labels, trailing: built.append((labels, trailing))
+                        or index_array(labels, trailing))
+    functions._kept_index.cache_clear()
+    dom = ts.ProductDomain([ts.chain_tree(9), ts.chain_tree(9)])
+    terms = random_terms(ts.SplitMix64(5), dom, -9, 9, 2)
+    f = ts.SumOfTerms(dom, terms)
+    whole = tuple(range(9))
+    for axes in ([(0, 1), (2,)], [(0, 1), (2,)], [(3,), (0, 1)], [whole, (4, 5, 6)], [whole, (4, 5, 6)]):
+        assert f.grid(axes).ravel().tolist() == term_grid(dom, terms, axes)
+    assert built == [((0, 1), 1), ((0, 1), 0), (whole, 1), ((4, 5, 6), 0), (whole, 1)]
+    info = functions._kept_index.cache_info()
+    assert info.currsize == 3 and info.maxsize == 1 << 12
+    assert not functions._kept_index((0, 1), 0).flags.writeable
+
+
 def test_second_grid_builds_no_table(monkeypatch):
     builds = []
     fold = functions._fold_terms

@@ -330,6 +330,54 @@ def test_ancestor_predicate_matches_oracle(tree, data):
     assert tree.is_ancestor(a, b) == is_ancestor_oracle(tree, a, b)
 
 
+# ---------------------------------------------------------------------------
+# The descent's neighborhood tables
+
+
+_NEIGHBORHOOD_TREES = {
+    **{f"chain{n}": ts.chain_tree(n) for n in (1, 2, 5)},
+    "star3": ts.star3_tree(),
+    "bintree7": ts.complete_binary_tree(3),
+    **{f"random{n}-{seed}": ts.random_tree(ts.SplitMix64(seed), n)
+       for seed, n in enumerate((2, 9, 23, 40))},
+    "wide": ts.RootedTree([4, 0, 0, 0, -1, 3, 3, 3, 3, 4]),  # nodes 0 and 3 have 3 and 4 children
+}
+
+
+@pytest.mark.parametrize("tree", _NEIGHBORHOOD_TREES.values(), ids=_NEIGHBORHOOD_TREES.keys())
+def test_neighborhood_tables_follow_parent_and_children(tree):
+    """Each node's inward axis is (v,) at the root and (v, parent)
+    elsewhere; its outward move is (allowed signs by child count, the
+    axis ``children[:1] + (v,) + children[1:]``), or None past two
+    children; ``wide`` is the first node past two children.  The tables
+    are built once and take no part in equality, hashing or the repr."""
+    fresh = ts.RootedTree(tree.parent)
+    tables = tree._neighborhoods()
+    assert tree._neighborhoods() is tables
+    signs = {0: (0,), 1: (-1, 0), 2: (-1, 0, 1)}
+    for v in range(tree.node_count):
+        kids = tree.children[v]
+        assert tables.inward[v] == ((v,) if v == tree.root else (v, tree.parent[v]))
+        if len(kids) > 2:
+            assert tables.outward[v] is None
+        else:
+            assert tables.outward[v] == (signs[len(kids)], kids[:1] + (v,) + kids[1:])
+    wide = [v for v, kids in enumerate(tree.children) if len(kids) > 2]
+    assert tables.wide == (wide[0] if wide else None)
+    assert (tables.wide is None) == tree.is_binary()
+    assert tree == fresh and fresh == tree and hash(tree) == hash(fresh)
+    assert repr(tree) == repr(fresh) == f"RootedTree(parent={list(tree.parent)!r})"
+    assert {tree: 1}[fresh] == 1
+    assert fresh._nbhd is None
+
+
+def test_building_a_tree_builds_none_of_its_tables():
+    tree = ts.chain_tree(16000)
+    assert tree._lift is None and tree._nbhd is None
+    assert tree == ts.chain_tree(16000) and repr(tree).startswith("RootedTree(parent=[-1, 0, 1")
+    assert tree._lift is None and tree._nbhd is None
+
+
 def test_random_tree_respects_child_cap():
     rng = ts.SplitMix64(99)
     for _ in range(25):
