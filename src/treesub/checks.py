@@ -40,20 +40,19 @@ pair pass then runs as before for the first witness, and reports do not
 change.
 
 An exhaustive strong, weak or translation check of a ``SumOfTerms``
-first decides each of the sum's host tables (the tables of
-``SumOfTerms._folded``), each a ``DenseTable`` on its own scope's trees,
-by the same array pass the full check makes, without replaying a
-witness.  The inequality is linear in f and every op acts one
-coordinate at a time, so for each pair f's side f(x) + f(y) - f(op1) -
-f(op2) is the sum of the same difference of each host at the pair's
-labels on its scope: when every host holds, so does f, and the report is
-the one the full pass gives, counting all |D|^2 pairs, without f being
-materialized.  A failing host proves nothing about the sum; the host
-pass stops at it and the full pass runs on the materialized f, so
-reports and witnesses do not change.  The pair budget of f's domain is
-enforced first either way.  A sum with a host over every variable is
-that host and takes the full pass alone; sampled mode and
-``check_multimorphism`` read no host.
+first decides each of the sum's host tables (``SumOfTerms._reads``), an
+array over its own scope's trees, by the same array pass the full check
+makes, without replaying a witness.  The inequality is linear in f and
+every op acts one coordinate at a time, so for each pair f's side f(x) +
+f(y) - f(op1) - f(op2) is the sum of the same difference of each host at
+the pair's labels on its scope: when every host holds, so does f, and
+the report is the one the full pass gives, counting all |D|^2 pairs,
+without f being materialized.  A failing host proves nothing about the
+sum; the host pass stops at it and the full pass runs on the
+materialized f, so reports and witnesses do not change.  The pair budget
+of f's domain is enforced first either way.  A sum with a host over
+every variable is that host and takes the full pass alone; sampled mode
+and ``check_multimorphism`` read no host.
 
 Ops map label pairs.  A coordinate op is a list of groups (tree, map,
 columns), one per distinct tree (per coordinate for op tables); a map
@@ -111,7 +110,9 @@ leaving with it, and both sides of every comparison come from one
 batched oracle call (``CostFunction.values_at``).  The pass stops at the
 first block holding a violation, so its arrays hold O(2^10 * n) labels
 whatever the sample count; the first violating sample is replayed
-exactly for its witness.
+exactly for its witness.  Its ranks are 64-bit ints, so it is the one
+layer that bounds the domain: above 2^62 labelings it refuses (exit 3),
+whatever the budget.
 """
 
 from __future__ import annotations
@@ -122,13 +123,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, InternalError
+from .errors import BudgetExceededError, DomainError, InternalError
 from .functions import (
     DEFAULT_PAIR_BUDGET,
     CostFunction,
     Labeling,
     ProductDomain,
-    DenseTable,
     SumOfTerms,
     materialize,
     own_domain,
@@ -193,9 +193,10 @@ CoordOp = list[tuple[RootedTree, Callable[[Paths], tuple[np.ndarray, np.ndarray]
 # ordered so that once one maps a pair (x, y) to (y, x), every later
 # member does too: the rest of the family holds with equality there.
 OpFamily = list[tuple[int | None, CoordOp]]
-# a property's family on a domain: its builder, and the predicate on a
-# materialized table that is true exactly when the family holds, or None
-FamilySpec = Callable[[ProductDomain], tuple[Callable[[], OpFamily], Callable[[DenseTable], bool] | None]]
+# a property's family on a domain: its builder, and the predicate on the
+# array pass's grid (``_flagged_pair``) that is true exactly when the
+# family holds, or None
+FamilySpec = Callable[[ProductDomain], tuple[Callable[[], OpFamily], Callable[[np.ndarray], bool] | None]]
 
 
 def _tree_groups(domain: ProductDomain) -> list[tuple[RootedTree, list[int]]]:
@@ -403,11 +404,13 @@ def _split_holds(grid: np.ndarray, first: list[np.ndarray], second: list[np.ndar
     exactly when M[x_R, v] + M[y_R, u] >= 0 for every R pair, where
     M[p, q] is the minimum over z_S of f(z_S, p) - f(z_S, q).  M is a
     running minimum over blocks of z_S rows of at most ``_BLOCK_CELLS``
-    differences; ``grid``'s dtype must hold sums of four values.
+    differences; its sums span four values, so four times the largest
+    |value| picks their dtype (``sum_dtype``).
     """
     keep = [i for i, s in enumerate(swapped) if not s]
     cards = [grid.shape[i] for i in keep]
     r = math.prod(cards)
+    grid = grid.astype(sum_dtype(4 * int(abs(grid).max())), copy=False)
     g = grid.transpose([i for i, s in enumerate(swapped) if s] + keep).reshape(-1, r)
     rows = max(1, _BLOCK_CELLS // (r * r))
     m = None
@@ -423,16 +426,16 @@ def _split_holds(grid: np.ndarray, first: list[np.ndarray], second: list[np.ndar
     return bool((m[ranks[:, None], v] + m[ranks[None, :], u] >= 0).all())
 
 
-def _candidate_pairs(table: DenseTable, domain: ProductDomain, family: OpFamily):
+def _candidate_pairs(grid: np.ndarray, domain: ProductDomain, family: OpFamily):
     """The first flagged rank pair (xr, yr) in (rank(x), rank(y)) order, or None.
 
-    A vectorized pass walks rank(x) in row blocks of at most
+    ``grid`` is f over the domain, as ``_flagged_pair`` takes it.  A
+    vectorized pass walks rank(x) in row blocks of at most
     ``_BLOCK_CELLS`` pairs (one row when |D| exceeds it).  A block ORs
     every member's violations, up to the first member that swaps every
     pair, and the pass returns only the first flagged pair of the first
     block holding one: blocks run in rank(x) order and argmax scans a
-    block in C order.  Both sides of a comparison are sums of two
-    values, so twice the largest |value| picks the dtype (``sum_dtype``).
+    block in C order.
 
     The op tables come from one walk of each tree's paths
     (``_build_tables``), and each side of a scanned member from two
@@ -448,13 +451,12 @@ def _candidate_pairs(table: DenseTable, domain: ProductDomain, family: OpFamily)
     A member that swaps every label pair on some coordinates S but not
     on the rest R is first decided whole by ``_split_holds``, when the
     |R|^2 cells of its R pairs fit one block: |D| * |R| differences and
-    |R|^2 comparisons in place of |D|^2 pairs.  Its sums span four
-    values, so four times the largest |value| picks that dtype.  A
-    member proven to hold flags no pair, so the pass leaves it out and
-    builds no half tables for it; one that fails stays, and the pass
-    finds the same first pair as a scan of every member.  In the d-step
-    family these are the members with d at or past the diameter of some
-    trees but not all, such as d = 4..8 on bintree7^2 x chain10.
+    |R|^2 comparisons in place of |D|^2 pairs.  A member proven to hold
+    flags no pair, so the pass leaves it out and builds no half tables
+    for it; one that fails stays, and the pass finds the same first pair
+    as a scan of every member.  In the d-step family these are the
+    members with d at or past the diameter of some trees but not all,
+    such as d = 4..8 on bintree7^2 x chain10.
 
     When every scanned member's violating pairs are closed under the
     mirror (x, y) -> (y, x), the first violating pair has
@@ -472,11 +474,8 @@ def _candidate_pairs(table: DenseTable, domain: ProductDomain, family: OpFamily)
     ordered pairs.
     """
     size = domain.size()
-    largest = max(map(abs, table.values))
-    values = np.asarray(table.values, dtype=sum_dtype(2 * largest))
+    values = grid.reshape(-1)
     cards = domain.cardinalities()
-    grid = values.reshape(cards)
-    wide = grid.astype(sum_dtype(4 * largest), copy=False)
     grids = {}
     members = []
     for _, op in family:
@@ -484,7 +483,7 @@ def _candidate_pairs(table: DenseTable, domain: ProductDomain, family: OpFamily)
         if all(swapped):
             break  # the member maps every pair (x, y) to (y, x)
         free = math.prod(c for c, s in zip(cards, swapped) if not s)
-        if any(swapped) and free * free <= _BLOCK_CELLS and _split_holds(wide, first, second, swapped):
+        if any(swapped) and free * free <= _BLOCK_CELLS and _split_holds(grid, first, second, swapped):
             continue  # the member holds for every pair
         members.append((first, second))
     if not members:
@@ -558,8 +557,8 @@ def _flagged_sample(f: CostFunction, domain: ProductDomain, family: OpFamily,
     return None
 
 
-def _squares_hold(table: DenseTable, domain: ProductDomain) -> bool:
-    """Whether every 2x2 square of the table, each axis read in depth
+def _squares_hold(grid: np.ndarray, domain: ProductDomain) -> bool:
+    """Whether every 2x2 square of f's grid, each axis read in depth
     order, is submodular: on a product of chains, whether weak holds.
 
     A chain is rooted at an endpoint, so its wedge and vee are the
@@ -567,8 +566,7 @@ def _squares_hold(table: DenseTable, domain: ProductDomain) -> bool:
     is lattice submodularity on a product of chains.  For every pair of
     coordinates i < j, neighbours or not, and every z with z + e_i + e_j
     in the box, the square asks f(z + e_i) + f(z + e_j) >= f(z) +
-    f(z + e_i + e_j): one slice expression over all z.  Its sums span two
-    values, so twice the largest |value| picks the dtype (``sum_dtype``).
+    f(z + e_i + e_j): one slice expression over all z.
 
     Each square is a pair of the weak family, (z + e_i, z + e_j) having
     wedge z and vee z + e_i + e_j, so a failing square is a violation.
@@ -586,9 +584,7 @@ def _squares_hold(table: DenseTable, domain: ProductDomain) -> bool:
     Research 26(2), 1978).  A domain with at most one chain of two or more
     labels, arity 1 among them, has no squares, and every table holds.
     """
-    largest = max(map(abs, table.values))
-    values = np.asarray(table.values, dtype=sum_dtype(2 * largest)).reshape(domain.cardinalities())
-    grid = values[np.ix_(*(np.argsort(t.depth) for t in domain.trees))]
+    grid = grid[np.ix_(*(np.argsort(t.depth) for t in domain.trees))]
     for i in range(domain.n):
         for j in range(i + 1, domain.n):
             g = np.moveaxis(grid, (i, j), (0, 1))  # z_i and z_j on the first two axes
@@ -601,40 +597,41 @@ def _hosts_hold(f: CostFunction, spec: FamilySpec, name: str) -> bool:
     """Whether f is a ``SumOfTerms`` whose every host table holds the
     family that ``spec`` builds on the product of its scope's trees.
 
-    The hosts are the tables of ``SumOfTerms._folded``, each read as a
-    ``DenseTable`` of its own and decided by ``_flagged_pair`` alone; no
-    witness is replayed, and ``all`` stops at the first host that fails.
-    A sum with a host over every variable has that one host and is that
-    host, so it is refused unchecked: its check would be the full pass.
+    Each host of ``SumOfTerms._reads``, already an exact array, is
+    widened as ``_flagged_pair`` asks and decided by it alone; no witness
+    is replayed, and ``all`` stops at the first host that fails.  A sum
+    with a host over every variable is that host, so it is refused
+    unchecked: its check would be the full pass.
     """
     if not isinstance(f, SumOfTerms):
         return False
-    hosts = f._folded()
-    if any(len(scope) == f.domain.n for scope, _ in hosts):
+    reads = f._reads()
+    if any(len(scope) == f.domain.n for _, _, scope in reads):
         return False
     trees = f.domain.trees
-    return all(_flagged_pair(DenseTable._of_plain_ints(ProductDomain([trees[i] for i in scope]),
-                                                       table.ravel().tolist(), f.denominator),
-                             spec, name) is None
-               for scope, table in hosts)
+    return all(_flagged_pair(np.asarray(table, dtype=sum_dtype(2 * int(abs(table).max()))),
+                             ProductDomain([trees[i] for i in scope]), spec, name) is None
+               for _, table, scope in reads)
 
 
-def _flagged_pair(table: DenseTable, spec: FamilySpec, name: str):
-    """The first pair of ranks the array pass flags on ``table``, with the
-    family it ran, or None when the family holds on the table.
+def _flagged_pair(grid: np.ndarray, domain: ProductDomain, spec: FamilySpec, name: str):
+    """The first pair of ranks the array pass flags on ``grid``, with the
+    family it ran, or None when the family holds there.
+
+    ``grid`` is f over ``domain``, shaped by its node counts, in the
+    dtype that holds a sum of two of its values (``sum_dtype``).
 
     ``spec(domain)`` gives the family's builder and its ``equivalent``
     predicate, or None.  The predicate is asked first and decides a
-    holding table alone; when it says no, the family's own pass
+    holding grid alone; when it says no, the family's own pass
     (``_candidate_pairs``) finds the pair, and a family that holds there
     is a fault.
     """
-    domain = table.domain
     build_family, equivalent = spec(domain)
-    if equivalent is not None and equivalent(table):
+    if equivalent is not None and equivalent(grid):
         return None
     family = build_family()
-    pair = _candidate_pairs(table, domain, family)
+    pair = _candidate_pairs(grid, domain, family)
     if pair is None:
         if equivalent is not None:
             raise InternalError(f"{name} check: the equivalent family fails, "
@@ -657,16 +654,16 @@ def _pair_check(
     """Check f(x)+f(y) >= f(op1)+f(op2) for every member of the family.
 
     ``spec(domain)`` gives ``(build_family, equivalent)``; it runs only
-    once the mode, sample count and pair budget are accepted, and
-    ``build_family`` only when a pass needs the family.  ``note`` is
-    attached to exhaustive reports; sampled reports carry their own note
-    saying how far the search went.  Both modes find the first violating
+    once the mode, sample count and pair budget (in sampled mode, at
+    most 2**62 labelings) are accepted, and ``build_family`` only when a
+    pass needs the family.  ``note`` is attached to exhaustive reports;
+    sampled reports carry their own note saying how far the search went.  Both modes find the first violating
     pair with an array pass and replay it through ``_first_violation``
     for its witness: exhaustive mode over every pair in rank order
     (``_flagged_pair``), sampled mode over the drawn pairs in draw order
     (``_flagged_sample``).
 
-    ``equivalent`` is a predicate on the materialized table, true exactly
+    ``equivalent`` is a predicate on the materialized grid, true exactly
     when the family holds on it: on chain products, the strong pass for
     the translation family (``check_translation``) and the 2x2 squares
     for weak (``_squares_hold``).  Exhaustive mode asks it first and
@@ -695,7 +692,9 @@ def _pair_check(
         if hosts and _hosts_hold(f, spec, name):
             return CheckReport(name, "exhaustive", True, None, size * size, note)
         table = materialize(f)
-        flagged = _flagged_pair(table, spec, name)
+        largest = max(map(abs, table.values))
+        grid = np.asarray(table.values, dtype=sum_dtype(2 * largest)).reshape(domain.cardinalities())
+        flagged = _flagged_pair(grid, domain, spec, name)
         if flagged is None:
             return CheckReport(name, "exhaustive", True, None, size * size, note)
         family, pair = flagged
@@ -705,6 +704,8 @@ def _pair_check(
         raise DomainError(f"unknown mode {mode!r}; use 'exhaustive' or 'sampled'")
     if samples < 1:
         raise DomainError(f"sampled mode needs at least 1 sample, got {samples}")
+    if size > 1 << 62:  # SplitMix64 draws ranks as uint64, and _digits decodes them as int64
+        raise BudgetExceededError(f"domain size {size} exceeds the 2**62 guard of sampled mode")
     family = spec(domain)[0]()
     flagged = _flagged_sample(f, domain, family, samples, seed)
     if flagged is None:

@@ -32,7 +32,6 @@ from .trees import meet_join, wedge_vee  # noqa: F401
 
 Labeling = tuple[int, ...]
 
-_MAX_DOMAIN_SIZE = 1 << 62  # keeps rank arithmetic inside int64
 _INT64_SUM_BOUND = 1 << 62  # sums whose |value| stays below this fit int64
 
 DEFAULT_PAIR_BUDGET = 10**6
@@ -75,7 +74,9 @@ class ProductDomain:
     """Ordered product of rooted-tree label domains.
 
     A labeling is a tuple of node ids, one per tree.  Labelings are
-    ranked in mixed radix with variable 0 most significant.
+    ranked in mixed radix with variable 0 most significant.  Ranks and
+    the size are Python ints, so the product may be of any size; only
+    sampled checks, which draw ranks as 64-bit ints, bound it.
     """
 
     __slots__ = ("trees", "_size")
@@ -84,13 +85,8 @@ class ProductDomain:
         trees = tuple(trees)
         if not trees:
             raise DomainError("a domain needs at least one variable")
-        size = 1
-        for t in trees:
-            size *= t.node_count
-            if size > _MAX_DOMAIN_SIZE:
-                raise DomainError("domain size exceeds the 2**62 guard")
         self.trees = trees
-        self._size = size
+        self._size = math.prod(t.node_count for t in trees)
 
     @property
     def n(self) -> int:
@@ -268,8 +264,7 @@ class DenseTable(CostFunction):
     def _of_plain_ints(cls, domain: ProductDomain, values: list[int], denominator: int) -> DenseTable:
         """The table of values that all have type exactly ``int``, as the CLI
         parser's ``non_int_cells`` pass and ``_parse_value`` leave its
-        numerators, and as ``tolist`` leaves the cells of a folded term
-        table, int64 or object: no cell is scanned again, the length and the
+        numerators: no cell is scanned again, the length and the
         denominator are checked, and one tuple copy is stored, never the
         caller's list."""
         table = cls.__new__(cls)
@@ -441,10 +436,6 @@ class SumOfTerms(CostFunction):
         labels = _label_rows(self.domain, labels)
         return _gather_add(self._reads(), labels.T, (len(labels),))
 
-    def _folded(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
-        """The host tables of ``_fold_terms``, as ``(scope, table)`` pairs."""
-        return tuple((scope, table) for _, table, scope in reversed(self._reads()))
-
     def _reads(self) -> tuple[tuple[Callable, np.ndarray, tuple[int, ...]], ...]:
         """The host tables of ``_fold_terms`` as ``_gather_add`` reads
         them: ``(get, table, scope)`` triples, the last table first, where
@@ -567,9 +558,16 @@ def grid_minimum(f: CostFunction, axes: Sequence[Sequence[int]]) -> tuple[Labeli
     axes = [tuple(a) for a in axes]
     size = math.prod(len(a) for a in axes)
     require_budget(size, DEFAULT_CELL_BUDGET, f"domain size {size} exceeds budget {{limit}}")
-    values = f.grid(axes)
-    cell = np.unravel_index(int(np.argmin(values)), values.shape)  # first minimum
-    return tuple(a[i] for a, i in zip(axes, cell)), int(values[cell])
+    return first_minimum(f.grid(axes), axes)
+
+
+def first_minimum(values: np.ndarray, axes: Sequence[Sequence]) -> tuple[tuple, int]:
+    """The first minimum of ``values``, one cell per item of
+    ``itertools.product(*axes)`` in C order: its item and its value.
+    argmin returns the lowest rank among ties."""
+    rank = int(values.argmin())
+    cell = np.unravel_index(rank, tuple(map(len, axes)))
+    return tuple(a[i] for a, i in zip(axes, cell)), int(values.reshape(-1)[rank])
 
 
 def own_domain(f: CostFunction, domain: ProductDomain | None) -> ProductDomain:

@@ -64,7 +64,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, SolverFailureError
-from .functions import DEFAULT_BOX_BUDGET, DEFAULT_CUBE_BUDGET, require_budget
+from .functions import DEFAULT_BOX_BUDGET, DEFAULT_CUBE_BUDGET, first_minimum, require_budget
 
 Sign = int
 SignVector = tuple[int, ...]
@@ -173,9 +173,7 @@ def bisub_brute(h: SignBoxFunction) -> tuple[SignVector, int]:
         values = h.grid()
     else:
         values = np.array([h.evaluate(v) for v in itertools.product(*h.allowed)], dtype=object)
-    rank = int(values.argmin())  # first minimum: the lowest rank
-    digits = np.unravel_index(rank, [len(signs) for signs in h.allowed])
-    return tuple(signs[d] for signs, d in zip(h.allowed, digits)), int(values[rank])
+    return first_minimum(values, h.allowed)
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,65 @@ def brute_minimum(f: ts.CostFunction) -> tuple[tuple[int, ...], int]:
     return best_x, best
 
 
+def forest_minimum(domain: ts.ProductDomain, terms) -> int:
+    """Exact minimum of a sum of unary and pairwise terms whose pairwise
+    graph is a forest, by min-sum messages from the leaves to one root
+    per component.
+
+    Only each term's ``scope`` and ``values`` and the trees' node counts
+    are read, so it holds at any arity.  Terms over one pair are added
+    into one edge table; a cycle or a term of three variables is refused.
+    """
+    cards = [t.node_count for t in domain.trees]
+    cost = [[0] * c for c in cards]  # unary costs, then each vertex's subtree costs
+    edges: dict[tuple[int, int], list[list[int]]] = {}  # (i, j), i < j: table[x_i][x_j]
+    for t in terms:
+        if len(t.scope) == 1:
+            for a in range(cards[t.scope[0]]):
+                cost[t.scope[0]][a] += t.values[a]
+            continue
+        if len(t.scope) != 2:
+            raise ValueError(f"term over {t.scope} is not unary or pairwise")
+        i, j = t.scope
+        table = edges.setdefault((min(i, j), max(i, j)),
+                                 [[0] * cards[max(i, j)] for _ in range(cards[min(i, j)])])
+        for a in range(cards[i]):
+            for b in range(cards[j]):
+                if i < j:
+                    table[a][b] += t.values[a * cards[j] + b]
+                else:
+                    table[b][a] += t.values[a * cards[j] + b]
+    adjacent = [[] for _ in cards]
+    for i, j in edges:
+        adjacent[i].append(j)
+        adjacent[j].append(i)
+    seen = [False] * len(cards)
+    total = 0
+    for root in range(len(cards)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order, stack = [], [(root, None)]
+        while stack:
+            v, parent = stack.pop()
+            order.append((v, parent))
+            for u in adjacent[v]:
+                if u != parent:
+                    if seen[u]:
+                        raise ValueError("the pairwise terms form a cycle")
+                    seen[u] = True
+                    stack.append((u, v))
+        for v, parent in reversed(order):  # every child before its parent
+            if parent is None:
+                total += min(cost[v])
+                continue
+            table = edges[min(v, parent), max(v, parent)]
+            for b in range(cards[parent]):
+                cost[parent][b] += min(
+                    cost[v][a] + (table[b][a] if parent < v else table[a][b]) for a in range(cards[v]))
+    return total
+
+
 def term_sum(domain: ts.ProductDomain, terms, y) -> int:
     """Sum of term tables at y; each cell is located by a plain
     mixed-radix loop over the term's scope."""

@@ -216,9 +216,9 @@ def test_a_failing_equivalent_pass_with_a_holding_scan_is_an_internal_error(monk
     real = checks._candidate_pairs
     passes = []
 
-    def first_flags(table, domain, family):
+    def first_flags(grid, domain, family):
         passes.append(family)
-        return (0, 1) if len(passes) == 1 else real(table, domain, family)
+        return (0, 1) if len(passes) == 1 else real(grid, domain, family)
 
     monkeypatch.setattr(checks, "_candidate_pairs", first_flags)
     with pytest.raises(InternalError, match="equivalent family fails"):
@@ -362,10 +362,10 @@ def _count_weak_passes(monkeypatch):
     ``_squares_hold`` call."""
     calls = {"scanned": [], "squares": []}
     candidates, squares = checks._candidate_pairs, checks._squares_hold
-    monkeypatch.setattr(checks, "_candidate_pairs", lambda table, domain, family: (
-        calls["scanned"].append(domain.size()) or candidates(table, domain, family)))
-    monkeypatch.setattr(checks, "_squares_hold", lambda table, domain: (
-        calls["squares"].append(domain.size()) or squares(table, domain)))
+    monkeypatch.setattr(checks, "_candidate_pairs", lambda grid, domain, family: (
+        calls["scanned"].append(domain.size()) or candidates(grid, domain, family)))
+    monkeypatch.setattr(checks, "_squares_hold", lambda grid, domain: (
+        calls["squares"].append(domain.size()) or squares(grid, domain)))
     return calls
 
 
@@ -404,7 +404,7 @@ def test_weak_on_branching_trees_and_sampled_weak_read_no_squares(monkeypatch):
 
 def test_squares_failing_a_holding_table_is_an_internal_error(monkeypatch):
     f = ts.generate("chain-separable", ts.ProductDomain([ts.chain_tree(3)] * 2), seed=0).function
-    monkeypatch.setattr(checks, "_squares_hold", lambda table, domain: False)
+    monkeypatch.setattr(checks, "_squares_hold", lambda grid, domain: False)
     with pytest.raises(InternalError, match="weak check: the equivalent family fails"):
         ts.check_weak(f)
 
@@ -1557,7 +1557,7 @@ def test_sum_reports_match_the_full_pass_and_naive_past_int64():
     coupled = ts.Term((1, 0), ts.generate("random-verified-strong", ts.ProductDomain(
         [dom.trees[1], dom.trees[0]]), seed=4).function.values)
     holding = ts.SumOfTerms(dom, [convex, coupled])
-    assert all(table.dtype == object for _, table in holding._folded())
+    assert all(table.dtype == object for _, table, _ in holding._reads())
     assert all(_assert_sum_matches_full_pass_and_naive(holding).values())
     spike = ts.Term((1,), (big, 0, 0))  # star3's root above both leaves
     assert not any(_assert_sum_matches_full_pass_and_naive(
@@ -1618,17 +1618,17 @@ def _chain10_cubed_sum(w: int) -> ts.SumOfTerms:
 
 def _count_sum_passes(monkeypatch):
     """Record the argument of each ``checks.materialize`` call, the domain
-    size of each ``_candidate_pairs`` call, the domain size of each table
+    size of each ``_candidate_pairs`` call, the domain size of each grid
     that ``_flagged_pair`` decides (a host table's, or the materialized
     sum's), and the pair of each witness replay."""
     calls = {"materialize": [], "scanned": [], "passes": [], "replays": []}
     materialize, candidates = checks.materialize, checks._candidate_pairs
     flagged, replay = checks._flagged_pair, checks._replay
     monkeypatch.setattr(checks, "materialize", lambda g: calls["materialize"].append(g) or materialize(g))
-    monkeypatch.setattr(checks, "_candidate_pairs", lambda table, domain, family: (
-        calls["scanned"].append(domain.size()) or candidates(table, domain, family)))
-    monkeypatch.setattr(checks, "_flagged_pair", lambda table, spec, name: (
-        calls["passes"].append(table.domain.size()) or flagged(table, spec, name)))
+    monkeypatch.setattr(checks, "_candidate_pairs", lambda grid, domain, family: (
+        calls["scanned"].append(domain.size()) or candidates(grid, domain, family)))
+    monkeypatch.setattr(checks, "_flagged_pair", lambda grid, domain, spec, name: (
+        calls["passes"].append(domain.size()) or flagged(grid, domain, spec, name)))
     monkeypatch.setattr(checks, "_replay", lambda g, family, x, y, name: (
         calls["replays"].append((x, y)) or replay(g, family, x, y, name)))
     return calls
@@ -1690,3 +1690,44 @@ def test_a_sum_with_one_host_over_every_variable_runs_the_full_pass_once(monkeyp
     with pytest.raises(BudgetExceededError, match="2560000 pairs"):
         ts.check_strong(big)
     assert calls["passes"] == []
+
+
+@pytest.mark.parametrize("check", [ts.check_strong, ts.check_weak, ts.check_translation],
+                         ids=lambda c: c.__name__)
+def test_the_host_pass_builds_no_table(monkeypatch, check):
+    """Each host reaches the array pass as the array the sum folded: with
+    no ``DenseTable`` to be built, a holding chain10^3 sum still gets the
+    full pass's report."""
+    f = _chain10_cubed_sum(1)
+    expected = check(ts.materialize(f))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the host pass built a DenseTable")
+
+    monkeypatch.setattr(ts.DenseTable, "__init__", refuse)
+    monkeypatch.setattr(ts.DenseTable, "_of_plain_ints", refuse)
+    assert check(f) == expected and expected.ok
+
+
+@pytest.mark.parametrize("w", [1, -1])
+def test_an_object_host_and_an_int64_host_keep_the_widening_rule(monkeypatch, w):
+    """In a sum folded to object tables, a host of cells past 2^62 stays
+    object and a host of small cells is read as int64, as when each was a
+    table of its own; the reports equal the materialized sum's."""
+    dom = ts.ProductDomain([ts.chain_tree(4)] * 3)
+    big = 1 << 70
+    far = ts.Term((1, 0), tuple(big * abs(a - b) + (a - 2) ** 2 for a in range(4) for b in range(4)))
+    near = ts.Term((1, 2), tuple(w * abs(a - b) for a in range(4) for b in range(4)))
+    f = ts.SumOfTerms(dom, [far, near])
+    assert all(table.dtype == object for _, table, _ in f._reads())
+    dtypes = []
+    flagged = checks._flagged_pair
+    monkeypatch.setattr(checks, "_flagged_pair", lambda grid, domain, spec, name: (
+        dtypes.append((domain.n, grid.dtype)) or flagged(grid, domain, spec, name)))
+    for check in (ts.check_strong, ts.check_weak, ts.check_translation):
+        dtypes.clear()
+        got = check(f)
+        assert got == check(ts.materialize(f)) and got.ok == (w > 0)
+        # the last host table first; a failing host stops the host pass
+        hosts = [dtype for n, dtype in dtypes if n == 2]
+        assert hosts == [np.dtype(np.int64), np.dtype(object)][:2 if w > 0 else 1]

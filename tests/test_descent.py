@@ -17,7 +17,15 @@ from treesub.errors import (
     UnsupportedStructureError,
 )
 
-from conftest import brute_minimum, naive_box_violation, naive_cube_violation, random_terms
+from conftest import (
+    bfs_path,
+    brute_minimum,
+    forest_minimum,
+    naive_box_violation,
+    naive_cube_violation,
+    random_terms,
+    root_walk,
+)
 
 
 @pytest.fixture
@@ -496,7 +504,7 @@ def _parity_runs(rng: ts.SplitMix64):
             f, strong = ts.SumOfTerms(dom, _strong_terms(rng, dom)), True
         elif kind == 2:
             f, strong = ts.SumOfTerms(dom, _strong_terms(rng, dom, scale=(1 << 63) + 1)), True
-            assert all(table.dtype == object for _, table in f._folded())
+            assert all(table.dtype == object for _, table, _ in f._reads())
         else:
             f, strong = ts.SumOfTerms(dom, random_terms(rng, dom, 0, 1, 3)), False
         for start in (tuple(rng.below(t.node_count) for t in dom.trees), None):
@@ -535,7 +543,7 @@ def test_brute_descent_matches_the_evaluate_path_and_the_full_scan(monkeypatch):
     rng = ts.SplitMix64(2026)
     shapes = set()
     for f, start, strong in _parity_runs(rng):
-        shapes.update(table.shape for _, table in f._folded())
+        shapes.update(table.shape for _, table, _ in f._reads())
         x, value, trace = ts.minimize(f, None, start, diagnostics=True)
         with monkeypatch.context() as m:
             _grid_free_restrictions(m)
@@ -709,6 +717,105 @@ def test_iteration_cap_raises():
     f = _ShiftingCost(dom)
     with pytest.raises(IterationBoundError):
         ts.minimize(f, dom)
+
+
+# ---------------------------------------------------------------------------
+# Sums past 2^62 labelings, against the forest DP
+
+
+def _random_forest_sum(rng: ts.SplitMix64, arity: int, edges) -> ts.SumOfTerms:
+    """Random unary terms on every variable and random pairwise terms on
+    ``edges``, scopes taken in either order, over drawn small trees."""
+    trees = [ts.chain_tree(3), ts.star3_tree(), ts.complete_binary_tree(2), ts.fork_tree(1)]
+    dom = ts.ProductDomain([trees[rng.below(len(trees))] for _ in range(arity)])
+    cards = dom.cardinalities()
+    terms = [ts.Term((i,), tuple(rng.below(15) - 5 for _ in range(c))) for i, c in enumerate(cards)]
+    for i, j in edges:
+        scope = (i, j) if rng.below(2) else (j, i)
+        terms.append(ts.Term(scope, tuple(rng.below(15) - 5 for _ in range(cards[i] * cards[j]))))
+    return ts.SumOfTerms(dom, terms)
+
+
+@pytest.mark.parametrize("edges", [
+    [], [(0, 1)], [(0, 1), (1, 2), (2, 3)], [(0, 1), (0, 2), (0, 3)],
+    [(2, 0), (1, 3)], [(0, 2), (2, 1), (0, 2)],
+], ids=["unary", "edge", "path", "star", "two-components", "repeated-pair"])
+def test_forest_minimum_matches_the_full_scan(edges):
+    rng = ts.SplitMix64(61)
+    arity = 1 + max((max(e) for e in edges), default=0)
+    for _ in range(8):
+        f = _random_forest_sum(rng, arity, edges)
+        assert forest_minimum(f.domain, f.terms) == ts.minimize_exhaustive(f)[1]
+
+
+def test_forest_minimum_refuses_a_cycle():
+    f = _random_forest_sum(ts.SplitMix64(5), 3, [(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(ValueError, match="cycle"):
+        forest_minimum(f.domain, f.terms)
+
+
+def _tree_distance(tree: ts.RootedTree, a: int, b: int) -> int:
+    return len(bfs_path(tree, a, b)) - 1
+
+
+def _bintree7_path_sum(arity: int, seed: int) -> ts.SumOfTerms:
+    """s * rho(v, t) + depth(v) on each bintree7 variable and
+    w * rho(x_i, x_{i+1}) on each neighbour pair, every term checked
+    strong on its own scope."""
+    rng = ts.SplitMix64(seed)
+    tree = ts.complete_binary_tree(3)
+    nodes = range(tree.node_count)
+    terms = []
+    for i in range(arity):
+        s, t = 1 + rng.below(3), rng.below(tree.node_count)
+        terms.append(ts.Term((i,), tuple(s * _tree_distance(tree, v, t) + len(root_walk(tree, v)) - 1
+                                         for v in nodes)))
+    for i in range(arity - 1):
+        w = 1 + rng.below(2)
+        terms.append(ts.Term((i, i + 1), tuple(w * _tree_distance(tree, a, b) for a in nodes for b in nodes)))
+    for k, values in {(len(t.scope), t.values) for t in terms}:
+        assert ts.check_strong(ts.DenseTable(ts.ProductDomain([tree] * k), values)).ok
+    return ts.SumOfTerms(ts.ProductDomain([tree] * arity), terms)
+
+
+@pytest.mark.parametrize("arity", [23, 40, 64])
+def test_min_norm_descent_past_2_62_labelings_matches_the_forest_dp(arity):
+    f = _bintree7_path_sum(arity, seed=arity)
+    assert f.domain.size() == 7**arity > 2**62
+    want = forest_minimum(f.domain, f.terms)
+    rng = ts.SplitMix64(arity)
+    for start in (None, tuple(rng.below(7) for _ in range(arity))):
+        x, value, trace = ts.minimize(f, None, start, inward_engine="wolfe", outward_engine="minnorm")
+        assert value == want == f.evaluate(x)
+        assert trace.certificate.holds()
+
+
+@pytest.mark.parametrize("arity", [23, 40, 64])
+def test_sums_past_2_62_labelings_are_refused_by_budgets(arity, monkeypatch):
+    """The brute descent and the exhaustive check refuse by their budgets,
+    naming the size; sampled mode refuses by its 2**62 guard, which no
+    budget raises."""
+    f = _bintree7_path_sum(arity, seed=arity)
+    size = 7**arity
+    with pytest.raises(BudgetExceededError, match=f"^box size {3**arity} exceeds budget"):
+        ts.minimize(f)
+    with pytest.raises(BudgetExceededError, match=f"^domain size {size}: {size * size} pairs exceed"):
+        ts.check_strong(f)
+    monkeypatch.setenv("TREESUB_BUDGET", str(10**40))
+    for check in (ts.check_strong, ts.check_weak, ts.check_translation):
+        with pytest.raises(BudgetExceededError) as err:
+            check(f, mode="sampled")
+        assert str(err.value) == f"domain size {size} exceeds the 2**62 guard of sampled mode"
+
+
+def test_sampled_checks_draw_from_exactly_2_62_labelings():
+    """2**62 labelings are drawn from; one more chain label past them is refused."""
+    unary = ts.Term((0,), (0, 1))
+    f = ts.SumOfTerms(ts.ProductDomain([ts.chain_tree(2)] * 62), [unary])
+    assert ts.check_strong(f, mode="sampled", samples=50).ok
+    g = ts.SumOfTerms(ts.ProductDomain([ts.chain_tree(2)] * 61 + [ts.chain_tree(3)]), [unary])
+    with pytest.raises(BudgetExceededError, match="the 2\\*\\*62 guard"):
+        ts.check_strong(g, mode="sampled", samples=50)
 
 
 # ---------------------------------------------------------------------------

@@ -418,9 +418,12 @@ def test_domain_refusals_keep_their_text():
         ts.ProductDomain([])
     assert str(err.value) == "a domain needs at least one variable"
     assert ts.ProductDomain([ts.complete_binary_tree(3)] * 22).size() == 7**22
-    with pytest.raises(DomainError) as err:
-        ts.ProductDomain([ts.complete_binary_tree(3)] * 23)
-    assert str(err.value) == "domain size exceeds the 2**62 guard"
+    big = ts.ProductDomain([ts.complete_binary_tree(3)] * 23)
+    assert big.size() == 7**23
+    # the 2**62 guard lives at the one layer that draws ranks as 64-bit ints
+    with pytest.raises(BudgetExceededError) as err:
+        ts.check_strong(ts.SumOfTerms(big, []), mode="sampled")
+    assert str(err.value) == f"domain size {7**23} exceeds the 2**62 guard of sampled mode"
 
 
 def test_grid_refuses_the_wrong_number_of_axes():
