@@ -136,7 +136,7 @@ from .functions import (
     sum_dtype,
 )
 from .rng import SplitMix64
-from .trees import Paths, RootedTree, meet_join_paths, plain_int, up_down_paths
+from .trees import Paths, RootedTree, int_argument, meet_join_paths, plain_int, up_down_paths
 # These four scalar names stay only for perfbench/tracer.py, which patches them here.
 from .trees import meet_join, rho, up_down, wedge_vee  # noqa: F401
 
@@ -702,6 +702,7 @@ def _pair_check(
         return CheckReport(name, "exhaustive", False, witness, size * size, note)
     if mode != "sampled":
         raise DomainError(f"unknown mode {mode!r}; use 'exhaustive' or 'sampled'")
+    samples, seed = int_argument(samples, "samples"), int_argument(seed, "seed")
     if samples < 1:
         raise DomainError(f"sampled mode needs at least 1 sample, got {samples}")
     if size > 1 << 62:  # SplitMix64 draws ranks as uint64, and _digits decodes them as int64

@@ -28,9 +28,12 @@ children, from the ``Neighborhoods`` table each tree builds on first
 use.  Its grid reads the cost on those axes through the unchecked
 ``CostFunction._grid``, which for a ``SumOfTerms`` is one gather and
 one broadcast add per host table, with the index of each axis kept
-from earlier solves or, for an axis of one label, a plain int.  A brute
-run thus checks each coordinate once for the start and once per solve,
-and otherwise pays per solve for its gathers, its adds and its argmin.
+from earlier solves or, for an axis of one label, a plain int.  Its
+walk, which the min-norm engines read, checks each step's coordinate
+and sign against the same table's moves and steps the unchecked
+``CostFunction._walker``, built once per restriction.  A brute run thus
+checks each coordinate once for the start and once per solve, and
+otherwise pays per solve for its gathers, its adds and its argmin.
 
 Optional diagnostics track the distance from the current labeling to the
 nearest minimizer over its ancestor ideal and descendant filter; they
@@ -124,7 +127,8 @@ def inward_restrict(f: CostFunction, domain: ProductDomain | None, x: Labeling) 
     the axis of each coordinate, x_i and then its parent unless x_i is
     the root, is read from its tree's ``Neighborhoods`` table, and the
     grid reads f through ``_grid`` on those labels, which need no second
-    check.
+    check.  The walk refuses a coordinate outside the free set and
+    steps ``_walker`` to the parent the axis holds.
     """
     domain = own_domain(f, domain)
     x = domain.validate(x)
@@ -142,7 +146,7 @@ def inward_restrict(f: CostFunction, domain: ProductDomain | None, x: Labeling) 
         # free[0] is the most significant axis here but bit 0 of the rank
         return f._grid(axes).reshape((2,) * k).transpose(tuple(reversed(range(k)))).ravel()
 
-    walker = None  # f.walker(x), built on the first walk
+    walker = None  # f._walker(x), built on the first walk
 
     def walk(coords):
         nonlocal walker
@@ -152,7 +156,7 @@ def inward_restrict(f: CostFunction, domain: ProductDomain | None, x: Labeling) 
                 raise DomainError(f"coordinate {i} leaves the free set {sorted(free_set)}")
             steps.append((i, axes[i][1]))
         if walker is None:
-            walker = f.walker(x)
+            walker = f._walker(x)
         return walker(steps)
 
     return BinaryCubeFunction(m=domain.n, free=free, evaluate=evaluate, grid=grid, walk=walk)
@@ -175,7 +179,9 @@ def outward_restrict(f: CostFunction, domain: ProductDomain | None, x: Labeling)
     here; the allowed signs of each coordinate and its axis, the label
     each allowed sign moves to, are read from its tree's
     ``Neighborhoods`` table, and the grid reads f through ``_grid`` on
-    those labels, which need no second check.
+    those labels, which need no second check.  The walk reads each
+    step's label from the same moves, refuses a coordinate or sign they
+    do not hold, and steps ``_walker`` to that label.
     """
     domain = own_domain(f, domain)
     x = domain.validate(x)
@@ -199,13 +205,13 @@ def outward_restrict(f: CostFunction, domain: ProductDomain | None, x: Labeling)
     def grid():
         return f._grid(axes).ravel()
 
-    walker = move = None  # f.walker(x) and (i, s) -> label, built on the first walk
+    walker = move = None  # f._walker(x) and (i, s) -> label, built on the first walk
 
     def walk(steps):
         nonlocal walker, move
         if walker is None:
             move = {(i, s): v for i, a in enumerate(allowed) for s, v in zip(a, axes[i])}
-            walker = f.walker(x)
+            walker = f._walker(x)
         labels = []
         for i, s in steps:
             label = move.get((i, s))

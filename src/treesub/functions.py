@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, DomainError, GenerationError
 from .rng import SplitMix64
-from .trees import RootedTree, meet_join_array, plain_int, plain_ints, rho, up_down_array
+from .trees import RootedTree, int_argument, meet_join_array, plain_int, plain_ints, rho, up_down_array
 # These two scalar names stay only for perfbench/tracer.py, which patches them here.
 from .trees import meet_join, wedge_vee  # noqa: F401
 
@@ -194,33 +194,28 @@ class CostFunction:
         """
         return np.array([self.evaluate(tuple(x)) for x in labels.tolist()], dtype=object)
 
-    def walker(self, x: Sequence[int]) -> Callable[[Iterable[tuple[int, int]]], list[int]]:
+    def _walker(self, x: Labeling) -> Callable[[Iterable[tuple[int, int]]], list[int]]:
         """The walks from x: a callable ``steps -> values`` giving f at x
         and then after each step, one exact integer per point.
 
         A step ``(i, v)`` sets variable i to label v; later steps start
         from the point the earlier ones reached, and a variable may be
-        stepped more than once.  Callers that walk from one point many
-        times build this once.  This version calls ``evaluate`` once per
-        point.
+        stepped more than once.  Unchecked, as ``_grid``: the descent's
+        restrictions build one per walked neighborhood, from a validated
+        x, and step only a variable they have checked to a label read
+        from its tree's ``Neighborhoods`` table.  This version calls
+        ``evaluate`` once per point.
         """
-        x = tuple(x)
 
         def walk(steps: Iterable[tuple[int, int]]) -> list[int]:
             y = list(x)
             values = [self.evaluate(x)]
             for i, v in steps:
-                _check_variable(i, len(y))
                 y[i] = v
                 values.append(self.evaluate(tuple(y)))
             return values
 
         return walk
-
-
-def _check_variable(i: int, n: int) -> None:
-    if not 0 <= i < n:
-        raise DomainError(f"variable {i} is not in 0..{n - 1}")
 
 
 def _label_rows(domain: ProductDomain, labels: np.ndarray) -> np.ndarray:
@@ -357,39 +352,35 @@ class SumOfTerms(CostFunction):
             total += t.values[idx]
         return total
 
-    def walker(self, x: Sequence[int]) -> Callable[[Iterable[tuple[int, int]]], list[int]]:
-        """The walks from x, as ``CostFunction.walker``.
+    def _walker(self, x: Labeling) -> Callable[[Iterable[tuple[int, int]]], list[int]]:
+        """The walks from x, as ``CostFunction._walker``: x and every
+        step are trusted, and no label is checked.
 
-        x is validated, and the incidence lists, the table index of
-        each term and the total at x are built, once per walker.  Each
-        walk copies that start state and checks each new label with
-        ``check_node``; a step then adds the exact change of the terms
-        whose scope holds its variable, so it costs O(degree), not
+        The incidence lists, the table index of each term and the total
+        at x are built once per walker.  Each walk copies that start
+        state; a step then adds the exact change of the terms whose
+        scope holds its variable, so it costs O(degree), not
         O(n + #terms).  Nothing is kept on the instance.
         """
         trees = self.domain.trees
-        start = self.domain.validate(x)
-        n = len(start)
         start_index = []  # table index of each term at x
-        incident: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in start]
+        incident: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in x]
         start_total = 0
         for k, t in enumerate(self.terms):
             idx, stride = 0, 1
             for i in reversed(t.scope):
                 incident[i].append((t.values, k, stride))
-                idx += stride * start[i]
+                idx += stride * x[i]
                 stride *= trees[i].node_count
             start_index.append(idx)
             start_total += t.values[idx]
 
         def walk(steps: Iterable[tuple[int, int]]) -> list[int]:
-            y = list(start)
+            y = list(x)
             index = start_index.copy()
             total = start_total
             values = [total]
             for i, v in steps:
-                _check_variable(i, n)
-                trees[i].check_node(v)
                 shift = v - y[i]
                 for table, k, stride in incident[i]:
                     old = index[k]
@@ -884,6 +875,8 @@ def generate(
     random-verified kinds; "chain-separable" ignores it, beyond refusing
     a negative one, and the catalog fixtures fix their own values.
     """
+    seed, max_value = int_argument(seed, "seed"), int_argument(max_value, "max_value")
+    attempt_budget = int_argument(attempt_budget, "attempt_budget")
     if kind == "fixture-catalog":
         builders = _catalog_builders()
         if name not in builders:

@@ -80,6 +80,15 @@ def plain_int(v, otherwise: int | None) -> int | None:
         return otherwise
 
 
+def int_argument(v, name: str) -> int:
+    """v as a plain int by ``plain_int``; a value that is not an integer
+    raises DomainError naming the parameter."""
+    value = plain_int(v, None)
+    if value is None:
+        raise DomainError(f"{name} = {v!r} is not an integer")
+    return value
+
+
 def plain_ints(values: Iterable, refusal: Callable[[int, object], str]) -> tuple[int, ...]:
     """The values as a tuple of plain ints, read by ``operator.index``.
 

@@ -238,11 +238,29 @@ def test_restriction_moves_are_built_once_per_restriction(monkeypatch):
     assert len(calls) == built
 
 
+def test_restriction_walks_check_no_label_after_the_first(monkeypatch):
+    """The restriction checks x and each step; its walker trusts them."""
+    b7 = ts.complete_binary_tree(3)
+    dom = ts.ProductDomain([b7, b7, b7])
+    f = ts.SumOfTerms(dom, random_terms(ts.SplitMix64(37), dom, -6, 6, 4))
+    x = (1, 2, 4)  # every coordinate moves inward; 4 is a leaf, so coordinate 2 stays outward
+    cube = ts.inward_restrict(f, dom, x)
+    box = ts.outward_restrict(f, dom, x)
+    coords, steps = [0, 2, 1], [(0, -1), (1, 1), (0, 1)]
+    first = cube.walk(coords), box.walk(steps)
+    checks = []
+    check_node = ts.RootedTree.check_node
+    monkeypatch.setattr(ts.RootedTree, "check_node", lambda t, v: checks.append(v) or check_node(t, v))
+    for _ in range(10):
+        assert (cube.walk(coords), box.walk(steps)) == first
+    assert checks == []
+
+
 def _count_walkers(monkeypatch) -> list:
-    """Record the start of every ``SumOfTerms.walker`` built from now on."""
+    """Record the start of every ``SumOfTerms._walker`` built from now on."""
     built = []
-    walker = ts.SumOfTerms.walker
-    monkeypatch.setattr(ts.SumOfTerms, "walker", lambda f, x: built.append(x) or walker(f, x))
+    walker = ts.SumOfTerms._walker
+    monkeypatch.setattr(ts.SumOfTerms, "_walker", lambda f, x: built.append(x) or walker(f, x))
     return built
 
 
@@ -648,7 +666,7 @@ class _NoOracle(ts.CostFunction):
     def evaluate(self, x):
         raise AssertionError(f"oracle called at {x}")
 
-    grid = values_at = walker = evaluate
+    grid = values_at = _walker = evaluate
 
 
 def test_minimize_refuses_a_wider_tree_before_any_oracle_call():

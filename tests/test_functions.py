@@ -505,11 +505,11 @@ def _interleaved_walks(rng, f, length, starts=3, walks=12):
     ``term_walk`` oracle and its steps."""
     dom = f.domain
     xs = [_random_walk(rng, dom, 0)[0] for _ in range(starts)]
-    walkers = [f.walker(x) for x in xs]
+    walkers = [f._walker(x) for x in xs]
     for _ in range(walks):
         j = rng.below(starts)
         steps = _random_walk(rng, dom, length())[1]
-        yield walkers[j](steps), f.walker(xs[j])(steps), term_walk(dom, f.terms, xs[j], steps), steps
+        yield walkers[j](steps), f._walker(xs[j])(steps), term_walk(dom, f.terms, xs[j], steps), steps
 
 
 def test_sum_walk_matches_plain_loop_oracle():
@@ -519,7 +519,7 @@ def test_sum_walk_matches_plain_loop_oracle():
         dom = ts.ProductDomain([_WALK_SHAPES[rng.below(3)] for _ in range(1 + rng.below(6))])
         f = ts.SumOfTerms(dom, random_terms(rng, dom, -9, 9, rng.below(8)))
         x, steps = _random_walk(rng, dom, rng.below(12))
-        values = f.walker(x)(steps)
+        values = f._walker(x)(steps)
         assert values == term_walk(dom, f.terms, x, steps), trial
         assert all(type(v) is int for v in values)
         stepped_twice += len({i for i, _ in steps}) < len(steps)
@@ -534,8 +534,8 @@ def test_sum_walk_steps_one_coordinate_twice():
     terms = [ts.Term((1, 0), tuple(range(28))), ts.Term((0,), (5, 1, 7, 2))]
     f = ts.SumOfTerms(dom, terms)
     steps = [(0, 3), (1, 6), (0, 1), (0, 1), (1, 0), (0, 0)]
-    assert f.walker((2, 4))(steps) == term_walk(dom, terms, (2, 4), steps)
-    assert f.walker((2, 4))([]) == [f.evaluate((2, 4))]
+    assert f._walker((2, 4))(steps) == term_walk(dom, terms, (2, 4), steps)
+    assert f._walker((2, 4))([]) == [f.evaluate((2, 4))]
 
 
 def test_sum_walk_is_exact_beyond_int64():
@@ -544,7 +544,7 @@ def test_sum_walk_is_exact_beyond_int64():
     big = (1 << 61) - 2
     f = ts.SumOfTerms(dom, random_terms(rng, dom, big, big + 3, 4))
     x, steps = _random_walk(rng, dom, 20)
-    values = f.walker(x)(steps)
+    values = f._walker(x)(steps)
     assert min(values) >= 1 << 63
     assert values == term_walk(dom, f.terms, x, steps)
     for walked, fresh, expected, _ in _interleaved_walks(rng, f, lambda: 20):
@@ -554,35 +554,13 @@ def test_sum_walk_is_exact_beyond_int64():
 
 def test_dense_table_walks_through_the_base_class():
     rng = ts.SplitMix64(8)
-    assert ts.DenseTable.walker is ts.CostFunction.walker
+    assert ts.DenseTable._walker is ts.CostFunction._walker
     for _ in range(20):
         dom = ts.ProductDomain([_WALK_SHAPES[rng.below(3)] for _ in range(1 + rng.below(3))])
         f = ts.DenseTable(dom, [rng.below(50) - 25 for _ in range(dom.size())])
         table = SimpleNamespace(scope=tuple(range(dom.n)), values=f.values)
         x, steps = _random_walk(rng, dom, rng.below(8))
-        assert f.walker(x)(steps) == term_walk(dom, [table], x, steps)
-
-
-def test_walk_refuses_a_bad_label_with_the_evaluate_message():
-    dom = ts.ProductDomain([ts.chain_tree(4), ts.complete_binary_tree(3)])
-    rng = ts.SplitMix64(3)
-    sums = ts.SumOfTerms(dom, random_terms(rng, dom, 0, 9, 2))
-    table = ts.DenseTable(dom, range(28))
-    for f in (sums, table):
-        for bad in (7, -1, 1.0):
-            with pytest.raises(DomainError) as expected:
-                f.evaluate((3, bad))
-            with pytest.raises(DomainError) as got:
-                f.walker((1, 2))([(0, 3), (1, bad), (1, 0)])
-            assert str(got.value) == str(expected.value)
-        with pytest.raises(DomainError) as expected:
-            f.evaluate((4, 2))
-        with pytest.raises(DomainError) as got:
-            f.walker((4, 2))([])
-        assert str(got.value) == str(expected.value)
-        for i in (2, -1):
-            with pytest.raises(DomainError, match="variable"):
-                f.walker((1, 2))([(0, 0), (i, 0)])
+        assert f._walker(x)(steps) == term_walk(dom, [table], x, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -879,7 +857,7 @@ def test_second_grid_builds_no_table(monkeypatch):
     f = ts.SumOfTerms(dom, terms)
     labelings = list(dom.labelings())
     x, steps = _random_walk(rng, dom, 15)
-    values, walked = [f.evaluate(y) for y in labelings], f.walker(x)(steps)
+    values, walked = [f.evaluate(y) for y in labelings], f._walker(x)(steps)
     axes = [(0, 3, 5), (1, 1), (2,)]
     first = f.grid(axes)
     f.grid([(6,), (0, 3), (0, 1, 2)])
@@ -888,7 +866,7 @@ def test_second_grid_builds_no_table(monkeypatch):
     assert np.array_equal(first, again)
     assert f.terms is terms
     assert [f.evaluate(y) for y in labelings] == values
-    assert f.walker(x)(steps) == walked
+    assert f._walker(x)(steps) == walked
     exact = ts.SumOfTerms(dom, [ts.Term((1,), (0, 1 << 62, 0, 0))])
     exact.grid(axes)
     exact.grid(axes)
@@ -929,7 +907,7 @@ _ENTRY_POINTS = {
 def test_a_foreign_domain_is_refused_before_any_evaluation(name, trees, monkeypatch):
     f = _c3x3_sum()
     calls = []
-    for attr in ("evaluate", "grid", "walker"):
+    for attr in ("evaluate", "grid", "_walker"):
         monkeypatch.setattr(f, attr, lambda *args, _attr=attr: calls.append(_attr))
     with pytest.raises(DomainError, match="is not the function's"):
         _ENTRY_POINTS[name](f, ts.ProductDomain(trees))
@@ -1047,6 +1025,25 @@ def test_generate_zero_budget_reports_acceptance():
         assert str(err.value) == f"attempt budget {attempts}: acceptance rate 0/0"
 
 
+def test_sample_seed_and_budget_arguments_must_be_integers():
+    dom = ts.ProductDomain([ts.chain_tree(3), ts.chain_tree(3)])
+    f = ts.generate("chain-separable", dom, seed=1).function
+    for param, bad in (("samples", 2.5), ("samples", "3"), ("samples", None), ("seed", 1.5)):
+        with pytest.raises(DomainError, match=f"^{param} = {bad!r} is not an integer$"):
+            ts.check_strong(f, mode="sampled", **{param: bad})
+    for param, bad in (("seed", 1.5), ("max_value", 2.5), ("attempt_budget", 2.5), ("seed", "0")):
+        for kind in ("random-verified-strong", "chain-separable"):
+            with pytest.raises(DomainError, match=f"^{param} = {bad!r} is not an integer$"):
+                ts.generate(kind, dom, **{param: bad})
+    # an integer of another type is read as the plain int it stands for
+    report = ts.check_strong(f, mode="sampled", samples=np.int64(7), seed=True)
+    assert report == ts.check_strong(f, mode="sampled", samples=7, seed=1)
+    assert type(report.pairs_checked) is int
+    fixture = ts.generate("random-verified-strong", dom, seed=True, max_value=np.int32(20))
+    assert fixture.provenance == ts.generate("random-verified-strong", dom, seed=1).provenance
+    assert fixture.provenance.startswith("random-verified-strong seed=1 ")
+
+
 @pytest.mark.parametrize("kind", ["random-verified-strong", "random-verified-weak",
                                   "chain-separable"])
 def test_generate_refuses_negative_max_value_before_drawing(kind, monkeypatch):
@@ -1081,7 +1078,7 @@ def _recorded_sum(calls: list) -> ts.SumOfTerms:
     """A sum over chain3 x chain2 (6 labelings) that records its oracle calls."""
     dom = ts.ProductDomain([ts.chain_tree(3), ts.chain_tree(2)])
     f = ts.SumOfTerms(dom, random_terms(ts.SplitMix64(3), dom, 0, 9, 2))
-    for name in ("evaluate", "grid", "walker"):
+    for name in ("evaluate", "grid", "_walker"):
         setattr(f, name, _recorder(calls, name))
     return f
 
