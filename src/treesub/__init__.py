@@ -63,10 +63,8 @@ from .trees import (
     RootedTree,
     meet_join,
     path,
-    path_node,
     rho,
     rho_inf,
-    signed_children,
     up_down,
     wedge_vee,
 )
@@ -127,7 +125,6 @@ __all__ = [
     "minimize_weak",
     "outward_restrict",
     "path",
-    "path_node",
     "projection_tables",
     "psi",
     "psi_inverse",
@@ -139,7 +136,6 @@ __all__ = [
     "rho_plus",
     "sfm_brute",
     "sfm_wolfe",
-    "signed_children",
     "star3_tree",
     "up_down",
     "wedge_vee",

@@ -797,7 +797,10 @@ def check_multimorphism(
     domain = own_domain(f, domain)
     if op_pair is None:
         raise DomainError("check_multimorphism needs an op_pair of per-tree tables")
-    op1, op2 = op_pair
+    try:
+        op1, op2 = op_pair
+    except (TypeError, ValueError):
+        raise DomainError(f"op_pair = {op_pair!r} is not a pair of per-tree table lists") from None
     _validate_tables(domain, op1, "op1")
     _validate_tables(domain, op2, "op2")
     return _pair_check(f, domain, lambda d: ((lambda: [(None, _table_op(d, op1, op2))]), None),

@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import BudgetExceededError, DomainError, GenerationError
 from .rng import SplitMix64
-from .trees import RootedTree, int_argument, meet_join_array, plain_int, plain_ints, rho, up_down_array
+from .trees import (Paths, RootedTree, int_argument, meet_join_paths, plain_int, plain_ints, rho,
+                    up_down_paths)
 # These two scalar names stay only for perfbench/tracer.py, which patches them here.
 from .trees import meet_join, wedge_vee  # noqa: F401
 
@@ -70,6 +71,19 @@ def require_budget(size: int, default: int, refusal: str) -> None:
         raise BudgetExceededError(refusal.format(limit=limit))
 
 
+def _sequence_of(items: Iterable, kind: type, name: str) -> tuple:
+    """items as a tuple; an argument that cannot be iterated, or an item
+    that is not a ``kind``, raises DomainError naming the argument."""
+    try:
+        items = tuple(items)
+    except TypeError:
+        raise DomainError(f"{name} = {items!r} is not a sequence") from None
+    for k, item in enumerate(items):
+        if not isinstance(item, kind):
+            raise DomainError(f"{name}[{k}] = {item!r} is not a {kind.__name__}")
+    return items
+
+
 class ProductDomain:
     """Ordered product of rooted-tree label domains.
 
@@ -82,7 +96,7 @@ class ProductDomain:
     __slots__ = ("trees", "_size")
 
     def __init__(self, trees: Sequence[RootedTree]):
-        trees = tuple(trees)
+        trees = _sequence_of(trees, RootedTree, "trees")
         if not trees:
             raise DomainError("a domain needs at least one variable")
         self.trees = trees
@@ -103,16 +117,22 @@ class ProductDomain:
 
     def validate(self, x: Sequence[int]) -> Labeling:
         """x as a tuple of plain ints, each checked against its tree."""
-        if len(x) != len(self.trees):
-            raise DomainError(f"labeling length {len(x)} does not match arity {len(self.trees)}")
+        try:
+            length = len(x)
+        except TypeError:
+            raise DomainError(f"labeling {x!r} is not a sequence of node ids") from None
+        if length != len(self.trees):
+            raise DomainError(f"labeling length {length} does not match arity {len(self.trees)}")
         return tuple(map(RootedTree.check_node, self.trees, x))
 
     def rank(self, x: Sequence[int]) -> int:
         # checks x as validate does, without building the tuple
-        if len(x) != len(self.trees):
-            raise DomainError(
-                f"labeling length {len(x)} does not match arity {len(self.trees)}"
-            )
+        try:
+            length = len(x)
+        except TypeError:
+            raise DomainError(f"labeling {x!r} is not a sequence of node ids") from None
+        if length != len(self.trees):
+            raise DomainError(f"labeling length {length} does not match arity {len(self.trees)}")
         r = 0
         for t, v in zip(self.trees, x):
             r = r * t.node_count + t.check_node(v)
@@ -253,7 +273,8 @@ class DenseTable(CostFunction):
 
     def __init__(self, domain: ProductDomain, values: Sequence[int], denominator: int = 1):
         self._store(domain, plain_ints(
-            values, lambda k, v: f"cost table cell {k} holds {v!r}, not an integer"), denominator)
+            values, "cost table", lambda k, v: f"cost table cell {k} holds {v!r}, not an integer"),
+            denominator)
 
     @classmethod
     def _of_plain_ints(cls, domain: ProductDomain, values: list[int], denominator: int) -> DenseTable:
@@ -301,14 +322,16 @@ class Term:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        scope = plain_ints(self.scope, lambda k, v: f"term scope[{k}] = {v!r} is not an integer")
+        scope = plain_ints(self.scope, "term scope",
+                           lambda k, v: f"term scope[{k}] = {v!r} is not an integer")
         if not 1 <= len(scope) <= 3:
             raise DomainError(f"term arity {len(scope)} is not in 1..3")
         if len(set(scope)) != len(scope):
             raise DomainError(f"term scope {scope} repeats a variable")
         object.__setattr__(self, "scope", scope)
         object.__setattr__(self, "values", plain_ints(
-            self.values, lambda k, v: f"term over scope {scope} cell {k} holds {v!r}, not an integer"))
+            self.values, "term values",
+            lambda k, v: f"term over scope {scope} cell {k} holds {v!r}, not an integer"))
 
 
 class SumOfTerms(CostFunction):
@@ -324,7 +347,7 @@ class SumOfTerms(CostFunction):
     __slots__ = ("domain", "denominator", "terms", "_tables")
 
     def __init__(self, domain: ProductDomain, terms: Sequence[Term], denominator: int = 1):
-        terms = tuple(terms)
+        terms = _sequence_of(terms, Term, "terms")
         for t in terms:
             expected = 1
             for i in t.scope:
@@ -675,7 +698,7 @@ def _random_unary(rng: SplitMix64, tree: RootedTree, op, max_value: int) -> list
     """
     n = tree.node_count
     a, b = np.indices((n, n))
-    first, second = op(tree, a, b)
+    first, second = op(Paths(tree, a, b))
     noise = min(2, max_value)
     for attempt in range(_UNARY_TRIES):
         if attempt == _UNARY_TRIES - 1:
@@ -739,7 +762,7 @@ def _random_verified(
     trusted by construction.
     """
     prop = "strong" if kind == "random-verified-strong" else "weak"
-    op = meet_join_array if prop == "strong" else lambda t, a, b: up_down_array(t, a, b, 0)
+    op = meet_join_paths if prop == "strong" else lambda p: up_down_paths(p, 0)
     rng = SplitMix64(seed)
     size = domain.size()
     require_budget(size * size, DEFAULT_PAIR_BUDGET,
@@ -884,12 +907,12 @@ def generate(
                 f"unknown fixture name {name!r}; known: {', '.join(sorted(builders))}"
             )
         return builders[name]()
+    if kind not in GENERATE_KINDS:
+        raise DomainError(f"unknown generator kind {kind!r}; known: {', '.join(GENERATE_KINDS)}")
     if domain is None:
         raise DomainError(f"kind {kind!r} needs a domain")
     if max_value < 0:
         raise DomainError(f"max_value must be non-negative, got {max_value}")
     if kind == "chain-separable":
         return _chain_separable(domain, seed)
-    if kind in ("random-verified-strong", "random-verified-weak"):
-        return _random_verified(kind, domain, seed, max_value, attempt_budget)
-    raise DomainError(f"unknown generator kind {kind!r}; known: {', '.join(GENERATE_KINDS)}")
+    return _random_verified(kind, domain, seed, max_value, attempt_budget)

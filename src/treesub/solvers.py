@@ -110,7 +110,9 @@ class SignBoxFunction:
     ``itertools.product(*allowed)``.  The optional ``walk`` takes steps
     ``(i, s)``, each setting coordinate i to sign s, and returns the
     values at the zero vector and after each step; a sign outside
-    ``allowed`` raises the same ``DomainError`` as ``evaluate``.
+    ``allowed`` raises the same ``DomainError`` as ``evaluate``.  In the
+    descent's outward restriction, sign -1 moves x_i to its first child
+    and +1 to its second (``Neighborhoods.outward``).
     """
 
     m: int

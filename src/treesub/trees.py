@@ -23,14 +23,14 @@ On a chain rooted at an endpoint, meet/join are the floor/ceil midpoints
 of the label interval and wedge/vee are min/max.  On the 3-node star read
 as signs {-1, 0, +1}, join is sign(a+b) and meet is |ab|*sign(a+b).
 
-``meet_join`` and ``up_down`` also have array forms (``meet_join_array``,
-``up_down_array``; wedge/vee's is ``up_down_array`` at d = 0) that map
+``meet_join`` and ``up_down`` also have array forms on ``Paths``, the
+paths of equal-shape label arrays (``meet_join_paths``,
+``up_down_paths``; wedge/vee's is ``up_down_paths`` at d = 0).  They map
 label arrays in O(log height) numpy gathers on an ancestor table built
-on first use.  Both read the pairs' paths from ``Paths``
-(``meet_join_paths``, ``up_down_paths``), which walks them once and
-keeps the walk, so up/down at many d share it.  Trees and path views
-are otherwise immutable; every function in this module is pure, so
-concurrent reads are safe.
+on first use, and ``Paths`` walks the pairs once and keeps the walk, so
+up/down at many d share it.  Trees and path views are otherwise
+immutable; every function in this module is pure, so concurrent reads
+are safe.
 """
 
 from __future__ import annotations
@@ -89,7 +89,8 @@ def int_argument(v, name: str) -> int:
     return value
 
 
-def plain_ints(values: Iterable, refusal: Callable[[int, object], str]) -> tuple[int, ...]:
+def plain_ints(values: Iterable, name: str,
+               refusal: Callable[[int, object], str]) -> tuple[int, ...]:
     """The values as a tuple of plain ints, read by ``operator.index``.
 
     The package's one rule for a sequence of integers (parents, cost
@@ -98,11 +99,16 @@ def plain_ints(values: Iterable, refusal: Callable[[int, object], str]) -> tuple
     a Python bool does, and the first item without ``__index__`` (a
     float, a string, a Fraction, None) raises DomainError with the
     message ``refusal(k, v)`` for the item v at position k, built only
-    then.  An iterator is read once, before any check.  A tuple of plain
-    ints is kept, so a caller's tuple is not stored twice; a list or
-    range of them becomes a tuple with no call per item.
+    then.  Values that cannot be iterated raise DomainError naming the
+    argument as ``name``.  An iterator is read once, before any check.
+    A tuple of plain ints is kept, so a caller's tuple is not stored
+    twice; a list or range of them becomes a tuple with no call per item.
     """
-    if iter(values) is values:
+    try:
+        iterator = iter(values)
+    except TypeError:
+        raise DomainError(f"{name} = {values!r} is not a sequence of integers") from None
+    if iterator is values:
         values = tuple(values)
     if type(values) in (tuple, list, range) and not non_int_cells(values):
         return values if type(values) is tuple else tuple(values)
@@ -122,9 +128,10 @@ class Neighborhoods(NamedTuple):
     parent)``.  ``outward[v]`` is the pair (allowed signs, axis) of v's
     outward move: ``(0,)``, ``(-1, 0)`` or ``(-1, 0, 1)`` by its child
     count, and the axis ``children[:1] + (v,) + children[1:]``, the label
-    each allowed sign moves to; it is None at a node with more than two
-    children, which has no sign reading.  ``wide`` is the first such
-    node, or None when the tree is binary.
+    each allowed sign moves to (-1 the first child, +1 the second); it
+    is None at a node with more than two children, which has no sign
+    reading.  ``wide`` is the first such node, or None when the tree is
+    binary.
     """
 
     inward: tuple[tuple[int, ...], ...]
@@ -148,7 +155,8 @@ class RootedTree:
     __slots__ = ("node_count", "parent", "children", "depth", "root", "_lift", "_nbhd")
 
     def __init__(self, parent: Iterable[int]):
-        parents = plain_ints(parent, lambda k, p: f"parent[{k}] = {p!r} is not an integer")
+        parents = plain_ints(parent, "parent",
+                             lambda k, p: f"parent[{k}] = {p!r} is not an integer")
         n = len(parents)
         if n == 0:
             raise DomainError("a tree needs at least one node")
@@ -301,11 +309,6 @@ def rho(tree: RootedTree, a: int, b: int) -> int:
     return path(tree, a, b).length
 
 
-def path_node(tree: RootedTree, a: int, b: int, d: int) -> int:
-    """The d-th node of the path from a to b; returns b once d passes it."""
-    return path(tree, a, b).node_at(d)
-
-
 def meet_join(tree: RootedTree, a: int, b: int) -> tuple[int, int]:
     """The midpoint pair of the path, returned as (ancestor, descendant).
 
@@ -433,17 +436,6 @@ def up_down_paths(p: Paths, d: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(p.node_at(np.stack((index + step, length - index - step))))
 
 
-def meet_join_array(tree: RootedTree, a, b) -> tuple[np.ndarray, np.ndarray]:
-    """``meet_join`` of every label pair (a, b) of the arrays a and b."""
-    return meet_join_paths(Paths(tree, a, b))
-
-
-def up_down_array(tree: RootedTree, a, b, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """``up_down`` of every label pair (a, b) of the arrays a and b, for
-    d >= 0; d = 0 is ``wedge_vee``'s array form."""
-    return up_down_paths(Paths(tree, a, b), d)
-
-
 def rho_inf(domain, x: Sequence[int], y: Sequence[int]) -> int:
     """Coordinatewise maximum of per-tree path distances.
 
@@ -457,16 +449,3 @@ def rho_inf(domain, x: Sequence[int], y: Sequence[int]) -> int:
         )
     return max(rho(t, xi, yi) for t, xi, yi in zip(trees, x, y))
 
-
-def signed_children(tree: RootedTree, v: int) -> tuple[int | None, int | None]:
-    """Children of v under the sign convention: (minus child, plus child).
-
-    The first child maps to sign -1 and the second to +1; missing
-    children are None.  Only meaningful on binary trees.
-    """
-    c = tree.children[tree.check_node(v)]
-    if len(c) > 2:
-        raise DomainError(f"node {v} has {len(c)} children; sign reading needs <= 2")
-    minus = c[0] if len(c) >= 1 else None
-    plus = c[1] if len(c) >= 2 else None
-    return minus, plus

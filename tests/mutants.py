@@ -97,6 +97,54 @@ MUTANTS = (
         "    return any(_flagged_pair(",
         ("tests/test_checks.py::test_a_failing_host_falls_back_to_the_full_pass",),
     ),
+    Mutant(
+        "the mirror rule taken per coordinate", "treesub/checks.py",
+        "    return (all((f == f.T).all() and (s == s.T).all() for f, s in tables)\n"
+        "            or all((f.T == s).all() for f, s in tables))",
+        "    return all(((f == f.T).all() and (s == s.T).all()) or (f.T == s).all()\n"
+        "               for f, s in tables)",
+        ("tests/test_checks.py::"
+         "test_a_member_mixing_symmetric_and_swap_symmetric_coordinates_scans_every_y",),
+    ),
+    # A bad argument is refused by name; an unknown kind before a missing domain.
+    Mutant(
+        "validate without its labeling guard", "treesub/functions.py",
+        '''each checked against its tree."""
+        try:
+            length = len(x)
+        except TypeError:
+            raise DomainError(f"labeling {x!r} is not a sequence of node ids") from None
+''',
+        '''each checked against its tree."""
+        length = len(x)
+''',
+        ("tests/test_functions.py::test_arguments_that_are_not_sequences_are_refused_by_name",),
+    ),
+    Mutant(
+        "rank without its labeling guard", "treesub/functions.py",
+        '''without building the tuple
+        try:
+            length = len(x)
+        except TypeError:
+            raise DomainError(f"labeling {x!r} is not a sequence of node ids") from None
+''',
+        '''without building the tuple
+        length = len(x)
+''',
+        ("tests/test_functions.py::test_arguments_that_are_not_sequences_are_refused_by_name",),
+    ),
+    Mutant(
+        "generate checks the domain before the kind", "treesub/functions.py",
+        "    if kind not in GENERATE_KINDS:\n"
+        '        raise DomainError(f"unknown generator kind {kind!r}; known: {\', \'.join(GENERATE_KINDS)}")\n'
+        "    if domain is None:\n"
+        '        raise DomainError(f"kind {kind!r} needs a domain")\n',
+        "    if domain is None:\n"
+        '        raise DomainError(f"kind {kind!r} needs a domain")\n'
+        "    if kind not in GENERATE_KINDS:\n"
+        '        raise DomainError(f"unknown generator kind {kind!r}; known: {\', \'.join(GENERATE_KINDS)}")\n',
+        ("tests/test_functions.py::test_generate_unknown_kind",),
+    ),
 )
 
 

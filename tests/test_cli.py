@@ -556,13 +556,15 @@ def test_minimize_descent_rejects_ternary_exit_two(tmp_path):
 
 def test_generate_failure_exit_three(tmp_path, capsys):
     out = tmp_path / "x.json"
-    for attempts in ("0", "-5"):
-        code = main([
-            "generate", "--kind", "random-verified-strong", "--tree-spec", "chain3",
-            "--attempts", attempts, "--out", str(out),
-        ])
+    for spec, err in ((["chain3", "--attempts", "0"], "attempt budget 0: acceptance rate 0/0"),
+                      (["chain3", "--attempts", "-5"], "attempt budget -5: acceptance rate 0/0"),
+                      (["bintree7", "--n", "2", "--attempts", "1"],
+                       "random-verified-strong: no candidate accepted; acceptance rate 0/1")):
+        code = main(["generate", "--kind", "random-verified-strong", "--tree-spec", *spec,
+                     "--out", str(out)])
         assert code == EXIT_FAILURE
-        assert capsys.readouterr().err == f"error: attempt budget {attempts}: acceptance rate 0/0\n"
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+        assert not out.exists()
 
 
 def test_generate_negative_max_value_exits_two(tmp_path, capsys):

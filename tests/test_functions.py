@@ -19,7 +19,7 @@ import treesub as ts
 from treesub.errors import BudgetExceededError, DomainError, GenerationError
 
 import treesub.functions as functions
-from treesub import checks
+from treesub import checks, weak
 from treesub.cli import build_document, canonical_dumps, parse_document
 from treesub.trees import non_int_cells, plain_ints
 from conftest import brute_minimum, random_terms, term_grid, term_sum, term_walk
@@ -205,7 +205,7 @@ def _copy_of_the_per_cell_path(values, what):
 
 def _plain_ints(values, what):
     """``plain_ints`` with the refusal that tables and terms give it."""
-    return plain_ints(values, lambda k, v: f"{what} cell {k} holds {v!r}, not an integer")
+    return plain_ints(values, what, lambda k, v: f"{what} cell {k} holds {v!r}, not an integer")
 
 
 _CELL_SETS = [
@@ -424,6 +424,38 @@ def test_domain_refusals_keep_their_text():
     with pytest.raises(BudgetExceededError) as err:
         ts.check_strong(ts.SumOfTerms(big, []), mode="sampled")
     assert str(err.value) == f"domain size {7**23} exceeds the 2**62 guard of sampled mode"
+
+
+_B7X2 = ts.ProductDomain([ts.complete_binary_tree(3)] * 2)
+_B7X2_TABLE = ts.DenseTable(_B7X2, range(49))
+_B7X2_SUM = ts.SumOfTerms(_B7X2, [ts.Term((0,), tuple(range(7)))])
+
+_NOT_SEQUENCES = {
+    "minimize start": (lambda: ts.minimize(_B7X2_TABLE, None, 5),
+                       "labeling 5 is not a sequence of node ids"),
+    "table evaluate": (lambda: _B7X2_TABLE.evaluate(3), "labeling 3 is not a sequence of node ids"),
+    "sum evaluate": (lambda: _B7X2_SUM.evaluate(3), "labeling 3 is not a sequence of node ids"),
+    "inward restrict": (lambda: ts.inward_restrict(_B7X2_TABLE, None, 7),
+                        "labeling 7 is not a sequence of node ids"),
+    "tree parent": (lambda: ts.RootedTree(5), "parent = 5 is not a sequence of integers"),
+    "term scope": (lambda: ts.Term(0, (1,)), "term scope = 0 is not a sequence of integers"),
+    "term values": (lambda: ts.Term((0,), 1), "term values = 1 is not a sequence of integers"),
+    "table values": (lambda: ts.DenseTable(_B7X2, 5), "cost table = 5 is not a sequence of integers"),
+    "domain trees": (lambda: ts.ProductDomain(5), "trees = 5 is not a sequence"),
+    "domain tree": (lambda: ts.ProductDomain([1]), "trees[0] = 1 is not a RootedTree"),
+    "sum terms": (lambda: ts.SumOfTerms(_B7X2, 1), "terms = 1 is not a sequence"),
+    "sum term": (lambda: ts.SumOfTerms(_B7X2, [1]), "terms[0] = 1 is not a Term"),
+    "op pair": (lambda: ts.check_multimorphism(_B7X2_TABLE, op_pair=([],)),
+                "op_pair = ([],) is not a pair of per-tree table lists"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_SEQUENCES))
+def test_arguments_that_are_not_sequences_are_refused_by_name(case):
+    build, message = _NOT_SEQUENCES[case]
+    with pytest.raises(DomainError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_grid_refuses_the_wrong_number_of_axes():
@@ -1056,8 +1088,43 @@ def test_generate_refuses_negative_max_value_before_drawing(kind, monkeypatch):
 
 
 def test_generate_unknown_kind():
-    with pytest.raises(DomainError):
-        ts.generate("nonsense", ts.ProductDomain([ts.chain_tree(2)]), seed=0)
+    """The unknown kind is named, with the known ones, before a missing domain."""
+    for domain in (ts.ProductDomain([ts.chain_tree(2)]), None):
+        with pytest.raises(DomainError) as err:
+            ts.generate("nonsense", domain, seed=0)
+        assert str(err.value) == ("unknown generator kind 'nonsense'; known: random-verified-strong, "
+                                  "random-verified-weak, chain-separable, fixture-catalog")
+
+
+_REFUSALS = {
+    "sign vector length": (lambda: ts.outward_restrict(_B7X2_TABLE, None, (0, 0)).evaluate((0,)),
+                           DomainError, "sign vector length 1 does not match arity 2"),
+    "chain of no nodes": (lambda: ts.chain_tree(0), DomainError, "chain needs at least one node"),
+    "binary tree of no levels": (lambda: ts.complete_binary_tree(0), DomainError,
+                                 "need at least one level"),
+    "fork of negative length": (lambda: ts.fork_tree(-1), DomainError,
+                                "fork chain length must be non-negative"),
+    "random tree of no nodes": (lambda: ts.random_tree(ts.SplitMix64(0), 0), DomainError,
+                                "tree needs at least one node"),
+    "one op table for two trees": (
+        lambda: ts.check_multimorphism(_B7X2_TABLE, op_pair=tuple(
+            [side[0]] for side in ts.meet_join_tables(_B7X2))),
+        DomainError, "op1: got 1 tables for 2 trees"),
+    "encoded lengths": (lambda: weak.encoded_wedge_vee((0,), (0, 1)), DomainError,
+                        "encoded vectors of different lengths"),
+    "one attempt": (lambda: ts.generate("random-verified-strong", _B7X2, 0, attempt_budget=1),
+                    GenerationError,
+                    "random-verified-strong: no candidate accepted; acceptance rate 0/1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_refusals_keep_their_type_and_text(case):
+    build, error, message = _REFUSALS[case]
+    with pytest.raises(error) as err:
+        build()
+    assert type(err.value) is error
+    assert str(err.value) == message
 
 
 def test_generate_size_guard():

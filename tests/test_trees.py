@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 import treesub as ts
 from treesub.errors import DomainError
-from treesub.trees import meet_join_array, up_down_array
+from treesub.trees import Paths, meet_join_paths, up_down_paths
 
 from conftest import bfs_path, is_ancestor_oracle, root_walk
 
@@ -169,12 +169,6 @@ def test_is_ancestor(bintree7):
     assert bintree7.is_ancestor(3, 3)
 
 
-def test_signed_children(bintree7, chain5):
-    assert ts.signed_children(bintree7, 0) == (1, 2)
-    assert ts.signed_children(chain5, 2) == (3, None)
-    assert ts.signed_children(chain5, 4) == (None, None)
-
-
 # ---------------------------------------------------------------------------
 # Frozen path and operation examples
 
@@ -203,12 +197,12 @@ def test_path_identity(chain5, bintree7):
             assert p.length == 0
 
 
-def test_path_node(bintree7, chain5):
-    assert ts.path_node(bintree7, 3, 5, 2) == 0
-    assert ts.path_node(bintree7, 3, 5, 0) == 3
-    assert ts.path_node(chain5, 1, 4, 99) == 4  # saturation past the end
+def test_path_view_node_at(bintree7, chain5):
+    assert ts.path(bintree7, 3, 5).node_at(2) == 0
+    assert ts.path(bintree7, 3, 5).node_at(0) == 3
+    assert ts.path(chain5, 1, 4).node_at(99) == 4  # saturation past the end
     with pytest.raises(DomainError):
-        ts.path_node(chain5, 1, 4, -1)
+        ts.path(chain5, 1, 4).node_at(-1)
 
 
 def test_meet_join_chain(chain5):
@@ -429,10 +423,6 @@ def _bfs_ops(tree: ts.RootedTree, a: np.ndarray, b: np.ndarray):
     return meet_join, wedge_vee, up_down
 
 
-def _wedge_vee_array(tree, a, b):
-    return up_down_array(tree, a, b, 0)
-
-
 @pytest.mark.parametrize("tree", _ARRAY_TREES.values(), ids=_ARRAY_TREES.keys())
 def test_array_ops_match_scalar_ops_and_bfs_paths(tree):
     """Every label pair, and for up_down every d below n.  Trees up to
@@ -443,13 +433,13 @@ def test_array_ops_match_scalar_ops_and_bfs_paths(tree):
     meet_join, wedge_vee, up_down = _bfs_ops(tree, a, b)
     pairs = [(x, y) for x in range(n) for y in range(n)]
     scalar_steps = range(n) if n <= 16 else sorted({0, 1, n // 2, n - 1})
-    for array_op, scalar_op, want in ((meet_join_array, ts.meet_join, meet_join),
-                                      (_wedge_vee_array, ts.wedge_vee, wedge_vee)):
-        got = array_op(tree, a, b)
+    paths = Paths(tree, a, b)
+    for got, scalar_op, want in ((meet_join_paths(paths), ts.meet_join, meet_join),
+                                 (up_down_paths(paths, 0), ts.wedge_vee, wedge_vee)):
         assert all((g == w).all() for g, w in zip(got, want))
         assert [(got[0][p], got[1][p]) for p in pairs] == [scalar_op(tree, *p) for p in pairs]
     for d in range(n):
-        got = up_down_array(tree, a, b, d)
+        got = up_down_paths(paths, d)
         assert all((g == w).all() for g, w in zip(got, up_down(d)))
         if d in scalar_steps:
             assert [(got[0][p], got[1][p]) for p in pairs] == [ts.up_down(tree, *p, d) for p in pairs]
@@ -464,12 +454,12 @@ def test_array_ops_match_scalar_ops_on_random_pairs(tree):
     a, b = rng.below_array(tree.node_count, 2000), rng.below_array(tree.node_count, 2000)
     pairs = list(zip(a.tolist(), b.tolist()))
     meet_join, wedge_vee, up_down = _bfs_ops(tree, a[:100], b[:100])
-    for array_op, scalar_op, want in ((meet_join_array, ts.meet_join, meet_join),
-                                      (_wedge_vee_array, ts.wedge_vee, wedge_vee)):
-        got = array_op(tree, a, b)
+    paths = Paths(tree, a, b)
+    for got, scalar_op, want in ((meet_join_paths(paths), ts.meet_join, meet_join),
+                                 (up_down_paths(paths, 0), ts.wedge_vee, wedge_vee)):
         assert list(zip(*(g.tolist() for g in got))) == [scalar_op(tree, *p) for p in pairs]
         assert all((g[:100] == w).all() for g, w in zip(got, want))
     for d in (0, 1, 5, 17, 500, 999, 5000):
-        got = up_down_array(tree, a, b, d)
+        got = up_down_paths(paths, d)
         assert list(zip(*(g.tolist() for g in got))) == [ts.up_down(tree, *p, d) for p in pairs]
         assert all((g[:100] == w).all() for g, w in zip(got, up_down(d)))
