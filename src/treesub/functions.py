@@ -183,12 +183,14 @@ class CostFunction:
 
         ``axes[i]`` lists labels of variable i; the result has shape
         ``(len(axes[0]), ..., len(axes[n-1]))`` in C order, so axis 0 is
-        the most significant.  This version calls ``evaluate`` once per
-        cell and keeps its exact integers in an object array.
+        the most significant.  The axes and each label are checked here,
+        once, for every cost; the values then come from ``_grid``.
         """
-        axes = [tuple(a) for a in axes]
-        values = [self.evaluate(y) for y in itertools.product(*axes)]
-        return np.array(values, dtype=object).reshape(tuple(len(a) for a in axes))
+        axes = [_sequence_of(a, object, f"axes[{i}]")
+                for i, a in enumerate(_sequence_of(axes, object, "axes"))]
+        if len(axes) != self.domain.n:
+            raise DomainError(f"got {len(axes)} axes for arity {self.domain.n}")
+        return self._grid([tuple(map(t.check_node, a)) for t, a in zip(self.domain.trees, axes)])
 
     def _evaluate(self, x: Labeling) -> int:
         """``evaluate`` at a labeling the caller has validated; a subclass
@@ -197,21 +199,25 @@ class CostFunction:
         return self.evaluate(x)
 
     def _grid(self, axes: Sequence[tuple[int, ...]]) -> np.ndarray:
-        """``grid`` on one tuple of labels per variable, each label read
-        from a validated labeling or from the ``parent`` or ``children``
-        of one of its labels; a subclass whose ``grid`` checks each label
-        may skip that check here.  This version is ``grid``."""
-        return self.grid(axes)
+        """``grid`` on checked plain-int labels, one tuple per variable:
+        ``grid`` and the descent's restrictions call it.  This version
+        calls ``evaluate`` once per cell into an object array."""
+        values = [self.evaluate(y) for y in itertools.product(*axes)]
+        return np.array(values, dtype=object).reshape(tuple(map(len, axes)))
 
     def values_at(self, labels: np.ndarray) -> np.ndarray:
         """f at each row of a ``(k, n)`` integer array of labelings.
 
         Returns the k exact values as one array: int64 only while the sum
         of any two of them fits, else object (exact Python ints), so the
-        sum of two results is exact on either.  This version calls
-        ``evaluate`` once per row and keeps its exact integers in an
-        object array.
+        sum of two results is exact on either.  The rows are checked here,
+        once, for every cost; the values then come from ``_values_at``.
         """
+        return self._values_at(_label_rows(self.domain, labels))
+
+    def _values_at(self, labels: np.ndarray) -> np.ndarray:
+        """``values_at`` on checked int64 rows.  This version calls
+        ``evaluate`` once per row into an object array."""
         return np.array([self.evaluate(tuple(x)) for x in labels.tolist()], dtype=object)
 
     def _walker(self, x: Labeling) -> Callable[[Iterable[tuple[int, int]]], list[int]]:
@@ -299,11 +305,10 @@ class DenseTable(CostFunction):
     def evaluate(self, x: Sequence[int]) -> int:
         return self.values[self.domain.rank(x)]
 
-    def values_at(self, labels: np.ndarray) -> np.ndarray:
-        """f at each row, as ``CostFunction.values_at``: the rows are
-        checked and ranked as arrays, and their values gathered from the
+    def _values_at(self, labels: np.ndarray) -> np.ndarray:
+        """f at each checked row, as ``CostFunction._values_at``: the rows
+        are ranked as one array, and their values gathered from the
         table, so the work grows with the rows and not with |D|."""
-        labels = _label_rows(self.domain, labels)
         ranks = np.ravel_multi_index(labels.T, self.domain.cardinalities())
         got = list(map(self.values.__getitem__, ranks.tolist()))
         largest = max(max(got, default=0), -min(got, default=0))
@@ -415,39 +420,21 @@ class SumOfTerms(CostFunction):
 
         return walk
 
-    def grid(self, axes: Sequence[Sequence[int]]) -> np.ndarray:
-        """f over the axes as one array: one gather-add per host table.
-
-        The axis count and each axis label are checked here, once; the
-        values then come from ``_grid``.  The first call folds the terms
-        into host tables (``_fold_terms``) and keeps them on the instance.
-        The result has the tables' dtype: int64, or object (exact Python
-        ints) when the terms' values are too large for int64.
-        """
-        domain = self.domain
-        axes = [tuple(a) for a in axes]
-        if len(axes) != domain.n:
-            raise DomainError(f"got {len(axes)} axes for arity {domain.n}")
-        return self._grid([tuple(map(t.check_node, axis)) for t, axis in zip(domain.trees, axes)])
-
     def _grid(self, axes: Sequence[tuple[int, ...]]) -> np.ndarray:
-        """``grid`` on one tuple of valid plain-int labels per variable,
-        unchecked: the descent's restrictions call it on the axes their
-        trees' ``Neighborhoods`` tables hold for a validated labeling.
-        The labels of variable i index the tables by ``_axis_index``, as
-        an array of shape ``(len, 1, ..., 1)`` with one unit axis per
-        later variable, or by the plain int of an axis of one label, for
-        ``_gather_add``."""
+        """``grid`` as one gather-add per host table, in the tables'
+        dtype, int64 or object.  The labels of variable i index the
+        tables by ``_axis_index``, as an array of shape ``(len, 1, ...,
+        1)`` with one unit axis per later variable, or by the plain int
+        of an axis of one label, for ``_gather_add``."""
         n = len(axes)
         index = [a[0] if len(a) == 1 else _axis_index(a, n - 1 - i) for i, a in enumerate(axes)]
         return _gather_add(self._reads(), index, tuple(map(len, axes)))
 
-    def values_at(self, labels: np.ndarray) -> np.ndarray:
-        """f at each row, as ``CostFunction.values_at``: the rows are
-        checked as one array, then one gather-add per host table of
-        ``_fold_terms``, with column i of the rows indexing variable i.
-        The dtype is the tables', as in ``grid``."""
-        labels = _label_rows(self.domain, labels)
+    def _values_at(self, labels: np.ndarray) -> np.ndarray:
+        """f at each checked row, as ``CostFunction._values_at``: one
+        gather-add per host table of ``_fold_terms``, with column i of
+        the rows indexing variable i.  The dtype is the tables', as in
+        ``_grid``."""
         return _gather_add(self._reads(), labels.T, (len(labels),))
 
     def _reads(self) -> tuple[tuple[Callable, np.ndarray, tuple[int, ...]], ...]:
@@ -539,10 +526,14 @@ def _fold_terms(
     """
     dtype = sum_dtype(sum(max(map(abs, t.values)) for t in terms))
     scopes = sorted({tuple(sorted(t.scope)) for t in terms}, key=lambda s: (-len(s), s))
-    hosts = [s for k, s in enumerate(scopes) if not any(set(s) < set(r) for r in scopes[:k])]
-    tables = {s: np.zeros([domain.trees[i].node_count for i in s], dtype=dtype) for s in hosts}
+    host_of: dict[tuple[int, ...], tuple[int, ...]] = {}  # every sub-scope of a host -> its first host
+    for s in (s for s in scopes if s not in host_of):  # a scope in the map lies in an earlier host
+        for u in itertools.chain.from_iterable(itertools.combinations(s, r) for r in range(1, len(s) + 1)):
+            host_of.setdefault(u, s)
+    tables = {s: np.zeros([domain.trees[i].node_count for i in s], dtype=dtype)
+              for s in scopes if host_of[s] == s}
     for t in terms:
-        host = next(s for s in hosts if set(t.scope) <= set(s))
+        host = host_of[tuple(sorted(t.scope))]
         sub = np.array(t.values, dtype=dtype).reshape(
             [domain.trees[i].node_count for i in t.scope]
         )
@@ -587,11 +578,14 @@ def first_minimum(values: np.ndarray, axes: Sequence[Sequence]) -> tuple[tuple, 
 def own_domain(f: CostFunction, domain: ProductDomain | None) -> ProductDomain:
     """f's domain, after checking a ``domain`` passed beside f against it.
 
-    A domain that differs from ``f.domain`` raises DomainError before any
-    evaluation.  None or ``f.domain`` itself costs one identity test.
+    A domain that is not a ProductDomain, or differs from ``f.domain``,
+    raises DomainError before any evaluation.  None or ``f.domain``
+    itself costs one identity test.
     """
     if domain is None or domain is f.domain:
         return f.domain
+    if not isinstance(domain, ProductDomain):
+        raise DomainError(f"domain = {domain!r} is not a ProductDomain")
     if domain != f.domain:
         given, own = ([list(t.parent) for t in d.trees] for d in (domain, f.domain))
         raise DomainError(f"domain with tree parents {given} is not the function's, {own}")

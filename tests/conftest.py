@@ -331,6 +331,25 @@ def term_grid(domain: ts.ProductDomain, terms, axes) -> list[int]:
     return [term_sum(domain, terms, y) for y in itertools.product(*axes)]
 
 
+def host_tables(domain: ts.ProductDomain, terms) -> list[tuple[tuple[int, ...], list[int]]]:
+    """The host tables a sum of terms folds into, by definition.
+
+    The hosts are the maximal scopes, those in no other term's scope,
+    each as its sorted tuple, in (-len, scope) order.  Each term goes to
+    the first host that contains its scope.  A host's cells are the
+    ``term_grid`` of its terms over its own variables, flat in
+    ascending variable order, with every other variable held at 0.
+    """
+    scopes = {frozenset(t.scope) for t in terms}
+    hosts = sorted((tuple(sorted(s)) for s in scopes if not any(s < r for r in scopes)),
+                   key=lambda h: (-len(h), h))
+    first_host = [next(h for h in hosts if set(t.scope) <= set(h)) for t in terms]
+    return [(h, term_grid(domain, [t for t, g in zip(terms, first_host) if g == h],
+                          [range(tree.node_count) if i in h else (0,)
+                           for i, tree in enumerate(domain.trees)]))
+            for h in hosts]
+
+
 def term_sum_minimum(domain: ts.ProductDomain, terms, labelings) -> tuple[int, int]:
     """First minimum of a sum of term tables over labelings, in their order.
 

@@ -145,6 +145,26 @@ MUTANTS = (
         '        raise DomainError(f"unknown generator kind {kind!r}; known: {\', \'.join(GENERATE_KINDS)}")\n',
         ("tests/test_functions.py::test_generate_unknown_kind",),
     ),
+    Mutant(
+        "own_domain without its type check", "treesub/functions.py",
+        "    if not isinstance(domain, ProductDomain):\n"
+        '        raise DomainError(f"domain = {domain!r} is not a ProductDomain")\n',
+        "",
+        ("tests/test_descent.py::test_a_domain_argument_that_is_not_a_domain_is_refused_by_name",),
+    ),
+    # Every cost's grid checks its labels once, in the base class.
+    Mutant(
+        "the base grid without its label check", "treesub/functions.py",
+        "return self._grid([tuple(map(t.check_node, a)) for t, a in zip(self.domain.trees, axes)])",
+        "return self._grid(axes)",
+        ("tests/test_functions.py::test_every_cost_refuses_a_bad_grid_or_row_with_one_message",),
+    ),
+    Mutant(
+        "_fold_terms gives each sub-scope its last host", "treesub/functions.py",
+        "host_of.setdefault(u, s)",
+        "host_of[u] = s",
+        ("tests/test_functions.py::test_fold_terms_matches_the_host_oracle",),
+    ),
 )
 
 

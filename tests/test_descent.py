@@ -669,6 +669,33 @@ class _NoOracle(ts.CostFunction):
     grid = values_at = _walker = evaluate
 
 
+_DOMAIN = ts.ProductDomain([ts.chain_tree(3), ts.chain_tree(2)])
+_DOMAIN_CALLS = {
+    "minimize": lambda f, d: ts.minimize(f, d),
+    "minimize_exhaustive": lambda f, d: ts.minimize_exhaustive(f, d),
+    "minimize_weak": lambda f, d: ts.minimize_weak(f, d),
+    "inward_restrict": lambda f, d: ts.inward_restrict(f, d, (1, 0)),
+    "outward_restrict": lambda f, d: ts.outward_restrict(f, d, (1, 0)),
+    "rho_minus": lambda f, d: ts.rho_minus(f, d, (1, 0)),
+    "rho_plus": lambda f, d: ts.rho_plus(f, d, (1, 0)),
+    "check_strong": lambda f, d: ts.check_strong(f, d),
+    "check_weak": lambda f, d: ts.check_weak(f, d),
+    "check_translation": lambda f, d: ts.check_translation(f, d),
+    "check_multimorphism": lambda f, d: ts.check_multimorphism(
+        f, d, op_pair=ts.min_max_tables(_DOMAIN)),
+}
+
+
+@pytest.mark.parametrize("bad", [3, "x", list(_DOMAIN.trees)], ids=["int", "str", "list of trees"])
+@pytest.mark.parametrize("call", sorted(_DOMAIN_CALLS))
+def test_a_domain_argument_that_is_not_a_domain_is_refused_by_name(call, bad):
+    """Every public call that takes a ``domain`` beside f refuses one that
+    is not a ProductDomain, naming it, before any oracle call."""
+    with pytest.raises(DomainError) as err:
+        _DOMAIN_CALLS[call](_NoOracle(_DOMAIN), bad)
+    assert str(err.value) == f"domain = {bad!r} is not a ProductDomain"
+
+
 def test_minimize_refuses_a_wider_tree_before_any_oracle_call():
     # the start's nodes all have a sign box, but the domain holds a node with three children
     dom = ts.ProductDomain([ts.RootedTree([-1, 0, 0, 0]), ts.chain_tree(3)])

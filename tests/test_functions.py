@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 import inspect
 import json
+import math
 import operator
 import re
 import tracemalloc
@@ -22,7 +23,7 @@ import treesub.functions as functions
 from treesub import checks, weak
 from treesub.cli import build_document, canonical_dumps, parse_document
 from treesub.trees import non_int_cells, plain_ints
-from conftest import brute_minimum, random_terms, term_grid, term_sum, term_walk
+from conftest import brute_minimum, host_tables, random_terms, term_grid, term_sum, term_walk
 
 
 @pytest.fixture
@@ -458,11 +459,53 @@ def test_arguments_that_are_not_sequences_are_refused_by_name(case):
     assert str(err.value) == message
 
 
+class _Lookup(ts.CostFunction):
+    """A cost function outside the package: ``evaluate`` reads a dict
+    and checks nothing."""
+
+    def __init__(self, domain, values):
+        self.domain = domain
+        self.denominator = 1
+        self._values = dict(zip(domain.labelings(), values))
+
+    def evaluate(self, x):
+        return self._values[tuple(x)]
+
+
 def test_grid_refuses_the_wrong_number_of_axes():
-    f = ts.SumOfTerms(ts.ProductDomain([ts.chain_tree(2)] * 2), [ts.Term((0,), (1, 2))])
+    dom = ts.ProductDomain([ts.chain_tree(2)] * 2)
+    for f in (ts.SumOfTerms(dom, [ts.Term((0,), (1, 2))]), ts.DenseTable(dom, (1, 1, 2, 2)),
+              _Lookup(dom, (1, 1, 2, 2))):
+        with pytest.raises(DomainError) as err:
+            f.grid([range(2)])
+        assert str(err.value) == "got 1 axes for arity 2"
+
+
+_BAD_ORACLE_INPUTS = {
+    "grid of an int": (lambda f: f.grid(3), "axes = 3 is not a sequence"),
+    "grid of int axes": (lambda f: f.grid([0, 1]), "axes[0] = 0 is not a sequence"),
+    "grid with a bad label beside an empty axis": (lambda f: f.grid([(0, 9), ()]),
+                                                   "node id 9 is not in 0..2"),
+    "values_at of an int": (lambda f: f.values_at(3), "labelings of shape () do not have arity 2"),
+    "values_at with a label out of range": (lambda f: f.values_at(np.array([[0, 0], [2, 3]])),
+                                            "node id 3 is not in 0..2"),
+}
+
+
+@pytest.mark.parametrize("cost", ["table", "sum", "outside"])
+@pytest.mark.parametrize("case", sorted(_BAD_ORACLE_INPUTS))
+def test_every_cost_refuses_a_bad_grid_or_row_with_one_message(case, cost):
+    """``CostFunction.grid`` and ``values_at`` check their input once for
+    every cost, so a table, a sum and a cost defined outside the package
+    refuse the same bad axes or rows with the same DomainError."""
+    dom = ts.ProductDomain([ts.chain_tree(3), ts.star3_tree()])
+    values = tuple(range(9))
+    f = {"table": ts.DenseTable(dom, values), "sum": ts.SumOfTerms(dom, [ts.Term((0, 1), values)]),
+         "outside": _Lookup(dom, values)}[cost]
+    call, message = _BAD_ORACLE_INPUTS[case]
     with pytest.raises(DomainError) as err:
-        f.grid([range(2)])
-    assert str(err.value) == "got 1 axes for arity 2"
+        call(f)
+    assert str(err.value) == message
 
 
 def test_sum_of_terms_unary_square():
@@ -731,6 +774,40 @@ def test_sum_grid_is_exact_once_the_tables_reach_2_62():
         whole = f.grid([range(3), range(4)])
         assert whole.ravel().tolist() == term_grid(dom, terms, [range(3), range(4)])
         assert all(type(v) is int for v in whole.ravel().tolist())
+
+
+def test_fold_terms_matches_the_host_oracle():
+    """``_fold_terms`` gives the hosts of ``conftest.host_tables``, in its
+    order, with its exact cells, in the dtype the terms' largest values
+    pick: a seeded sweep of sums over small trees, whose scopes repeat,
+    nest in earlier ones and come permuted, and a quarter of which hold
+    values within a few units of 2**62."""
+    rng = ts.SplitMix64(61)
+    trees = [ts.chain_tree(2), ts.chain_tree(3), ts.star3_tree(), ts.complete_binary_tree(2)]
+    for case in range(400):
+        dom = ts.ProductDomain([trees[rng.below(4)] for _ in range(1 + rng.below(6))])
+        terms = []
+        for _ in range(rng.below(8)):
+            pick = rng.below(3) if terms else 2
+            variables = list(terms[rng.below(len(terms))].scope) if pick < 2 else list(range(dom.n))
+            for j in range(len(variables) - 1, 0, -1):
+                r = rng.below(j + 1)
+                variables[j], variables[r] = variables[r], variables[j]
+            # an earlier term's scope (pick 0), a part of one (1), or up to three of any variables
+            scope = variables[:len(variables) if pick == 0 else 1 + rng.below(min(3, len(variables)))]
+            size = math.prod(dom.trees[i].node_count for i in scope)
+            cells = [rng.below(19) - 9 for _ in range(size)]
+            if case % 4 == 0:
+                cells[rng.below(size)] = (1 - 2 * rng.below(2)) * ((1 << 62) - rng.below(4))
+            terms.append(ts.Term(tuple(scope), tuple(cells)))
+        got = functions._fold_terms(dom, terms)
+        expect = host_tables(dom, terms)
+        assert [scope for scope, _ in got] == [scope for scope, _ in expect]
+        dtype = object if sum(max(map(abs, t.values)) for t in terms) >= 1 << 62 else np.int64
+        for (scope, table), (_, cells) in zip(got, expect):
+            assert table.dtype == dtype
+            assert table.shape == tuple(dom.trees[i].node_count for i in scope)
+            assert table.ravel().tolist() == cells
 
 
 def test_values_at_matches_the_term_sum_oracle():
