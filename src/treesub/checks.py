@@ -58,31 +58,40 @@ Ops map label pairs.  A coordinate op is a list of groups (tree, map,
 columns), one per distinct tree (per coordinate for op tables); a map
 reads the pairs of its columns as ``trees.Paths``, whose path walk runs
 once and is kept for every member of the family, so the d-step members
-share one walk per tree.  ``_apply`` runs each group once over its
-columns of a block of label rows: drawn pairs in sampled mode, or one
-flagged pair for its exact replay.  Exhaustive op tables come from each
-group's map on its tree's index grid, walked once per check.
+share one walk per tree.  ``_apply`` runs each group once over the
+distinct label pairs of its columns in a block of label rows (drawn
+pairs in sampled mode, or one flagged pair for its exact replay) and
+gathers each row's labels back from them.  Exhaustive op tables come
+from each group's map on its tree's index grid, walked once per check.
 
 Costs are integers, so verdicts are exact.  An exhaustive check takes a
 vectorized pass that walks rank(x) in row blocks of at most
 ``_BLOCK_CELLS`` pairs and stops at the first block holding a
-violation.  Each side of a member gets two half-rank tables, built once
-per check: split the coordinates into A, the first h, and B, the rest;
-TA[rank(x_A)] holds the A part of rank(op(x, y)) for every y_A, and
-TB[rank(x_B)] the B part for every y_B, so a block's op ranks are two
-row gathers and one add.  The pass's arrays hold the blocks and
-|D_A|^2 + |D_B|^2 ranks per side (10,100 at chain10^3, 6,642 at
-star3^6), besides the op tables: about 0.7 MB of traced memory at
-|D| = 1000.  When each member's violating pairs are closed under the
-mirror (x, y) -> (y, x), the first violating pair has rank(x) <= rank(y),
-and each block compares its rows only with the y whose first label is
-at least that of its first row, about half of all pairs, flagging the
-same first pair as the full scan.  A member is mirror-closed when every
-coordinate's tables are symmetric, so op(y, x) = op(x, y) (meet/join,
-wedge/vee), or when every coordinate's first table is the transpose of
-its second, so op(y, x) is op(x, y) with its two labelings swapped
-(up/down at d = 1 on star3, the projections); either way the pair and
-its mirror compare the same two sums.  Reports still count the |D|^2
+violation.  A coordinate's op pair (op1, op2) takes few distinct
+values: meet/join maps a label pair to the middle node or edge of its
+path, at most 2c - 1 result pairs (13 of bintree7's 49 label pairs, 19
+of chain10's 100).  So each coordinate gets a key table, the index of
+its result pair among its K_i distinct ones, and when the key box of
+prod K_i cells fits one block, the member reads its right-hand side
+f(op1) + f(op2) from one table R over that box, built once per check:
+one rank and one gather per pair.  A larger key box keeps both sides,
+each a rank and a gather in the domain.  Either way a rank comes from
+two half-rank tables, built once per check: split the coordinates into
+A, the first h, and B, the rest; TA[rank(x_A)] holds the A part of the
+rank for every y_A, and TB[rank(x_B)] the B part for every y_B, so a
+block's ranks are two row gathers and one add.  The pass's arrays hold
+the blocks, R and |D_A|^2 + |D_B|^2 ranks per part (10,100 at
+chain10^3, 6,642 at star3^6), besides the op tables: about 0.6 MB of
+traced memory at |D| = 1000.  When each member's violating pairs are
+closed under the mirror (x, y) -> (y, x), the first violating pair has
+rank(x) <= rank(y), and each block compares its rows only with the y
+whose first label is at least that of its first row, about half of all
+pairs, flagging the same first pair as the full scan.  A member is
+mirror-closed when every coordinate's tables are symmetric, so op(y, x)
+= op(x, y) (meet/join, wedge/vee), or when every coordinate's first
+table is the transpose of its second, so op(y, x) is op(x, y) with its
+two labelings swapped (up/down at d = 1 on star3, the projections);
+either way the pair and its mirror compare the same two sums.  Reports still count the |D|^2
 ordered pairs.  The values' size picks the arrays' dtype: int64 when
 every sum of two costs fits, else object, whose cells are exact Python
 ints; the pass is the same code on either.  The pass only flags the
@@ -104,15 +113,18 @@ bintree7^2 x chain10, where 4 of 9 members are left to scan.
 
 Sampled mode builds no tables.  It draws its pairs in blocks of 2^10
 and takes each block through the family as arrays, one call per group
-and member, over one path walk per group and block.  A pair leaves the
-pass at the first member that swaps it or that it violates, its walk
-leaving with it, and both sides of every comparison come from one
-batched oracle call (``CostFunction.values_at``).  The pass stops at the
-first block holding a violation, so its arrays hold O(2^10 * n) labels
-whatever the sample count; the first violating sample is replayed
-exactly for its witness.  Its ranks are 64-bit ints, so it is the one
-layer that bounds the domain: above 2^62 labelings it refuses (exit 3),
-whatever the budget.
+and member, over one path walk per group and block of the block's
+distinct label pairs: at most c^2 per group, 49 on bintree7 against
+8,192 label pairs of 1,024 draws at arity 8.  A pair leaves the pass
+at the first member that swaps it or that it violates, the label pairs
+that no live pair still uses leaving with it, and both sides of every
+comparison come from one batched oracle call
+(``CostFunction.values_at``).  The pass stops at the first block
+holding a violation, so its arrays hold O(2^10 * n) labels whatever the
+sample count; the first violating sample is replayed exactly for its
+witness.  Its ranks are 64-bit ints, so it is the one layer that bounds
+the domain: above 2^62 labelings it refuses (exit 3), whatever the
+budget.
 """
 
 from __future__ import annotations
@@ -216,30 +228,46 @@ def _table_op(domain: ProductDomain, first: list[OpTable], second: list[OpTable]
 
 
 class _PairRows:
-    """Rows of label pairs (x, y), and the paths of each group's columns,
-    walked on first use and kept for every member that reads them."""
+    """Rows of label pairs (x, y), and for each group's columns the paths
+    of their distinct label pairs with the index of each row's pairs among
+    them, walked on first use and kept for every member that reads them."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray, paths: dict | None = None):
         self.x, self.y = x, y
         self._paths = {} if paths is None else paths
 
-    def paths(self, tree: RootedTree, cols: list[int]) -> Paths:
+    def paths(self, tree: RootedTree, cols: list[int]) -> tuple[Paths, np.ndarray]:
+        """The paths of the distinct pairs (a, b) in the columns ``cols``, by
+        code a * c + b, and the index among them of each row's pairs, shaped
+        (rows, len(cols)).  The codes are raveled first, so that every numpy
+        version gives a 1-D inverse."""
         key = tuple(cols)
         if key not in self._paths:
-            self._paths[key] = Paths(tree, self.x[:, cols], self.y[:, cols])
+            c = tree.node_count
+            codes, index = np.unique((self.x[:, cols] * c + self.y[:, cols]).ravel(), return_inverse=True)
+            self._paths[key] = Paths(tree, *np.divmod(codes, c)), index.reshape(-1, len(cols))
         return self._paths[key]
 
     def take(self, rows: np.ndarray) -> _PairRows:
-        """The rows ``rows``, with the paths walked so far."""
-        return _PairRows(self.x[rows], self.y[rows], {k: p.take(rows) for k, p in self._paths.items()})
+        """The rows ``rows``, with the paths walked so far narrowed to the
+        distinct pairs those rows still use."""
+        kept = {}
+        for key, (p, index) in self._paths.items():
+            index = index[rows]
+            used = np.zeros(len(p.a), dtype=bool)
+            used[index] = True
+            kept[key] = p.take(np.flatnonzero(used)), (np.cumsum(used) - 1)[index]
+        return _PairRows(self.x[rows], self.y[rows], kept)
 
 
 def _apply(op: CoordOp, pairs: _PairRows) -> tuple[np.ndarray, np.ndarray]:
     """Both labelings of op(x, y) for each row of the pairs, from one call
-    per group."""
+    per group over its distinct label pairs, gathered back to the rows."""
     first, second = np.empty_like(pairs.x), np.empty_like(pairs.x)
     for tree, m, cols in op:
-        first[:, cols], second[:, cols] = m(pairs.paths(tree, cols))
+        paths, index = pairs.paths(tree, cols)
+        one, two = m(paths)
+        first[:, cols], second[:, cols] = one[index], two[index]
     return first, second
 
 
@@ -335,14 +363,17 @@ def _first_violation(
     return None
 
 
-def _half_tables(cards: list[int], tables: list[np.ndarray], h: int) -> list[np.ndarray]:
-    """The two half-rank tables of one side of a member, split before
+def _half_tables(cards: list[int], tables: list[np.ndarray], h: int, box: list[int]) -> list[np.ndarray]:
+    """The two half-rank tables of one part of a member, split before
     coordinate h.
 
-    ``ta[rank(x_A)]`` holds, for every y_A, the rank of the labeling that
-    holds op(x, y) on the coordinates A below h and 0 elsewhere, shaped
-    (c_0, ..., c_{h-1}); ``tb[rank(x_B)]`` holds the same for the other
-    coordinates B, shaped (c_h, ..., c_{n-1}).  So rank(op(x, y)) is
+    ``tables[i]`` maps coordinate i's label pairs into 0..box[i] - 1: the
+    member's op labels (box = cards), or its result keys
+    (``_result_keys``).  ``ta[rank(x_A)]`` holds, for every y_A, the rank
+    in ``box`` of the cell that holds ``tables`` at (x, y) on the
+    coordinates A below h and 0 elsewhere, shaped (c_0, ..., c_{h-1});
+    ``tb[rank(x_B)]`` holds the same for the other coordinates B, shaped
+    (c_h, ..., c_{n-1}).  So the rank of the cell at (x, y) is
     ta[rank(x_A)][y_A] + tb[rank(x_B)][y_B].  A side with no coordinates
     is one rank, 0.
     """
@@ -351,12 +382,49 @@ def _half_tables(cards: list[int], tables: list[np.ndarray], h: int) -> list[np.
         k = len(part)
         half = np.zeros((1,) * 2 * k, dtype=np.intp)
         for j, i in enumerate(part):
-            # x_i on axis j and y_i on axis k + j, scaled by i's rank stride
+            # x_i on axis j and y_i on axis k + j, scaled by i's stride in the box
             axes = [1] * 2 * k
             axes[j] = axes[k + j] = cards[i]
-            half = half + tables[i].reshape(axes) * math.prod(cards[i + 1:])
+            half = half + tables[i].reshape(axes) * math.prod(box[i + 1:])
         halves.append(half.reshape([-1] + [cards[i] for i in part]))
     return halves
+
+
+def _result_keys(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A coordinate's key table, the index of (first[a, b], second[a, b])
+    among its K distinct result pairs, and the first and the second label
+    of each of those pairs.  On any tree meet/join has at most 2c - 1
+    result pairs, the middle node or edge of each path: 13 of the 49 label
+    pairs of bintree7."""
+    c = len(first)
+    codes = first * c + second
+    seen = np.zeros(c * c, dtype=bool)
+    seen[codes] = True
+    return (np.cumsum(seen) - 1)[codes], *np.divmod(np.flatnonzero(seen), c)
+
+
+def _member_parts(grid: np.ndarray, cards: list[int], h: int, first: list[np.ndarray],
+                  second: list[np.ndarray]) -> list[tuple[list[np.ndarray], np.ndarray]]:
+    """A scanned member's right-hand side f(op1) + f(op2) as parts (half
+    tables, table): a block reads each part as table[``_block_ranks``],
+    and the right-hand side is the sum of its parts' reads.
+
+    When the key box, the product of the coordinates' K_i distinct result
+    pairs (``_result_keys``), fits one block, the member is one part: R
+    holds f(op1) + f(op2) for every cell of the box, exact in the grid's
+    dtype, and its half tables rank the key tables in the box.  Else each
+    side is a part, its half tables ranking the op tables in the domain.
+    """
+    # coordinates of one tree share their tables, and so their keys
+    pairs = {(id(f), id(s)): (f, s) for f, s in zip(first, second)}
+    keyed = {k: _result_keys(f, s) for k, (f, s) in pairs.items()}
+    keys, ones, twos = zip(*(keyed[id(f), id(s)] for f, s in zip(first, second)))
+    box = [len(u) for u in ones]
+    if math.prod(box) <= _BLOCK_CELLS:
+        rhs = grid[np.ix_(*ones)]
+        rhs += grid[np.ix_(*twos)]
+        return [(_half_tables(cards, keys, h, box), rhs.reshape(-1))]
+    return [(_half_tables(cards, side, h, cards), grid.reshape(-1)) for side in (first, second)]
 
 
 def _split_cost(cards: list[int], h: int) -> int:
@@ -369,13 +437,24 @@ def _split_cost(cards: list[int], h: int) -> int:
 
 
 def _block_ranks(halves: list[np.ndarray], xa: np.ndarray, xb: np.ndarray, lo: int) -> np.ndarray:
-    """Ranks of op(x, y) for the block's rows x, given as rank(x_A) and
-    rank(x_B), and every y whose first label is at least lo, as a
-    ``(rows, c_0 - lo, c_1, ..., c_{n-1})`` array whose C order is rank(y)
-    order: two row gathers and one add."""
+    """The ranks that a part's half tables give for the block's rows x,
+    given as rank(x_A) and rank(x_B), and every y whose first label is at
+    least lo, as a ``(rows, c_0 - lo, c_1, ..., c_{n-1})`` array whose C
+    order is rank(y) order: two row gathers and one add."""
     ta, tb = halves
     return (ta[xa, lo:][(...,) + (None,) * (tb.ndim - 1)]
             + tb[xb][(slice(None),) + (None,) * (ta.ndim - 1)])
+
+
+def _block_rhs(parts: list[tuple[list[np.ndarray], np.ndarray]], xa: np.ndarray, xb: np.ndarray,
+               lo: int) -> np.ndarray:
+    """A member's f(op1) + f(op2) over a block, shaped as ``_block_ranks``:
+    the sum of its parts' table reads (``_member_parts``)."""
+    rhs = None
+    for halves, table in parts:
+        read = table[_block_ranks(halves, xa, xb, lo)]
+        rhs = read if rhs is None else np.add(rhs, read, out=rhs)
+    return rhs
 
 
 def _mirror_closed(first: list[np.ndarray], second: list[np.ndarray]) -> bool:
@@ -438,22 +517,30 @@ def _candidate_pairs(grid: np.ndarray, domain: ProductDomain, family: OpFamily):
     block in C order.
 
     The op tables come from one walk of each tree's paths
-    (``_build_tables``), and each side of a scanned member from two
-    half-rank tables built once, before the first block
-    (``_half_tables``).  They split before the coordinate h, D_A being
-    the product of the first h trees and D_B of the rest, that makes
-    ``_split_cost`` least: the tables' |D_A|^2 + |D_B|^2 ranks plus the
-    |D| * |D_A| inner loops of the scan's rank adds.  That is 10,100
-    ranks on chain10^3 and 4,949 on bintree7^2 x chain10 (h = 1), and
-    6,642 on star3^6 (h = 2).  A block's op ranks are then two row
-    gathers and one add (``_block_ranks``).
+    (``_build_tables``).  Each scanned member's right-hand side is built
+    once, before the first block, as parts (``_member_parts``): one
+    keyed part, a table R of f(op1) + f(op2) over the member's key box,
+    when that box of distinct result pairs fits one block (meet/join on
+    chain10^3, bintree7^3 and star3^6, and d = 0 on bintree7^2 x chain10
+    and star3^6), else one part per side, f itself over the domain.  A
+    block reads each part as one gather at ranks from two half-rank
+    tables (``_half_tables``) and sums them (``_block_rhs``).  The half
+    tables split before the coordinate h,
+    D_A being the product of the first h trees and D_B of the rest,
+    that makes ``_split_cost`` least: the tables' |D_A|^2 + |D_B|^2
+    ranks plus the |D| * |D_A| inner loops of the scan's rank adds.
+    That is 10,100 ranks on chain10^3 and 4,949 on bintree7^2 x chain10
+    (h = 1), and 6,642 on star3^6 (h = 2).  A block's ranks of a part
+    are then two row gathers and one add (``_block_ranks``): a keyed
+    member pays one rank and one gather per pair, a two-sided one two
+    of each and an add.
 
     A member that swaps every label pair on some coordinates S but not
     on the rest R is first decided whole by ``_split_holds``, when the
     |R|^2 cells of its R pairs fit one block: |D| * |R| differences and
     |R|^2 comparisons in place of |D|^2 pairs.  A member proven to hold
-    flags no pair, so the pass leaves it out and builds no half tables
-    for it; one that fails stays, and the pass finds the same first pair
+    flags no pair, so the pass leaves it out and builds no parts for
+    it; one that fails stays, and the pass finds the same first pair
     as a scan of every member.  In the d-step family these are the
     members with d at or past the diameter of some trees but not all,
     such as d = 4..8 on bintree7^2 x chain10.
@@ -490,7 +577,7 @@ def _candidate_pairs(grid: np.ndarray, domain: ProductDomain, family: OpFamily):
         return None
     mirrored = all(_mirror_closed(first, second) for first, second in members)
     h = min(range(1, domain.n + 1), key=lambda h: _split_cost(cards, h))
-    halves = [[_half_tables(cards, side, h) for side in member] for member in members]
+    members = [_member_parts(grid, cards, h, first, second) for first, second in members]
     xa, xb = np.divmod(np.arange(size), math.prod(cards[h:]))
     rows = max(1, _BLOCK_CELLS // size)
     for start in range(0, size, rows):
@@ -498,9 +585,8 @@ def _candidate_pairs(grid: np.ndarray, domain: ProductDomain, family: OpFamily):
         lo = start // (size // cards[0]) if mirrored else 0
         lhs = values[start:stop].reshape((-1,) + (1,) * domain.n) + grid[lo:]
         viol = None
-        for first, second in halves:
-            member = lhs < (values[_block_ranks(first, xa[start:stop], xb[start:stop], lo)]
-                            + values[_block_ranks(second, xa[start:stop], xb[start:stop], lo)])
+        for parts in members:
+            member = lhs < _block_rhs(parts, xa[start:stop], xb[start:stop], lo)
             viol = member if viol is None else np.logical_or(viol, member, out=viol)
         if viol.any():
             # the block scanned the last viol[0].size ranks of y

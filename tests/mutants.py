@@ -106,6 +106,27 @@ MUTANTS = (
         ("tests/test_checks.py::"
          "test_a_member_mixing_symmetric_and_swap_symmetric_coordinates_scans_every_y",),
     ),
+    # A keyed member reads f(op1) + f(op2) from one table over its key box.
+    Mutant(
+        "R read from op1's labels on both sides", "treesub/checks.py",
+        "rhs += grid[np.ix_(*twos)]",
+        "rhs += grid[np.ix_(*ones)]",
+        ("tests/test_checks.py::test_members_on_both_routes_give_the_oracles_witness_in_the_last_block",
+         "tests/test_checks.py::test_keyed_strong_pass_matches_naive_on_relabeled_chains_and_past_int64"),
+    ),
+    Mutant(
+        "key half tables scaled by the domain's strides", "treesub/checks.py",
+        "return [(_half_tables(cards, keys, h, box), rhs.reshape(-1))]",
+        "return [(_half_tables(cards, keys, h, cards), rhs.reshape(-1))]",
+        ("tests/test_checks.py::test_half_table_checks_match_naive_late_in_many_blocks",
+         "tests/test_checks.py::test_keyed_strong_pass_matches_naive_on_relabeled_chains_and_past_int64"),
+    ),
+    Mutant(
+        "take keeps the un-narrowed distinct pairs", "treesub/checks.py",
+        "kept[key] = p.take(np.flatnonzero(used)), (np.cumsum(used) - 1)[index]",
+        "kept[key] = p, index",
+        ("tests/test_checks.py::test_sampled_translation_stops_by_rho_inf",),
+    ),
     # A bad argument is refused by name; an unknown kind before a missing domain.
     Mutant(
         "validate without its labeling guard", "treesub/functions.py",

@@ -13,6 +13,7 @@ from treesub import checks
 from treesub.errors import BudgetExceededError, DomainError, InternalError
 
 from conftest import (
+    Lookup,
     chain_check,
     naive_check,
     naive_check_translation,
@@ -741,18 +742,6 @@ def test_sampled_translation(concave_chain):
     assert report.witness.d is not None
 
 
-class _Lookup(ts.CostFunction):
-    """A cost function outside the package: ``evaluate`` reads a dict."""
-
-    def __init__(self, domain, values):
-        self.domain = domain
-        self.denominator = 1
-        self._values = dict(zip(domain.labelings(), values))
-
-    def evaluate(self, x):
-        return self._values[tuple(x)]
-
-
 def _sampled_check(prop, f, samples, seed):
     if prop == "min-max":
         return ts.check_multimorphism(f, op_pair=ts.min_max_tables(f.domain), mode="sampled",
@@ -783,7 +772,7 @@ def test_sampled_reports_match_the_scalar_replay(prop):
         for f in (ts.DenseTable(dom, values),
                   ts.SumOfTerms(dom, random_terms(rng, dom, 0, high, 2)),
                   ts.DenseTable(dom, [v + (1 << 62) for v in values]),
-                  _Lookup(dom, values)):
+                  Lookup(dom, values)):
             seed = rng.below(1000)
             report = _sampled_check(prop, f, 15, seed)
             expect = replay_sampled(f, sampled_steps(prop, dom), 15, seed)
@@ -802,7 +791,7 @@ def test_sampled_reports_match_the_scalar_replay_past_one_block(prop):
     values[dom.rank((3, 2, 4, 3))] = -1
     samples = 3 * checks._SAMPLE_PAIRS
     pairs = set()
-    for f in (ts.DenseTable(dom, values), _Lookup(dom, values)):
+    for f in (ts.DenseTable(dom, values), Lookup(dom, values)):
         for seed in range(3):
             report = _sampled_check(prop, f, samples, seed)
             assert _sampled_key(report) == replay_sampled(f, sampled_steps(prop, dom), samples, seed)
@@ -1093,25 +1082,37 @@ def test_members_past_one_block_of_unswapped_pairs_scan_every_pair(monkeypatch):
 def test_holding_translation_scans_only_the_members_below_the_smaller_diameter(monkeypatch):
     """On bintree7^2 x chain10 the members d = 4..8 swap every pair of
     both bintree7 coordinates; a holding table decides each of them whole
-    and builds half-rank tables only for d = 0..3."""
+    and scans only d = 0..3, each from its own op tables: d = 0 through
+    one pair of half tables over its key tables, whose box of 17 * 17 *
+    55 result pairs fits one block, and d = 1..3 through half tables of
+    both op tables."""
     B7 = ts.complete_binary_tree(3)
     dom = ts.ProductDomain([B7, B7, ts.chain_tree(10)])
     f = ts.generate("random-verified-strong", dom, seed=3).function
     # f couples the trees with the chain: its chain steps vary with the bintree7 labels
     steps = np.diff(np.array(f.values).reshape(49, 10), axis=1)
     assert (steps != steps[0]).any()
-    halved, decided = [], []
-    half_tables, split_holds = checks._half_tables, checks._split_holds
+    scanned, halved, decided = [], [], []
+    member_parts, half_tables, split_holds = checks._member_parts, checks._half_tables, checks._split_holds
+    monkeypatch.setattr(checks, "_member_parts",
+                        lambda *a: scanned.append(a[3:]) or member_parts(*a))
     monkeypatch.setattr(checks, "_half_tables",
-                        lambda cards, tables, h: halved.append(tables) or half_tables(cards, tables, h))
+                        lambda cards, tables, h, box: halved.append((tables, box))
+                        or half_tables(cards, tables, h, box))
     monkeypatch.setattr(checks, "_split_holds", lambda *a: decided.append(a) or split_holds(*a))
     assert ts.check_translation(f).ok
     assert len(decided) == 5
     groups = checks._tree_groups(dom)
-    expected = [side for d in range(4) for side in
-                checks._build_tables(dom, checks._tree_op(groups, checks.up_down_paths, d), {})[:2]]
-    assert len(halved) == len(expected) == 8
-    for got, want in zip(halved, expected):
+    expected = [checks._build_tables(dom, checks._tree_op(groups, checks.up_down_paths, d), {})[:2]
+                for d in range(4)]
+    assert len(scanned) == len(expected) == 4
+    for got, want in zip(scanned, expected):
+        assert all((g == w).all() for g_side, w_side in zip(got, want) for g, w in zip(g_side, w_side))
+    cards = dom.cardinalities()
+    assert [box for _, box in halved] == [[17, 17, 55]] + [cards] * 6
+    keys = [checks._result_keys(a, b)[0] for a, b in zip(*expected[0])]
+    sides = [keys] + [side for first_second in expected[1:] for side in first_second]
+    for (got, _), want in zip(halved, sides):
         assert all((g == w).all() for g, w in zip(got, want))
 
 
@@ -1153,7 +1154,8 @@ _UNEVEN_DOMAINS = [
 def test_half_tables_give_the_rank_of_op_x_y_for_every_split(trees):
     """For every split h and every first label lo, a block's ranks from
     the two half tables equal rank(op(x, y)) from the per-coordinate
-    tables, for every x and every y with y_0 >= lo, in rank(y) order."""
+    tables, for every x and every y with y_0 >= lo, in rank(y) order;
+    half tables of key tables give the rank of the keys in their box."""
     dom = ts.ProductDomain(trees)
     cards, size = dom.cardinalities(), dom.size()
     rng = np.random.default_rng(len(trees))
@@ -1161,14 +1163,19 @@ def test_half_tables_give_the_rank_of_op_x_y_for_every_split(trees):
     xs = np.stack(np.unravel_index(np.arange(size), cards), axis=1)
     want = np.ravel_multi_index([t[xs[:, i, None], xs[None, :, i]] for i, t in enumerate(tables)],
                                 cards)  # rank(op(x, y)), rank(x) by rank(y)
+    # key tables of a box with uneven sides, some wider than their coordinate
+    box = [1 + int(rng.integers(0, c * c)) for c in cards]
+    keys = [rng.integers(0, k, (c, c)) for c, k in zip(cards, box)]
+    keyed = np.ravel_multi_index([t[xs[:, i, None], xs[None, :, i]] for i, t in enumerate(keys)], box)
     for h in range(1, dom.n + 1):
-        halves = checks._half_tables(cards, tables, h)
-        assert [t.shape[1:] for t in halves] == [tuple(cards[:h]), tuple(cards[h:])]
         xa, xb = np.divmod(np.arange(size), math.prod(cards[h:]))
-        for lo in range(cards[0]):
-            got = checks._block_ranks(halves, xa, xb, lo)
-            assert got.shape == (size, cards[0] - lo) + tuple(cards[1:])
-            assert (got.reshape(size, -1) == want[:, lo * size // cards[0]:]).all()
+        for side, space, expect in ((tables, cards, want), (keys, box, keyed)):
+            halves = checks._half_tables(cards, side, h, space)
+            assert [t.shape[1:] for t in halves] == [tuple(cards[:h]), tuple(cards[h:])]
+            for lo in range(cards[0]):
+                got = checks._block_ranks(halves, xa, xb, lo)
+                assert got.shape == (size, cards[0] - lo) + tuple(cards[1:])
+                assert (got.reshape(size, -1) == expect[:, lo * size // cards[0]:]).all()
 
 
 def test_the_split_keeps_the_scan_loops_long_and_the_tables_small():
@@ -1219,6 +1226,152 @@ def test_half_table_checks_match_naive_late_in_many_blocks(monkeypatch, trees):
                 assert got.pairs_checked == size * size
                 late += expect is not None and dom.rank(expect.x) >= 3
     assert late > 0
+
+
+# A coupling of two bintree7 labels, found by a linear program: every
+# pair whose x is not (6, 5) or (6, 6) holds the strong inequality and
+# every d-step one, while ((6, 5), (6, 6)), mapped to (6, 2) twice under
+# meet/join and at d = 0, fails both.
+_LATE_COUPLING = [[0, 3, 3, 10, 10, 6, 6], [5, 4, 6, 11, 11, 9, 9], [3, 6, 0, 9, 9, 3, 3],
+                  [10, 9, 11, 12, 12, 12, 12], [10, 9, 11, 12, 12, 12, 12],
+                  [6, 9, 3, 12, 12, 6, 6], [6, 9, 3, 12, 12, 0, 0]]
+
+
+def _record_boxes(monkeypatch):
+    """Patch ``_half_tables`` to record the box of each call: the domain's
+    cardinalities for a side of op tables, the key box of a keyed member."""
+    boxes = []
+    half_tables = checks._half_tables
+    monkeypatch.setattr(checks, "_half_tables",
+                        lambda cards, tables, h, box: boxes.append(box) or half_tables(cards, tables, h, box))
+    return boxes
+
+
+def test_members_on_both_routes_give_the_oracles_witness_in_the_last_block(monkeypatch):
+    """On bintree7^2 x chain10, f = coupling(x_0, x_1) + (x_2 - 4)^2 is
+    violated only by pairs with x_0 = 6 and x_1 in {5, 6}, ranks 470..489,
+    in the last of 15 blocks of 33 rows.  The strong member is keyed; the
+    translation family scans d = 0 keyed and d = 1..3 on both sides.  Both
+    give the naive witness, and again with blocks of 3,000 cells, below
+    every key box, where every member is two-sided."""
+    B7 = ts.complete_binary_tree(3)
+    dom = ts.ProductDomain([B7, B7, ts.chain_tree(10)])
+    size, cards = dom.size(), dom.cardinalities()
+    f = ts.DenseTable(dom, [_LATE_COUPLING[a][b] + (c - 4) ** 2 for a, b, c in dom.labelings()])
+    cases = [(ts.check_strong, naive_check(f, ts.meet_join), [13, 13, 19]),
+             (ts.check_translation, naive_check_translation(f), [17, 17, 55])]
+    boxes = _record_boxes(monkeypatch)
+    for cells in (checks._BLOCK_CELLS, 3000):
+        monkeypatch.setattr(checks, "_BLOCK_CELLS", cells)
+        rows = _row_blocks(size)
+        for check, expect, keyed in cases:
+            assert dom.rank(expect.x) >= 470
+            assert (dom.rank(expect.x) >= (size - 1) // rows * rows) == (cells > 3000)
+            boxes.clear()
+            assert _witness_key(check(f).witness) == _witness_key(expect)
+            if cells > 3000:
+                assert boxes[0] == keyed and all(box == cards for box in boxes[1:])
+                assert len(boxes) == (1 if check is ts.check_strong else 7)
+            else:
+                assert boxes and all(box == cards for box in boxes)
+
+
+def _relabeled_chain(order):
+    """The chain that visits the labels ``order`` from its root down."""
+    parent = [0] * len(order)
+    for up, down in zip((-1,) + tuple(order), order):
+        parent[down] = up
+    return ts.RootedTree(parent)
+
+
+def test_keyed_strong_pass_matches_naive_on_relabeled_chains_and_past_int64(monkeypatch):
+    """Chains whose labels are out of depth order, so a pair's midpoints
+    are not the floor and ceiling of its labels.  The strong member is
+    keyed (a box of 11 * 9 * 7 result pairs) over blocks of 6 rows, and
+    random tables, verified fixtures and fixtures with one or two cells
+    moved give the naive witness, also shifted by 2^62 and by -2^70, where
+    the pass runs on object arrays."""
+    trees = [_relabeled_chain(o) for o in ((3, 0, 5, 1, 4, 2), (4, 2, 0, 3, 1), (1, 3, 0, 2))]
+    dom = ts.ProductDomain(trees)
+    size = dom.size()
+    monkeypatch.setattr(checks, "_BLOCK_CELLS", 6 * size)
+    boxes = _record_boxes(monkeypatch)
+    rng = ts.SplitMix64(179)
+    tables = [list(random_table_function(rng, dom, max_value=9).values) for _ in range(4)]
+    for seed in range(3):
+        base = list(ts.materialize(ts.generate("random-verified-strong", dom, seed=seed).function).values)
+        moved = list(base)
+        for _ in range(1 + seed % 2):
+            moved[size - 1 - rng.below(size // 2)] += rng.below(9) - 4
+        tables += [base, moved]
+    verdicts, late = set(), 0
+    for values in tables:
+        for shift in (0, 1 << 62, -(1 << 70)):
+            f = ts.DenseTable(dom, [v + shift for v in values])
+            boxes.clear()
+            expect = naive_check(f, ts.meet_join)
+            assert _witness_key(ts.check_strong(f).witness) == _witness_key(expect)
+            assert boxes == [[11, 9, 7]]
+            verdicts.add(expect is None)
+            late += expect is not None and dom.rank(expect.x) >= 6
+    assert verdicts == {True, False} and late > 0
+
+
+def test_a_meet_join_member_reads_at_most_prod_2c_minus_1_cells():
+    """Meet/join maps a label pair to the middle node or edge of its path,
+    so a coordinate has at most 2c - 1 result pairs (13 on bintree7, 19
+    on chain10), its key table gives back both op tables, and a strong
+    member's R holds at most prod(2c_i - 1) cells."""
+    rng = ts.SplitMix64(181)
+    trees = [ts.random_tree(rng, 1 + rng.below(16)) for _ in range(80)]
+    for t in trees + [_B7, ts.chain_tree(10), ts.star3_tree(), _relabeled_chain((2, 0, 3, 1))]:
+        dom = ts.ProductDomain([t])
+        (first,), (second,), _ = checks._build_tables(dom, checks._strong_family(dom)[0][1], {})
+        keys, ones, twos = checks._result_keys(first, second)
+        assert len(ones) <= 2 * t.node_count - 1
+        assert len(ones) == {_B7: 13, ts.chain_tree(10): 19}.get(t, len(ones))
+        assert (ones[keys] == first).all() and (twos[keys] == second).all()
+    for k in range(4):
+        dom = ts.ProductDomain(trees[3 * k:3 * k + 3])
+        f = random_table_function(rng, dom, max_value=9)
+        grid = np.asarray(f.values, dtype=np.int64).reshape(dom.cardinalities())
+        first, second, _ = checks._build_tables(dom, checks._strong_family(dom)[0][1], {})
+        parts = checks._member_parts(grid, dom.cardinalities(), 1, first, second)
+        assert len(parts) == 1
+        assert parts[0][1].size <= math.prod(2 * c - 1 for c in dom.cardinalities())
+
+
+def test_sampled_ops_map_the_distinct_label_pairs_of_the_live_rows(monkeypatch):
+    """Every array-op call of a sampled check receives the distinct label
+    pairs of its columns over the rows still live, at most
+    min(c^2, live rows * columns): 49 of the 3,072 label pairs of a first
+    block on bintree7^3."""
+    dom = ts.ProductDomain([_B7] * 3)
+    live = []
+    apply = checks._apply
+
+    def counted_apply(op, pairs):
+        live.append(len(set(zip(pairs.x.ravel().tolist(), pairs.y.ravel().tolist()))))
+        live.append(pairs.x.size)
+        return apply(op, pairs)
+
+    monkeypatch.setattr(checks, "_apply", counted_apply)
+    sizes = []
+    for name in ("meet_join_paths", "up_down_paths"):
+        op = getattr(checks, name)
+        monkeypatch.setattr(checks, name, lambda p, *a, op=op: sizes.append(p.a.size) or op(p, *a))
+    rng = ts.SplitMix64(191)
+    fs = [ts.generate("random-verified-strong", dom, seed=0).function,
+          random_table_function(rng, dom, max_value=9)]
+    for f in fs:
+        for check in (ts.check_strong, ts.check_translation):
+            live.clear()
+            sizes.clear()
+            check(f, mode="sampled", samples=2000, seed=7)
+            distinct, pairs = live[0::2], live[1::2]
+            assert sizes == distinct
+            assert all(s <= min(49, p) for s, p in zip(sizes, pairs))
+            assert sizes[0] == 49 and pairs[0] == 3 * checks._SAMPLE_PAIRS
 
 
 def _star_product(n):

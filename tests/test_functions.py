@@ -23,7 +23,7 @@ import treesub.functions as functions
 from treesub import checks, weak
 from treesub.cli import build_document, canonical_dumps, parse_document
 from treesub.trees import non_int_cells, plain_ints
-from conftest import brute_minimum, host_tables, random_terms, term_grid, term_sum, term_walk
+from conftest import Lookup, brute_minimum, host_tables, random_terms, term_grid, term_sum, term_walk
 
 
 @pytest.fixture
@@ -459,23 +459,10 @@ def test_arguments_that_are_not_sequences_are_refused_by_name(case):
     assert str(err.value) == message
 
 
-class _Lookup(ts.CostFunction):
-    """A cost function outside the package: ``evaluate`` reads a dict
-    and checks nothing."""
-
-    def __init__(self, domain, values):
-        self.domain = domain
-        self.denominator = 1
-        self._values = dict(zip(domain.labelings(), values))
-
-    def evaluate(self, x):
-        return self._values[tuple(x)]
-
-
 def test_grid_refuses_the_wrong_number_of_axes():
     dom = ts.ProductDomain([ts.chain_tree(2)] * 2)
     for f in (ts.SumOfTerms(dom, [ts.Term((0,), (1, 2))]), ts.DenseTable(dom, (1, 1, 2, 2)),
-              _Lookup(dom, (1, 1, 2, 2))):
+              Lookup(dom, (1, 1, 2, 2))):
         with pytest.raises(DomainError) as err:
             f.grid([range(2)])
         assert str(err.value) == "got 1 axes for arity 2"
@@ -501,7 +488,7 @@ def test_every_cost_refuses_a_bad_grid_or_row_with_one_message(case, cost):
     dom = ts.ProductDomain([ts.chain_tree(3), ts.star3_tree()])
     values = tuple(range(9))
     f = {"table": ts.DenseTable(dom, values), "sum": ts.SumOfTerms(dom, [ts.Term((0, 1), values)]),
-         "outside": _Lookup(dom, values)}[cost]
+         "outside": Lookup(dom, values)}[cost]
     call, message = _BAD_ORACLE_INPUTS[case]
     with pytest.raises(DomainError) as err:
         call(f)
@@ -827,7 +814,7 @@ def test_values_at_matches_the_term_sum_oracle():
                             dtype=np.int64).reshape(k, dom.n)
             expect = [term_sum(dom, terms, y) for y in rows.tolist()]
             for got in (sums.values_at(rows), table.values_at(rows),
-                        ts.CostFunction.values_at(table, rows)):
+                        ts.CostFunction._values_at(table, rows)):
                 assert got.shape == (k,)
                 assert got.tolist() == expect
                 assert (got + got[::-1]).tolist() == [a + b for a, b in zip(expect, expect[::-1])]
