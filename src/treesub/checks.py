@@ -253,11 +253,18 @@ class _PairRows:
         distinct pairs those rows still use."""
         kept = {}
         for key, (p, index) in self._paths.items():
-            index = index[rows]
-            used = np.zeros(len(p.a), dtype=bool)
-            used[index] = True
-            kept[key] = p.take(np.flatnonzero(used)), (np.cumsum(used) - 1)[index]
+            used, index = _distinct(index[rows], len(p.a))
+            kept[key] = p.take(used), index
         return _PairRows(self.x[rows], self.y[rows], kept)
+
+
+def _distinct(values: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of an int array with values below ``bound``,
+    ascending, and the index among them of each value, shaped like
+    ``values``: a mark per value below the bound, in place of a sort."""
+    seen = np.zeros(bound, dtype=bool)
+    seen[values] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[values]
 
 
 def _apply(op: CoordOp, pairs: _PairRows) -> tuple[np.ndarray, np.ndarray]:
@@ -397,10 +404,8 @@ def _result_keys(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.
     result pairs, the middle node or edge of each path: 13 of the 49 label
     pairs of bintree7."""
     c = len(first)
-    codes = first * c + second
-    seen = np.zeros(c * c, dtype=bool)
-    seen[codes] = True
-    return (np.cumsum(seen) - 1)[codes], *np.divmod(np.flatnonzero(seen), c)
+    codes, key = _distinct(first * c + second, c * c)
+    return key, *np.divmod(codes, c)
 
 
 def _member_parts(grid: np.ndarray, cards: list[int], h: int, first: list[np.ndarray],
@@ -449,7 +454,8 @@ def _block_ranks(halves: list[np.ndarray], xa: np.ndarray, xb: np.ndarray, lo: i
 def _block_rhs(parts: list[tuple[list[np.ndarray], np.ndarray]], xa: np.ndarray, xb: np.ndarray,
                lo: int) -> np.ndarray:
     """A member's f(op1) + f(op2) over a block, shaped as ``_block_ranks``:
-    the sum of its parts' table reads (``_member_parts``)."""
+    the sum of its parts' table reads (``_member_parts``).  Its reads are
+    freed when it returns, so no member's block arrays outlive it."""
     rhs = None
     for halves, table in parts:
         read = table[_block_ranks(halves, xa, xb, lo)]

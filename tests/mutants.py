@@ -123,8 +123,9 @@ MUTANTS = (
     ),
     Mutant(
         "take keeps the un-narrowed distinct pairs", "treesub/checks.py",
-        "kept[key] = p.take(np.flatnonzero(used)), (np.cumsum(used) - 1)[index]",
-        "kept[key] = p, index",
+        "            used, index = _distinct(index[rows], len(p.a))\n"
+        "            kept[key] = p.take(used), index\n",
+        "            kept[key] = p, index[rows]\n",
         ("tests/test_checks.py::test_sampled_translation_stops_by_rho_inf",),
     ),
     # A bad argument is refused by name; an unknown kind before a missing domain.
