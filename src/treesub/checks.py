@@ -91,10 +91,10 @@ mirror-closed when every coordinate's tables are symmetric, so op(y, x)
 = op(x, y) (meet/join, wedge/vee), or when every coordinate's first
 table is the transpose of its second, so op(y, x) is op(x, y) with its
 two labelings swapped (up/down at d = 1 on star3, the projections);
-either way the pair and its mirror compare the same two sums.  Reports still count the |D|^2
-ordered pairs.  The values' size picks the arrays' dtype: int64 when
-every sum of two costs fits, else object, whose cells are exact Python
-ints; the pass is the same code on either.  The pass only flags the
+either way the pair and its mirror compare the same two sums.  Reports
+still count the |D|^2 ordered pairs.  The values' size picks the
+arrays' dtype: int64 when every sum of two costs fits, else object,
+whose cells are exact Python ints; the pass is the same code on either.  The pass only flags the
 first violating pair, and its witness comes from the exact replay.
 
 A member that maps every label pair (a, b) of some coordinates S to
@@ -531,12 +531,11 @@ def _candidate_pairs(grid: np.ndarray, domain: ProductDomain, family: OpFamily):
     and star3^6), else one part per side, f itself over the domain.  A
     block reads each part as one gather at ranks from two half-rank
     tables (``_half_tables``) and sums them (``_block_rhs``).  The half
-    tables split before the coordinate h,
-    D_A being the product of the first h trees and D_B of the rest,
-    that makes ``_split_cost`` least: the tables' |D_A|^2 + |D_B|^2
-    ranks plus the |D| * |D_A| inner loops of the scan's rank adds.
-    That is 10,100 ranks on chain10^3 and 4,949 on bintree7^2 x chain10
-    (h = 1), and 6,642 on star3^6 (h = 2).  A block's ranks of a part
+    tables split before the coordinate h, D_A being the product of the
+    first h trees and D_B of the rest, that makes ``_split_cost`` least:
+    the tables' |D_A|^2 + |D_B|^2 ranks plus the |D| * |D_A| inner loops
+    of the scan's rank adds.  That is 10,100 ranks on chain10^3 and 4,949
+    on bintree7^2 x chain10 (h = 1), and 6,642 on star3^6 (h = 2).  A block's ranks of a part
     are then two row gathers and one add (``_block_ranks``): a keyed
     member pays one rank and one gather per pair, a two-sided one two
     of each and an add.
@@ -583,7 +582,7 @@ def _candidate_pairs(grid: np.ndarray, domain: ProductDomain, family: OpFamily):
         return None
     mirrored = all(_mirror_closed(first, second) for first, second in members)
     h = min(range(1, domain.n + 1), key=lambda h: _split_cost(cards, h))
-    members = [_member_parts(grid, cards, h, first, second) for first, second in members]
+    rhs_parts = [_member_parts(grid, cards, h, first, second) for first, second in members]
     xa, xb = np.divmod(np.arange(size), math.prod(cards[h:]))
     rows = max(1, _BLOCK_CELLS // size)
     for start in range(0, size, rows):
@@ -591,7 +590,7 @@ def _candidate_pairs(grid: np.ndarray, domain: ProductDomain, family: OpFamily):
         lo = start // (size // cards[0]) if mirrored else 0
         lhs = values[start:stop].reshape((-1,) + (1,) * domain.n) + grid[lo:]
         viol = None
-        for parts in members:
+        for parts in rhs_parts:
             member = lhs < _block_rhs(parts, xa[start:stop], xb[start:stop], lo)
             viol = member if viol is None else np.logical_or(viol, member, out=viol)
         if viol.any():
